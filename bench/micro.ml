@@ -345,11 +345,10 @@ let mirror_view ~servers ~least =
       fun () -> cached
   in
   {
-    Cluster.Policy.v_servers = servers;
-    v_healthy = (fun _ -> true);
-    v_live = (fun s -> live.(s));
-    v_warm = (fun s -> warm.(s));
-    v_busy = (fun s -> busy.(s));
+    Cluster.Policy.v_healthy = Array.make servers true;
+    v_live = live;
+    v_warm = warm;
+    v_busy = busy;
     v_total_vcpus = 144;
     v_pending = (fun () -> 0);
     v_least_loaded = least_loaded;

@@ -2,16 +2,21 @@
 
      dune exec examples/fleet.exe
 
-   Four simulated servers behind a warm-first router.  An NFV-style
-   NAT function has HORSE-provisioned sandboxes spread over the
-   fleet; a bursty arrival process drives it.  Compare the routing
-   policies: warm-first keeps every trigger on the fast path,
-   round-robin occasionally lands on a server whose pool is dry. *)
+   Four simulated servers behind one router.  An ML-inference-style
+   function has HORSE-provisioned sandboxes spread over the fleet; a
+   Poisson arrival process drives it.  Compare the push policies:
+   warm-first, least-loaded and round-robin.  The servers run
+   [Recovery.default], so a trigger that lands on a dry pool falls
+   back to a snapshot restore — its init time shows it in the tail —
+   and then parks a fresh sandbox, so the pools grow to fit the load.
+   Round-robin ignores both load and pools and pays the most
+   fallbacks. *)
 
-module Engine = Horse_sim.Engine
 module Time = Horse_sim.Time_ns
 module Rng = Horse_sim.Rng
 module Stats = Horse_sim.Stats
+module Metrics = Horse_sim.Metrics
+module Engine = Horse_sim.Engine
 module Cluster = Horse_faas.Cluster
 module Platform = Horse_faas.Platform
 module Function_def = Horse_faas.Function_def
@@ -19,12 +24,14 @@ module Sandbox = Horse_vmm.Sandbox
 module Arrivals = Horse_trace.Arrivals
 module Report = Horse.Report
 
-let run routing =
-  let engine = Engine.create ~seed:8 () in
-  let cluster = Cluster.create ~servers:4 ~routing ~seed:8 ~engine () in
-  (* a ~2ms ML-inference-style function: long enough that several
-     invocations are in flight, so a blind router can hit a server
-     whose sandboxes are all busy *)
+let run policy =
+  let cluster =
+    Cluster.create_sharded ~servers:4 ~policy ~seed:8
+      ~recovery:Platform.Recovery.default ()
+  in
+  (* a ~2ms function: long enough that several invocations are in
+     flight, so a blind router can hit a server whose sandboxes are all
+     busy *)
   Cluster.register cluster
     (Function_def.create ~name:"infer" ~vcpus:2 ~memory_mb:512
        ~exec:(Function_def.Fixed (Time.span_ms 2.0)) ~ull:true ());
@@ -35,27 +42,28 @@ let run routing =
     Arrivals.poisson_process ~rng ~rate_per_s:2000.0 ~duration:(Time.span_s 1.0)
   in
   let inits = Stats.Sample.create () in
-  let cold = ref 0 in
+  let engine = Cluster.engine cluster in
   List.iter
     (fun offset ->
       ignore
         (Engine.schedule engine ~after:offset (fun _ ->
-             match
-               Cluster.trigger cluster ~name:"infer"
-                 ~mode:(Platform.Warm Sandbox.Horse)
-                 ~on_complete:(fun (_, record) ->
-                   Stats.Sample.add inits
-                     (float_of_int (Time.span_to_ns record.Platform.init)))
-                 ()
-             with
-             | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ -> ()
-             | Cluster.Rejected _ ->
-               (* a dry fleet: fall back to a cold start *)
-               incr cold;
-               ignore
-                 (Cluster.trigger cluster ~name:"infer" ~mode:Platform.Cold ()))))
+             ignore
+               (Cluster.trigger cluster ~name:"infer"
+                  ~mode:(Platform.Warm Sandbox.Horse)
+                  ~on_complete:(fun (_, record) ->
+                    Stats.Sample.add inits
+                      (float_of_int (Time.span_to_ns record.Platform.init)))
+                  ()))))
     arrivals;
-  Engine.run engine;
+  Cluster.run cluster;
+  let fallbacks = ref 0 in
+  for i = 0 to Cluster.server_count cluster - 1 do
+    List.iter
+      (fun (name, v) ->
+        if String.starts_with ~prefix:"platform.fallbacks." name then
+          fallbacks := !fallbacks + v)
+      (Metrics.counters (Platform.metrics (Cluster.server cluster i)))
+  done;
   let spread =
     Cluster.triggers_per_server cluster
     |> Array.to_list
@@ -63,11 +71,12 @@ let run routing =
     |> String.concat "/"
   in
   [
-    Cluster.routing_name routing;
+    Cluster.policy_name cluster;
     string_of_int (List.length arrivals);
-    string_of_int !cold;
+    string_of_int (Cluster.record_count cluster);
+    string_of_int !fallbacks;
     Report.ns (Stats.Sample.percentile inits 50.0);
-    Report.ns (Stats.Sample.percentile inits 99.0);
+    Report.ns (Stats.Sample.percentile inits 99.9);
     spread;
   ]
 
@@ -75,10 +84,12 @@ let () =
   Report.print
     ~caption:
       "2000 triggers/s of a ~2ms function over a 4-server fleet, 8 \
-       HORSE-provisioned sandboxes: warm-first follows the pools, the \
-       blind policies pay cold fallbacks"
+       HORSE-provisioned sandboxes: every dry start falls back to a \
+       restore (the init tail) and parks a fresh sandbox"
     ~header:
-      [ "routing"; "triggers"; "cold fallbacks"; "init p50"; "init p99";
+      [ "policy"; "triggers"; "completed"; "fallbacks"; "init p50";
+        "init p99.9";
         "per-server triggers" ]
     (List.map run
-       [ Cluster.Warm_first; Cluster.Least_loaded; Cluster.Round_robin ])
+       Cluster.Policy.
+         [ push (); push_least_loaded (); push_round_robin () ])

@@ -888,17 +888,9 @@ let fault_run ?shards ?policy ~profile ~seed ~duration ~rate ~strategy () =
     Fault.Plan.uniform ~seed:(seed + 31337) ~rate ()
   in
   let cluster =
-    match shards with
-    | None ->
-      Cluster.create ~servers:4 ~topology:Topology.r650_smt
-        ~cost:(cost_of_profile profile) ~seed ~faults ?policy
-        ~recovery:Platform.Recovery.default
-        ~engine:(Engine.create ~seed ())
-        ()
-    | Some shards ->
-      Cluster.create_sharded ~servers:4 ~topology:Topology.r650_smt
-        ~cost:(cost_of_profile profile) ~seed ~faults ?policy
-        ~recovery:Platform.Recovery.default ~shards ()
+    Cluster.create_sharded ~servers:4 ~topology:Topology.r650_smt
+      ~cost:(cost_of_profile profile) ~seed ~faults ?policy
+      ~recovery:Platform.Recovery.default ?shards ()
   in
   let engine = Cluster.engine cluster in
   Cluster.register cluster
@@ -1105,10 +1097,9 @@ type storm_row = {
 
 let storm_cluster ?policy ~profile ~seed ~sandboxes () =
   let cluster =
-    Cluster.create ~servers:1 ~topology:Topology.r650_smt
+    Cluster.create_sharded ~servers:1 ~topology:Topology.r650_smt
       ~cost:(cost_of_profile profile) ~seed ?policy
       ~ull_count:(max 1 (min 32 (sandboxes / 16)))
-      ~engine:(Engine.create ~seed ())
       ()
   in
   Cluster.register cluster

@@ -278,9 +278,9 @@ val faults :
     pools.  Latency percentiles are honest: every failed rung, retry
     wait and slowdown is inside the records.  The 0 % row is
     bit-identical to a run with no fault plan at all, and rows are
-    bit-identical for every [jobs]/[chunk].  [shards] switches each
-    cell onto a sharded cluster (rows then include the placement
-    delay, and are bit-identical for every [shards] value). *)
+    bit-identical for every [jobs]/[chunk].  Every trigger crosses the
+    cluster's placement delay both ways, and rows are bit-identical
+    for every [shards] value (default 1). *)
 
 (** {1 Scale — one big cluster run on the sharded engine} *)
 

@@ -10,13 +10,6 @@ module Fault = Horse_fault.Fault
 module Team = Horse_parallel.Team
 module Batch = Horse_trace.Batch
 
-type routing = Round_robin | Least_loaded | Warm_first
-
-let routing_name = function
-  | Round_robin -> "round-robin"
-  | Least_loaded -> "least-loaded"
-  | Warm_first -> "warm-first"
-
 type reject_reason = All_servers_down | No_warm_capacity
 
 let reject_reason_name = function
@@ -36,32 +29,32 @@ type outcome =
   | Forwarded of int
 
 (* The scheduling-policy interface.  A policy sees one router's slice
-   of the fleet only through a {!Policy.view} — per-server health, the
-   live/warm mirrors, per-server busy-vCPU counts, all indexed by the
-   router-local server index — and answers with a {!Policy.decision}.
-   Event hooks ([on_completion] etc.) run on that router's timeline,
-   in deterministic message-delivery order, and return {e claims}:
-   local server indices asking to be handed a queued trigger.  The
-   router resolves claims against its own pending queue (dispatching
-   one trigger per claim, or calling [on_claim_unused] when the queue
-   is dry), so policies never touch triggers directly and every policy
-   inherits the cluster's bit-identical execution discipline.  A
-   multi-router cluster instantiates the policy once per router over
-   that router's server group; the instances never share state. *)
+   of the fleet only through a {!Policy.view} — the router's own
+   message-maintained mirrors of per-server health, live count, busy
+   vCPUs and warm pools, all indexed by the router-local server index —
+   and answers with a {!Policy.decision}.  Event hooks ([on_completion]
+   etc.) run on that router's timeline, in deterministic
+   message-delivery order, and return {e claims}: local server indices
+   asking to be handed a queued trigger.  The router resolves claims
+   against its own pending queue (dispatching one trigger per claim,
+   or calling [on_claim_unused] when the queue is dry), so policies
+   never touch triggers directly and every policy inherits the
+   cluster's bit-identical execution discipline.  A multi-router
+   cluster instantiates the policy once per router over that router's
+   server group; the instances never share state. *)
 module Policy = struct
   type view = {
-    v_servers : int;
-    v_healthy : int -> bool;
-    v_live : int -> int;  (* believed live invocations per server *)
-    v_warm : int -> int;
-        (* believed warm-pool size, for the function being decided *)
-    v_busy : int -> int;  (* believed busy vCPUs per server *)
+    v_healthy : bool array;
+    v_live : int array;  (* believed live invocations per server *)
+    v_busy : int array;  (* believed busy vCPUs per server *)
+    mutable v_warm : int array;
+        (* believed warm-pool size per server, for the function being
+           decided *)
     v_total_vcpus : int;  (* logical CPUs per server *)
     v_pending : unit -> int;  (* triggers waiting in the router queue *)
     v_least_loaded : unit -> int option;
-        (* lowest-indexed healthy server with minimal believed live
-           count, via the O(1)-amortized load index on sharded
-           clusters *)
+        (* lowest-indexed healthy server with minimal [v_live], via the
+           router's O(1)-amortized load index *)
   }
 
   type decision = Assign of int | Enqueue
@@ -84,72 +77,65 @@ module Policy = struct
 
   let v ~name p_make = { p_name = name; p_make }
 
-  let no_events =
-    ( (fun _ ~server:_ -> []),
-      (fun _ ~server:_ -> []),
-      (fun _ ~server:_ ~up:_ -> []),
-      (fun ~server:_ ~count:_ -> ()),
-      fun ~server:_ -> () )
-
-  (* The legacy router, verbatim: push every trigger immediately to a
-     server chosen from the optimistically-debited mirrors.  Produces
-     bit-for-bit the trigger placements the pre-policy cluster made. *)
-  let push ?(routing = Warm_first) () =
-    v
-      ~name:("push-" ^ routing_name routing)
-      (fun ~servers ->
-        let rr_cursor = ref 0 in
-        let least_loaded view =
-          match view.v_least_loaded () with
-          | Some i -> Assign i
-          | None -> Enqueue  (* unreachable: the cluster pre-checks health *)
-        in
-        let decide view ~vcpus:_ ~needs_pool =
-          match routing with
-          | Round_robin ->
-            (* first healthy server at or after the cursor; the cursor
-               always advances past the pick so a recovered server
-               rejoins rotation *)
-            let rec scan steps =
-              if steps >= servers then Enqueue
-              else begin
-                let i = (!rr_cursor + steps) mod servers in
-                if view.v_healthy i then begin
-                  rr_cursor := (i + 1) mod servers;
-                  Assign i
-                end
-                else scan (steps + 1)
-              end
-            in
-            scan 0
-          | Least_loaded -> least_loaded view
-          | Warm_first ->
-            if not needs_pool then least_loaded view
-            else begin
-              (* the least-loaded healthy server among those holding a
-                 warm sandbox for the function *)
-              let best = ref (-1) in
-              for i = 0 to servers - 1 do
-                if view.v_healthy i && view.v_warm i > 0 then
-                  if !best < 0 || view.v_live i < view.v_live !best then
-                    best := i
-              done;
-              if !best >= 0 then Assign !best else least_loaded view
-            end
-        in
-        let on_completion, on_rejection, on_health_change, on_provision,
-            on_claim_unused =
-          no_events
-        in
+  (* A policy with no event hooks: [make ~servers] builds one
+     instance's [decide], closing over that instance's state. *)
+  let hookless ~name make =
+    v ~name (fun ~servers ->
         {
-          label = "push-" ^ routing_name routing;
-          decide;
-          on_completion;
-          on_rejection;
-          on_health_change;
-          on_provision;
-          on_claim_unused;
+          label = name;
+          decide = make ~servers;
+          on_completion = (fun _ ~server:_ -> []);
+          on_rejection = (fun _ ~server:_ -> []);
+          on_health_change = (fun _ ~server:_ ~up:_ -> []);
+          on_provision = (fun ~server:_ ~count:_ -> ());
+          on_claim_unused = (fun ~server:_ -> ());
         })
+
+  let least_loaded view =
+    match view.v_least_loaded () with
+    | Some i -> Assign i
+    | None -> Enqueue (* unreachable: the cluster pre-checks health *)
+
+  (* The push routers place every trigger immediately, from the
+     optimistically-debited mirrors; they never enqueue. *)
+  let push () =
+    hookless ~name:"push-warm-first" (fun ~servers view ~vcpus:_ ~needs_pool ->
+        if not needs_pool then least_loaded view
+        else begin
+          (* the least-loaded healthy server among those holding a warm
+             sandbox for the function *)
+          let best = ref (-1) in
+          for i = 0 to servers - 1 do
+            if view.v_healthy.(i) && view.v_warm.(i) > 0 then
+              if !best < 0 || view.v_live.(i) < view.v_live.(!best) then
+                best := i
+          done;
+          if !best >= 0 then Assign !best else least_loaded view
+        end)
+
+  let push_least_loaded () =
+    hookless ~name:"push-least-loaded"
+      (fun ~servers:_ view ~vcpus:_ ~needs_pool:_ -> least_loaded view)
+
+  let push_round_robin () =
+    hookless ~name:"push-round-robin" (fun ~servers ->
+        let cursor = ref 0 in
+        fun view ~vcpus:_ ~needs_pool:_ ->
+          (* first healthy server at or after the cursor; the cursor
+             always advances past the pick so a recovered server rejoins
+             rotation *)
+          let rec scan steps =
+            if steps >= servers then Enqueue
+            else begin
+              let i = (!cursor + steps) mod servers in
+              if view.v_healthy.(i) then begin
+                cursor := (i + 1) mod servers;
+                Assign i
+              end
+              else scan (steps + 1)
+            end
+          in
+          scan 0)
 
   (* Tokens a recovered server restarts with: enough to probe it
      without flooding a post-blackout (pool-less) server, which then
@@ -183,7 +169,7 @@ module Policy = struct
         let pick view ok =
           let best = ref (-1) and best_tok = ref 0 in
           for i = 0 to servers - 1 do
-            if view.v_healthy i && tokens.(i) > !best_tok && ok i then begin
+            if view.v_healthy.(i) && tokens.(i) > !best_tok && ok i then begin
               best := i;
               best_tok := tokens.(i)
             end
@@ -194,7 +180,7 @@ module Policy = struct
         let decide view ~vcpus:_ ~needs_pool =
           let i =
             if needs_pool then begin
-              let j = pick view (fun i -> view.v_warm i > 0) in
+              let j = pick view (fun i -> view.v_warm.(i) > 0) in
               if j >= 0 then j else pick view all
             end
             else pick view all
@@ -206,7 +192,7 @@ module Policy = struct
           else Enqueue
         in
         let earn view ~server =
-          if view.v_healthy server then begin
+          if view.v_healthy.(server) then begin
             (* re-sync to the believed free pool rather than
                incrementing: the pool mirror was refreshed to an
                absolute count by this very message (and already
@@ -229,13 +215,15 @@ module Policy = struct
                signature — not during a transient crunch (pool mirrors
                at zero but plenty in flight), where the backlog drains
                at the full completion rate anyway and a probe would
-               just buy a needless recovery-ladder hit. *)
+               just buy a needless recovery-ladder hit.  [v_warm] here
+               is still the row of the last function decided on this
+               router, not necessarily the completing one's. *)
             let fleet_live = ref 0 in
             for i = 0 to servers - 1 do
-              fleet_live := !fleet_live + view.v_live i
+              fleet_live := !fleet_live + view.v_live.(i)
             done;
             let pressure = if view.v_pending () > !fleet_live then 1 else 0 in
-            tokens.(server) <- max (view.v_warm server) 1 + pressure;
+            tokens.(server) <- max view.v_warm.(server) 1 + pressure;
             drain view ~server ~grant:0
           end
           else []
@@ -265,35 +253,37 @@ module Policy = struct
      server's scheduler then late-binds each vCPU to the
      shallowest-run-queue CPU at dispatch time. *)
   let core_granular () =
-    v ~name:"core" (fun ~servers ->
+    hookless ~name:"core" (fun ~servers ->
         let pick view ok =
           (* most free vCPUs; ties broken by fewest live invocations,
              then lowest index *)
           let best = ref (-1) in
           for i = 0 to servers - 1 do
-            if view.v_healthy i && ok i then
+            if view.v_healthy.(i) && ok i then
               if !best < 0 then best := i
               else begin
-                let free_i = view.v_total_vcpus - view.v_busy i
-                and free_b = view.v_total_vcpus - view.v_busy !best in
+                let free_i = view.v_total_vcpus - view.v_busy.(i)
+                and free_b = view.v_total_vcpus - view.v_busy.(!best) in
                 if
                   free_i > free_b
-                  || (free_i = free_b && view.v_live i < view.v_live !best)
+                  || (free_i = free_b && view.v_live.(i) < view.v_live.(!best))
                 then best := i
               end
           done;
           !best
         in
-        let decide view ~vcpus ~needs_pool =
-          let fits i = view.v_total_vcpus - view.v_busy i >= vcpus in
-          let warm i = view.v_warm i > 0 in
+        fun view ~vcpus ~needs_pool ->
+          let fits i = view.v_total_vcpus - view.v_busy.(i) >= vcpus in
+          let warm i = view.v_warm.(i) > 0 in
           let all _ = true in
           (* tiers: warm holders with room, anyone with room, warm
              holders, anyone — the first non-empty tier wins, so a
              core-saturated fleet still places (and queues server-side)
              rather than rejecting *)
           let i =
-            let j = if needs_pool then pick view (fun i -> fits i && warm i) else -1 in
+            let j =
+              if needs_pool then pick view (fun i -> fits i && warm i) else -1
+            in
             if j >= 0 then j
             else begin
               let j = pick view fits in
@@ -304,56 +294,10 @@ module Policy = struct
               end
             end
           in
-          if i >= 0 then Assign i else Enqueue
-        in
-        let on_completion, on_rejection, on_health_change, on_provision,
-            on_claim_unused =
-          no_events
-        in
-        {
-          label = "core";
-          decide;
-          on_completion;
-          on_rejection;
-          on_health_change;
-          on_provision;
-          on_claim_unused;
-        })
+          if i >= 0 then Assign i else Enqueue)
 
   let builtins () = [ push (); pull (); core_granular () ]
 end
-
-(* How the cluster executes.  [Direct] is the legacy single-engine
-   mode: every server shares the caller's engine and the (single)
-   router reads live server state synchronously.  [Sharded] partitions
-   the run over a {!Shard_engine}: router [r] is logical shard [r]
-   (of [R] routers), server [g] is shard [R + g], every
-   router<->server interaction crosses a [placement] delay through the
-   shard engine's deterministic mailboxes, and each router routes from
-   its own mirrors of its server group's state (updated only by those
-   messages, so routing decisions are partition-independent).  With
-   [R > 1] the routers additionally form a directed spill ring
-   [r -> (r + 1) mod R], each link carrying the placement latency. *)
-type sharded = {
-  se : Shard_engine.t;
-  placement : Time.span;
-  exec_shards : int;  (* execution tasks for [run] *)
-}
-
-type backend = Direct | Sharded of sharded
-
-(* One router's believed state of its own server group, indexed by the
-   router-local server index.  Only the owning router's strand ever
-   touches these. *)
-type mirror = {
-  m_live : int array;  (* believed live count per group server *)
-  m_li : Load_index.t;
-      (* bucketed argmin over [m_live] among healthy group servers:
-         least-loaded routing without the per-trigger group scan *)
-  m_busy : int array;  (* believed busy vCPUs per group server *)
-  m_pool : (string, int array) Hashtbl.t;
-      (* believed warm-pool size per function per group server *)
-}
 
 (* A trigger the policy chose not to place yet: it waits in the
    router-side queue until a server claims it. *)
@@ -369,20 +313,20 @@ type pending_trigger = {
    router's strand: hooks, mirrors, queues, the completion log, the
    rejection log, the latency estimator and the metrics registry all
    mutate only on [r_engine]'s timeline, in deterministic
-   message-delivery order.  A Direct cluster is exactly one router
-   whose group is the whole fleet — the single shared code path is
-   what makes [routers = 1] degenerate byte-for-byte to the
-   single-router cluster. *)
+   message-delivery order.  The mirrors are the policy view's arrays,
+   indexed by the router-local server index. *)
 type router = {
   r_id : int;
   r_engine : Engine.t;
   r_group : int array;  (* owned global server indices, ascending *)
   r_policy : Policy.instance;
-  mutable r_view : Policy.view;  (* one reusable view; closures read [t] *)
-  mutable r_view_name : string;  (* function under decision, for [v_warm] *)
+  r_view : Policy.view;
+  r_index : Load_index.t;
+      (* bucketed argmin over [v_live] among healthy group servers:
+         least-loaded routing without the per-trigger group scan *)
+  r_pool : (string, int array) Hashtbl.t;
+      (* believed warm-pool size per function per group server *)
   r_pending : pending_trigger Queue.t;  (* router-side claimable queue *)
-  r_claims : int Queue.t;  (* local server claims awaiting resolution *)
-  mutable r_draining : bool;  (* claim-resolution loop re-entrancy guard *)
   r_e2e : Stats.Quantile.t option;
       (* arrival -> router-observed completion, microseconds *)
   r_metrics : Metrics.t;  (* this router's counters (rejections, spills) *)
@@ -390,41 +334,36 @@ type router = {
   (* Group completion log: one packed (slot, global server) int per
      completion, in router-observed order.  The slot indexes the
      server platform's trigger-record arena, so the log itself costs
-     one word per trigger; the boxed [(server, record)] list the old
-     code consed per completion is materialized on demand (and
-     memoized) by [records]. *)
+     one word per trigger; boxed [(server, record)] pairs are
+     materialized on demand (and memoized) by [records]. *)
   mutable r_log : int array;
   mutable r_log_len : int;
   mutable r_rejected : rejection list;  (* newest first *)
-  r_mirror : mirror option;  (* [Some] on sharded clusters *)
 }
 
+(* The cluster partitions the run over a {!Shard_engine}: router [r]
+   is logical shard [r] (of [R] routers), server [g] is shard [R + g],
+   every router<->server interaction crosses a [placement] delay
+   through the shard engine's deterministic mailboxes, and each router
+   routes from its own mirrors of its server group's state (updated
+   only by those messages, so routing decisions are
+   partition-independent).  With [R > 1] the routers additionally form
+   a directed spill ring [r -> (r + 1) mod R], each link carrying the
+   placement latency. *)
 type t = {
-  backend : backend;
+  se : Shard_engine.t;
+  placement : Time.span;
+  exec_shards : int;  (* execution tasks for [run] *)
   platforms : Platform.t array;
-  routing : routing;
   routers : router array;
   owner : int array;  (* global server index -> owning router id *)
   local_ix : int array;  (* global server index -> index in its group *)
   faults : Fault.Plan.t;  (* cluster-level plan: the blackout schedule *)
-  healthy : bool array;  (* global; each cell written by its owner only *)
   trigger_counts : int array;  (* global; owner-written *)
   srv_bits : int;
   mutable records_cache : (int * Platform.record) list;
   mutable records_cache_len : int;
 }
-
-let dummy_view =
-  {
-    Policy.v_servers = 0;
-    v_healthy = (fun _ -> false);
-    v_live = (fun _ -> 0);
-    v_warm = (fun _ -> 0);
-    v_busy = (fun _ -> 0);
-    v_total_vcpus = 0;
-    v_pending = (fun () -> 0);
-    v_least_loaded = (fun () -> None);
-  }
 
 let server_count t = Array.length t.platforms
 
@@ -459,160 +398,21 @@ let router_servers t r =
     invalid_arg "Cluster.router_servers: index out of range";
   Array.copy t.routers.(r).r_group
 
-(* Routing inputs, all router-local.  Direct mode reads the live
-   server state (the legacy synchronous router); sharded mode reads
-   the router's mirrors, which change only through the deterministic
-   message protocol. *)
-let live_of t r li =
-  match r.r_mirror with
-  | None -> Platform.live_invocations t.platforms.(r.r_group.(li))
-  | Some m -> m.m_live.(li)
-
-(* The pool-size mirror for [name]; rows exist from [register] on, so
-   creation never reads live server state mid-run. *)
-let pool_view_entry m ~servers name =
-  match Hashtbl.find_opt m.m_pool name with
+(* The pool-size mirror row for [name]; rows exist from [register] on,
+   so creation never reads live server state mid-run. *)
+let pool_row r name =
+  match Hashtbl.find_opt r.r_pool name with
   | Some row -> row
   | None ->
-    let row = Array.make servers 0 in
-    Hashtbl.replace m.m_pool name row;
+    let row = Array.make (Array.length r.r_group) 0 in
+    Hashtbl.replace r.r_pool name row;
     row
-
-let warm_of t r ~name li =
-  match r.r_mirror with
-  | None -> Platform.pool_size t.platforms.(r.r_group.(li)) ~name
-  | Some m ->
-    (pool_view_entry m ~servers:(Array.length r.r_group) name).(li)
-
-(* Least-loaded among the group's healthy servers; [None] when the
-   whole group is down.  Direct mode scans (its live counts change
-   outside the router's control, e.g. on a retry-exhausted abort);
-   sharded mode reads the incrementally-maintained index over its own
-   mirrors. *)
-let least_loaded_index t r =
-  match r.r_mirror with
-  | Some m -> Load_index.argmin m.m_li
-  | None ->
-    let best = ref None in
-    Array.iteri
-      (fun li g ->
-        if t.healthy.(g) then
-          match !best with
-          | Some j when live_of t r j <= live_of t r li -> ()
-          | Some _ | None -> best := Some li)
-      r.r_group;
-    !best
-
-let make_view t r =
-  {
-    Policy.v_servers = Array.length r.r_group;
-    v_healthy = (fun li -> t.healthy.(r.r_group.(li)));
-    v_live = (fun li -> live_of t r li);
-    v_warm = (fun li -> warm_of t r ~name:r.r_view_name li);
-    v_busy =
-      (match r.r_mirror with
-      | None -> fun li -> Platform.busy_vcpus t.platforms.(r.r_group.(li))
-      | Some m -> fun li -> m.m_busy.(li));
-    v_total_vcpus = Scheduler.cpu_count (Platform.scheduler t.platforms.(0));
-    v_pending = (fun () -> Queue.length r.r_pending);
-    v_least_loaded = (fun () -> least_loaded_index t r);
-  }
-
-let make ~servers ~routing ~policy ~e2e ~topology ~cost ~keep_alive ~seed
-    ~faults ~recovery ~ull_count ~backend ~router_count ~router_engine
-    ~platform_engine =
-  if servers <= 0 then invalid_arg "Cluster.create: servers <= 0";
-  let platforms =
-    (* each server gets its own derived plan: per-server fault
-       sequences depend only on (cluster seed, server index), never on
-       how triggers happened to be routed *)
-    Array.init servers (fun i ->
-        Platform.create ~topology ~cost ?keep_alive ?ull_count
-          ~seed:(seed + (97 * i))
-          ~faults:(Fault.Plan.derive faults ~index:i)
-          ?recovery ~engine:(platform_engine i) ())
-  in
-  let metrics0 = Metrics.create () in
-  Fault.Plan.attach_metrics faults metrics0;
-  let srv_bits =
-    let b = ref 0 in
-    while 1 lsl !b < servers do
-      incr b
-    done;
-    !b
-  in
-  let policy =
-    match policy with Some p -> p | None -> Policy.push ~routing ()
-  in
-  let sharded = match backend with Direct -> false | Sharded _ -> true in
-  let routers =
-    Array.init router_count (fun ri ->
-        (* router [ri] owns servers { g | g mod R = ri }, ascending *)
-        let size = (servers - ri + router_count - 1) / router_count in
-        let group = Array.init size (fun j -> ri + (j * router_count)) in
-        {
-          r_id = ri;
-          r_engine = router_engine ri;
-          r_group = group;
-          r_policy = Policy.instantiate policy ~servers:size;
-          r_view = dummy_view;
-          r_view_name = "";
-          r_pending = Queue.create ();
-          r_claims = Queue.create ();
-          r_draining = false;
-          r_e2e =
-            (if e2e then
-               Some (Stats.Quantile.create ~quantiles:[| 0.5; 0.99; 0.999 |] ())
-             else None);
-          r_metrics = (if ri = 0 then metrics0 else Metrics.create ());
-          r_healthy_n = size;
-          r_log = Array.make 64 0;
-          r_log_len = 0;
-          r_rejected = [];
-          r_mirror =
-            (if not sharded then None
-             else
-               Some
-                 {
-                   m_live = Array.make size 0;
-                   m_li = Load_index.create ~n:size;
-                   m_busy = Array.make size 0;
-                   m_pool = Hashtbl.create 16;
-                 });
-        })
-  in
-  let t =
-    {
-      backend;
-      platforms;
-      routing;
-      routers;
-      owner = Array.init servers (fun g -> g mod router_count);
-      local_ix = Array.init servers (fun g -> g / router_count);
-      faults;
-      healthy = Array.make servers true;
-      trigger_counts = Array.make servers 0;
-      srv_bits;
-      records_cache = [];
-      records_cache_len = 0;
-    }
-  in
-  Array.iter (fun r -> r.r_view <- make_view t r) t.routers;
-  t
-
-let create ?(servers = 4) ?(routing = Warm_first) ?policy ?(e2e = false)
-    ?(topology = Topology.r650) ?(cost = Cost_model.firecracker) ?keep_alive
-    ?(seed = 42) ?(faults = Fault.Plan.none) ?recovery ?ull_count ~engine () =
-  make ~servers ~routing ~policy ~e2e ~topology ~cost ~keep_alive ~seed ~faults
-    ~recovery ~ull_count ~backend:Direct ~router_count:1
-    ~router_engine:(fun _ -> engine)
-    ~platform_engine:(fun _ -> engine)
 
 let default_placement = Time.span_us 50.0
 
-let create_sharded ?(servers = 4) ?(routing = Warm_first) ?policy
-    ?(e2e = false) ?(topology = Topology.r650) ?(cost = Cost_model.firecracker)
-    ?keep_alive ?(seed = 42) ?(faults = Fault.Plan.none) ?recovery ?ull_count
+let create_sharded ?(servers = 4) ?policy ?(e2e = false)
+    ?(topology = Topology.r650) ?(cost = Cost_model.firecracker) ?keep_alive
+    ?(seed = 42) ?(faults = Fault.Plan.none) ?recovery ?ull_count
     ?(placement = default_placement) ?(shards = 1) ?scheduler ?window
     ?(routers = 1) () =
   if servers <= 0 then invalid_arg "Cluster.create_sharded: servers <= 0";
@@ -640,28 +440,90 @@ let create_sharded ?(servers = 4) ?(routing = Warm_first) ?policy
     Shard_engine.create ~seed ?scheduler ?window ~channels
       ~sources:(routers + servers) ~lookahead:placement ()
   in
-  make ~servers ~routing ~policy ~e2e ~topology ~cost ~keep_alive ~seed ~faults
-    ~recovery ~ull_count
-    ~backend:(Sharded { se; placement; exec_shards = shards })
-    ~router_count:routers
-    ~router_engine:(fun r -> Shard_engine.engine se r)
-    ~platform_engine:(fun i -> Shard_engine.engine se (routers + i))
+  let platforms =
+    (* each server gets its own derived plan: per-server fault
+       sequences depend only on (cluster seed, server index), never on
+       how triggers happened to be routed *)
+    Array.init servers (fun i ->
+        Platform.create ~topology ~cost ?keep_alive ?ull_count
+          ~seed:(seed + (97 * i))
+          ~faults:(Fault.Plan.derive faults ~index:i)
+          ?recovery
+          ~engine:(Shard_engine.engine se (routers + i))
+          ())
+  in
+  let metrics0 = Metrics.create () in
+  Fault.Plan.attach_metrics faults metrics0;
+  let srv_bits =
+    let b = ref 0 in
+    while 1 lsl !b < servers do
+      incr b
+    done;
+    !b
+  in
+  let policy = match policy with Some p -> p | None -> Policy.push () in
+  let total_vcpus = Scheduler.cpu_count (Platform.scheduler platforms.(0)) in
+  let make_router ri =
+    (* router [ri] owns servers { g | g mod R = ri }, ascending *)
+    let size = (servers - ri + routers - 1) / routers in
+    let index = Load_index.create ~n:size in
+    let pending = Queue.create () in
+    {
+      r_id = ri;
+      r_engine = Shard_engine.engine se ri;
+      r_group = Array.init size (fun j -> ri + (j * routers));
+      r_policy = Policy.instantiate policy ~servers:size;
+      r_view =
+        {
+          Policy.v_healthy = Array.make size true;
+          v_live = Array.make size 0;
+          v_busy = Array.make size 0;
+          v_warm = Array.make size 0;
+          v_total_vcpus = total_vcpus;
+          v_pending = (fun () -> Queue.length pending);
+          v_least_loaded = (fun () -> Load_index.argmin index);
+        };
+      r_index = index;
+      r_pool = Hashtbl.create 16;
+      r_pending = pending;
+      r_e2e =
+        (if e2e then
+           Some (Stats.Quantile.create ~quantiles:[| 0.5; 0.99; 0.999 |] ())
+         else None);
+      r_metrics = (if ri = 0 then metrics0 else Metrics.create ());
+      r_healthy_n = size;
+      r_log = Array.make 64 0;
+      r_log_len = 0;
+      r_rejected = [];
+    }
+  in
+  {
+    se;
+    placement;
+    exec_shards = shards;
+    platforms;
+    routers = Array.init routers make_router;
+    owner = Array.init servers (fun g -> g mod routers);
+    local_ix = Array.init servers (fun g -> g / routers);
+    faults;
+    trigger_counts = Array.make servers 0;
+    srv_bits;
+    records_cache = [];
+    records_cache_len = 0;
+  }
 
 let server t i =
   if i < 0 || i >= server_count t then
     invalid_arg "Cluster.server: index out of range";
   t.platforms.(i)
 
-let routing t = t.routing
-
 let policy_name t = t.routers.(0).r_policy.Policy.label
 
 let engine t = t.routers.(0).r_engine
 
-let shard_engine t =
-  match t.backend with Direct -> None | Sharded s -> Some s.se
+let shard_engine t = Some t.se
 
-let shards t = match t.backend with Direct -> 1 | Sharded s -> s.exec_shards
+let shards t = t.exec_shards
 
 (* With one router the cluster registry IS router 0's registry (so
    callers may keep incrementing through it); with several, a fresh
@@ -687,7 +549,7 @@ let router_metrics t r =
 let healthy t i =
   if i < 0 || i >= server_count t then
     invalid_arg "Cluster.healthy: index out of range";
-  t.healthy.(i)
+  t.routers.(t.owner.(i)).r_view.Policy.v_healthy.(t.local_ix.(i))
 
 let healthy_count t =
   Array.fold_left (fun acc r -> acc + r.r_healthy_n) 0 t.routers
@@ -723,9 +585,9 @@ let fn_vcpus t ~fn_id =
     .Function_def.vcpus
 
 (* Keep a router's live mirror and its argmin index in lockstep. *)
-let set_live m li v =
-  m.m_live.(li) <- v;
-  Load_index.set m.m_li li v
+let set_live r li v =
+  r.r_view.Policy.v_live.(li) <- v;
+  Load_index.set r.r_index li v
 
 let observe_e2e r ~arrival =
   match r.r_e2e with
@@ -744,48 +606,33 @@ let reject r ~reason ~name =
     (Printf.sprintf "cluster.rejections.%s" (reject_reason_name reason));
   Rejected rejection
 
-(* The believed warm-pool total over a router's (healthy) group for
-   [name]; a downed server's rows were zeroed on [mark_down], so the
-   sum already excludes it on sharded clusters. *)
-let group_warm_total t r ~name =
-  let sum = ref 0 in
-  for li = 0 to Array.length r.r_group - 1 do
-    sum := !sum + warm_of t r ~name li
-  done;
-  !sum
-
-(* Dispatching and claim resolution are mutually recursive: a
-   dispatched claim can reject synchronously (Direct mode), whose
-   [on_rejection] hook can emit further claims.  Claims therefore go
-   through an explicit queue drained by one non-reentrant loop —
-   bounded work per event, no recursion depth to worry about.
-   [trigger_resolved] joins the group because a spill's delivery
-   callback re-enters it on the neighbor router. *)
-
-(* Sharded placement: router [r] commits to local server [li] and the
-   trigger crosses the placement delay as a message; the server's
-   outcome (completion notification or a dry pool) crosses back the
-   same way, always to the owning router.  All router-side state — the
-   group completion log, mirrors, rejection log — mutates only on
-   [r]'s shard, in deterministic message-delivery order.  The
-   completion carries the arena slot, not a boxed record: the router
-   logs one packed int and materializes a record only for an explicit
-   [on_complete] subscriber. *)
-let rec dispatch_sharded t r s m ~name ~fn_id ~mode ~on_complete ~arrival li =
+(* Placement: router [r] commits to local server [li] and the trigger
+   crosses the placement delay as a message; the server's outcome
+   (completion notification or a dry pool) crosses back the same way,
+   always to the owning router.  All router-side state — the group
+   completion log, mirrors, rejection log — mutates only on [r]'s
+   shard, in deterministic message-delivery order.  The completion
+   carries the arena slot, not a boxed record: the router logs one
+   packed int and materializes a record only for an explicit
+   [on_complete] subscriber.  Dispatch, claim resolution and spills
+   are mutually recursive, but only through messages: every re-entry
+   happens on a later event. *)
+let rec dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li =
   let g = r.r_group.(li) in
+  let view = r.r_view in
   t.trigger_counts.(g) <- t.trigger_counts.(g) + 1;
-  set_live m li (m.m_live.(li) + 1);
+  set_live r li (view.v_live.(li) + 1);
   (match mode with
   | Platform.Warm _ ->
-    let row = pool_view_entry m ~servers:(Array.length r.r_group) name in
+    let row = pool_row r name in
     if row.(li) > 0 then row.(li) <- row.(li) - 1
   | Platform.Cold | Platform.Restore -> ());
   let vc = fn_vcpus t ~fn_id in
-  m.m_busy.(li) <- m.m_busy.(li) + vc;
+  view.v_busy.(li) <- view.v_busy.(li) + vc;
   let platform = t.platforms.(g) in
   let dst = Array.length t.routers + g in
-  let arrive = Time.add (Engine.now r.r_engine) s.placement in
-  Shard_engine.post s.se ~src:r.r_id ~dst ~at:arrive (fun server_engine ->
+  let arrive = Time.add (Engine.now r.r_engine) t.placement in
+  Shard_engine.post t.se ~src:r.r_id ~dst ~at:arrive (fun server_engine ->
       match
         Platform.trigger_id platform ~fn_id ~mode
           ~on_complete_slot:(fun slot ->
@@ -793,27 +640,25 @@ let rec dispatch_sharded t r s m ~name ~fn_id ~mode ~on_complete ~arrival li =
                sandbox just returned to, then notify the owning
                router *)
             let pool_now = Platform.pool_size platform ~name in
-            let done_at = Time.add (Engine.now server_engine) s.placement in
-            Shard_engine.post s.se ~src:dst ~dst:r.r_id ~at:done_at (fun _ ->
+            let done_at = Time.add (Engine.now server_engine) t.placement in
+            Shard_engine.post t.se ~src:dst ~dst:r.r_id ~at:done_at (fun _ ->
                 log_push t r ~server:g ~slot;
-                set_live m li (max 0 (m.m_live.(li) - 1));
+                set_live r li (max 0 (view.v_live.(li) - 1));
                 (* reconcile the pool mirror by conservation bounded
                    by ground truth: this completion freed exactly one
                    slot (already counted in [pool_now]), and a plain
                    overwrite would erase the optimistic debits of
                    dispatches still in flight, letting the router
                    over-commit a nearly-dry pool *)
-                let row =
-                  pool_view_entry m ~servers:(Array.length r.r_group) name
-                in
+                let row = pool_row r name in
                 row.(li) <- min (row.(li) + 1) pool_now;
-                m.m_busy.(li) <- max 0 (m.m_busy.(li) - vc);
+                view.v_busy.(li) <- max 0 (view.v_busy.(li) - vc);
                 observe_e2e r ~arrival;
                 (match on_complete with
                 | None -> ()
                 | Some f -> f (g, Platform.record_of_slot platform slot));
                 apply_claims t r
-                  (r.r_policy.Policy.on_completion r.r_view ~server:li)))
+                  (r.r_policy.Policy.on_completion view ~server:li)))
           ()
       with
       | () -> ()
@@ -821,75 +666,35 @@ let rec dispatch_sharded t r s m ~name ~fn_id ~mode ~on_complete ~arrival li =
         (* dry on arrival: the router learns one placement delay
            later and records the typed rejection then *)
         let pool_now = Platform.pool_size platform ~name in
-        let back_at = Time.add (Engine.now server_engine) s.placement in
-        Shard_engine.post s.se ~src:dst ~dst:r.r_id ~at:back_at (fun _ ->
-            set_live m li (max 0 (m.m_live.(li) - 1));
-            m.m_busy.(li) <- max 0 (m.m_busy.(li) - vc);
+        let back_at = Time.add (Engine.now server_engine) t.placement in
+        Shard_engine.post t.se ~src:dst ~dst:r.r_id ~at:back_at (fun _ ->
+            set_live r li (max 0 (view.v_live.(li) - 1));
+            view.v_busy.(li) <- max 0 (view.v_busy.(li) - vc);
             (* no slot was freed; the pool proved dry, so cap the
                mirror at the observed truth *)
-            let row =
-              pool_view_entry m ~servers:(Array.length r.r_group) name
-            in
+            let row = pool_row r name in
             row.(li) <- min row.(li) pool_now;
             ignore (reject r ~reason:No_warm_capacity ~name);
             apply_claims t r
-              (r.r_policy.Policy.on_rejection r.r_view ~server:li)));
+              (r.r_policy.Policy.on_rejection view ~server:li)));
   Accepted g
 
-and dispatch_direct t r ~name ~fn_id ~mode ~on_complete ~arrival li =
-  let g = r.r_group.(li) in
-  let platform = t.platforms.(g) in
-  match
-    Platform.trigger_id platform ~fn_id ~mode
-      ~on_complete_slot:(fun slot ->
-        log_push t r ~server:g ~slot;
-        observe_e2e r ~arrival;
-        (match on_complete with
-        | None -> ()
-        | Some f -> f (g, Platform.record_of_slot platform slot));
-        apply_claims t r (r.r_policy.Policy.on_completion r.r_view ~server:li))
-      ()
-  with
-  | () ->
-    t.trigger_counts.(g) <- t.trigger_counts.(g) + 1;
-    Accepted g
-  | exception Platform.No_warm_sandbox _ ->
-    (* a typed rejection, not an exception escaping the router: the
-       chosen server's pool (and, with degradation off, the whole
-       attempt) came up dry *)
-    let out = reject r ~reason:No_warm_capacity ~name in
-    apply_claims t r (r.r_policy.Policy.on_rejection r.r_view ~server:li);
-    out
-
-and dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li =
-  match (t.backend, r.r_mirror) with
-  | Sharded s, Some m ->
-    dispatch_sharded t r s m ~name ~fn_id ~mode ~on_complete ~arrival li
-  | (Direct | Sharded _), _ ->
-    dispatch_direct t r ~name ~fn_id ~mode ~on_complete ~arrival li
-
+(* Resolve claims in order: each hands the oldest pending trigger to
+   the claiming server.  A claim that raced a blackout is dropped (its
+   token died with the server's health transition). *)
 and apply_claims t r claimants =
-  List.iter (fun li -> Queue.push li r.r_claims) claimants;
-  if not r.r_draining then begin
-    r.r_draining <- true;
-    Fun.protect
-      ~finally:(fun () -> r.r_draining <- false)
-      (fun () ->
-        while not (Queue.is_empty r.r_claims) do
-          let li = Queue.pop r.r_claims in
-          if not t.healthy.(r.r_group.(li)) then ()
-            (* a claim that raced a blackout: dropped (its token died
-               with the server's health transition) *)
-          else if Queue.is_empty r.r_pending then
-            r.r_policy.Policy.on_claim_unused ~server:li
-          else begin
-            let p = Queue.pop r.r_pending in
-            ignore
-              (dispatch t r ~name:p.pt_name ~fn_id:p.pt_fn_id ~mode:p.pt_mode
-                 ~on_complete:p.pt_on_complete ~arrival:p.pt_arrival li)
-          end
-        done)
-  end
+  List.iter
+    (fun li ->
+      if not r.r_view.Policy.v_healthy.(li) then ()
+      else if Queue.is_empty r.r_pending then
+        r.r_policy.Policy.on_claim_unused ~server:li
+      else begin
+        let p = Queue.pop r.r_pending in
+        ignore
+          (dispatch t r ~name:p.pt_name ~fn_id:p.pt_fn_id ~mode:p.pt_mode
+             ~on_complete:p.pt_on_complete ~arrival:p.pt_arrival li)
+      end)
+    claimants
 
 (* Route one trigger on router [r]'s timeline.  [hops] counts spill
    forwards already taken: a trigger may cross at most [R - 1] ring
@@ -905,13 +710,16 @@ and trigger_resolved t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival =
     if spill_ok then spill t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival
     else reject r ~reason:All_servers_down ~name
   else begin
-    r.r_view_name <- name;
+    let row = pool_row r name in
+    r.r_view.Policy.v_warm <- row;
     let needs_pool =
       match mode with
       | Platform.Warm _ -> true
       | Platform.Cold | Platform.Restore -> false
     in
-    if spill_ok && needs_pool && group_warm_total t r ~name = 0 then
+    (* a downed server's row cells were zeroed on [mark_down], so the
+       sum covers the healthy group only *)
+    if spill_ok && needs_pool && Array.fold_left ( + ) 0 row = 0 then
       spill t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival
     else
       match
@@ -934,15 +742,10 @@ and trigger_resolved t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival =
   end
 
 and spill t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival =
-  let s =
-    match t.backend with
-    | Sharded s -> s
-    | Direct -> assert false (* Direct is single-router: spill_ok is false *)
-  in
   let nxt = t.routers.((r.r_id + 1) mod Array.length t.routers) in
   Metrics.incr r.r_metrics "cluster.spills";
-  let at = Time.add (Engine.now r.r_engine) s.placement in
-  Shard_engine.post s.se ~src:r.r_id ~dst:nxt.r_id ~at (fun _ ->
+  let at = Time.add (Engine.now r.r_engine) t.placement in
+  Shard_engine.post t.se ~src:r.r_id ~dst:nxt.r_id ~at (fun _ ->
       ignore
         (trigger_resolved t nxt ~hops:(hops + 1) ~name ~fn_id ~mode
            ~on_complete ~arrival));
@@ -951,62 +754,38 @@ and spill t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival =
 let mark_down t i =
   if i < 0 || i >= server_count t then
     invalid_arg "Cluster.mark_down: index out of range";
-  if t.healthy.(i) then begin
-    let r = t.routers.(t.owner.(i)) in
-    let li = t.local_ix.(i) in
-    t.healthy.(i) <- false;
+  let r = t.routers.(t.owner.(i)) and li = t.local_ix.(i) in
+  let view = r.r_view in
+  if view.Policy.v_healthy.(li) then begin
+    view.v_healthy.(li) <- false;
     r.r_healthy_n <- r.r_healthy_n - 1;
-    (match r.r_mirror with
-    | None -> ()
-    | Some m ->
-      (* the router knows the blackout wipes the server: reset its
-         mirrors so routing stops preferring the dead pools the moment
-         the server is marked down *)
-      set_live m li 0;
-      Load_index.remove m.m_li li;
-      m.m_busy.(li) <- 0;
-      Hashtbl.iter (fun _ row -> row.(li) <- 0) m.m_pool);
+    (* the router knows the blackout wipes the server: reset its
+       mirrors so routing stops preferring the dead pools the moment
+       the server is marked down *)
+    set_live r li 0;
+    Load_index.remove r.r_index li;
+    view.v_busy.(li) <- 0;
+    Hashtbl.iter (fun _ row -> row.(li) <- 0) r.r_pool;
     apply_claims t r
-      (r.r_policy.Policy.on_health_change r.r_view ~server:li ~up:false)
+      (r.r_policy.Policy.on_health_change view ~server:li ~up:false)
   end
 
 let mark_up t i =
   if i < 0 || i >= server_count t then
     invalid_arg "Cluster.mark_up: index out of range";
-  if not t.healthy.(i) then begin
-    let r = t.routers.(t.owner.(i)) in
-    let li = t.local_ix.(i) in
-    t.healthy.(i) <- true;
+  let r = t.routers.(t.owner.(i)) and li = t.local_ix.(i) in
+  let view = r.r_view in
+  if not view.Policy.v_healthy.(li) then begin
+    view.v_healthy.(li) <- true;
     r.r_healthy_n <- r.r_healthy_n + 1;
-    (match r.r_mirror with None -> () | Some m -> Load_index.add m.m_li li);
+    Load_index.add r.r_index li;
     apply_claims t r
-      (r.r_policy.Policy.on_health_change r.r_view ~server:li ~up:true)
+      (r.r_policy.Policy.on_health_change view ~server:li ~up:true)
   end
 
 let register t fn =
   Array.iter (fun p -> Platform.register p fn) t.platforms;
-  Array.iter
-    (fun r ->
-      match r.r_mirror with
-      | None -> ()
-      | Some m ->
-        ignore
-          (pool_view_entry m
-             ~servers:(Array.length r.r_group)
-             fn.Function_def.name))
-    t.routers
-
-let sync_pool_view t ~name =
-  Array.iter
-    (fun r ->
-      match r.r_mirror with
-      | None -> ()
-      | Some m ->
-        let row = pool_view_entry m ~servers:(Array.length r.r_group) name in
-        Array.iteri
-          (fun li g -> row.(li) <- Platform.pool_size t.platforms.(g) ~name)
-          r.r_group)
-    t.routers
+  Array.iter (fun r -> ignore (pool_row r fn.Function_def.name)) t.routers
 
 let provision ?router t ~name ~total ~strategy =
   let r =
@@ -1025,7 +804,13 @@ let provision ?router t ~name ~total ~strategy =
   done;
   (* pre-run setup on the coordinating domain: refresh every router's
      mirror from the actual pools before any window runs *)
-  sync_pool_view t ~name
+  Array.iter
+    (fun r ->
+      let row = pool_row r name in
+      Array.iteri
+        (fun li g -> row.(li) <- Platform.pool_size t.platforms.(g) ~name)
+        r.r_group)
+    t.routers
 
 let pool_size t ~name =
   Array.fold_left (fun acc p -> acc + Platform.pool_size p ~name) 0 t.platforms
@@ -1059,15 +844,17 @@ let trigger_id ?router t ~fn_id ~mode ?on_complete () =
   let name = function_name t ~fn_id in
   resolve_entry t ~router ~name ~fn_id ~mode ~on_complete
 
-(* Batched ingestion: walk the (sorted) batch through a windowed
-   cursor per router — each row lands on its function's affine
-   router's engine.  Each refill pre-schedules the next [window]
-   arrivals of that router in batch order — the refill event for the
-   window's boundary instant is scheduled {e before} the boundary
-   trigger itself, so under the engine's FIFO tie-break the next
-   window is enqueued before the boundary trigger fires and arrivals
-   always fire in batch order.  Each event queue therefore holds at
-   most [window] pending arrivals instead of the whole trace. *)
+(* Batched ingestion: slice the (sorted) batch's row indices per
+   affine router — batch order within a slice is global order
+   restricted to that router — and walk each slice through a windowed
+   cursor on its router's engine.  Each refill pre-schedules the next
+   [window] arrivals of that router in batch order — the refill event
+   for the window's boundary instant is scheduled {e before} the
+   boundary trigger itself, so under the engine's FIFO tie-break the
+   next window is enqueued before the boundary trigger fires and
+   arrivals always fire in batch order.  Each event queue therefore
+   holds at most [window] pending arrivals instead of the whole
+   trace. *)
 let schedule_batch ?(window = 4096) ?on_complete t batch =
   if window < 1 then invalid_arg "Cluster.schedule_batch: window < 1";
   if not (Batch.sorted batch) then
@@ -1083,146 +870,93 @@ let schedule_batch ?(window = 4096) ?on_complete t batch =
          ~arrival:(Engine.now r.r_engine))
   in
   let rc = Array.length t.routers in
-  if rc = 1 then begin
-    (* the single-router fast path walks the batch in place, exactly
-       the historical cursor *)
-    let r = t.routers.(0) in
-    let base = Engine.now r.r_engine in
-    let rec refill start =
-      if start < n then begin
-        let stop = min n (start + window) in
-        (* next refill first: it shares the boundary trigger's instant
-           and must win the FIFO tie *)
-        if stop < n then
-          ignore
-            (Engine.schedule_at r.r_engine
-               ~at:
-                 (Time.add base (Time.span_ns (Batch.time_ns batch (stop - 1))))
-               (fun _ -> refill stop));
-        for k = start to stop - 1 do
-          ignore
-            (Engine.schedule_at r.r_engine
-               ~at:(Time.add base (Time.span_ns (Batch.time_ns batch k)))
-               (fun _ -> fire r k))
-        done
-      end
-    in
-    refill 0
-  end
-  else begin
-    (* pre-compute each router's row-index slice (batch order within a
-       slice is global order restricted to that router), then run the
-       same windowed cursor per router on its own engine *)
-    let counts = Array.make rc 0 in
-    for k = 0 to n - 1 do
-      let r = router_of_fn t ~fn_id:(Batch.fn_id batch k) in
-      counts.(r) <- counts.(r) + 1
-    done;
-    let rows = Array.map (fun c -> Array.make (max 1 c) 0) counts in
-    let fill = Array.make rc 0 in
-    for k = 0 to n - 1 do
-      let r = router_of_fn t ~fn_id:(Batch.fn_id batch k) in
-      rows.(r).(fill.(r)) <- k;
-      fill.(r) <- fill.(r) + 1
-    done;
-    Array.iteri
-      (fun ri rows ->
-        let m = counts.(ri) in
-        if m > 0 then begin
-          let r = t.routers.(ri) in
-          let base = Engine.now r.r_engine in
-          let rec refill start =
-            if start < m then begin
-              let stop = min m (start + window) in
-              if stop < m then
-                ignore
-                  (Engine.schedule_at r.r_engine
-                     ~at:
-                       (Time.add base
-                          (Time.span_ns (Batch.time_ns batch rows.(stop - 1))))
-                     (fun _ -> refill stop));
-              for j = start to stop - 1 do
-                let k = rows.(j) in
-                ignore
-                  (Engine.schedule_at r.r_engine
-                     ~at:(Time.add base (Time.span_ns (Batch.time_ns batch k)))
-                     (fun _ -> fire r k))
-              done
-            end
-          in
-          refill 0
-        end)
-      rows
-  end
+  let counts = Array.make rc 0 in
+  for k = 0 to n - 1 do
+    let r = router_of_fn t ~fn_id:(Batch.fn_id batch k) in
+    counts.(r) <- counts.(r) + 1
+  done;
+  let rows = Array.map (fun c -> Array.make (max 1 c) 0) counts in
+  let fill = Array.make rc 0 in
+  for k = 0 to n - 1 do
+    let r = router_of_fn t ~fn_id:(Batch.fn_id batch k) in
+    rows.(r).(fill.(r)) <- k;
+    fill.(r) <- fill.(r) + 1
+  done;
+  Array.iteri
+    (fun ri rows ->
+      let m = counts.(ri) in
+      if m > 0 then begin
+        let r = t.routers.(ri) in
+        let base = Engine.now r.r_engine in
+        let rec refill start =
+          if start < m then begin
+            let stop = min m (start + window) in
+            (* next refill first: it shares the boundary trigger's
+               instant and must win the FIFO tie *)
+            if stop < m then
+              ignore
+                (Engine.schedule_at r.r_engine
+                   ~at:
+                     (Time.add base
+                        (Time.span_ns (Batch.time_ns batch rows.(stop - 1))))
+                   (fun _ -> refill stop));
+            for j = start to stop - 1 do
+              let k = rows.(j) in
+              ignore
+                (Engine.schedule_at r.r_engine
+                   ~at:(Time.add base (Time.span_ns (Batch.time_ns batch k)))
+                   (fun _ -> fire r k))
+            done
+          end
+        in
+        refill 0
+      end)
+    rows
 
+(* The whole outage schedule is known up front (blackout schedule lead
+   time), so the server-side blackout command is posted directly at
+   the outage instant — no lookahead slack needed beyond the pre-run
+   horizon — while the owning router flips health on its own timeline
+   at the same instants. *)
 let schedule_faults t ~horizon =
   let outages =
     Fault.Plan.blackouts t.faults ~servers:(server_count t) ~horizon
   in
-  (match t.backend with
-  | Direct ->
-    let r = t.routers.(0) in
-    List.iter
-      (fun (server, start, outage) ->
-        ignore
-          (Engine.schedule r.r_engine ~after:start (fun _ ->
-               mark_down t server;
-               let lost = Platform.blackout t.platforms.(server) in
-               Metrics.incr r.r_metrics "cluster.blackouts";
-               Metrics.incr r.r_metrics ~by:lost "cluster.blackout_lost"));
-        let back_at =
-          Time.span_ns (Time.span_to_ns start + Time.span_to_ns outage)
-        in
-        ignore
-          (Engine.schedule r.r_engine ~after:back_at (fun _ ->
-               mark_up t server;
-               Metrics.incr r.r_metrics "cluster.recoveries")))
-      outages
-  | Sharded s ->
-    (* the whole outage schedule is known up front (blackout schedule
-       lead time), so the server-side blackout command is posted
-       directly at the outage instant — no lookahead slack needed
-       beyond the pre-run horizon — while the owning router flips
-       health on its own timeline at the same instants *)
-    List.iter
-      (fun (server, start, outage) ->
-        let r = t.routers.(t.owner.(server)) in
-        let dst = Array.length t.routers + server in
-        let down_at = Time.add (Engine.now r.r_engine) start in
-        ignore
-          (Engine.schedule_at r.r_engine ~at:down_at (fun _ ->
-               mark_down t server;
-               Metrics.incr r.r_metrics "cluster.blackouts"));
-        Shard_engine.post s.se ~src:r.r_id ~dst ~at:down_at
-          (fun server_engine ->
-            let lost = Platform.blackout t.platforms.(server) in
-            let note_at = Time.add (Engine.now server_engine) s.placement in
-            Shard_engine.post s.se ~src:dst ~dst:r.r_id ~at:note_at (fun _ ->
-                Metrics.incr r.r_metrics ~by:lost "cluster.blackout_lost"));
-        let up_at = Time.add down_at outage in
-        ignore
-          (Engine.schedule_at r.r_engine ~at:up_at (fun _ ->
-               mark_up t server;
-               Metrics.incr r.r_metrics "cluster.recoveries")))
-      outages);
+  List.iter
+    (fun (server, start, outage) ->
+      let r = t.routers.(t.owner.(server)) in
+      let dst = Array.length t.routers + server in
+      let down_at = Time.add (Engine.now r.r_engine) start in
+      ignore
+        (Engine.schedule_at r.r_engine ~at:down_at (fun _ ->
+             mark_down t server;
+             Metrics.incr r.r_metrics "cluster.blackouts"));
+      Shard_engine.post t.se ~src:r.r_id ~dst ~at:down_at (fun server_engine ->
+          let lost = Platform.blackout t.platforms.(server) in
+          let note_at = Time.add (Engine.now server_engine) t.placement in
+          Shard_engine.post t.se ~src:dst ~dst:r.r_id ~at:note_at (fun _ ->
+              Metrics.incr r.r_metrics ~by:lost "cluster.blackout_lost"));
+      let up_at = Time.add down_at outage in
+      ignore
+        (Engine.schedule_at r.r_engine ~at:up_at (fun _ ->
+             mark_up t server;
+             Metrics.incr r.r_metrics "cluster.recoveries")))
+    outages;
   List.length outages
 
 let run ?until t =
-  match t.backend with
-  | Direct -> Engine.run ?until (engine t)
-  | Sharded s ->
-    let executor =
-      if s.exec_shards <= 1 then None
-      else
-        (* [shards] persistent strands: the team's round barrier is
-           the synchronization barrier, and its happens-before is what
-           publishes each round's shard writes back to the
-           coordinator.  Strand->domain pinning is stable for the
-           life of the team, so per-shard working sets stay warm. *)
-        let team = Team.shared ~width:s.exec_shards in
-        Some (fun job -> Team.run team job)
-    in
-    Shard_engine.run ?until ~shards:s.exec_shards ?executor s.se
+  let executor =
+    if t.exec_shards <= 1 then None
+    else
+      (* [shards] persistent strands: the team's round barrier is the
+         synchronization barrier, and its happens-before is what
+         publishes each round's shard writes back to the coordinator.
+         Strand->domain pinning is stable for the life of the team, so
+         per-shard working sets stay warm. *)
+      let team = Team.shared ~width:t.exec_shards in
+      Some (fun job -> Team.run team job)
+  in
+  Shard_engine.run ?until ~shards:t.exec_shards ?executor t.se
 
 let record_count t =
   Array.fold_left (fun acc r -> acc + r.r_log_len) 0 t.routers
@@ -1252,7 +986,7 @@ let fold_records t ~init ~f =
 (* Compatibility shim over the packed logs, memoized on total length
    (each log is append-only), like [Platform.records].  Router-major:
    router 0's completions in observed order, then router 1's, … —
-   identical to the historical single list when [routers = 1]. *)
+   one stream when [routers = 1]. *)
 let records t =
   let total = record_count t in
   if total <> t.records_cache_len then begin

@@ -2,15 +2,15 @@
     hypervisor each) behind a partitioned router plane.
 
     The paper evaluates a single server; real provisioned concurrency
-    spreads the warm pool across a fleet.  A cluster built with
-    {!create} shares one simulation engine, so cross-server timelines
-    stay coherent; one built with {!create_sharded} partitions the run
-    over a {!Horse_sim.Shard_engine} — router [r] of [routers] is
+    spreads the warm pool across a fleet.  Every cluster runs on one
+    code path, the message protocol: {!create_sharded} partitions the
+    run over a {!Horse_sim.Shard_engine} — router [r] of [routers] is
     logical shard [r], server [g] is shard [routers + g], and every
     router<->server interaction crosses a placement delay as a
-    deterministic cross-shard message, which lets {!run} drain the
-    routers and servers on multiple domains while staying
-    bit-identical to the sequential run.
+    deterministic cross-shard message.  Each router routes from its own
+    mirrors of its servers' state, which only those messages update, so
+    {!run} can drain the routers and servers on multiple domains while
+    staying bit-identical to the sequential run.
 
     With [routers > 1] the control plane itself is partitioned:
     functions map to routers by a deterministic hash of their dense
@@ -21,15 +21,13 @@
     is fully down, or dry of warm pools for a warm trigger, is
     forwarded to the next router over a declared router<->router
     channel (at most [routers - 1] hops) rather than rejected.
-    [routers = 1] degenerates byte-for-byte to the historical
-    single-router cluster.
 
     Each trigger is placed by a pluggable scheduling policy
     ({!Policy}).  The built-ins:
 
-    - {!Policy.push} — the legacy push router ([Round_robin] /
-      [Least_loaded] / [Warm_first] over optimistically-debited
-      mirrors), bit-for-bit the pre-policy behaviour;
+    - {!Policy.push} (warm-first), {!Policy.push_least_loaded} and
+      {!Policy.push_round_robin} — push every trigger immediately to a
+      server chosen from the optimistically-debited mirrors;
     - {!Policy.pull} — idle servers claim triggers from a router-side
       queue through capacity tokens, eliminating stale-mirror
       misroutes during blackouts;
@@ -38,18 +36,16 @@
 
     The router tracks per-server health: a blacked-out server (see
     {!schedule_faults}) receives no traffic until it recovers, and a
-    trigger that cannot be placed returns a typed {!rejection} instead
-    of letting an exception escape. *)
-
-type routing = Round_robin | Least_loaded | Warm_first
-
-val routing_name : routing -> string
+    trigger that cannot be placed is recorded as a typed {!rejection}
+    instead of letting an exception escape. *)
 
 type reject_reason =
   | All_servers_down  (** no healthy server to route to *)
   | No_warm_capacity
       (** the chosen server raised {!Platform.No_warm_sandbox} (only
-          reachable with {!Platform.Recovery.t.degrade} off) *)
+          reachable with {!Platform.Recovery.t.degrade} off); the
+          router records it when the server's reply arrives, one
+          placement delay after the trigger reached the server *)
 
 val reject_reason_name : reject_reason -> string
 
@@ -83,28 +79,29 @@ type outcome =
     Hooks return {e claims}: server indices asking to be handed a
     queued trigger.  The cluster resolves each claim against its
     pending queue — dispatching the oldest trigger to the claiming
-    server (one placement delay away on a sharded cluster), or calling
-    [on_claim_unused] so the policy can reclaim the token when the
-    queue is dry.  Claims for servers that went unhealthy in the
-    meantime are dropped. *)
+    server (one placement delay away), or calling [on_claim_unused] so
+    the policy can reclaim the token when the queue is dry.  Claims
+    for servers that went unhealthy in the meantime are dropped. *)
 module Policy : sig
-  (** What a policy may read: the router's believed per-server state.
-      On a {!create} cluster these read live server state
-      synchronously; on a {!create_sharded} cluster they read the
-      router's message-maintained mirrors.  [v_warm] is relative to
-      the function whose trigger is being decided (it is only
-      meaningful inside [decide]). *)
+  (** What a policy may read: the router's believed state of its own
+      server group — the router's message-maintained mirrors, one cell
+      per router-local server index.  The arrays are the router's own
+      state: policies read them and never write them.  [v_warm] is the
+      pool row of the function whose trigger is being decided; it
+      starts as a zero row and keeps the last decided function's row
+      between decisions, so outside [decide] it may describe another
+      function. *)
   type view = {
-    v_servers : int;
-    v_healthy : int -> bool;
-    v_live : int -> int;  (** believed live invocations per server *)
-    v_warm : int -> int;  (** believed warm-pool size for the function *)
-    v_busy : int -> int;  (** believed busy vCPUs per server *)
+    v_healthy : bool array;  (** per server: not blacked out *)
+    v_live : int array;  (** believed live invocations per server *)
+    v_busy : int array;  (** believed busy vCPUs per server *)
+    mutable v_warm : int array;
+        (** believed warm-pool size per server for the function *)
     v_total_vcpus : int;  (** logical CPUs per server *)
     v_pending : unit -> int;  (** triggers waiting in the router queue *)
     v_least_loaded : unit -> int option;
-        (** lowest-indexed healthy server with minimal [v_live]
-            (O(1) amortized on sharded clusters via the load index) *)
+        (** lowest-indexed healthy server with minimal [v_live], read
+            from the router's {!Load_index} in O(1) amortized time *)
   }
 
   type decision =
@@ -142,9 +139,19 @@ module Policy : sig
 
   val instantiate : t -> servers:int -> instance
 
-  val push : ?routing:routing -> unit -> t
-  (** The legacy push router (default [Warm_first]); placements are
-      bit-for-bit those of the pre-policy cluster.  Never enqueues. *)
+  val push : unit -> t
+  (** Warm-first push (["push-warm-first"]): a warm trigger goes to
+      the least-loaded healthy server believed to hold a warm sandbox
+      for the function, anything else (or a warm trigger with no such
+      server) to the least-loaded healthy server.  Never enqueues. *)
+
+  val push_least_loaded : unit -> t
+  (** ["push-least-loaded"]: always the least-loaded healthy server.
+      Never enqueues. *)
+
+  val push_round_robin : unit -> t
+  (** ["push-round-robin"]: the first healthy server at or after a
+      cursor that advances past every pick.  Never enqueues. *)
 
   val pull : unit -> t
   (** Pull-based scheduling (Hiku-style).  Each server holds claim
@@ -173,41 +180,8 @@ end
 
 type t
 
-val create :
-  ?servers:int ->
-  ?routing:routing ->
-  ?policy:Policy.t ->
-  ?e2e:bool ->
-  ?topology:Horse_cpu.Topology.t ->
-  ?cost:Horse_cpu.Cost_model.t ->
-  ?keep_alive:Horse_sim.Time_ns.span ->
-  ?seed:int ->
-  ?faults:Horse_fault.Fault.Plan.t ->
-  ?recovery:Platform.Recovery.t ->
-  ?ull_count:int ->
-  engine:Horse_sim.Engine.t ->
-  unit ->
-  t
-(** Defaults: 4 servers, [Warm_first] routing, each server an r650
-    with one ull_runqueue, an inert fault plan, legacy (no-op)
-    recovery.  [policy] overrides the scheduling policy (default
-    [Policy.push ~routing ()], the legacy router).  [e2e] (default
-    off) turns on the router-side end-to-end latency estimator
-    ({!e2e_latencies}).  Each server's platform gets its own plan
-    derived from [faults] by server index, so per-server fault
-    sequences are independent of routing order; the cluster-level plan
-    drives the {!schedule_faults} blackout schedule and counts its
-    injections in {!metrics}.  [ull_count] sets the reserved ull
-    runqueues per server: parked HORSE sandboxes spread across them,
-    and because a paused sandbox's P²SM maintenance fires on every
-    mutation of the queue it is attached to, per-trigger maintenance
-    cost scales with [parked / ull_count] — raise it for large warm
-    pools.
-    @raise Invalid_argument if [servers <= 0]. *)
-
 val create_sharded :
   ?servers:int ->
-  ?routing:routing ->
   ?policy:Policy.t ->
   ?e2e:bool ->
   ?topology:Horse_cpu.Topology.t ->
@@ -224,35 +198,49 @@ val create_sharded :
   ?routers:int ->
   unit ->
   t
-(** Like {!create}, but the cluster owns a {!Horse_sim.Shard_engine}
-    with [routers + servers] logical shards whose channel matrix
-    mirrors the topology: one channel per router<->server direction
-    carrying [placement] (the placement latency, default 50us) between
-    each server and its owning router, a directed spill ring
-    [r -> (r + 1) mod routers] when [routers > 1], and no
-    server<->server channels, so the adaptive scheduler bounds each
-    shard by its tightest relevant inbound link.  [scheduler]
-    (default [Adaptive]) and [window] pass through to
-    {!Horse_sim.Shard_engine.create} — [Lockstep] reproduces the PR-5
-    epoch scheme and is kept as the epoch-semantics oracle.  [shards]
-    (default 1) is the number of execution strands {!run} uses —
-    purely an execution-placement choice, results are bit-identical
-    for every value and every scheduler.  [routers] (default 1)
-    partitions the control plane itself; results are deterministic for
-    every value, and bit-identical across [shards], [scheduler] and
-    execution placement at any fixed [routers].  Each router routes
-    from its own mirrors of its group's live-load, busy-vCPU and pool
-    sizes, updated only by the cross-shard message protocol: a trigger
-    optimistically debits the mirrors, the server's completion (or
-    dry-pool rejection) notification reconciles them one placement
-    delay later.  Pull-policy claims ride the same protocol: the claim
-    is resolved on the owning router's timeline and the claimed
-    trigger crosses one placement delay to the claiming server.
+(** A cluster of [servers] platforms behind [routers] routers, run on
+    its own {!Horse_sim.Shard_engine} with [routers + servers] logical
+    shards.  Defaults: 4 servers, 1 router, {!Policy.push} (warm-first),
+    each server an r650 with one ull_runqueue, an inert fault plan,
+    legacy (no-op) recovery.  [e2e] (default off) turns on the
+    router-side end-to-end latency estimator ({!e2e_latencies}).  Each
+    server's platform gets its own plan derived from [faults] by server
+    index, so per-server fault sequences are independent of routing
+    order; the cluster-level plan drives the {!schedule_faults}
+    blackout schedule and counts its injections in {!metrics}.
+    [ull_count] sets the reserved ull runqueues per server: parked
+    HORSE sandboxes spread across them, and because a paused sandbox's
+    P²SM maintenance fires on every mutation of the queue it is
+    attached to, per-trigger maintenance cost scales with
+    [parked / ull_count] — raise it for large warm pools.
+
+    The channel matrix mirrors the topology: one channel per
+    router<->server direction carrying [placement] (the placement
+    latency, default 50us) between each server and its owning router,
+    a directed spill ring [r -> (r + 1) mod routers] when
+    [routers > 1], and no server<->server channels, so the adaptive
+    scheduler bounds each shard by its tightest relevant inbound link.
+    [scheduler] (default [Adaptive]) and [window] pass through to
+    {!Horse_sim.Shard_engine.create} — [Lockstep] is kept as the
+    epoch-semantics oracle.  [shards] (default 1) is the number of
+    execution strands {!run} uses — purely an execution-placement
+    choice, results are bit-identical for every value and every
+    scheduler.  [routers] partitions the control plane itself; results
+    are deterministic for every value, and bit-identical across
+    [shards], [scheduler] and execution placement at any fixed
+    [routers].  Each router routes from its own mirrors of its group's
+    health, live-load, busy-vCPU and pool sizes, updated only by the
+    cross-shard message protocol: a trigger optimistically debits the
+    mirrors, the server's completion (or dry-pool rejection)
+    notification reconciles them one placement delay later.
+    Pull-policy claims ride the same protocol: the claim is resolved on
+    the owning router's timeline and the claimed trigger crosses one
+    placement delay to the claiming server.
     @raise Invalid_argument if [servers <= 0], [shards < 1],
     [routers < 1] or [routers > servers]. *)
 
 val router_count : t -> int
-(** Router shards in the control plane (1 for {!create} clusters). *)
+(** Router shards in the control plane (the [routers] argument). *)
 
 val router_of_fn : t -> fn_id:int -> int
 (** The router owning a function: a deterministic multiplicative hash
@@ -265,7 +253,7 @@ val router_of_server : t -> int -> int
     @raise Invalid_argument on an out-of-range index. *)
 
 val router_engine : t -> int -> Horse_sim.Engine.t
-(** Router [r]'s engine (logical shard [r] of a sharded cluster).
+(** Router [r]'s engine (logical shard [r] of the shard engine).
     Schedule arrivals bound for router [r] here; {!engine} is router
     0's.  @raise Invalid_argument on an out-of-range index. *)
 
@@ -288,25 +276,24 @@ val server_count : t -> int
 val server : t -> int -> Platform.t
 (** @raise Invalid_argument on an out-of-range index. *)
 
-val routing : t -> routing
-
 val policy_name : t -> string
 (** The instantiated policy's label (e.g. ["push-warm-first"],
     ["pull"], ["core"]). *)
 
 val engine : t -> Horse_sim.Engine.t
-(** Router 0's engine: the engine passed to {!create}, or logical
-    shard 0 of a sharded cluster.  Schedule workload arrivals here
-    (the only router when [router_count = 1]; see {!router_engine}
-    otherwise). *)
+(** Router 0's engine (logical shard 0).  Schedule workload arrivals
+    here (the only router when [router_count = 1]; see
+    {!router_engine} otherwise).  Drive the cluster with {!run}, never
+    [Engine.run] on this engine: that drains router 0 alone and leaves
+    every server's and message's events unprocessed. *)
 
 val shard_engine : t -> Horse_sim.Shard_engine.t option
-(** The shard engine of a {!create_sharded} cluster ([None] for
-    {!create}).  Exposes {!Horse_sim.Shard_engine.epochs} and
+(** The cluster's shard engine; always [Some].  Exposes
+    {!Horse_sim.Shard_engine.epochs} and
     {!Horse_sim.Shard_engine.messages_delivered} diagnostics. *)
 
 val shards : t -> int
-(** Execution tasks {!run} will use (1 for a {!create} cluster). *)
+(** Execution tasks {!run} will use (the [shards] argument). *)
 
 val metrics : t -> Horse_sim.Metrics.t
 (** Fleet-level counters: [cluster.rejections.<reason>],
@@ -334,8 +321,11 @@ val e2e_latencies : t -> Horse_sim.Stats.Quantile.t option
     of a partitioned plane.  [None] when [e2e] is off. *)
 
 val mark_down : t -> int -> unit
-(** Exclude a server from routing (as a blackout does).  Exposed for
-    tests and manual drain. *)
+(** Exclude a server from routing (as a blackout does) and zero the
+    router's mirrors of it.  Exposed for tests and manual drain.  The
+    router sees only what goes through the cluster: provision with
+    {!provision} and drain with [mark_down], not through the
+    {!Platform} behind its back. *)
 
 val mark_up : t -> int -> unit
 (** Re-admit a server to routing. *)
@@ -380,15 +370,15 @@ val trigger :
   outcome
 (** Route one invocation among the healthy servers of the owning
     router's group.  [Accepted i] is the chosen (global) server;
-    [Rejected _] means no healthy server existed or the chosen one was
-    dry (the rejection is recorded and counted, and [on_complete]
-    never fires); [Queued] means the policy parked the trigger in the
-    router queue until a server claims it; [Forwarded r] means the
-    trigger spilled to neighbor router [r] (multi-router only).  On a
-    sharded cluster the dry-pool case surfaces one placement delay
-    later as a recorded [No_warm_capacity] rejection instead — the
-    router has already committed [Accepted i] by the time the server
-    reports back.
+    [Rejected _] means no healthy server existed (the rejection is
+    recorded and counted, and [on_complete] never fires); [Queued]
+    means the policy parked the trigger in the router queue until a
+    server claims it; [Forwarded r] means the trigger spilled to
+    neighbor router [r] (multi-router only).  A chosen server whose
+    pool turns out dry still returns [Accepted i]: the router learns of
+    it from the server's reply and records a [No_warm_capacity]
+    rejection at arrival + 2 × placement, and [on_complete] never
+    fires.
 
     The trigger enters at {!router_of_fn}'s router by default; on a
     multi-router cluster the call must be made on that router's
@@ -435,19 +425,18 @@ val schedule_batch :
     @raise Invalid_argument if [window < 1] or the batch is unsorted. *)
 
 val run : ?until:Horse_sim.Time_ns.t -> t -> unit
-(** Drive the simulation to completion (or to [until], inclusive).
-    For a {!create} cluster this is [Engine.run] on the shared engine;
-    for a {!create_sharded} cluster it drives the shard engine's epoch
-    loop, spreading the per-window server work over [shards] domains
-    via [Horse_parallel.Pool] when [shards > 1]. *)
+(** Drive the simulation to completion (or to [until], inclusive):
+    the shard engine's epoch loop over every router and server,
+    spread over [shards] strands of a [Horse_parallel.Team] when
+    [shards > 1]. *)
 
 val schedule_faults : t -> horizon:Horse_sim.Time_ns.span -> int
 (** Schedule the cluster plan's {!Horse_fault.Fault.Plan.blackouts}
-    over the next [horizon] on the shared engine: at each outage start
-    the server is marked down and {!Platform.blackout}ed; at its end
-    the server is marked healthy again (its pools start empty — the
-    warm capacity was lost).  Returns the number of outages scheduled
-    (0 for an inert plan). *)
+    over the next [horizon]: at each outage start the owning router
+    marks the server down and the server is {!Platform.blackout}ed; at
+    its end the server is marked healthy again (its pools start empty
+    — the warm capacity was lost).  Returns the number of outages
+    scheduled (0 for an inert plan). *)
 
 val record_count : t -> int
 (** Completions logged fleet-wide so far. *)
@@ -457,7 +446,7 @@ val iter_records : t -> (int -> int -> unit) -> unit
     allocating nothing; [slot] indexes
     [Platform.trigger_records (server t server)].  Router-major
     order: router 0's completions in observed order, then router
-    1's, … (the historical single stream when [router_count = 1]). *)
+    1's, … (one stream when [router_count = 1]). *)
 
 val fold_records : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 (** Like {!iter_records}: [f acc server slot]. *)
@@ -474,5 +463,5 @@ val rejections : t -> rejection list
 val live_invocations : t -> int
 
 val triggers_per_server : t -> int array
-(** How many triggers each server {e accepted} (routing
-    diagnostics). *)
+(** How many triggers each server was {e dispatched} (routing
+    diagnostics), counting those whose pool came back dry. *)

@@ -635,66 +635,46 @@ let schedule_batch ?(window = 4096) t batch =
     let seed = if payload = 0 then None else Some payload in
     ignore (start ?seed t ~wf_id ())
   in
-  (* windowed cursor in the cluster's schedule_batch style: arm one
-     window of arrivals; the last arrival of each window arms the next,
-     so the event queue holds [window] workflow starts at most *)
-  if t.t_routers = 1 then begin
-    let engine = Cluster.engine t.t_cluster in
-    let base = Engine.now engine in
-    let rec arm k ~stop =
-      if k < stop then begin
-        let refills = k = stop - 1 && stop < n in
-        ignore
-          (Engine.schedule_at engine
-             ~at:(Time.add base (Batch.time batch k))
-             (fun _ ->
-               fire k;
-               if refills then arm stop ~stop:(min n (stop + window))));
-        arm (k + 1) ~stop
-      end
-    in
-    arm 0 ~stop:(min n window)
-  end
-  else begin
-    (* slice the batch's row indices per home router, then run the
-       same refill-before-boundary cursor per router on its own
-       engine — each router's starts fire on its own timeline *)
-    let rc = t.t_routers in
-    let counts = Array.make rc 0 in
-    for k = 0 to n - 1 do
-      let r = t.t_wfs.(Batch.fn_id batch k).w_router in
-      counts.(r) <- counts.(r) + 1
-    done;
-    let rows = Array.init rc (fun r -> Array.make counts.(r) 0) in
-    let fill = Array.make rc 0 in
-    for k = 0 to n - 1 do
-      let r = t.t_wfs.(Batch.fn_id batch k).w_router in
-      rows.(r).(fill.(r)) <- k;
-      fill.(r) <- fill.(r) + 1
-    done;
-    for r = 0 to rc - 1 do
-      let slice = rows.(r) in
-      let m = Array.length slice in
-      if m > 0 then begin
-        let engine = Cluster.router_engine t.t_cluster r in
-        let base = Engine.now engine in
-        let rec arm j ~stop =
-          if j < stop then begin
-            let refills = j = stop - 1 && stop < m in
-            let k = slice.(j) in
-            ignore
-              (Engine.schedule_at engine
-                 ~at:(Time.add base (Batch.time batch k))
-                 (fun _ ->
-                   fire k;
-                   if refills then arm stop ~stop:(min m (stop + window))));
-            arm (j + 1) ~stop
-          end
-        in
-        arm 0 ~stop:(min m window)
-      end
-    done
-  end
+  (* windowed cursor in the cluster's schedule_batch style: slice the
+     batch's row indices per home router, then on each router's engine
+     arm one window of arrivals; the last arrival of each window arms
+     the next, so each event queue holds [window] workflow starts at
+     most and each router's starts fire on its own timeline *)
+  let rc = t.t_routers in
+  let counts = Array.make rc 0 in
+  for k = 0 to n - 1 do
+    let r = t.t_wfs.(Batch.fn_id batch k).w_router in
+    counts.(r) <- counts.(r) + 1
+  done;
+  let rows = Array.init rc (fun r -> Array.make counts.(r) 0) in
+  let fill = Array.make rc 0 in
+  for k = 0 to n - 1 do
+    let r = t.t_wfs.(Batch.fn_id batch k).w_router in
+    rows.(r).(fill.(r)) <- k;
+    fill.(r) <- fill.(r) + 1
+  done;
+  for r = 0 to rc - 1 do
+    let slice = rows.(r) in
+    let m = Array.length slice in
+    if m > 0 then begin
+      let engine = Cluster.router_engine t.t_cluster r in
+      let base = Engine.now engine in
+      let rec arm j ~stop =
+        if j < stop then begin
+          let refills = j = stop - 1 && stop < m in
+          let k = slice.(j) in
+          ignore
+            (Engine.schedule_at engine
+               ~at:(Time.add base (Batch.time batch k))
+               (fun _ ->
+                 fire k;
+                 if refills then arm stop ~stop:(min m (stop + window))));
+          arm (j + 1) ~stop
+        end
+      in
+      arm 0 ~stop:(min m window)
+    end
+  done
 
 let run t = Cluster.run t.t_cluster
 

@@ -172,8 +172,9 @@ val start :
     the home router's timeline (pre-run setup, or a callback on
     {!Cluster.router_engine}); [on_complete] fires there when the last
     node completes.  A rejected or aborted unit strands its downstream
-    subgraph: upstream node records are retained, the instance counts
-    as failed, and [on_complete] never fires. *)
+    subgraph: upstream node records are retained and [on_complete]
+    never fires; a unit the router rejects outright counts the
+    instance as failed (see {!instances_failed}). *)
 
 val schedule_batch : ?window:int -> t -> Horse_trace.Batch.t -> unit
 (** DAG-aware batch ingestion: one {!start} per batch row at its
@@ -195,10 +196,12 @@ val instances_started : t -> int
 val instances_completed : t -> int
 
 val instances_failed : t -> int
-(** Instances that saw a rejected unit dispatch.  (An instance lost to
-    an exec-crash abort is neither completed nor failed — the platform
-    drops the invocation silently, visible only in the completion
-    ratio, matching single-trigger semantics.) *)
+(** Instances that saw a unit dispatch rejected by the router (every
+    server of the home group down).  (An instance lost to an
+    exec-crash abort, or to a dry pool the server reports back after
+    the router placed the unit, is neither completed nor failed —
+    visible only in the completion ratio and {!Cluster.rejections},
+    matching single-trigger semantics.) *)
 
 val e2e : t -> Horse_sim.Stats.Quantile.t
 (** Start-to-last-completion latency per completed instance, in

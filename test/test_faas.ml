@@ -505,17 +505,15 @@ let test_reclaim () =
 
 module Cluster = Horse_faas.Cluster
 
-let fresh_cluster ?(servers = 3) ?(routing = Cluster.Warm_first) ?policy ?e2e
-    () =
-  let engine = Engine.create ~seed:21 () in
+let fresh_cluster ?(servers = 3) ?policy ?e2e () =
   let cluster =
-    Cluster.create ~servers ~routing ?policy ?e2e ~topology:small_topology
-      ~seed:21 ~engine ()
+    Cluster.create_sharded ~servers ?policy ?e2e ~topology:small_topology
+      ~seed:21 ()
   in
   Cluster.register cluster
     (Function_def.create ~name:"nat" ~vcpus:1 ~memory_mb:512
        ~exec:(Function_def.Ull Category.Cat2) ());
-  (engine, cluster)
+  (Cluster.engine cluster, cluster)
 
 let test_cluster_create_and_register () =
   let _, cluster = fresh_cluster () in
@@ -548,7 +546,9 @@ let accepted = function
   | Cluster.Forwarded _ -> Alcotest.fail "unexpected spill"
 
 let test_cluster_round_robin () =
-  let _, cluster = fresh_cluster ~routing:Cluster.Round_robin () in
+  let _, cluster =
+    fresh_cluster ~policy:(Cluster.Policy.push_round_robin ()) ()
+  in
   let picks =
     List.init 6 (fun _ ->
         accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ()))
@@ -556,7 +556,9 @@ let test_cluster_round_robin () =
   Alcotest.(check (list int)) "cycles" [ 0; 1; 2; 0; 1; 2 ] picks
 
 let test_cluster_least_loaded () =
-  let _, cluster = fresh_cluster ~routing:Cluster.Least_loaded () in
+  let _, cluster =
+    fresh_cluster ~policy:(Cluster.Policy.push_least_loaded ()) ()
+  in
   (* keep server 0 busy, the router must avoid it *)
   let first =
     accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ())
@@ -568,39 +570,69 @@ let test_cluster_least_loaded () =
   Alcotest.(check bool) "avoids busy server" true (second <> 0)
 
 let test_cluster_warm_first () =
-  let engine, cluster = fresh_cluster ~routing:Cluster.Warm_first () in
-  (* only server 1 gets a warm sandbox *)
-  Platform.provision (Cluster.server cluster 1) ~name:"nat" ~count:1
-    ~strategy:Sandbox.Horse;
+  let _, cluster = fresh_cluster () in
+  (* servers 0 and 1 hold a warm sandbox each; two cold starts then
+     occupy them, so server 2 is the least loaded but holds no pool *)
+  Cluster.provision cluster ~name:"nat" ~total:2 ~strategy:Sandbox.Horse;
+  let cold () =
+    accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ())
+  in
+  let first = cold () in
+  let second = cold () in
+  Alcotest.(check (list int)) "cold starts go least-loaded" [ 0; 1 ]
+    [ first; second ];
   let pick =
     accepted
       (Cluster.trigger cluster ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse) ())
   in
-  Alcotest.(check int) "routed to the warm server" 1 pick;
-  Engine.run engine;
-  Alcotest.(check int) "one completion" 1 (List.length (Cluster.records cluster))
+  Alcotest.(check int) "routed to a warm server over the idle one" 0 pick;
+  Cluster.run cluster;
+  Alcotest.(check int) "three completions" 3
+    (List.length (Cluster.records cluster));
+  Alcotest.(check int) "no dry pool" 0 (List.length (Cluster.rejections cluster))
 
 let test_cluster_warm_exhausted_rejects () =
-  (* a fleet-wide dry pool is a typed rejection, not an exception
-     escaping the router *)
-  let _, cluster = fresh_cluster ~routing:Cluster.Warm_first () in
-  (match
-     Cluster.trigger cluster ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse) ()
-   with
-  | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ ->
-    Alcotest.fail "dry fleet must reject"
-  | Cluster.Rejected r ->
+  (* a dry pool is a typed rejection, not an exception escaping the
+     router, and it rides the message protocol: the router commits to
+     the only server at once, and the server's dry reply comes back
+     one placement delay after the trigger reached it *)
+  let placement = Time.span_us 50.0 in
+  let cluster =
+    Cluster.create_sharded ~servers:1 ~topology:small_topology ~seed:21
+      ~placement ()
+  in
+  Cluster.register cluster
+    (Function_def.create ~name:"nat" ~vcpus:1 ~memory_mb:512
+       ~exec:(Function_def.Ull Category.Cat2) ());
+  let arrival = Engine.now (Cluster.engine cluster) in
+  Alcotest.(check int) "placed on server 0" 0
+    (accepted
+       (Cluster.trigger cluster ~name:"nat"
+          ~mode:(Platform.Warm Sandbox.Horse) ()));
+  Alcotest.(check int) "nothing recorded before the reply" 0
+    (List.length (Cluster.rejections cluster));
+  Cluster.run cluster;
+  (match Cluster.rejections cluster with
+  | [ r ] ->
     Alcotest.(check string)
       "reason" "no-warm-capacity"
       (Cluster.reject_reason_name r.Cluster.reason);
-    Alcotest.(check string) "function" "nat" r.Cluster.function_name);
-  Alcotest.(check int) "recorded" 1 (List.length (Cluster.rejections cluster));
-  Alcotest.(check int) "counted" 1
+    Alcotest.(check string) "function" "nat" r.Cluster.function_name;
+    Alcotest.(check int) "recorded at arrival + 2 x placement"
+      (Time.to_ns arrival + (2 * Time.span_to_ns placement))
+      (Time.to_ns r.Cluster.at)
+  | rs -> Alcotest.failf "expected one rejection, got %d" (List.length rs));
+  Alcotest.(check int) "counted once" 1
     (Horse_sim.Metrics.counter (Cluster.metrics cluster)
-       "cluster.rejections.no-warm-capacity")
+       "cluster.rejections.no-warm-capacity");
+  Alcotest.(check (array int)) "dispatch counted" [| 1 |]
+    (Cluster.triggers_per_server cluster);
+  Alcotest.(check int) "nothing live" 0 (Cluster.live_invocations cluster)
 
 let test_cluster_all_down_rejects () =
-  let _, cluster = fresh_cluster ~routing:Cluster.Round_robin () in
+  let _, cluster =
+    fresh_cluster ~policy:(Cluster.Policy.push_round_robin ()) ()
+  in
   for i = 0 to Cluster.server_count cluster - 1 do
     Cluster.mark_down cluster i
   done;
@@ -618,7 +650,9 @@ let test_cluster_all_down_rejects () =
     (accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ()))
 
 let test_cluster_routing_skips_unhealthy () =
-  let _, cluster = fresh_cluster ~routing:Cluster.Round_robin () in
+  let _, cluster =
+    fresh_cluster ~policy:(Cluster.Policy.push_round_robin ()) ()
+  in
   Cluster.mark_down cluster 1;
   let picks =
     List.init 4 (fun _ ->
@@ -643,7 +677,7 @@ let test_cluster_end_to_end () =
              (Cluster.trigger cluster ~name:"slow"
                 ~mode:(Platform.Warm Sandbox.Horse) ())))
   done;
-  Engine.run engine;
+  Cluster.run cluster;
   Alcotest.(check int) "30 completions" 30
     (List.length (Cluster.records cluster));
   Alcotest.(check int) "pool restored" 9 (Cluster.pool_size cluster ~name:"slow");
@@ -670,13 +704,19 @@ let test_policy_no_warm_rejects () =
          Cluster.trigger cluster ~name:"nat"
            ~mode:(Platform.Warm Sandbox.Horse) ()
        with
-      | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ ->
-        Alcotest.failf "%s: dry fleet must reject" pname
-      | Cluster.Rejected r ->
+      | Cluster.Accepted _ -> ()
+      | Cluster.Queued | Cluster.Forwarded _ | Cluster.Rejected _ ->
+        Alcotest.failf "%s: the router must place the trigger" pname);
+      Cluster.run cluster;
+      (match Cluster.rejections cluster with
+      | [ r ] ->
         Alcotest.(check string)
           (pname ^ ": reason")
           "no-warm-capacity"
-          (Cluster.reject_reason_name r.Cluster.reason));
+          (Cluster.reject_reason_name r.Cluster.reason)
+      | rs ->
+        Alcotest.failf "%s: expected one rejection, got %d" pname
+          (List.length rs));
       Alcotest.(check int)
         (pname ^ ": counted")
         1
@@ -738,7 +778,7 @@ let test_policy_blackout_midstorm_recovers () =
              for i = 0 to Cluster.server_count cluster - 1 do
                Cluster.mark_up cluster i
              done));
-      Engine.run engine;
+      Cluster.run cluster;
       let rejections = Cluster.rejections cluster in
       Alcotest.(check int) (pname ^ ": outage rejections") 100
         (List.length rejections);
@@ -759,7 +799,7 @@ let test_pull_queues_and_claims () =
   (* with no provisioned pools each server holds exactly its seeded
      token: the third concurrent trigger must park in the router
      queue, and the first completion's claim must drain it *)
-  let engine, cluster =
+  let _, cluster =
     fresh_cluster ~servers:2 ~policy:(Cluster.Policy.pull ()) ()
   in
   let outcome () = Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold () in
@@ -767,7 +807,7 @@ let test_pull_queues_and_claims () =
   | Cluster.Accepted 0, Cluster.Accepted 1, Cluster.Queued -> ()
   | _ -> Alcotest.fail "expected tokens to route 0, 1 then queue");
   Alcotest.(check int) "one pending" 1 (Cluster.pending_count cluster);
-  Engine.run engine;
+  Cluster.run cluster;
   Alcotest.(check int) "queue drained" 0 (Cluster.pending_count cluster);
   Alcotest.(check int) "all three completed" 3 (Cluster.record_count cluster)
 
@@ -775,7 +815,7 @@ let test_cluster_e2e_estimator () =
   (* the opt-in router-side estimator sees one observation per
      completion, including queued (pull) triggers; clusters without
      [~e2e] carry none *)
-  let engine, cluster = fresh_cluster ~e2e:true () in
+  let _, cluster = fresh_cluster ~e2e:true () in
   (* one parked sandbox per concurrent trigger: the five fire at the
      same instant, before any completion can re-park *)
   Cluster.provision cluster ~name:"nat" ~total:5 ~strategy:Sandbox.Horse;
@@ -784,7 +824,7 @@ let test_cluster_e2e_estimator () =
       (Cluster.trigger cluster ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse)
          ())
   done;
-  Engine.run engine;
+  Cluster.run cluster;
   (match Cluster.e2e_latencies cluster with
   | None -> Alcotest.fail "estimator requested but absent"
   | Some q ->
@@ -981,16 +1021,15 @@ let test_arena_oracle () = Harness.check arena_spec
 
 let test_batch_matches_closure_ingestion () =
   let mk () =
-    let engine = Engine.create ~seed:5 () in
     let cluster =
-      Cluster.create ~servers:2 ~topology:small_topology ~seed:5 ~engine ()
+      Cluster.create_sharded ~servers:2 ~topology:small_topology ~seed:5 ()
     in
     Cluster.register cluster
       (Function_def.create ~name:"nat" ~vcpus:1 ~memory_mb:512
          ~exec:(Function_def.Ull Category.Cat2) ());
     Cluster.provision cluster ~name:"nat" ~total:40
       ~strategy:Sandbox.Horse;
-    (engine, cluster)
+    (Cluster.engine cluster, cluster)
   in
   let engine_a, cluster_a = mk () in
   let fn_id = Cluster.fn_id cluster_a ~name:"nat" in

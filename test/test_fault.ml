@@ -71,11 +71,11 @@ let dump_cluster cluster =
    the shared workload of the determinism and honesty tests. *)
 let storm ?(seed = 7) ?(plan = fun seed -> Fault.Plan.uniform ~seed ~rate:0.05 ())
     ?(arrivals = 150) () =
-  let engine = Engine.create ~seed () in
   let cluster =
-    Cluster.create ~servers:2 ~topology:small_topology ~seed
-      ~faults:(plan (seed + 1)) ~recovery:Platform.Recovery.default ~engine ()
+    Cluster.create_sharded ~servers:2 ~topology:small_topology ~seed
+      ~faults:(plan (seed + 1)) ~recovery:Platform.Recovery.default ()
   in
+  let engine = Cluster.engine cluster in
   Cluster.register cluster ull_def;
   Cluster.provision cluster ~name:"ull" ~total:8 ~strategy:Sandbox.Horse;
   let rng = Rng.create ~seed:(seed + 2) in
@@ -88,7 +88,7 @@ let storm ?(seed = 7) ?(plan = fun seed -> Fault.Plan.uniform ~seed ~rate:0.05 (
                 ~mode:(Platform.Warm Sandbox.Horse) ())))
   done;
   ignore (Cluster.schedule_faults cluster ~horizon:(Time.span_ms 10.0));
-  Engine.run engine;
+  Cluster.run cluster;
   cluster
 
 let test_replay_determinism () =
@@ -267,11 +267,10 @@ let test_midchain_crash_fails_downstream_only () =
     else find_seed (seed + 1)
   in
   let seed = find_seed 1 in
-  let engine = Engine.create ~seed:3 () in
   let cluster =
-    Cluster.create ~servers:1 ~topology:small_topology ~seed:3
+    Cluster.create_sharded ~servers:1 ~topology:small_topology ~seed:3
       ~faults:(Fault.Plan.create ~seed ~rates:chain_crash_rates ())
-      ~engine ()
+      ()
   in
   List.iter (Cluster.register cluster) (Workflow.nfv_defs ());
   let wf = Workflow.create ~cluster () in
@@ -302,14 +301,13 @@ let test_midchain_crash_fails_downstream_only () =
    the full ladder per member. *)
 let test_fused_segment_rides_ladder_once () =
   let run fuse =
-    let engine = Engine.create ~seed:5 () in
     let cluster =
-      Cluster.create ~servers:1 ~topology:small_topology ~seed:5
+      Cluster.create_sharded ~servers:1 ~topology:small_topology ~seed:5
         ~faults:
           (Fault.Plan.create ~seed:5
              ~rates:[ (Fault.Restore_corruption, 1.0) ]
              ())
-        ~recovery:Platform.Recovery.default ~engine ()
+        ~recovery:Platform.Recovery.default ()
     in
     List.iter (Cluster.register cluster) (Workflow.nfv_defs ());
     let wf = Workflow.create ~fuse ~cluster () in

@@ -889,9 +889,10 @@ let linear_least_loaded () =
         let best = ref (-1) in
         for i = 0 to servers - 1 do
           if
-            view.Cluster.Policy.v_healthy i
+            view.Cluster.Policy.v_healthy.(i)
             && (!best < 0
-               || view.Cluster.Policy.v_live i < view.Cluster.Policy.v_live !best)
+               || view.Cluster.Policy.v_live.(i)
+                  < view.Cluster.Policy.v_live.(!best))
           then best := i
         done;
         if !best >= 0 then Cluster.Policy.Assign !best
@@ -928,7 +929,7 @@ let test_load_index_churn () =
             (Printf.sprintf "routers=%d seed=%d: load index == linear scan"
                routers seed)
             (dump (linear_least_loaded ()))
-            (dump (Cluster.Policy.push ~routing:Cluster.Least_loaded ())))
+            (dump (Cluster.Policy.push_least_loaded ())))
         [ 1; 42; 1337 ])
     [ 1; 2 ]
 

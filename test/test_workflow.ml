@@ -54,24 +54,8 @@ let graph_of_shape (shape : Harness.Dag.shape) =
   done;
   Workflow.Builder.build b
 
-(* One direct-cluster run of [graph]: returns the manager after
-   [instances] workflow starts have drained. *)
-let run_direct ?(fuse = false) ?policy ?(servers = 2) ?(seed = 11)
-    ?(instances = 3) graph =
-  let engine = Engine.create ~seed () in
-  let cluster =
-    Cluster.create ~servers ?policy ~topology:small_topology ~seed ~engine ()
-  in
-  register_palette cluster;
-  let wf = Workflow.create ~fuse ~cluster () in
-  let id = Workflow.register wf ~name:"g" graph in
-  Workflow.provision wf ~wf_id:id ~per_unit:8;
-  for _ = 1 to instances do
-    ignore (Workflow.start wf ~wf_id:id ())
-  done;
-  Workflow.run wf;
-  wf
-
+(* One cluster run of [graph]: returns the manager after [instances]
+   workflow starts have drained. *)
 let run_sharded ?(fuse = false) ?policy ?(servers = 2) ?(shards = 1)
     ?(seed = 11) ?(instances = 3)
     ?(placement = Time.span_us 50.0) graph =
@@ -133,13 +117,13 @@ let check_identity_rows wf =
   done;
   !bad
 
-(* Node-at-a-time sequential execution: each node triggered alone on a
-   fresh engine quiescent point, in topological (= index) order.  The
-   per-node latency identity must hold for every record. *)
+(* Node-at-a-time sequential execution: each node triggered alone, in
+   topological (= index) order, once the previous node's completion
+   has reached the router.  The per-node latency identity must hold
+   for every record. *)
 let run_sequential ?(seed = 11) graph =
-  let engine = Engine.create ~seed () in
   let cluster =
-    Cluster.create ~servers:1 ~topology:small_topology ~seed ~engine ()
+    Cluster.create_sharded ~servers:1 ~topology:small_topology ~seed ()
   in
   register_palette cluster;
   Array.iter
@@ -147,18 +131,22 @@ let run_sequential ?(seed = 11) graph =
       Cluster.provision cluster ~name ~total:4 ~strategy:Sandbox.Horse)
     palette;
   let rows = ref [] in
-  for i = 0 to Workflow.node_count graph - 1 do
-    (match
-       Cluster.trigger cluster
-         ~name:(Workflow.node_name graph i)
-         ~mode:(Workflow.node_mode graph i)
-         ~on_complete:(fun (_server, r) -> rows := (i, r) :: !rows)
-         ()
-     with
-    | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ -> ()
-    | Cluster.Rejected _ -> Alcotest.fail "sequential trigger rejected");
-    Cluster.run cluster
-  done;
+  let rec fire i =
+    if i < Workflow.node_count graph then
+      match
+        Cluster.trigger cluster
+          ~name:(Workflow.node_name graph i)
+          ~mode:(Workflow.node_mode graph i)
+          ~on_complete:(fun (_server, r) ->
+            rows := (i, r) :: !rows;
+            fire (i + 1))
+          ()
+      with
+      | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ -> ()
+      | Cluster.Rejected _ -> Alcotest.fail "sequential trigger rejected"
+  in
+  fire 0;
+  Cluster.run cluster;
   List.rev !rows
 
 (* ------------------------------------------------------------------ *)
@@ -222,8 +210,8 @@ let test_oracle_equivalence () =
       else
         List.find_map
           (fun policy ->
-            let unfused = run_direct ~policy ~instances graph in
-            let fused = run_direct ~fuse:true ~policy ~instances graph in
+            let unfused = run_sharded ~policy ~instances graph in
+            let fused = run_sharded ~fuse:true ~policy ~instances graph in
             match
               check_against_oracle
                 ("unfused/" ^ Cluster.Policy.name policy)
@@ -300,9 +288,8 @@ let test_shard_policy_identity () =
 (* ------------------------------------------------------------------ *)
 
 let nfv_cluster () =
-  let engine = Engine.create ~seed:7 () in
   let cluster =
-    Cluster.create ~servers:2 ~topology:small_topology ~seed:7 ~engine ()
+    Cluster.create_sharded ~servers:2 ~topology:small_topology ~seed:7 ()
   in
   List.iter (Cluster.register cluster) (Workflow.nfv_defs ());
   List.iter (Cluster.register cluster) (Workflow.thumbnail_defs ());
@@ -403,9 +390,10 @@ let test_fused_single_resume () =
 (* Stepper timing                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_chain_latency_identity_direct () =
+let test_chain_latency_identity () =
+  let placement = Time.span_us 50.0 in
   let graph = graph_of_shape { Harness.Dag.nodes = 4; edges = [ (0, 1); (1, 2); (2, 3) ] } in
-  let wf = run_direct ~instances:1 graph in
+  let wf = run_sharded ~instances:1 ~placement graph in
   Alcotest.(check int) "records" 4 (Workflow.Records.count wf);
   (match check_identity_rows wf with
   | Some why -> Alcotest.fail why
@@ -416,17 +404,9 @@ let test_chain_latency_identity_direct () =
     in
     find 0
   in
-  (* on a direct cluster the stepper dispatches a successor at the
-     very instant its predecessor completes *)
-  for v = 0 to 2 do
-    Alcotest.(check int)
-      (Printf.sprintf "node %d starts when %d completes" (v + 1) v)
-      (Workflow.Records.completed_ns wf (row v))
-      (Workflow.Records.triggered_ns wf (row (v + 1)))
-  done;
   (* the end-to-end latency is the sum of per-node totals along the
-     (only) path *)
-  let total = ref 0 in
+     (only) path, plus one notify-and-place round trip per edge *)
+  let total = ref (3 * 2 * Time.span_to_ns placement) in
   for i = 0 to 3 do
     total :=
       !total
@@ -596,15 +576,15 @@ let test_multi_router_batch () =
 (* ------------------------------------------------------------------ *)
 
 let test_rejected_unit_fails_instance () =
-  let engine = Engine.create ~seed:3 () in
   let cluster =
-    Cluster.create ~servers:1 ~topology:small_topology ~seed:3 ~engine ()
+    Cluster.create_sharded ~servers:1 ~topology:small_topology ~seed:3 ()
   in
   register_palette cluster;
   let wf = Workflow.create ~cluster () in
   let graph = graph_of_shape { Harness.Dag.nodes = 2; edges = [ (0, 1) ] } in
   let id = Workflow.register wf ~name:"g" graph in
-  (* no pools provisioned: the first warm dispatch is rejected dry *)
+  (* the only server is down: the router rejects the first dispatch *)
+  Cluster.mark_down cluster 0;
   ignore (Workflow.start wf ~wf_id:id ());
   Workflow.run wf;
   Alcotest.(check int) "failed" 1 (Workflow.instances_failed wf);
@@ -618,9 +598,8 @@ let test_rejected_unit_fails_instance () =
 let test_schedule_batch_deterministic () =
   let graph = graph_of_shape { Harness.Dag.nodes = 3; edges = [ (0, 1); (1, 2) ] } in
   let mk () =
-    let engine = Engine.create ~seed:5 () in
     let cluster =
-      Cluster.create ~servers:2 ~topology:small_topology ~seed:5 ~engine ()
+      Cluster.create_sharded ~servers:2 ~topology:small_topology ~seed:5 ()
     in
     register_palette cluster;
     let wf = Workflow.create ~cluster () in
@@ -664,9 +643,8 @@ let test_schedule_batch_deterministic () =
     [ 100; 1; 102; 3 ]
 
 let test_schedule_batch_validates () =
-  let engine = Engine.create ~seed:5 () in
   let cluster =
-    Cluster.create ~servers:1 ~topology:small_topology ~seed:5 ~engine ()
+    Cluster.create_sharded ~servers:1 ~topology:small_topology ~seed:5 ()
   in
   register_palette cluster;
   let wf = Workflow.create ~cluster () in
@@ -722,8 +700,8 @@ let () =
         ] );
       ( "stepper",
         [
-          Alcotest.test_case "chain latency identity (direct)" `Quick
-            test_chain_latency_identity_direct;
+          Alcotest.test_case "chain latency identity" `Quick
+            test_chain_latency_identity;
           Alcotest.test_case "chain hops are 2x placement (sharded)" `Quick
             test_chain_hops_sharded;
           Alcotest.test_case "rejected dispatch fails the instance" `Quick
