@@ -22,10 +22,10 @@ test-stress:
 # the default flow: build, tests (incl. stressed model-based suites),
 # regenerate all bench records, gate on them (sweeps must not
 # regress; alloc:*, flat:* and storm:path:* must hold 2x; scale:*
-# must hold 1.5x on multi-core hosts; storm pipeline must not regress;
-# policy:* pull tails must not lose to push under blackouts; chain:*
-# fused tails must not lose to unfused at length >= 3; router:* must
-# hold 1.5x at >= 4 routers on multi-core hosts)
+# must hold 1.5x on multi-core hosts; policy:* pull tails must not
+# lose to push under blackouts; chain:* fused tails must not lose to
+# unfused at length >= 3; router:* must hold 1.5x at >= 4 routers on
+# multi-core hosts)
 verify: build test test-stress bench-json bench-micro bench-scale bench-shard bench-storm bench-policy bench-chain bench-router bench-check
 
 bench:
@@ -96,18 +96,21 @@ bench-chain:
 
 # gate on the recorded artifacts: sweeps at jobs >= 4 must not regress
 # (speedup >= 1.0 on multi-core hosts; >= 0.75 overhead floor on a
-# single-core host, where >1x is physically impossible); alloc:*
-# entries must show >= 2x fewer words than the boxed baselines; flat:*
-# entries must show the arena hot path scaling >= 2x flatter than the
-# walking baseline; scale:* entries must show the sharded engine >=
-# 1.5x over sequential (>= 0.5 overhead floor on single-core hosts)
+# single-core host, where >1x is physically impossible); alloc:* and
+# storm:path:* entries must show >= 2x fewer words than the boxed
+# baselines; flat:* entries must show the arena hot path scaling >= 2x
+# flatter than the walking baseline; scale:* and router:* entries must
+# show >= 1.5x over sequential (>= 0.5 overhead floor on single-core
+# hosts); shard:epochs:* must cut epochs >= 5x; policy:* and chain:*
+# virtual-time tail ratios must hold >= 1.0 on every host
 bench-check:
 	dune exec bench/bench_check.exe -- BENCH_summary.json $(wildcard BENCH_micro.json) $(wildcard BENCH_scale.json) $(wildcard BENCH_shard.json) $(wildcard BENCH_storm.json) $(wildcard BENCH_policy.json) $(wildcard BENCH_chain.json) $(wildcard BENCH_router.json)
 
 # the resume-storm macro-benchmark: 1000 paused uLL sandboxes on one
 # ull_runqueue, churn at 0/100/1000 subscribers, then resume them all
-# back-to-back (wall-clock; QUICK=1 for a smoke run), plus the
-# boxed-vs-flat trigger-path pipeline pairs recorded to
+# back-to-back (wall-clock; QUICK=1 for a smoke run — `dune runtest`
+# runs that one), the cluster-storm identity gate, and the
+# boxed-vs-flat trigger-path machinery pair recorded to
 # BENCH_storm.json for bench-check
 bench-storm:
 	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/storm.exe -- $(if $(QUICK),--quick) --json BENCH_storm.json

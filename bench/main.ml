@@ -3,7 +3,8 @@
    micro-benchmarks (Bechamel) of the real algorithm implementations.
 
    Usage:  main.exe [table1|fig1|fig2|fig3|fig4|overhead|colocation|
-                     summary|xen|faults|scale|policy|sweeps|micro|all]
+                     summary|xen|faults|scale|shard|policy|chain|
+                     router|sweeps|ablations|micro|csv|all]
                                  (default: all)
                     [--jobs N]   fan experiment tasks over N strands
                                  (default: recommended_domain_count - 1;
@@ -13,7 +14,8 @@
                                  the chunk targets ~50us per task;
                                  results are bit-identical for any C)
                     [--shards S] execution tasks for the sharded
-                                 cluster runs of [scale] (default
+                                 cluster runs of [scale], [shard],
+                                 [policy], [chain] and [router] (default
                                  max(4, recommended_domain_count - 1);
                                  rows are bit-identical for any S)
                     [--routers R] router shards for the partitioned
@@ -26,9 +28,14 @@
    [sweeps] runs every timed experiment sweep back to back — the
    input `make bench-json` feeds to BENCH_summary.json.  [scale] is
    the sharded-engine benchmark `make bench-scale` feeds to
-   BENCH_scale.json. *)
+   BENCH_scale.json; [shard], [policy], [chain] and [router] feed
+   BENCH_{shard,policy,chain,router}.json the same way.  Every
+   cluster section is a list of {!Horse.Scenario.t} and gates its
+   table on {!Horse.Scenario.identical} first.  [ablations] prints the
+   design-space studies, [csv] writes results/*.csv for plotting. *)
 
 module E = Horse.Experiments
+module Scenario = Horse.Scenario
 module Report = Horse.Report
 module Category = Horse_workload.Category
 module Json = Horse_vmm.Json
@@ -499,29 +506,74 @@ let ablations () =
        (E.keepalive_policies ()))
 
 (* ------------------------------------------------------------------ *)
+(* Cluster scenarios: the identity gate and the families               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every cluster section gates its table on this first: rows that
+   differ across shard counts, schedulers or seeds would mean the
+   table compares different work. *)
+let identical ?run section variants =
+  match Scenario.identical ?run variants with
+  | Ok rows -> rows
+  | Error msg ->
+    Printf.eprintf "%s: %s\n" section msg;
+    exit 1
+
+let at_shards s counts =
+  List.map (fun shards -> { s with Scenario.shards }) counts
+
+(* Push vs pull vs core-granular: a ~300us service time makes warm
+   capacity an actual constraint at 100k triggers/s (~30 in flight),
+   and clumped arrivals wider than the believed-free pool inside one
+   placement round-trip are exactly where the policies diverge. *)
+let policy_storm ?(seed = 42) ?(policy = Scenario.default.policy) ~triggers
+    ~rate () =
+  {
+    Scenario.default with
+    seed;
+    policy;
+    workload =
+      Scenario.One_function
+        (Horse_faas.Function_def.Fixed (Horse_sim.Time_ns.span_us 300.0));
+    arrivals = Scenario.Bursty triggers;
+    faults = Some (Scenario.Blackouts rate);
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Fault-rate sweep                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let faults () =
   section "Fault sweep - latency and completion under injected chaos";
+  let scenarios = E.faults () in
   let rows =
-    List.map
-      (fun (r : E.fault_row) ->
+    List.map2
+      (fun (s : Scenario.t) (r : Scenario.row) ->
+        let rate =
+          match s.faults with
+          | Some (Scenario.Per_trigger rate) -> rate
+          | Some (Scenario.Blackouts _) | None -> 0.0
+        in
         [
-          Printf.sprintf "%.2f%%" r.fr_rate_pct;
-          r.fr_strategy;
-          Report.ns (r.fr_p50_us *. 1e3);
-          Report.ns (r.fr_p99_us *. 1e3);
-          Report.ns (r.fr_p999_us *. 1e3);
-          string_of_int r.fr_attempted;
-          string_of_int r.fr_completed;
-          string_of_int r.fr_rejected;
-          Report.pct r.fr_completion_pct;
-          string_of_int r.fr_faults;
-          string_of_int r.fr_fallbacks;
-          string_of_int r.fr_retries;
+          Printf.sprintf "%.2f%%" (rate *. 100.0);
+          Horse_vmm.Sandbox.strategy_name s.strategy;
+          Report.ns (r.service.p50_us *. 1e3);
+          Report.ns (r.service.p99_us *. 1e3);
+          Report.ns (r.service.p999_us *. 1e3);
+          string_of_int r.attempted;
+          string_of_int r.completed;
+          string_of_int r.rejected;
+          Report.pct
+            (if r.attempted = 0 then 100.0
+             else
+               100.0 *. float_of_int r.completed /. float_of_int r.attempted);
+          string_of_int r.injected;
+          string_of_int r.fallbacks;
+          string_of_int r.retries;
         ])
-      (timed "faults" (fun ~jobs -> E.faults ~jobs ?chunk:!chunk ()))
+      scenarios
+      (timed "faults" (fun ~jobs ->
+           E.run_scenarios ~jobs ?chunk:!chunk scenarios))
   in
   Report.print
     ~caption:
@@ -544,58 +596,46 @@ let scale_points = [ (16, 64_000, 8_000); (32, 256_000, 32_000) ]
 
 (* The adaptive-lookahead gate: the same bursty policy storm under the
    lock-step oracle and the adaptive scheduler.  Rows must agree on
-   everything but the synchronization counters (epochs / rounds /
-   fast-forwards are scheduler structure, not workload results), and
-   the adaptive side must cut outer windows >= 5x — that is the whole
-   point of per-channel clocks + idle fast-forward on clumped
-   arrivals.  Recorded as [shard:epochs:storm<N>k]; bench_check gates
-   the epoch ratio, which is core-count independent. *)
+   everything but the synchronization counters, and the adaptive side
+   must cut outer windows >= 5x — that is the whole point of
+   per-channel clocks + idle fast-forward on clumped arrivals.
+   Recorded as [shard:epochs:storm<N>k]; bench_check gates the epoch
+   ratio, which is core-count independent. *)
 let epoch_storm ~shards:nshards ~triggers =
-  let module Cluster = Horse_faas.Cluster in
-  let policy = List.hd (Cluster.Policy.builtins ()) in
-  let wall = ref 0.0 in
-  let timing run =
-    Gc.full_major ();
-    let t0 = now_s () in
-    run ();
-    wall := now_s () -. t0
-  in
-  let run scheduler =
-    let row =
-      E.policy_run ~shards:nshards ~triggers ~blackout_rate:0.0 ~policy
-        ~scheduler ~on_run:timing ()
-    in
-    (row, !wall)
-  in
-  let lockstep, wall_lock = run Shard_engine.Lockstep in
   let team = Horse_parallel.Team.shared ~width:nshards in
-  let wait0 = Horse_parallel.Team.barrier_wait_ns team in
-  let adaptive, wall_adapt = run Shard_engine.Adaptive in
-  let barrier_wait_ns = Horse_parallel.Team.barrier_wait_ns team - wait0 in
-  (* mask only the scheduler-structure counters; completions,
-     percentiles and message counts must be byte-identical *)
-  let masked =
+  let measured = ref [] in
+  let run s =
+    let wait0 = Horse_parallel.Team.barrier_wait_ns team in
+    let row, wall = Scenario.run_timed s in
+    measured :=
+      (wall, Horse_parallel.Team.barrier_wait_ns team - wait0) :: !measured;
+    row
+  in
+  let storm =
     {
-      adaptive with
-      E.pl_epochs = lockstep.E.pl_epochs;
-      pl_rounds = lockstep.E.pl_rounds;
-      pl_fast_forwards = lockstep.E.pl_fast_forwards;
+      (policy_storm ~triggers ~rate:0.0 ()) with
+      shards = nshards;
     }
   in
-  if masked <> lockstep then begin
-    Printf.eprintf
-      "shard: adaptive diverged from lock-step at %d triggers\n" triggers;
-    exit 1
-  end;
+  let lockstep, adaptive =
+    match
+      identical ~run "shard: adaptive vs lock-step"
+        [ { storm with scheduler = Shard_engine.Lockstep }; storm ]
+    with
+    | [ l; a ] -> (l.Scenario.sync, a.Scenario.sync)
+    | _ -> assert false
+  in
+  let (wall_adapt, barrier_wait_ns), (wall_lock, _) =
+    match !measured with [ a; l ] -> (a, l) | _ -> assert false
+  in
   let ratio =
-    float_of_int lockstep.E.pl_epochs
-    /. float_of_int (max 1 adaptive.E.pl_epochs)
+    float_of_int lockstep.epochs /. float_of_int (max 1 adaptive.epochs)
   in
   Printf.printf
     "epoch storm %dk: lock-step %d epochs -> adaptive %d epochs (%s, \
      %d rounds, %d fast-forwards), traces identical\n%!"
-    (triggers / 1000) lockstep.E.pl_epochs adaptive.E.pl_epochs
-    (Report.ratio ratio) adaptive.E.pl_rounds adaptive.E.pl_fast_forwards;
+    (triggers / 1000) lockstep.epochs adaptive.epochs (Report.ratio ratio)
+    adaptive.rounds adaptive.fast_forwards;
   timings :=
     {
       Report.t_name = Printf.sprintf "shard:epochs:storm%dk" (triggers / 1000);
@@ -606,11 +646,11 @@ let epoch_storm ~shards:nshards ~triggers =
       t_wall_par_s = wall_adapt;
       t_meta =
         [
-          ("epochs_lockstep", Json.Int lockstep.E.pl_epochs);
-          ("epochs_adaptive", Json.Int adaptive.E.pl_epochs);
-          ("rounds_lockstep", Json.Int lockstep.E.pl_rounds);
-          ("rounds_adaptive", Json.Int adaptive.E.pl_rounds);
-          ("fast_forwards", Json.Int adaptive.E.pl_fast_forwards);
+          ("epochs_lockstep", Json.Int lockstep.epochs);
+          ("epochs_adaptive", Json.Int adaptive.epochs);
+          ("rounds_lockstep", Json.Int lockstep.rounds);
+          ("rounds_adaptive", Json.Int adaptive.rounds);
+          ("fast_forwards", Json.Int adaptive.fast_forwards);
           ("barrier_wait_ns", Json.Int barrier_wait_ns);
         ];
     }
@@ -623,37 +663,24 @@ let scale () =
   let rows =
     List.map
       (fun (servers, sandboxes, triggers) ->
-        (* [on_run] times only the event-processing phase: sequential
-           provisioning is identical on both sides and not what the
-           shard engine parallelises *)
-        let wall = ref 0.0 in
-        let timing run =
-          Gc.full_major ();
-          let t0 = now_s () in
-          run ();
-          wall := now_s () -. t0
-        in
-        let run shards =
-          E.scale_run ~shards ~servers ~sandboxes ~triggers ~on_run:timing ()
+        let point =
+          {
+            Scenario.default with
+            servers;
+            sandboxes;
+            arrivals = Scenario.Uniform triggers;
+          }
         in
         (* warm-up + the bit-identity gate: the sharded row must equal
-           the sequential row, or the timing is comparing different
-           work *)
-        let reference = run 1 in
-        let sharded = run !shards in
-        if { sharded with E.sc_shards = reference.E.sc_shards } <> reference
-        then begin
-          Printf.eprintf
-            "scale: shards=%d diverged from shards=1 at %d servers\n" !shards
-            servers;
-          exit 1
-        end;
+           the sequential row, or the timing compares different work *)
+        let reference =
+          List.hd (identical "scale" (at_shards point [ 1; !shards ]))
+        in
+        let wall s = snd (Scenario.run_timed s) in
         let wall_seq = ref infinity and wall_par = ref infinity in
         for _ = 1 to rounds do
-          ignore (run 1);
-          if !wall < !wall_seq then wall_seq := !wall;
-          ignore (run !shards);
-          if !wall < !wall_par then wall_par := !wall
+          wall_seq := Float.min !wall_seq (wall point);
+          wall_par := Float.min !wall_par (wall { point with shards = !shards })
         done;
         timings :=
           {
@@ -668,9 +695,9 @@ let scale () =
                compares these fields too) *)
             t_meta =
               [
-                ("epochs", Json.Int reference.E.sc_epochs);
-                ("rounds", Json.Int reference.E.sc_rounds);
-                ("fast_forwards", Json.Int reference.E.sc_fast_forwards);
+                ("epochs", Json.Int reference.sync.epochs);
+                ("rounds", Json.Int reference.sync.rounds);
+                ("fast_forwards", Json.Int reference.sync.fast_forwards);
               ];
           }
           :: !timings;
@@ -678,11 +705,11 @@ let scale () =
           string_of_int servers;
           string_of_int sandboxes;
           string_of_int triggers;
-          string_of_int reference.E.sc_completed;
-          string_of_int reference.E.sc_rejected;
-          Report.ns (reference.E.sc_p99_us *. 1e3);
-          string_of_int reference.E.sc_epochs;
-          string_of_int reference.E.sc_messages;
+          string_of_int reference.completed;
+          string_of_int reference.rejected;
+          Report.ns (reference.service.p99_us *. 1e3);
+          string_of_int reference.sync.epochs;
+          string_of_int reference.messages;
           Printf.sprintf "%.3fs" !wall_seq;
           Printf.sprintf "%.3fs" !wall_par;
           Report.ratio (!wall_seq /. !wall_par);
@@ -707,32 +734,17 @@ let scale () =
 (* ------------------------------------------------------------------ *)
 
 let shard () =
-  let module Cluster = Horse_faas.Cluster in
   section "Shard - adaptive-lookahead scheduler quick gate";
   (* bit-identity across shard counts under the adaptive scheduler:
      every scheduling quantity (channel clocks, window starts,
      fast-forward targets) is computed from global workload state, so
      any shard count must reproduce the shards=1 rows exactly *)
-  let policy = List.hd (Cluster.Policy.builtins ()) in
   let triggers = 20_000 in
   List.iter
     (fun seed ->
-      let run shards =
-        E.policy_run ~seed ~shards ~triggers ~blackout_rate:0.9 ~policy
-          ~scheduler:Shard_engine.Adaptive ()
-      in
-      let reference = run 1 in
-      List.iter
-        (fun s ->
-          let sharded = run s in
-          if { sharded with E.pl_shards = reference.E.pl_shards } <> reference
-          then begin
-            Printf.eprintf
-              "shard: adaptive diverged from shards=1 at shards=%d seed=%d\n"
-              s seed;
-            exit 1
-          end)
-        [ 2; 4 ])
+      ignore
+        (identical "shard"
+           (at_shards (policy_storm ~seed ~triggers ~rate:0.9 ()) [ 1; 2; 4 ])))
     [ 1; 42; 1337 ];
   Printf.printf
     "identity: adaptive scheduler bit-identical for seeds {1,42,1337} x \
@@ -750,6 +762,21 @@ let policy_triggers = [ 10_000; 100_000 ]
 
 let policy_rates = [ 0.0; 0.5; 0.9 ]
 
+(* Record a virtual-time tail ratio into a timing entry: seq = the
+   baseline tail, par = the contender's, so "speedup" = baseline tail
+   / contender tail and the bench_check >= 1.0 gate reads "the
+   contender wins". *)
+let record_ratio name seq_us par_us =
+  timings :=
+    {
+      Report.t_name = name;
+      t_jobs = !shards;
+      t_wall_seq_s = seq_us /. 1e6;
+      t_wall_par_s = par_us /. 1e6;
+      t_meta = [];
+    }
+    :: !timings
+
 let policy () =
   let module Cluster = Horse_faas.Cluster in
   section
@@ -766,24 +793,12 @@ let policy () =
     (fun policy ->
       List.iter
         (fun seed ->
-          let run shards =
-            E.policy_run ~seed ~shards ~triggers:identity_triggers
-              ~blackout_rate:highest_rate ~policy ()
-          in
-          let reference = run 1 in
-          List.iter
-            (fun s ->
-              let sharded = run s in
-              if
-                { sharded with E.pl_shards = reference.E.pl_shards }
-                <> reference
-              then begin
-                Printf.eprintf
-                  "policy: %s diverged from shards=1 at shards=%d seed=%d\n"
-                  (Cluster.Policy.name policy) s seed;
-                exit 1
-              end)
-            [ 2; 4 ])
+          ignore
+            (identical "policy"
+               (at_shards
+                  (policy_storm ~seed ~policy ~triggers:identity_triggers
+                     ~rate:highest_rate ())
+                  [ 1; 2; 4 ])))
         [ 1; 42; 1337 ])
     builtins;
   Printf.printf
@@ -791,8 +806,23 @@ let policy () =
      bit-identical at %dk triggers\n%!"
     (List.length builtins) (identity_triggers / 1000);
   let rows =
-    E.policy_sweep ~shards:!shards ~triggers:policy_triggers
-      ~rates:policy_rates ()
+    List.concat_map
+      (fun policy ->
+        List.concat_map
+          (fun n ->
+            List.map
+              (fun rate ->
+                ( Cluster.Policy.name policy,
+                  n,
+                  rate,
+                  Scenario.run
+                    {
+                      (policy_storm ~policy ~triggers:n ~rate ()) with
+                      shards = !shards;
+                    } ))
+              policy_rates)
+          policy_triggers)
+      builtins
   in
   Report.print
     ~caption:
@@ -804,58 +834,46 @@ let policy () =
       [ "policy"; "blackout/s"; "triggers"; "completed"; "rejected";
         "pending"; "p50"; "p99"; "p999"; "outages"; "messages" ]
     (List.map
-       (fun (r : E.policy_row) ->
+       (fun (name, n, rate, (r : Scenario.row)) ->
          [
-           r.E.pl_policy;
-           Printf.sprintf "%.2f" r.E.pl_blackout_rate;
-           string_of_int r.E.pl_triggers;
-           string_of_int r.E.pl_completed;
-           string_of_int r.E.pl_rejected;
-           string_of_int r.E.pl_pending;
-           Report.ns (r.E.pl_p50_us *. 1e3);
-           Report.ns (r.E.pl_p99_us *. 1e3);
-           Report.ns (r.E.pl_p999_us *. 1e3);
-           string_of_int r.E.pl_blackouts;
-           string_of_int r.E.pl_messages;
+           name;
+           Printf.sprintf "%.2f" rate;
+           string_of_int n;
+           string_of_int r.completed;
+           string_of_int r.rejected;
+           string_of_int r.pending;
+           Report.ns (r.e2e.p50_us *. 1e3);
+           Report.ns (r.e2e.p99_us *. 1e3);
+           Report.ns (r.e2e.p999_us *. 1e3);
+           string_of_int r.blackouts;
+           string_of_int r.messages;
          ])
        rows);
   (* gated entries: at the highest blackout rate, pull's tail must not
-     be worse than push's.  The timing record is reused as a latency
-     ratio — seq = push, par = pull, so "speedup" = push tail / pull
-     tail and the bench_check >= 1.0 gate reads "pull wins". *)
-  let find label n rate =
-    List.find
-      (fun (r : E.policy_row) ->
-        r.E.pl_policy = label && r.E.pl_triggers = n
-        && r.E.pl_blackout_rate = rate)
-      rows
-  in
-  let record name seq_us par_us =
-    timings :=
-      {
-        Report.t_name = name;
-        t_jobs = !shards;
-        t_wall_seq_s = seq_us /. 1e6;
-        t_wall_par_s = par_us /. 1e6;
-        t_meta = [];
-      }
-      :: !timings
+     be worse than push's *)
+  let find label n =
+    let _, _, _, (r : Scenario.row) =
+      List.find
+        (fun (name, m, rate, _) -> name = label && m = n && rate = highest_rate)
+        rows
+    in
+    r.e2e
   in
   List.iter
     (fun n ->
-      let push = find "push-warm-first" n highest_rate in
-      let pull = find "pull" n highest_rate in
-      let core = find "core" n highest_rate in
-      record
+      let push = find "push-warm-first" n in
+      let pull = find "pull" n in
+      let core = find "core" n in
+      record_ratio
         (Printf.sprintf "policy:pull-vs-push:p99:%dk" (n / 1000))
-        push.E.pl_p99_us pull.E.pl_p99_us;
-      record
+        push.p99_us pull.p99_us;
+      record_ratio
         (Printf.sprintf "policy:pull-vs-push:p999:%dk" (n / 1000))
-        push.E.pl_p999_us pull.E.pl_p999_us;
+        push.p999_us pull.p999_us;
       (* informational, ungated: core-granular vs push on the same axis *)
-      record
+      record_ratio
         (Printf.sprintf "micro:policy:core-vs-push:p99:%dk" (n / 1000))
-        push.E.pl_p99_us core.E.pl_p99_us)
+        push.p99_us core.p99_us)
     policy_triggers
 
 (* ------------------------------------------------------------------ *)
@@ -864,7 +882,18 @@ let policy () =
 
 let chain_lens = [ 1; 3; 6 ]
 
+let chain_scenario ?(seed = 42) ~strategy ~len ~fused () =
+  {
+    Scenario.default with
+    seed;
+    strategy;
+    workload = Scenario.Chain { len; fused };
+    arrivals = Scenario.Uniform 2_000;
+    duration_s = 0.25;
+  }
+
 let chain () =
+  let module Sandbox = Horse_vmm.Sandbox in
   section
     (Printf.sprintf
        "Chain - workflow DAGs, platform-side fusion on/off (--shards %d)"
@@ -876,31 +905,36 @@ let chain () =
     (fun fused ->
       List.iter
         (fun seed ->
-          let run shards =
-            E.chain_run ~seed ~shards ~len:6 ~fused
-              ~strategy:Horse_vmm.Sandbox.Horse ()
-          in
-          let reference = run 1 in
-          List.iter
-            (fun s ->
-              let sharded = run s in
-              if
-                { sharded with E.ch_shards = reference.E.ch_shards }
-                <> reference
-              then begin
-                Printf.eprintf
-                  "chain: fused=%b diverged from shards=1 at shards=%d \
-                   seed=%d\n"
-                  fused s seed;
-                exit 1
-              end)
-            [ 2; 4 ])
+          ignore
+            (identical "chain"
+               (at_shards
+                  (chain_scenario ~seed ~strategy:Sandbox.Horse ~len:6 ~fused
+                     ())
+                  [ 1; 2; 4 ])))
         [ 1; 42; 1337 ])
     [ false; true ];
   Printf.printf
     "identity: len-6 chain, fused x unfused, seeds {1,42,1337} x shards \
      {1,2,4} bit-identical\n%!";
-  let rows = E.chain_sweep ~shards:!shards ~lens:chain_lens () in
+  let rows =
+    List.concat_map
+      (fun strategy ->
+        List.concat_map
+          (fun len ->
+            List.map
+              (fun fused ->
+                ( Sandbox.strategy_name strategy,
+                  len,
+                  fused,
+                  Scenario.run
+                    {
+                      (chain_scenario ~strategy ~len ~fused ()) with
+                      shards = !shards;
+                    } ))
+              [ false; true ])
+          chain_lens)
+      [ Sandbox.Horse; Sandbox.Vanilla ]
+  in
   Report.print
     ~caption:
       "uLL chain workflows on a 4-server sharded cluster: unfused pays a \
@@ -910,59 +944,47 @@ let chain () =
       [ "strategy"; "len"; "fused"; "instances"; "completed"; "p50"; "p99";
         "p999" ]
     (List.map
-       (fun (r : E.chain_row) ->
+       (fun (strategy, len, fused, (r : Scenario.row)) ->
          [
-           r.E.ch_strategy;
-           string_of_int r.E.ch_len;
-           (if r.E.ch_fused then "yes" else "no");
-           string_of_int r.E.ch_instances;
-           string_of_int r.E.ch_completed;
-           Report.ns (r.E.ch_p50_us *. 1e3);
-           Report.ns (r.E.ch_p99_us *. 1e3);
-           Report.ns (r.E.ch_p999_us *. 1e3);
+           strategy;
+           string_of_int len;
+           (if fused then "yes" else "no");
+           string_of_int r.attempted;
+           string_of_int r.completed;
+           Report.ns (r.e2e.p50_us *. 1e3);
+           Report.ns (r.e2e.p99_us *. 1e3);
+           Report.ns (r.e2e.p999_us *. 1e3);
          ])
        rows);
   let find strategy len fused =
-    List.find
-      (fun (r : E.chain_row) ->
-        r.E.ch_strategy = strategy && r.E.ch_len = len && r.E.ch_fused = fused)
-      rows
+    let _, _, _, (r : Scenario.row) =
+      List.find
+        (fun (s, l, f, _) -> s = strategy && l = len && f = fused)
+        rows
+    in
+    r.e2e
   in
-  let record name seq_us par_us =
-    timings :=
-      {
-        Report.t_name = name;
-        t_jobs = !shards;
-        t_wall_seq_s = seq_us /. 1e6;
-        t_wall_par_s = par_us /. 1e6;
-        t_meta = [];
-      }
-      :: !timings
-  in
-  (* gated entries: fusion must win the tail at every length >= 3.  The
-     timing record is reused as a latency ratio — seq = unfused, par =
-     fused, so "speedup" = unfused p99 / fused p99 and the bench_check
-     >= 1.0 gate reads "fusion wins". *)
+  (* gated entries: fusion must win the tail at every length >= 3
+     (unfused is the baseline, fused the contender) *)
   List.iter
     (fun len ->
       if len >= 3 then begin
         let unfused = find "horse" len false in
         let fused = find "horse" len true in
-        record
+        record_ratio
           (Printf.sprintf "chain:fused-vs-unfused:p99:len%d" len)
-          unfused.E.ch_p99_us fused.E.ch_p99_us;
-        record
+          unfused.p99_us fused.p99_us;
+        record_ratio
           (Printf.sprintf "chain:fused-vs-unfused:p999:len%d" len)
-          unfused.E.ch_p999_us fused.E.ch_p999_us
+          unfused.p999_us fused.p999_us
       end)
     chain_lens;
   (* informational, ungated: fusion is a no-op at length 1, and the
      vanilla-strategy tail shows the win is not HORSE-specific *)
-  let u1 = find "horse" 1 false and f1 = find "horse" 1 true in
-  record "micro:chain:len1-fusion-noop:p99" u1.E.ch_p99_us f1.E.ch_p99_us;
-  let uv = find "vanil" 6 false and fv = find "vanil" 6 true in
-  record "micro:chain:vanil-fused-vs-unfused:p99:len6" uv.E.ch_p99_us
-    fv.E.ch_p99_us
+  record_ratio "micro:chain:len1-fusion-noop:p99"
+    (find "horse" 1 false).p99_us (find "horse" 1 true).p99_us;
+  record_ratio "micro:chain:vanil-fused-vs-unfused:p99:len6"
+    (find "vanil" 6 false).p99_us (find "vanil" 6 true).p99_us
 
 (* ------------------------------------------------------------------ *)
 (* Router: partitioned control plane (make bench-router)               *)
@@ -974,6 +996,20 @@ let chain () =
 let router_points () =
   List.sort_uniq compare (List.filter (fun r -> r <= 8) [ 1; 2; 4; 8; !routers ])
 
+(* The bursty storm whose fn-id column cycles a 32-function palette:
+   the affinity hash spreads it near-uniformly over every router, the
+   serial bottleneck this sweep measures. *)
+let router_storm ?(seed = 42) ~routers ~triggers () =
+  {
+    Scenario.default with
+    seed;
+    routers;
+    servers = 8;
+    sandboxes = 1_024;
+    workload = Scenario.Palette;
+    arrivals = Scenario.Bursty triggers;
+  }
+
 let router () =
   section
     (Printf.sprintf
@@ -981,49 +1017,20 @@ let router () =
        !routers !shards);
   (* the bit-identity gates first: at each router count the row must be
      byte-identical for any shard count and under both schedulers, for
-     several seeds — or the sweep below compares different work.
-     (Epoch/round counts are scheduler structure, masked only for the
-     cross-scheduler comparison; message counts must agree.) *)
+     several seeds — or the sweep below compares different work *)
   let identity_triggers = 20_000 in
   List.iter
-    (fun nrouters ->
+    (fun routers ->
       List.iter
         (fun seed ->
-          let run ?scheduler shards =
-            E.router_run ?scheduler ~seed ~shards ~routers:nrouters
-              ~triggers:identity_triggers ()
+          let storm =
+            router_storm ~seed ~routers ~triggers:identity_triggers ()
           in
-          let reference = run 1 in
-          List.iter
-            (fun s ->
-              let sharded = run s in
-              if
-                { sharded with E.rt_shards = reference.E.rt_shards }
-                <> reference
-              then begin
-                Printf.eprintf
-                  "router: routers=%d diverged from shards=1 at shards=%d \
-                   seed=%d\n"
-                  nrouters s seed;
-                exit 1
-              end)
-            [ 2; 4 ];
-          let lockstep = run ~scheduler:Shard_engine.Lockstep 4 in
-          if
-            {
-              lockstep with
-              E.rt_shards = reference.E.rt_shards;
-              rt_epochs = reference.E.rt_epochs;
-              rt_rounds = reference.E.rt_rounds;
-            }
-            <> reference
-          then begin
-            Printf.eprintf
-              "router: routers=%d lock-step diverged from the adaptive \
-               reference at seed=%d\n"
-              nrouters seed;
-            exit 1
-          end)
+          let lockstep =
+            { storm with shards = 4; scheduler = Shard_engine.Lockstep }
+          in
+          ignore
+            (identical "router" (at_shards storm [ 1; 2; 4 ] @ [ lockstep ])))
         [ 1; 42 ])
     (List.filter (fun r -> r <= 4) (router_points ()));
   Printf.printf
@@ -1031,35 +1038,24 @@ let router () =
      schedulers bit-identical at %dk triggers\n%!"
     (identity_triggers / 1000);
   (* the acceptance sweep: the 100k bursty storm, run-phase wall clock
-     at each router count against the single-router plane.  [on_run]
-     times only the event-processing phase — provisioning and batch
-     construction are identical on every side *)
+     at each router count against the single-router plane *)
   let triggers = 100_000 in
   let rounds = 3 in
-  let wall = ref 0.0 in
-  let timing run =
-    Gc.full_major ();
-    let t0 = now_s () in
-    run ();
-    wall := now_s () -. t0
-  in
-  let measure nrouters =
-    let run () =
-      E.router_run ~routers:nrouters ~shards:!shards ~triggers
-        ~on_run:timing ()
+  let measure routers =
+    let storm =
+      { (router_storm ~routers ~triggers ()) with shards = !shards }
     in
-    let row = run () (* warm-up *) in
+    let row = Scenario.run storm (* warm-up *) in
     let best = ref infinity in
     for _ = 1 to rounds do
-      ignore (run ());
-      if !wall < !best then best := !wall
+      best := Float.min !best (snd (Scenario.run_timed storm))
     done;
     (row, !best)
   in
   let measured = List.map (fun r -> (r, measure r)) (router_points ()) in
   let _, (_, base_wall) = List.hd measured in
   List.iter
-    (fun (r, ((row : E.router_row), w)) ->
+    (fun (r, ((row : Scenario.row), w)) ->
       if r >= 2 then
         timings :=
           {
@@ -1072,9 +1068,9 @@ let router () =
             t_meta =
               [
                 ("routers", Json.Int r);
-                ("spills", Json.Int row.E.rt_spills);
-                ("epochs", Json.Int row.E.rt_epochs);
-                ("messages", Json.Int row.E.rt_messages);
+                ("spills", Json.Int row.spills);
+                ("epochs", Json.Int row.sync.epochs);
+                ("messages", Json.Int row.messages);
               ];
           }
           :: !timings)
@@ -1090,16 +1086,16 @@ let router () =
       [ "routers"; "completed"; "rejected"; "spills"; "p50"; "p99";
         "epochs"; "messages"; "wall"; "speedup" ]
     (List.map
-       (fun (r, ((row : E.router_row), w)) ->
+       (fun (r, ((row : Scenario.row), w)) ->
          [
            string_of_int r;
-           string_of_int row.E.rt_completed;
-           string_of_int row.E.rt_rejected;
-           string_of_int row.E.rt_spills;
-           Report.ns (row.E.rt_p50_us *. 1e3);
-           Report.ns (row.E.rt_p99_us *. 1e3);
-           string_of_int row.E.rt_epochs;
-           string_of_int row.E.rt_messages;
+           string_of_int row.completed;
+           string_of_int row.rejected;
+           string_of_int row.spills;
+           Report.ns (row.service.p50_us *. 1e3);
+           Report.ns (row.service.p99_us *. 1e3);
+           string_of_int row.sync.epochs;
+           string_of_int row.messages;
            Printf.sprintf "%.3fs" w;
            Report.ratio (base_wall /. w);
          ])

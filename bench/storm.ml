@@ -4,8 +4,8 @@
 
    A fleet of uLL sandboxes is booted and paused with the Horse
    strategy, so every paused sandbox subscribes its P²SM maintenance
-   callback to the single reserved ull_runqueue.  Two things are
-   measured, both real time (not the simulator's virtual clock):
+   callback to the single reserved ull_runqueue.  Four things are
+   measured, all in real time (not the simulator's virtual clock):
 
    - churn: enqueue/dequeue of probe vCPUs on the ull_runqueue while
      0, 100 and N sandboxes are subscribed.  The per-mutation cost
@@ -23,34 +23,22 @@
 
    - cluster storm: the same trigger storm at cluster scale on the
      sharded engine — one warm-trigger burst over a multi-server
-     cluster, run once sequentially (shards = 1) and once sharded.
-     The rows must be bit-identical (the run aborts if not); only the
-     wall-clock may differ, and both are reported.
+     cluster ({!Horse.Scenario}), run once sequentially (shards = 1)
+     and once sharded.  The rows must be bit-identical
+     ({!Horse.Scenario.identical}; the run aborts if not); only the
+     run-phase wall-clock may differ, and both are reported.
 
-   - trigger-path pipeline: the same storm simulated twice through the
-     whole pipeline (trace -> ingestion -> routing -> resume ->
-     completion -> aggregation), once the pre-arena way (a closure per
-     scheduled arrival, a boxed record + tuple + list cons per
-     completion, exact Sample percentiles over the retained list) and
-     once on the zero-allocation path (flat batch ingestion,
-     struct-of-arrays record appends, streaming Quantile over arena
-     columns).  Both runs are the same simulation — completed counts
-     must match exactly, and the flat run must be deterministic
-     (re-running it must reproduce the row bit-for-bit); ns/trigger
-     and allocated words/trigger land in BENCH_storm.json as
-     [storm:pipeline:*] pairs.
+   - trigger-path machinery: the one piece of the trigger path the
+     simulation does not dilute — arrival closure vs batch row, boxed
+     record + list cons vs arena row + packed log int, exact Sample vs
+     streaming Quantile — through the real production types, as
+     [storm:path:words-per-trigger].  (The whole trigger path end to
+     end is measured in absolute words/op and ops/s by the storm
+     workload of the repository benchmark.)
 
-   - trigger-path machinery: the pipeline words are diluted by the
-     simulation itself (vmm resume, scheduler, P²SM maintenance
-     allocate identically on both sides), so a final section isolates
-     just the machinery the two styles disagree on — arrival closure
-     vs batch row, boxed record + list cons vs arena row + packed log
-     int, exact Sample vs streaming Quantile — through the real
-     production types, as [storm:path:words-per-trigger].
-
-   `make bench-check` gates the three pairs: path words >= 2x,
-   pipeline words >= 1x (allocation must not regress), pipeline ns
-   >= 1x on multi-core hosts (0.75x single-core floor). *)
+   `make bench-check` gates the path pair at >= 2x.  `dune runtest`
+   runs `storm.exe --quick`, so the cluster-storm identity gate and
+   the path p50 agreement check run at tier 1. *)
 
 module Time = Horse_sim.Time_ns
 module Metrics = Horse_sim.Metrics
@@ -207,32 +195,37 @@ let () =
   (* ---------------------------------------------------------------- *)
   (* Cluster storm on the sharded engine                               *)
   (* ---------------------------------------------------------------- *)
-  let module E = Horse.Experiments in
+  let module Scenario = Horse.Scenario in
   let servers, sandboxes, triggers =
     if quick then (4, 2_000, 500) else (8, 16_000, 4_000)
   in
   let shards = max 4 (Horse_parallel.Pool.default_jobs ()) in
-  let run nshards =
-    let wall = ref 0.0 in
-    let row =
-      E.scale_run ~shards:nshards ~servers ~sandboxes ~triggers
-        ~on_run:(fun go ->
-          Gc.full_major ();
-          let t0 = now_ns () in
-          go ();
-          wall := now_ns () -. t0)
-        ()
-    in
-    (row, !wall)
+  let storm =
+    {
+      Scenario.default with
+      servers;
+      sandboxes;
+      arrivals = Scenario.Uniform triggers;
+    }
   in
-  let sequential, wall_seq = run 1 in
-  let sharded, wall_par = run shards in
-  if { sharded with E.sc_shards = sequential.E.sc_shards } <> sequential
-  then begin
-    prerr_endline
-      "cluster storm: sharded run is not bit-identical to sequential";
-    exit 1
-  end;
+  let walls = ref [] in
+  let run s =
+    let row, wall = Scenario.run_timed s in
+    walls := wall :: !walls;
+    row
+  in
+  let sequential =
+    match
+      Scenario.identical ~run [ storm; { storm with shards } ]
+    with
+    | Ok rows -> List.hd rows
+    | Error msg ->
+      prerr_endline ("cluster storm: " ^ msg);
+      exit 1
+  in
+  let wall_par, wall_seq =
+    match !walls with [ p; s ] -> (p *. 1e9, s *. 1e9) | _ -> assert false
+  in
   Report.print
     ~caption:
       (Printf.sprintf
@@ -242,11 +235,11 @@ let () =
          triggers sandboxes servers shards)
     ~header:[ "measurement"; "value" ]
     [
-      [ "completed"; string_of_int sequential.E.sc_completed ];
-      [ "rejected"; string_of_int sequential.E.sc_rejected ];
-      [ "p99 latency"; Report.ns (sequential.E.sc_p99_us *. 1e3) ];
-      [ "epochs"; string_of_int sequential.E.sc_epochs ];
-      [ "cross-shard messages"; string_of_int sequential.E.sc_messages ];
+      [ "completed"; string_of_int sequential.completed ];
+      [ "rejected"; string_of_int sequential.rejected ];
+      [ "p99 latency"; Report.ns (sequential.service.p99_us *. 1e3) ];
+      [ "epochs"; string_of_int sequential.sync.epochs ];
+      [ "cross-shard messages"; string_of_int sequential.messages ];
       [ "run wall, shards=1"; Report.ns wall_seq ];
       [ Printf.sprintf "run wall, shards=%d" shards; Report.ns wall_par ];
       [
@@ -255,11 +248,21 @@ let () =
       ];
     ];
   (* ---------------------------------------------------------------- *)
-  (* Trigger-path pipeline: boxed baseline vs flat arena               *)
+  (* Trigger-path machinery in isolation                               *)
   (* ---------------------------------------------------------------- *)
-  let p_triggers, p_duration_s =
-    if quick then (10_000, 0.5) else (100_000, 1.0)
-  in
+  (* A whole simulated trigger is dominated by the simulation itself
+     (the vmm resume, scheduler and P2SM maintenance allocate several
+     hundred words per trigger whichever way triggers are carried), so
+     this measures just the machinery the two styles disagree on,
+     through the real production types and the same synthetic latency
+     stream:
+     boxed retains an arrival closure per trigger, then a boxed record
+     tagged and consed per completion, with exact Sample percentiles
+     over the reversed list — the pre-arena idiom; flat writes a batch
+     row (3 int columns) per trigger, an arena row (7 int columns)
+     plus a packed completion-log int per completion, and streams
+     every latency into a fixed-size Quantile.  Both sides must agree
+     on p50 (up to the P2 estimator) or the bench aborts. *)
   (* total words allocated, wherever they land: the arena's big column
      doublings go straight to the major heap and must be billed too *)
   let alloc_words () =
@@ -269,107 +272,9 @@ let () =
   let measure f =
     Gc.full_major ();
     let w0 = alloc_words () in
-    let t0 = now_ns () in
-    let row = f () in
-    let dt = now_ns () -. t0 in
-    let dw = alloc_words () -. w0 in
-    (row, dt, dw)
+    let result = f () in
+    (result, alloc_words () -. w0)
   in
-  let boxed_row, boxed_ns, boxed_w =
-    measure (fun () ->
-        E.storm_run_boxed ~triggers:p_triggers ~duration_s:p_duration_s ())
-  in
-  let flat_row, flat_ns, flat_w =
-    measure (fun () ->
-        E.storm_run_flat ~triggers:p_triggers ~duration_s:p_duration_s ())
-  in
-  let flat_again, _, _ =
-    measure (fun () ->
-        E.storm_run_flat ~triggers:p_triggers ~duration_s:p_duration_s ())
-  in
-  if flat_again <> flat_row then begin
-    prerr_endline "storm pipeline: flat run is not deterministic";
-    exit 1
-  end;
-  if
-    boxed_row.E.st_completed <> flat_row.E.st_completed
-    || boxed_row.E.st_rejected <> flat_row.E.st_rejected
-  then begin
-    Printf.eprintf
-      "storm pipeline: boxed (%d done / %d rejected) and flat (%d / %d) \
-       diverged — the two ingestion paths no longer simulate the same run\n"
-      boxed_row.E.st_completed boxed_row.E.st_rejected flat_row.E.st_completed
-      flat_row.E.st_rejected;
-    exit 1
-  end;
-  let n = float_of_int p_triggers in
-  let per v = v /. n in
-  Report.print
-    ~caption:
-      (Printf.sprintf
-         "trigger-path pipeline: %d warm triggers through one server, \
-          boxed per-trigger state (closure + record + cons + exact \
-          Sample) vs the flat path (batch ingestion + record arena + \
-          streaming Quantile).  Same simulation on both sides \
-          (completed/rejected verified equal, flat run verified \
-          deterministic); percentiles agree up to the P2 estimator."
-         p_triggers)
-    ~header:[ "measurement"; "boxed"; "flat"; "improvement" ]
-    [
-      [
-        "completed / rejected";
-        Printf.sprintf "%d / %d" boxed_row.E.st_completed
-          boxed_row.E.st_rejected;
-        Printf.sprintf "%d / %d" flat_row.E.st_completed
-          flat_row.E.st_rejected;
-        "=";
-      ];
-      [
-        "pipeline ns/trigger";
-        Report.ns (per boxed_ns);
-        Report.ns (per flat_ns);
-        Report.ratio (if flat_ns > 0.0 then boxed_ns /. flat_ns else 1.0);
-      ];
-      [
-        "allocated words/trigger";
-        Printf.sprintf "%.1fw" (per boxed_w);
-        Printf.sprintf "%.1fw" (per flat_w);
-        Report.ratio (if flat_w > 0.0 then boxed_w /. flat_w else 1.0);
-      ];
-      [
-        "p50 latency";
-        Report.ns (boxed_row.E.st_p50_us *. 1e3);
-        Report.ns (flat_row.E.st_p50_us *. 1e3);
-        "";
-      ];
-      [
-        "p99 latency";
-        Report.ns (boxed_row.E.st_p99_us *. 1e3);
-        Report.ns (flat_row.E.st_p99_us *. 1e3);
-        "";
-      ];
-      [
-        "p99.9 latency";
-        Report.ns (boxed_row.E.st_p999_us *. 1e3);
-        Report.ns (flat_row.E.st_p999_us *. 1e3);
-        "";
-      ];
-    ];
-  (* ---------------------------------------------------------------- *)
-  (* Trigger-path machinery in isolation                               *)
-  (* ---------------------------------------------------------------- *)
-  (* The pipeline numbers above are diluted by the simulation itself
-     (the vmm resume, scheduler and P2SM maintenance allocate the same
-     several hundred words per trigger on either side), so this
-     measures just the machinery the two styles disagree on, through
-     the real production types and the same synthetic latency stream:
-     boxed retains an arrival closure per trigger, then a boxed record
-     tagged and consed per completion, with exact Sample percentiles
-     over the reversed list — the pre-arena idiom; flat writes a batch
-     row (3 int columns) per trigger, an arena row (7 int columns)
-     plus a packed completion-log int per completion, and streams
-     every latency into a fixed-size Quantile.  Both sides must agree
-     on p50 (up to the P2 estimator) or the bench aborts. *)
   let module Platform = Horse_faas.Platform in
   let module Arena = Horse_faas.Trigger_records in
   let module Batch = Horse_trace.Batch in
@@ -378,7 +283,7 @@ let () =
   let lat_ns k = 1_000 + ((k * 7919) mod 1_009) in
   let warm = Platform.Warm Sandbox.Horse in
   let fn_name = "ull" in
-  let boxed_p50, _, boxed_path_w =
+  let boxed_p50, boxed_path_w =
     measure (fun () ->
         let deliver at l completed =
           let triggered_at = Time.of_ns at in
@@ -412,7 +317,7 @@ let () =
           (List.rev !completed);
         Stats.Sample.percentile s 50.0)
   in
-  let flat_p50, _, flat_path_w =
+  let flat_p50, flat_path_w =
     measure (fun () ->
         let batch = Batch.create ~capacity:path_n () in
         for k = 0 to path_n - 1 do
@@ -485,21 +390,13 @@ let () =
   match !json_path with
   | None -> ()
   | Some path ->
-    let pair name ~baseline ~flat =
-      {
-        Report.t_name = name;
-        t_jobs = 1;
-        t_wall_seq_s = baseline;
-        t_wall_par_s = flat;
-        t_meta = [];
-      }
-    in
     Report.write_json ~path ~jobs:1
       [
-        pair "storm:pipeline:ns-per-trigger" ~baseline:(per boxed_ns)
-          ~flat:(per flat_ns);
-        pair "storm:pipeline:words-per-trigger" ~baseline:(per boxed_w)
-          ~flat:(per flat_w);
-        pair "storm:path:words-per-trigger" ~baseline:(boxed_path_w /. pn)
-          ~flat:(flat_path_w /. pn);
+        {
+          Report.t_name = "storm:path:words-per-trigger";
+          t_jobs = 1;
+          t_wall_seq_s = boxed_path_w /. pn;
+          t_wall_par_s = flat_path_w /. pn;
+          t_meta = [];
+        };
       ]

@@ -8,6 +8,7 @@
      dune exec bin/horse_cli.exe -- cluster --routers 4 --shards 2 *)
 
 module E = Horse.Experiments
+module Scenario = Horse.Scenario
 module Report = Horse.Report
 module Time = Horse_sim.Time_ns
 module Metrics = Horse_sim.Metrics
@@ -78,7 +79,7 @@ let resume_cmd =
     let scheduler = Scheduler.create ~topology:Topology.r650 () in
     let vmm =
       Vmm.create
-        ~cost:(E.cost_of_profile profile)
+        ~cost:(Scenario.cost_of_profile profile)
         ~jitter:0.0 ~seed ~scheduler ~metrics:(Metrics.create ()) ()
     in
     let sb = Sandbox.create ~id:0 ~vcpus ~memory_mb:512 ~ull:true () in
@@ -90,7 +91,7 @@ let resume_cmd =
       ~caption:
         (Printf.sprintf "%s resume of a %d-vCPU sandbox (%s profile)"
            (Sandbox.strategy_name strategy)
-           vcpus (E.profile_name profile))
+           vcpus (Scenario.profile_name profile))
       ~header:[ "step"; "time" ]
       [
         [ "pause (preparation)"; Report.span pause_span ];
@@ -132,7 +133,7 @@ let sweep_cmd =
     Report.print
       ~caption:
         (Printf.sprintf "Resume time per strategy (%s profile)"
-           (E.profile_name profile))
+           (Scenario.profile_name profile))
       ~header:[ "vcpus"; "vanil"; "coal"; "ppsm"; "horse"; "speedup" ]
       (List.map
          (fun (r : E.fig3_row) ->
@@ -254,7 +255,7 @@ let serve_cmd =
     let scheduler = Scheduler.create ~topology:Topology.r650 () in
     let vmm =
       Vmm.create
-        ~cost:(E.cost_of_profile profile)
+        ~cost:(Scenario.cost_of_profile profile)
         ~seed ~scheduler ~metrics:(Metrics.create ()) ()
     in
     let server = Api.Server.create ~vmm () in
@@ -351,8 +352,22 @@ let cluster_cmd =
       List.sort_uniq compare
         (List.filter (fun r -> r <= routers) [ 1; 2; 4; 8; routers ])
     in
+    let storm =
+      {
+        Scenario.default with
+        profile;
+        seed;
+        shards;
+        servers = 8;
+        sandboxes = 1_024;
+        workload = Scenario.Palette;
+        arrivals = Scenario.Bursty triggers;
+      }
+    in
     let rows =
-      E.router_sweep ~profile ~seed ~shards ~triggers ~points ()
+      List.map
+        (fun routers -> (routers, Scenario.run { storm with routers }))
+        points
     in
     Report.print
       ~caption:
@@ -360,22 +375,22 @@ let cluster_cmd =
            "Partitioned router plane (%s profile, seed %d): %d bursty \
             triggers over 32 functions, function-affine routing, spill \
             ring on dry or blacked-out groups"
-           (E.profile_name profile) seed triggers)
+           (Scenario.profile_name profile) seed triggers)
       ~header:
         [ "routers"; "servers"; "completed"; "rejected"; "spills"; "p50";
           "p99"; "epochs"; "messages" ]
       (List.map
-         (fun (r : E.router_row) ->
+         (fun (routers, (r : Scenario.row)) ->
            [
-             string_of_int r.E.rt_routers;
-             string_of_int r.E.rt_servers;
-             string_of_int r.E.rt_completed;
-             string_of_int r.E.rt_rejected;
-             string_of_int r.E.rt_spills;
-             Report.ns (r.E.rt_p50_us *. 1e3);
-             Report.ns (r.E.rt_p99_us *. 1e3);
-             string_of_int r.E.rt_epochs;
-             string_of_int r.E.rt_messages;
+             string_of_int routers;
+             string_of_int storm.servers;
+             string_of_int r.completed;
+             string_of_int r.rejected;
+             string_of_int r.spills;
+             Report.ns (r.service.p50_us *. 1e3);
+             Report.ns (r.service.p99_us *. 1e3);
+             string_of_int r.sync.epochs;
+             string_of_int r.messages;
            ])
          rows)
   in
@@ -397,7 +412,8 @@ let summary_cmd =
     let s = E.summary ~profile ~seed ~jobs () in
     Report.print
       ~caption:
-        (Printf.sprintf "Headline claims (%s profile)" (E.profile_name profile))
+        (Printf.sprintf "Headline claims (%s profile)"
+           (Scenario.profile_name profile))
       ~header:[ "claim"; "measured" ]
       [
         [ "warm resume speedup"; Report.ratio s.E.resume_speedup ];

@@ -13,19 +13,10 @@ module Platform = Horse_faas.Platform
 module Cluster = Horse_faas.Cluster
 module Function_def = Horse_faas.Function_def
 module Trigger_records = Horse_faas.Trigger_records
-module Workflow = Horse_faas.Workflow
-module Batch = Horse_trace.Batch
-module Fault = Horse_fault.Fault
 
 module Pool = Horse_parallel.Pool
 
-type profile = Firecracker | Xen
-
-let cost_of_profile = function
-  | Firecracker -> Cost_model.firecracker
-  | Xen -> Cost_model.xen
-
-let profile_name = function Firecracker -> "firecracker" | Xen -> "xen"
+type profile = Scenario.profile = Firecracker | Xen
 
 type scenario = Cold | Restore | Warm | Horse_start
 
@@ -58,13 +49,11 @@ let ns_of span = float_of_int (Time.span_to_ns span)
 (* Shared latency collection                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Every trace-driven experiment (colocation, faults, scale, storm)
-   aggregates the same per-completion quantity — end-to-end latency,
-   init + exec + preemption — out of a completion source; the
-   collection loop used to be copy-pasted per experiment over boxed
-   record lists.  This is the one shared pass, and it walks the
-   trigger-record arenas directly: no record materialization, no list,
-   O(1) memory beyond the aggregator. *)
+(* The colocation experiment aggregates per-completion latency — init
+   + exec + preemption — out of either a single platform or a
+   one-server cluster.  This pass walks the trigger-record arenas
+   directly: no record materialization, no list, O(1) memory beyond
+   the aggregator.  (Cluster scenarios aggregate in {!Scenario.run}.) *)
 
 type completions = Of_platform of Platform.t | Of_cluster of Cluster.t
 
@@ -98,7 +87,8 @@ let fresh_vmm ~profile ~seed =
   in
   let metrics = Metrics.create () in
   let vmm =
-    Vmm.create ~cost:(cost_of_profile profile) ~seed ~scheduler ~metrics ()
+    Vmm.create ~cost:(Scenario.cost_of_profile profile) ~seed ~scheduler
+      ~metrics ()
   in
   (vmm, scheduler, metrics)
 
@@ -160,7 +150,8 @@ let run_start_scenarios ?chunk ~profile ~repeats ~seed ~scenarios ~jobs () =
     (fun (category, scenario) ->
       let engine = Engine.create ~seed () in
           let platform =
-            Platform.create ~cost:(cost_of_profile profile) ~seed ~engine ()
+            Platform.create ~cost:(Scenario.cost_of_profile profile) ~seed
+              ~engine ()
           in
           let name = Category.name category in
           Platform.register platform
@@ -373,7 +364,7 @@ let overhead ?(profile = Firecracker) ?(seed = 42) ?(vcpus = default_sweep)
       let horse_pause_ns, memory_bytes, resume_results, events =
         run_pauses ~strategy:Sandbox.Horse n
       in
-      let c = cost_of_profile profile in
+      let c = Scenario.cost_of_profile profile in
       (* Extra CPU during the resume burst: the merge threads' work
          plus the context switches they force, plus keeping the posA
          structures fresh; normalised to the sampling window. *)
@@ -480,7 +471,7 @@ let colocation_run ?shards ~profile ~seed ~duration ~ull_vcpus ~strategy
        bit-identical for every shard count *)
     let cluster =
       Cluster.create_sharded ~servers:1 ~topology:Topology.r650_smt
-        ~cost:(cost_of_profile profile) ~seed ~shards ()
+        ~cost:(Scenario.cost_of_profile profile) ~seed ~shards ()
     in
     let engine = Cluster.engine cluster in
     Cluster.register cluster (thumbnail_def ());
@@ -510,7 +501,7 @@ let colocation_run ?shards ~profile ~seed ~duration ~ull_vcpus ~strategy
     let engine = Engine.create ~seed () in
     let platform =
       Platform.create ~topology:Topology.r650_smt
-        ~cost:(cost_of_profile profile) ~seed ~engine ()
+        ~cost:(Scenario.cost_of_profile profile) ~seed ~engine ()
     in
     Platform.register platform (thumbnail_def ());
     Platform.register platform ull_def;
@@ -627,7 +618,7 @@ let ablation_ull_queues ?(profile = Firecracker) ?(seed = 42) ?(sandboxes = 12)
       in
       let metrics = Metrics.create () in
       let vmm =
-        Vmm.create ~cost:(cost_of_profile profile) ~jitter:0.0 ~seed ~scheduler
+        Vmm.create ~cost:(Scenario.cost_of_profile profile) ~jitter:0.0 ~seed ~scheduler
           ~metrics ()
       in
       let fleet =
@@ -858,631 +849,28 @@ let ablation_timeslice ?(seed = 42) () =
 (* Fault-rate sweep: tail latency and completion under injected chaos  *)
 (* ------------------------------------------------------------------ *)
 
-type fault_row = {
-  fr_rate_pct : float;
-  fr_strategy : string;
-  fr_p50_us : float;
-  fr_p99_us : float;
-  fr_p999_us : float;
-  fr_attempted : int;
-  fr_completed : int;
-  fr_rejected : int;
-  fr_completion_pct : float;
-  fr_faults : int;
-  fr_fallbacks : int;
-  fr_retries : int;
-}
-
-(* Sum every counter under [prefix] in a registry. *)
-let sum_counters metrics ~prefix =
-  List.fold_left
-    (fun acc (name, value) ->
-      if String.starts_with ~prefix name then acc + value else acc)
-    0
-    (Metrics.counters metrics)
-
-let fault_run ?shards ?policy ~profile ~seed ~duration ~rate ~strategy () =
-  let faults =
-    (* the plan seed is offset from the platform seeds so fault streams
-       never correlate with jitter or service-time draws *)
-    Fault.Plan.uniform ~seed:(seed + 31337) ~rate ()
-  in
-  let cluster =
-    Cluster.create_sharded ~servers:4 ~topology:Topology.r650_smt
-      ~cost:(cost_of_profile profile) ~seed ~faults ?policy
-      ~recovery:Platform.Recovery.default ?shards ()
-  in
-  let engine = Cluster.engine cluster in
-  Cluster.register cluster
-    (Function_def.create ~name:"ull" ~vcpus:2 ~memory_mb:512
-       ~exec:(Function_def.Ull Category.Cat2) ());
-  Cluster.provision cluster ~name:"ull" ~total:16 ~strategy;
-  let arrivals =
-    (* the same Azure-shaped stream for every (rate, strategy) cell —
-       only the injected faults differ between cells *)
-    let rng = Rng.create ~seed:(seed + 514229) in
-    let row =
-      Horse_trace.Synthetic.generate_row ~rng ~id:0 ~mean_rate_per_min:6000.0
-    in
-    Horse_trace.Arrivals.chunk ~rng row ~start_minute:720 ~duration
-  in
-  List.iter
-    (fun offset ->
-      ignore
-        (Engine.schedule engine ~after:offset (fun _ ->
-             ignore
-               (Cluster.trigger cluster ~name:"ull" ~mode:(Platform.Warm strategy)
-                  ()))))
-    arrivals;
-  ignore (Cluster.schedule_faults cluster ~horizon:duration);
-  Cluster.run cluster;
-  (* unbounded fault sweep: stream through the fixed-memory estimator
-     rather than retaining every latency *)
-  let latencies =
-    Stats.Quantile.create ~quantiles:[| 0.5; 0.99; 0.999 |] ()
-  in
-  collect_latencies ~unit_ns:1e3 ~add:(Stats.Quantile.add latencies)
-    (Of_cluster cluster);
-  let sum_servers ~prefix =
-    let acc = ref 0 in
-    for i = 0 to Cluster.server_count cluster - 1 do
-      acc :=
-        !acc
-        + sum_counters (Platform.metrics (Cluster.server cluster i)) ~prefix
-    done;
-    !acc
-  in
-  let attempted = List.length arrivals in
-  let completed = Cluster.record_count cluster in
-  let p q = Stats.Quantile.percentile latencies q in
-  {
-    fr_rate_pct = rate *. 100.0;
-    fr_strategy = Sandbox.strategy_name strategy;
-    fr_p50_us = p 50.0;
-    fr_p99_us = p 99.0;
-    fr_p999_us = p 99.9;
-    fr_attempted = attempted;
-    fr_completed = completed;
-    fr_rejected = List.length (Cluster.rejections cluster);
-    fr_completion_pct =
-      (if attempted = 0 then 100.0
-       else 100.0 *. float_of_int completed /. float_of_int attempted);
-    fr_faults =
-      sum_servers ~prefix:"fault.injected."
-      + Metrics.counter (Cluster.metrics cluster) "cluster.blackouts";
-    fr_fallbacks = sum_servers ~prefix:"platform.fallbacks.";
-    fr_retries = sum_servers ~prefix:"platform.retries";
-  }
-
-let faults ?(profile = Firecracker) ?(seed = 42) ?(duration_s = 5.0)
-    ?(rates = [ 0.0; 0.001; 0.01; 0.1 ]) ?(jobs = 1) ?chunk ?shards ?policy ()
-    =
-  let duration = Time.span_s duration_s in
-  let tasks =
-    List.concat_map
-      (fun rate ->
-        [ (rate, Sandbox.Vanilla); (rate, Sandbox.Horse) ])
-      rates
-  in
-  fan ?chunk ~jobs
-    (fun (rate, strategy) ->
-      fault_run ?shards ?policy ~profile ~seed ~duration ~rate ~strategy ())
-    tasks
-
-(* ------------------------------------------------------------------ *)
-(* Scale sweep: one big cluster run on the sharded engine              *)
-(* ------------------------------------------------------------------ *)
-
-type scale_row = {
-  sc_servers : int;
-  sc_sandboxes : int;
-  sc_triggers : int;
-  sc_shards : int;
-  sc_completed : int;
-  sc_rejected : int;
-  sc_p50_us : float;
-  sc_p99_us : float;
-  sc_epochs : int;
-  sc_rounds : int;
-  sc_fast_forwards : int;
-  sc_messages : int;
-}
-
-let scale_run ?(profile = Firecracker) ?(seed = 42) ?(shards = 1)
-    ?(duration_s = 1.0) ?ull_count ?policy ?scheduler
-    ?(on_run = fun run -> run ()) ~servers ~sandboxes ~triggers () =
-  let duration = Time.span_s duration_s in
-  let ull_count =
-    (* a paused sandbox's P²SM maintenance fires on every mutation of
-       the ull queue it is attached to, so per-trigger cost scales
-       with parked-per-queue: reserve enough ull queues to keep that
-       ratio near 256, within the r650_smt's 144 logical CPUs *)
-    match ull_count with
-    | Some n -> n
-    | None -> max 1 (min 32 (sandboxes / servers / 256))
-  in
-  let cluster =
-    Cluster.create_sharded ~servers ~topology:Topology.r650_smt
-      ~cost:(cost_of_profile profile) ~seed ~ull_count ?policy ?scheduler
-      ~shards ()
-  in
-  Cluster.register cluster
-    (Function_def.create ~name:"ull" ~vcpus:2 ~memory_mb:512
-       ~exec:(Function_def.Ull Category.Cat2) ());
-  Cluster.provision cluster ~name:"ull" ~total:sandboxes
-    ~strategy:Sandbox.Horse;
-  (* [triggers] arrivals at sorted uniform offsets in [0, duration) —
-     independent of the cluster's RNGs, same offset rule as the other
-     trace-driven experiments — handed to the router as one flat
-     batch: the event queue holds one ingestion window at a time, so
-     trigger-path memory stays bounded however long the trace is *)
-  let rng = Rng.create ~seed:(seed + 514229) in
-  let batch =
-    Batch.uniform ~rng ~n:triggers ~duration
-      ~fn_id:(Cluster.fn_id cluster ~name:"ull")
-      ~payload:(Platform.mode_code (Platform.Warm Sandbox.Horse))
-      ()
-  in
-  Cluster.schedule_batch cluster batch;
-  on_run (fun () -> Cluster.run cluster);
-  (* streaming aggregation: this sweep is the one that grows to 100M
-     triggers, so percentile memory must not scale with the run *)
-  let latencies =
-    Stats.Quantile.create ~quantiles:[| 0.5; 0.99 |] ()
-  in
-  collect_latencies ~unit_ns:1e3 ~add:(Stats.Quantile.add latencies)
-    (Of_cluster cluster);
-  let p q = Stats.Quantile.percentile latencies q in
-  let se = Option.get (Cluster.shard_engine cluster) in
-  {
-    sc_servers = servers;
-    sc_sandboxes = sandboxes;
-    sc_triggers = triggers;
-    sc_shards = shards;
-    sc_completed = Cluster.record_count cluster;
-    sc_rejected = List.length (Cluster.rejections cluster);
-    sc_p50_us = p 50.0;
-    sc_p99_us = p 99.0;
-    sc_epochs = Horse_sim.Shard_engine.epochs se;
-    sc_rounds = Horse_sim.Shard_engine.rounds se;
-    sc_fast_forwards = Horse_sim.Shard_engine.fast_forwards se;
-    sc_messages = Horse_sim.Shard_engine.messages_delivered se;
-  }
-
-let default_scale_points =
-  [ (4, 8_000, 2_000); (8, 32_000, 8_000); (16, 96_000, 16_000) ]
-
-let scale ?(profile = Firecracker) ?(seed = 42) ?(shards = 1)
-    ?(duration_s = 1.0) ?(points = default_scale_points) ?policy () =
-  (* no [fan] here on purpose: within one run the parallelism comes
-     from the sharded engine itself — that is the thing under test *)
-  List.map
-    (fun (servers, sandboxes, triggers) ->
-      scale_run ~profile ~seed ~shards ~duration_s ?policy ~servers ~sandboxes
-        ~triggers ())
-    points
-
-(* ------------------------------------------------------------------ *)
-(* Storm pipeline: the trigger-path measurement pair                   *)
-(* ------------------------------------------------------------------ *)
-
-type storm_row = {
-  st_triggers : int;
-  st_completed : int;
-  st_rejected : int;
-  st_p50_us : float;
-  st_p99_us : float;
-  st_p999_us : float;
-}
-
-(* One server, one hot function, a storm of warm triggers: the whole
-   trigger path end to end (trace generation -> ingestion -> routing
-   -> resume -> completion -> aggregation) with nothing else in the
-   frame.  Two implementations of the same pipeline make the storm
-   bench's measurement pair:
-
-   - [storm_run_boxed] carries per-trigger boxed state the way the
-     pre-arena code did: a closure per scheduled arrival, a
-     materialized record plus [(server, record)] tuple per completion,
-     a list cons per record, and exact [Sample] aggregation over the
-     retained list;
-   - [storm_run_flat] is the zero-allocation path: flat batch
-     ingestion through the windowed cursor, arena append per
-     completion, and a streaming [Quantile] fed straight from the
-     arena columns.
-
-   Both drive bit-identical simulations — same RNG draws, same arrival
-   order, same completions — so completed counts must match exactly
-   and percentiles agree up to the estimator's tolerance. *)
-
-let storm_cluster ?policy ~profile ~seed ~sandboxes () =
-  let cluster =
-    Cluster.create_sharded ~servers:1 ~topology:Topology.r650_smt
-      ~cost:(cost_of_profile profile) ~seed ?policy
-      ~ull_count:(max 1 (min 32 (sandboxes / 16)))
-      ()
-  in
-  Cluster.register cluster
-    (Function_def.create ~name:"ull" ~vcpus:2 ~memory_mb:512
-       ~exec:(Function_def.Ull Category.Cat2) ());
-  Cluster.provision cluster ~name:"ull" ~total:sandboxes
-    ~strategy:Sandbox.Horse;
-  cluster
-
-let storm_batch ~seed ~triggers ~duration cluster =
-  let rng = Rng.create ~seed:(seed + 514229) in
-  Batch.uniform ~rng ~n:triggers ~duration
-    ~fn_id:(Cluster.fn_id cluster ~name:"ull")
-    ~payload:(Platform.mode_code (Platform.Warm Sandbox.Horse))
-    ()
-
-let storm_row ~triggers ~completed ~rejected ~p =
-  {
-    st_triggers = triggers;
-    st_completed = completed;
-    st_rejected = rejected;
-    st_p50_us = p 50.0;
-    st_p99_us = p 99.0;
-    st_p999_us = p 99.9;
-  }
-
-let storm_run_boxed ?(profile = Firecracker) ?(seed = 42) ?(duration_s = 1.0)
-    ?(sandboxes = 512) ?policy ~triggers () =
-  let duration = Time.span_s duration_s in
-  let cluster = storm_cluster ?policy ~profile ~seed ~sandboxes () in
-  let batch = storm_batch ~seed ~triggers ~duration cluster in
-  let engine = Cluster.engine cluster in
-  let acc = ref [] and count = ref 0 in
-  for k = 0 to Batch.length batch - 1 do
-    ignore
-      (Engine.schedule engine ~after:(Batch.time batch k) (fun _ ->
-           ignore
-             (Cluster.trigger cluster ~name:"ull"
-                ~mode:(Platform.Warm Sandbox.Horse)
-                ~on_complete:(fun (_, r) ->
-                  incr count;
-                  acc := r :: !acc)
-                ())))
-  done;
-  Cluster.run cluster;
-  let latencies = Stats.Sample.create () in
-  List.iter
-    (fun r ->
-      Stats.Sample.add latencies (ns_of (Platform.record_total r) /. 1e3))
-    (List.rev !acc);
-  let p q =
-    if Stats.Sample.count latencies = 0 then 0.0
-    else Stats.Sample.percentile latencies q
-  in
-  storm_row ~triggers ~completed:!count
-    ~rejected:(List.length (Cluster.rejections cluster))
-    ~p
-
-let storm_run_flat ?(profile = Firecracker) ?(seed = 42) ?(duration_s = 1.0)
-    ?(sandboxes = 512) ?window ?policy ~triggers () =
-  let duration = Time.span_s duration_s in
-  let cluster = storm_cluster ?policy ~profile ~seed ~sandboxes () in
-  let batch = storm_batch ~seed ~triggers ~duration cluster in
-  Cluster.schedule_batch ?window cluster batch;
-  Cluster.run cluster;
-  let latencies =
-    Stats.Quantile.create ~quantiles:[| 0.5; 0.99; 0.999 |] ()
-  in
-  collect_latencies ~unit_ns:1e3 ~add:(Stats.Quantile.add latencies)
-    (Of_cluster cluster);
-  let p q =
-    if Stats.Quantile.count latencies = 0 then 0.0
-    else Stats.Quantile.percentile latencies q
-  in
-  storm_row ~triggers ~completed:(Cluster.record_count cluster)
-    ~rejected:(List.length (Cluster.rejections cluster))
-    ~p
-
-(* ------------------------------------------------------------------ *)
-(* Policy shoot-out: push vs pull vs core-granular under blackouts     *)
-(* ------------------------------------------------------------------ *)
-
-type policy_row = {
-  pl_policy : string;
-  pl_triggers : int;
-  pl_blackout_rate : float;
-  pl_shards : int;
-  pl_attempted : int;
-  pl_completed : int;
-  pl_rejected : int;
-  pl_pending : int;
-  pl_p50_us : float;
-  pl_p99_us : float;
-  pl_p999_us : float;
-  pl_blackouts : int;
-  pl_epochs : int;
-  pl_rounds : int;
-  pl_fast_forwards : int;
-  pl_messages : int;
-}
-
-let policy_run ?(profile = Firecracker) ?(seed = 42) ?(shards = 1)
-    ?(duration_s = 1.0) ?(servers = 4) ?(sandboxes = 64) ?ull_count ?scheduler
-    ?(on_run = fun run -> run ()) ~triggers ~blackout_rate ~policy () =
-  let duration = Time.span_s duration_s in
-  let faults =
-    (* whole-server outages plus correlated snapshot corruption: a
-       blacked-out server loses its local snapshot cache too, so a
-       fraction of the restores attempted while the fleet heals fall
-       through to a full cold boot.  That is the regime the policies
-       trade off: blind re-placement onto believed-free servers pays
-       the bottom of the recovery ladder, late binding waits for
-       proven capacity instead *)
-    if blackout_rate <= 0.0 then Fault.Plan.none
-    else
-      Fault.Plan.create ~seed:(seed + 8191)
-        ~rates:
-          [
-            (Fault.Server_blackout, blackout_rate);
-            (Fault.Restore_corruption, 0.5 *. blackout_rate);
-          ]
-        ()
-  in
-  let cluster =
-    Cluster.create_sharded ~servers ~topology:Topology.r650_smt
-      ~cost:(cost_of_profile profile) ~seed ~faults ~policy ~e2e:true
-      ~recovery:Platform.Recovery.default ?ull_count ?scheduler ~shards ()
-  in
-  Cluster.register cluster
-    (* a ~300us service time makes warm capacity an actual constraint
-       at 100k triggers/s (~30 in flight): the axis that separates the
-       policies is what happens when optimistic mirrors meet a fleet
-       whose real free capacity matters *)
-    (Function_def.create ~name:"ull" ~vcpus:2 ~memory_mb:512
-       ~exec:(Function_def.Fixed (Time.span_us 300.0)) ~ull:true ());
-  Cluster.provision cluster ~name:"ull" ~total:sandboxes
-    ~strategy:Sandbox.Horse;
-  let rng = Rng.create ~seed:(seed + 514229) in
-  let batch =
-    (* clumped arrivals, not uniform: a burst wider than the
-       believed-free pool inside one placement round-trip is exactly
-       the moment the policies diverge — push guesses, pull queues *)
-    Batch.bursty ~rng ~n:triggers ~duration ~burst:48
-      ~fn_id:(Cluster.fn_id cluster ~name:"ull")
-      ~payload:(Platform.mode_code (Platform.Warm Sandbox.Horse))
-      ()
-  in
-  Cluster.schedule_batch cluster batch;
-  ignore (Cluster.schedule_faults cluster ~horizon:duration);
-  on_run (fun () -> Cluster.run cluster);
-  (* the router-side end-to-end estimator, not per-record service
-     time: queueing delay (pull) and placement hops are part of what
-     the policies trade off, so they must be inside the percentile *)
-  let latencies = Option.get (Cluster.e2e_latencies cluster) in
-  let p q =
-    if Stats.Quantile.count latencies = 0 then 0.0
-    else Stats.Quantile.percentile latencies q
-  in
-  let se = Option.get (Cluster.shard_engine cluster) in
-  {
-    pl_policy = Cluster.policy_name cluster;
-    pl_triggers = triggers;
-    pl_blackout_rate = blackout_rate;
-    pl_shards = shards;
-    pl_attempted = triggers;
-    pl_completed = Cluster.record_count cluster;
-    pl_rejected = List.length (Cluster.rejections cluster);
-    pl_pending = Cluster.pending_count cluster;
-    pl_p50_us = p 50.0;
-    pl_p99_us = p 99.0;
-    pl_p999_us = p 99.9;
-    pl_blackouts = Metrics.counter (Cluster.metrics cluster) "cluster.blackouts";
-    pl_epochs = Horse_sim.Shard_engine.epochs se;
-    pl_rounds = Horse_sim.Shard_engine.rounds se;
-    pl_fast_forwards = Horse_sim.Shard_engine.fast_forwards se;
-    pl_messages = Horse_sim.Shard_engine.messages_delivered se;
-  }
-
-let default_policy_rates = [ 0.0; 0.5; 0.9 ]
-
-let policy_sweep ?(profile = Firecracker) ?(seed = 42) ?(shards = 1)
-    ?(duration_s = 1.0) ?(servers = 4) ?(sandboxes = 64)
-    ?(triggers = [ 10_000; 100_000 ]) ?(rates = default_policy_rates) () =
-  (* not fanned over a task pool: like the scale sweep, each run's
-     parallelism is the sharded engine itself *)
+let faults ?(seed = 42) ?(duration_s = 5.0) ?(rates = [ 0.0; 0.001; 0.01; 0.1 ])
+    () =
+  (* the same Azure-shaped stream for every (rate, strategy) cell —
+     only the injected faults differ between cells *)
   List.concat_map
-    (fun policy ->
-      List.concat_map
-        (fun n ->
-          List.map
-            (fun rate ->
-              policy_run ~profile ~seed ~shards ~duration_s ~servers
-                ~sandboxes ~triggers:n ~blackout_rate:rate ~policy ())
-            rates)
-        triggers)
-    (Cluster.Policy.builtins ())
+    (fun rate ->
+      List.map
+        (fun strategy ->
+          {
+            Scenario.default with
+            seed;
+            strategy;
+            sandboxes = 16;
+            arrivals = Scenario.Azure;
+            duration_s;
+            faults = Some (Scenario.Per_trigger rate);
+          })
+        [ Sandbox.Vanilla; Sandbox.Horse ])
+    rates
 
-(* ------------------------------------------------------------------ *)
-(* Workflow chains: platform-side fusion vs per-node dispatch          *)
-(* ------------------------------------------------------------------ *)
-
-type chain_row = {
-  ch_len : int;
-  ch_fused : bool;
-  ch_strategy : string;
-  ch_shards : int;
-  ch_instances : int;
-  ch_completed : int;
-  ch_p50_us : float;
-  ch_p99_us : float;
-  ch_p999_us : float;
-}
-
-let chain_run ?(profile = Firecracker) ?(seed = 42) ?(shards = 1)
-    ?(duration_s = 0.25) ?(servers = 4) ?(per_unit = 64)
-    ?(instances = 2_000) ~len ~fused ~strategy () =
-  if len < 1 then invalid_arg "Experiments.chain_run: len < 1";
-  let duration = Time.span_s duration_s in
-  let cluster =
-    Cluster.create_sharded ~servers ~topology:Topology.r650_smt
-      ~cost:(cost_of_profile profile) ~seed ~shards ()
-  in
-  (* [len] uLL stages, category 2 (§4's mid-weight class): long enough
-     that per-hop placement round-trips are a visible fraction of the
-     end-to-end latency, which is exactly what fusion removes *)
-  for i = 0 to len - 1 do
-    Cluster.register cluster
-      (Function_def.create
-         ~name:(Printf.sprintf "c%d" i)
-         ~vcpus:1 ~memory_mb:128
-         ~exec:(Function_def.Ull Category.Cat2) ())
-  done;
-  let wf = Workflow.create ~fuse:fused ~cluster () in
-  let graph =
-    Workflow.chain
-      (List.init len (fun i ->
-           (Printf.sprintf "c%d" i, Platform.Warm strategy)))
-  in
-  let id = Workflow.register wf ~name:"chain" graph in
-  Workflow.provision wf ~wf_id:id ~per_unit;
-  let rng = Rng.create ~seed:(seed + 514229) in
-  (* the fn-id column carries the *workflow* id for DAG-aware
-     ingestion; payload 0 keeps the per-instance default seeds *)
-  let batch = Batch.uniform ~rng ~n:instances ~duration ~fn_id:id () in
-  Workflow.schedule_batch wf batch;
-  Workflow.run wf;
-  let q = Workflow.e2e wf in
-  let p x =
-    if Stats.Quantile.count q = 0 then 0.0 else Stats.Quantile.percentile q x
-  in
-  {
-    ch_len = len;
-    ch_fused = fused;
-    ch_strategy = Sandbox.strategy_name strategy;
-    ch_shards = shards;
-    ch_instances = instances;
-    ch_completed = Workflow.instances_completed wf;
-    ch_p50_us = p 50.0;
-    ch_p99_us = p 99.0;
-    ch_p999_us = p 99.9;
-  }
-
-let default_chain_lens = [ 1; 3; 6 ]
-
-let chain_sweep ?(profile = Firecracker) ?(seed = 42) ?(shards = 1)
-    ?(duration_s = 0.25) ?(servers = 4) ?(instances = 2_000)
-    ?(lens = default_chain_lens) () =
-  List.concat_map
-    (fun strategy ->
-      List.concat_map
-        (fun len ->
-          List.map
-            (fun fused ->
-              chain_run ~profile ~seed ~shards ~duration_s ~servers
-                ~instances ~len ~fused ~strategy ())
-            [ false; true ])
-        lens)
-    [ Sandbox.Horse; Sandbox.Vanilla ]
-
-(* ------------------------------------------------------------------ *)
-(* Router plane: function-affine control-plane partitioning            *)
-(* ------------------------------------------------------------------ *)
-
-type router_row = {
-  rt_routers : int;
-  rt_servers : int;
-  rt_functions : int;
-  rt_triggers : int;
-  rt_shards : int;
-  rt_completed : int;
-  rt_rejected : int;
-  rt_spills : int;
-  rt_p50_us : float;
-  rt_p99_us : float;
-  rt_epochs : int;
-  rt_rounds : int;
-  rt_messages : int;
-}
-
-let router_run ?(profile = Firecracker) ?(seed = 42) ?(shards = 1)
-    ?(duration_s = 1.0) ?(servers = 8) ?(functions = 32)
-    ?(sandboxes = 1_024) ?policy ?scheduler ?(on_run = fun run -> run ())
-    ~routers ~triggers () =
-  if functions < 1 then invalid_arg "Experiments.router_run: functions < 1";
-  let duration = Time.span_s duration_s in
-  let cluster =
-    Cluster.create_sharded ~servers ~topology:Topology.r650_smt
-      ~cost:(cost_of_profile profile) ~seed ~routers ?policy ?scheduler
-      ~shards ()
-  in
-  (* many registered functions, not one: triggers reach routers by the
-     function-affinity hash, so a single hot function would land every
-     trigger on one router and measure nothing.  32 functions spread
-     near-uniformly over any router count in the sweep *)
-  let fn_ids =
-    Array.init functions (fun i ->
-        let name = Printf.sprintf "fn%02d" i in
-        Cluster.register cluster
-          (Function_def.create ~name ~vcpus:2 ~memory_mb:512
-             ~exec:(Function_def.Ull Category.Cat2) ());
-        name)
-  in
-  let per_fn = max 1 (sandboxes / functions) in
-  Array.iter
-    (fun name ->
-      Cluster.provision cluster ~name ~total:per_fn ~strategy:Sandbox.Horse)
-    fn_ids;
-  let fn_ids =
-    Array.map (fun name -> Cluster.fn_id cluster ~name) fn_ids
-  in
-  let rng = Rng.create ~seed:(seed + 514229) in
-  (* bursty clumps (the storm regime), restamped round-robin over the
-     function set: [Batch.bursty] emits one fn id for the whole trace,
-     so the arrival times are rewritten row by row into a fresh batch
-     whose fn-id column cycles the palette.  Bursty output is already
-     time-sorted, so insertion order keeps the copy sorted too *)
-  let warm = Platform.mode_code (Platform.Warm Sandbox.Horse) in
-  let times = Batch.bursty ~rng ~n:triggers ~duration ~burst:48 () in
-  let batch = Batch.create ~capacity:(max 1 triggers) () in
-  for k = 0 to triggers - 1 do
-    Batch.add batch ~at:(Batch.time times k)
-      ~fn_id:fn_ids.(k mod functions)
-      ~payload:warm
-  done;
-  Cluster.schedule_batch cluster batch;
-  on_run (fun () -> Cluster.run cluster);
-  let latencies = Stats.Quantile.create ~quantiles:[| 0.5; 0.99 |] () in
-  collect_latencies ~unit_ns:1e3 ~add:(Stats.Quantile.add latencies)
-    (Of_cluster cluster);
-  let p q =
-    if Stats.Quantile.count latencies = 0 then 0.0
-    else Stats.Quantile.percentile latencies q
-  in
-  let se = Option.get (Cluster.shard_engine cluster) in
-  {
-    rt_routers = routers;
-    rt_servers = servers;
-    rt_functions = functions;
-    rt_triggers = triggers;
-    rt_shards = shards;
-    rt_completed = Cluster.record_count cluster;
-    rt_rejected = List.length (Cluster.rejections cluster);
-    rt_spills = Metrics.counter (Cluster.metrics cluster) "cluster.spills";
-    rt_p50_us = p 50.0;
-    rt_p99_us = p 99.0;
-    rt_epochs = Horse_sim.Shard_engine.epochs se;
-    rt_rounds = Horse_sim.Shard_engine.rounds se;
-    rt_messages = Horse_sim.Shard_engine.messages_delivered se;
-  }
-
-let default_router_points = [ 1; 2; 4; 8 ]
-
-let router_sweep ?(profile = Firecracker) ?(seed = 42) ?(shards = 1)
-    ?(duration_s = 1.0) ?(servers = 8) ?(functions = 32)
-    ?(sandboxes = 1_024) ?(triggers = 100_000)
-    ?(points = default_router_points) ?policy () =
-  (* like the scale sweep: no [fan] — within one run the parallelism
-     is the sharded engine running R router strands side by side *)
-  List.map
-    (fun routers ->
-      router_run ~profile ~seed ~shards ~duration_s ~servers ~functions
-        ~sandboxes ?policy ~routers ~triggers ())
-    points
+let run_scenarios ?(jobs = 1) ?chunk scenarios =
+  fan ?chunk ~jobs Scenario.run scenarios
 
 (* ------------------------------------------------------------------ *)
 (* Headline summary                                                    *)

@@ -17,11 +17,8 @@
     order, so parallelism only changes wall-clock time, never a
     number. *)
 
-type profile = Firecracker | Xen
-
-val cost_of_profile : profile -> Horse_cpu.Cost_model.t
-
-val profile_name : profile -> string
+type profile = Scenario.profile = Firecracker | Xen
+(** See {!Scenario.cost_of_profile} and {!Scenario.profile_name}. *)
 
 (** {1 Table 1 / Figure 1 — uLL workloads under cold/restore/warm} *)
 
@@ -252,252 +249,22 @@ val ablation_timeslice : ?seed:int -> unit -> timeslice_row list
 
 (** {1 Fault-rate sweep — robustness under injected chaos} *)
 
-type fault_row = {
-  fr_rate_pct : float;  (** per-trigger fault probability, percent *)
-  fr_strategy : string;  (** "vanil" or "horse" *)
-  fr_p50_us : float;  (** end-to-end invocation latency percentiles *)
-  fr_p99_us : float;
-  fr_p999_us : float;
-  fr_attempted : int;  (** arrivals fired at the cluster *)
-  fr_completed : int;  (** invocations that produced a record *)
-  fr_rejected : int;  (** typed router rejections *)
-  fr_completion_pct : float;
-  fr_faults : int;
-      (** injected faults, all triggers + whole-server blackouts *)
-  fr_fallbacks : int;  (** Warm→Restore→Cold ladder descents *)
-  fr_retries : int;  (** post-crash backed-off retries *)
-}
-
 val faults :
-  ?profile:profile -> ?seed:int -> ?duration_s:float -> ?rates:float list ->
-  ?jobs:int -> ?chunk:int -> ?shards:int ->
-  ?policy:Horse_faas.Cluster.Policy.t -> unit -> fault_row list
-(** Sweep per-trigger fault rates (default 0 %, 0.1 %, 1 %, 10 %) over
-    an Azure-shaped uLL storm on a 4-server cluster running
-    {!Horse_faas.Platform.Recovery.default}, for Vanilla vs HORSE warm
-    pools.  Latency percentiles are honest: every failed rung, retry
-    wait and slowdown is inside the records.  The 0 % row is
-    bit-identical to a run with no fault plan at all, and rows are
-    bit-identical for every [jobs]/[chunk].  Every trigger crosses the
-    cluster's placement delay both ways, and rows are bit-identical
-    for every [shards] value (default 1). *)
+  ?seed:int -> ?duration_s:float -> ?rates:float list -> unit ->
+  Scenario.t list
+(** Per-trigger fault [rates] (default 0 %, 0.1 %, 1 %, 10 %) × Vanilla
+    vs HORSE warm pools: the same Azure-shaped uLL storm over
+    [duration_s] (default 5 s) on a 4-server cluster with 16 warm
+    sandboxes and {!Horse_faas.Platform.Recovery.default}.  Latency
+    percentiles are honest: every failed rung, retry wait and slowdown
+    is inside the records, and the 0 % rows are bit-identical to a run
+    with no fault plan at all. *)
 
-(** {1 Scale — one big cluster run on the sharded engine} *)
-
-type scale_row = {
-  sc_servers : int;
-  sc_sandboxes : int;  (** warm sandboxes parked fleet-wide *)
-  sc_triggers : int;  (** arrivals fired at the router *)
-  sc_shards : int;  (** execution tasks the run used *)
-  sc_completed : int;
-  sc_rejected : int;
-  sc_p50_us : float;
-  sc_p99_us : float;
-  sc_epochs : int;  (** outer windows the shard engine executed *)
-  sc_rounds : int;  (** synchronization rounds (barrier fan-outs) *)
-  sc_fast_forwards : int;  (** windows that jumped idle virtual time *)
-  sc_messages : int;  (** cross-shard messages delivered *)
-}
-
-val scale_run :
-  ?profile:profile -> ?seed:int -> ?shards:int -> ?duration_s:float ->
-  ?ull_count:int ->
-  ?policy:Horse_faas.Cluster.Policy.t ->
-  ?scheduler:Horse_sim.Shard_engine.scheduler ->
-  ?on_run:((unit -> unit) -> unit) ->
-  servers:int -> sandboxes:int -> triggers:int -> unit -> scale_row
-(** One sharded-cluster run: [sandboxes] HORSE sandboxes parked over
-    [servers] servers, then [triggers] warm triggers at sorted uniform
-    offsets within [duration_s].  The row is bit-identical for every
-    [shards]; only the wall-clock changes — this single run is what
-    the scale benchmark times.  [ull_count] (default: enough reserved
-    ull queues to keep parked-per-queue near 256, capped at 32) bounds
-    the per-trigger P²SM maintenance fan-out over parked sandboxes.
-    [on_run] receives the closure that drives the simulation and must
-    call it exactly once; the benchmark uses it to time the
-    (parallelizable) run phase without the (sequential) provisioning
-    phase. *)
-
-val scale :
-  ?profile:profile -> ?seed:int -> ?shards:int -> ?duration_s:float ->
-  ?points:(int * int * int) list ->
-  ?policy:Horse_faas.Cluster.Policy.t -> unit -> scale_row list
-(** {!scale_run} over a [(servers, sandboxes, triggers)] sweep
-    (default up to 16 servers / 96k parked sandboxes / 16k triggers;
-    the benchmark drives larger points).  Deliberately not fanned over
-    a task pool: the parallelism under test is the sharded engine
-    inside each run. *)
-
-(** {1 Storm pipeline — the trigger-path measurement pair} *)
-
-type storm_row = {
-  st_triggers : int;
-  st_completed : int;
-  st_rejected : int;
-  st_p50_us : float;
-  st_p99_us : float;
-  st_p999_us : float;
-}
-
-val storm_run_boxed :
-  ?profile:profile -> ?seed:int -> ?duration_s:float -> ?sandboxes:int ->
-  ?policy:Horse_faas.Cluster.Policy.t -> triggers:int -> unit -> storm_row
-(** The whole trigger path — trace generation, ingestion, routing,
-    resume, completion, aggregation — on one server with one hot
-    function, implemented the pre-arena way: a closure per scheduled
-    arrival, a boxed record (plus tuple and list cons) per completion,
-    and exact {!Horse_sim.Stats.Sample} percentiles over the retained
-    list.  The baseline half of the storm benchmark's ns/trigger and
-    words/trigger pair. *)
-
-val storm_run_flat :
-  ?profile:profile -> ?seed:int -> ?duration_s:float -> ?sandboxes:int ->
-  ?window:int -> ?policy:Horse_faas.Cluster.Policy.t -> triggers:int ->
-  unit -> storm_row
-(** The same pipeline on the zero-allocation path: flat batch
-    ingestion through {!Horse_faas.Cluster.schedule_batch} (windowed
-    cursor, [window] default 4096), struct-of-arrays record appends,
-    and a streaming {!Horse_sim.Stats.Quantile} fed from the arena
-    columns.  Simulates the {e same} run as {!storm_run_boxed} — same
-    RNG draws, same arrival order — so [st_completed] matches exactly
-    and percentiles agree up to the estimator tolerance. *)
-
-(** {1 Policy shoot-out — push vs pull vs core-granular under blackouts} *)
-
-type policy_row = {
-  pl_policy : string;  (** {!Horse_faas.Cluster.policy_name} *)
-  pl_triggers : int;
-  pl_blackout_rate : float;  (** per-server-second blackout probability *)
-  pl_shards : int;
-  pl_attempted : int;
-  pl_completed : int;
-  pl_rejected : int;
-  pl_pending : int;  (** triggers still queued when the run drained *)
-  pl_p50_us : float;  (** router-observed end-to-end latency percentiles *)
-  pl_p99_us : float;
-  pl_p999_us : float;
-  pl_blackouts : int;  (** outages the schedule actually fired *)
-  pl_epochs : int;  (** outer windows the shard engine executed *)
-  pl_rounds : int;  (** synchronization rounds (barrier fan-outs) *)
-  pl_fast_forwards : int;  (** windows that jumped idle virtual time *)
-  pl_messages : int;  (** cross-shard messages delivered *)
-}
-
-val policy_run :
-  ?profile:profile -> ?seed:int -> ?shards:int -> ?duration_s:float ->
-  ?servers:int -> ?sandboxes:int -> ?ull_count:int ->
-  ?scheduler:Horse_sim.Shard_engine.scheduler ->
-  ?on_run:((unit -> unit) -> unit) ->
-  triggers:int -> blackout_rate:float ->
-  policy:Horse_faas.Cluster.Policy.t -> unit -> policy_row
-(** One sharded-cluster run under [policy]: [sandboxes] HORSE
-    sandboxes (default 64 — tight against the ~30 in flight at 100k
-    triggers/s so warm capacity is a real constraint) over [servers]
-    servers, [triggers] warm triggers in bursty clumps
-    ({!Horse_trace.Batch.bursty}) within [duration_s], whole-server
-    blackouts at [blackout_rate] per simulated second with correlated
-    snapshot corruption at half that rate (self-healing recovery on —
-    a restore on a healing server may fall through to a cold boot).
-    Latencies are the router's end-to-end estimator — arrival to
-    completion notification, queueing and placement delays included —
-    which is the quantity the policies actually trade off.  The row is
-    bit-identical for every [shards] value. *)
-
-val policy_sweep :
-  ?profile:profile -> ?seed:int -> ?shards:int -> ?duration_s:float ->
-  ?servers:int -> ?sandboxes:int -> ?triggers:int list ->
-  ?rates:float list -> unit -> policy_row list
-(** {!policy_run} over {!Horse_faas.Cluster.Policy.builtins} ×
-    [triggers] (default 10k, 100k) × blackout [rates] (default 0,
-    0.5, 0.9) — the shoot-out table behind [BENCH_policy.json]. *)
-
-(** {1 Workflow chains — platform-side fusion vs per-node dispatch} *)
-
-type chain_row = {
-  ch_len : int;  (** nodes in the chain *)
-  ch_fused : bool;
-  ch_strategy : string;  (** warm strategy of every node (horse/vanil) *)
-  ch_shards : int;
-  ch_instances : int;
-  ch_completed : int;
-  ch_p50_us : float;  (** workflow end-to-end latency percentiles *)
-  ch_p99_us : float;
-  ch_p999_us : float;
-}
-
-val chain_run :
-  ?profile:profile -> ?seed:int -> ?shards:int -> ?duration_s:float ->
-  ?servers:int -> ?per_unit:int -> ?instances:int ->
-  len:int -> fused:bool -> strategy:Horse_vmm.Sandbox.strategy ->
-  unit -> chain_row
-(** One sharded-cluster run of a [len]-stage uLL chain workflow:
-    [instances] workflow arrivals uniform over [duration_s], every
-    stage warm under [strategy], [per_unit] sandboxes provisioned per
-    schedulable unit.  With [fused] the planner collapses the whole
-    chain into one invocation — one resume/pause and no per-hop
-    placement round-trips, which is the latency the sweep isolates.
-    Percentiles are the workflow manager's start-to-last-completion
-    stream ({!Horse_faas.Workflow.e2e}).  The row is bit-identical for
-    every [shards] value.
-    @raise Invalid_argument if [len < 1]. *)
-
-val chain_sweep :
-  ?profile:profile -> ?seed:int -> ?shards:int -> ?duration_s:float ->
-  ?servers:int -> ?instances:int -> ?lens:int list -> unit ->
-  chain_row list
-(** {!chain_run} over HORSE/Vanilla × [lens] (default 1, 3, 6) ×
-    fusion off/on — the table behind [BENCH_chain.json].  The
-    [bench_check] gate requires fused p99 ≤ unfused p99 at every
-    length ≥ 3. *)
-
-(** {1 Router plane — function-affine control-plane partitioning} *)
-
-type router_row = {
-  rt_routers : int;  (** router shards in the control plane *)
-  rt_servers : int;
-  rt_functions : int;  (** registered functions (affinity spread) *)
-  rt_triggers : int;
-  rt_shards : int;
-  rt_completed : int;
-  rt_rejected : int;
-  rt_spills : int;  (** triggers forwarded over the spill ring *)
-  rt_p50_us : float;  (** end-to-end latency percentiles, µs *)
-  rt_p99_us : float;
-  rt_epochs : int;  (** outer windows the shard engine executed *)
-  rt_rounds : int;  (** synchronization rounds (barrier fan-outs) *)
-  rt_messages : int;  (** cross-shard messages delivered *)
-}
-
-val router_run :
-  ?profile:profile -> ?seed:int -> ?shards:int -> ?duration_s:float ->
-  ?servers:int -> ?functions:int -> ?sandboxes:int ->
-  ?policy:Horse_faas.Cluster.Policy.t ->
-  ?scheduler:Horse_sim.Shard_engine.scheduler ->
-  ?on_run:((unit -> unit) -> unit) ->
-  routers:int -> triggers:int -> unit -> router_row
-(** One partitioned-control-plane run: [routers] router shards over
-    [servers] servers (disjoint groups, [routers <= servers]),
-    [functions] registered uLL functions (default 32) splitting
-    [sandboxes] HORSE sandboxes evenly, and [triggers] warm triggers
-    in bursty clumps within [duration_s] whose fn-id column cycles the
-    whole function palette — the affinity hash then spreads the
-    trigger storm near-uniformly over every router, which is the
-    serial bottleneck this sweep measures.  [on_run] receives the
-    closure that drives the simulation and must call it exactly once;
-    the benchmark uses it to time the (parallelizable) run phase.
-    The row is bit-identical for every [shards] value and scheduler,
-    and [routers = 1] reproduces the single-router plane exactly.
-    @raise Invalid_argument if [functions < 1]. *)
-
-val router_sweep :
-  ?profile:profile -> ?seed:int -> ?shards:int -> ?duration_s:float ->
-  ?servers:int -> ?functions:int -> ?sandboxes:int -> ?triggers:int ->
-  ?points:int list -> ?policy:Horse_faas.Cluster.Policy.t -> unit ->
-  router_row list
-(** {!router_run} at each router count in [points] (default 1, 2, 4,
-    8) with everything else held fixed — the table behind
-    [BENCH_router.json].  The [bench_check] gate requires a run-phase
-    speedup at [routers >= 4] when enough cores are present. *)
+val run_scenarios :
+  ?jobs:int -> ?chunk:int -> Scenario.t list -> Scenario.row list
+(** {!Scenario.run} over a list, fanned over [jobs] strands like every
+    other sweep here: rows come back in list order, bit-identical for
+    every [jobs]/[chunk]. *)
 
 (** {1 Headline summary} *)
 

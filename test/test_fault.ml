@@ -438,7 +438,8 @@ let test_faults_experiment_jobs_invariant () =
   List.iter
     (fun seed ->
       let run jobs =
-        E.faults ~seed ~duration_s:0.5 ~rates:[ 0.0; 0.02 ] ~jobs ()
+        E.run_scenarios ~jobs
+          (E.faults ~seed ~duration_s:0.5 ~rates:[ 0.0; 0.02 ] ())
       in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: jobs 2 == jobs 1" seed)

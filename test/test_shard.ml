@@ -19,6 +19,7 @@ module Cluster = Horse_faas.Cluster
 module Fault = Horse_fault.Fault
 module Category = Horse_workload.Category
 module E = Horse.Experiments
+module Scenario = Horse.Scenario
 
 let small_topology = Topology.create ~sockets:1 ~cores_per_socket:8 ()
 
@@ -388,36 +389,93 @@ let test_model_based_policies () =
 (* Experiment layer: sharded entry points are shards-invariant        *)
 (* ------------------------------------------------------------------ *)
 
+let at_shards s counts =
+  List.map (fun shards -> { s with Scenario.shards }) counts
+
+let check_identical name variants =
+  match Scenario.identical variants with
+  | Ok rows -> rows
+  | Error msg -> Alcotest.failf "%s: %s" name msg
+
+let small_storm =
+  {
+    Scenario.default with
+    seed = 7;
+    duration_s = 0.05;
+    arrivals = Scenario.Uniform 200;
+  }
+
 let test_scale_invariant () =
-  let row shards =
-    E.scale_run ~seed:7 ~shards ~duration_s:0.05 ~servers:4 ~sandboxes:64
-      ~triggers:200 ()
-  in
-  let reference = row 1 in
-  Alcotest.(check bool)
-    "scale run completed work" true
-    (reference.E.sc_completed > 0);
-  List.iter
-    (fun shards ->
-      let r = row shards in
-      Alcotest.(check bool)
-        (Printf.sprintf "scale shards=%d == shards=1" shards)
-        true
-        ({ r with E.sc_shards = reference.E.sc_shards } = reference))
-    [ 2; 4 ]
+  match check_identical "scale" (at_shards small_storm [ 1; 2; 4 ]) with
+  | reference :: _ ->
+    Alcotest.(check bool)
+      "scale run completed work" true (reference.Scenario.completed > 0)
+  | [] -> assert false
 
 let test_faults_invariant () =
-  let rows shards =
-    E.faults ~seed:7 ~duration_s:0.3 ~rates:[ 0.0; 0.05 ] ~shards ()
-  in
-  let reference = rows 1 in
   List.iter
-    (fun shards ->
-      Alcotest.(check bool)
-        (Printf.sprintf "faults shards=%d == shards=1" shards)
-        true
-        (rows shards = reference))
-    [ 2; 4 ]
+    (fun s -> ignore (check_identical "faults" (at_shards s [ 1; 2; 4 ])))
+    (E.faults ~seed:7 ~duration_s:0.3 ~rates:[ 0.0; 0.05 ] ())
+
+let test_identity_names_field () =
+  (* the check must catch a real difference and say where: two storms
+     that differ only by seed complete the same triggers, so the first
+     differing field is a latency percentile *)
+  match Scenario.identical [ small_storm; { small_storm with seed = 8 } ] with
+  | Ok _ -> Alcotest.fail "seeds 7 and 8 reported identical"
+  | Error msg ->
+    let expect = "row field service.p50_us diverged" in
+    Alcotest.(check string)
+      "first differing field named" expect
+      (String.sub msg 0 (min (String.length msg) (String.length expect)));
+    Alcotest.(check bool)
+      "both scenarios printed" true
+      (List.for_all
+         (fun sub ->
+           let n = String.length sub in
+           let rec at i =
+             i + n <= String.length msg
+             && (String.sub msg i n = sub || at (i + 1))
+           in
+           at 0)
+         [ "seed=7"; "seed=8" ])
+
+let test_scenario_families () =
+  (* one small scenario per family, over shards {1,2,4} and the
+     lock-step oracle *)
+  let chain fused =
+    {
+      small_storm with
+      workload = Scenario.Chain { len = 3; fused };
+      arrivals = Scenario.Uniform 100;
+    }
+  in
+  List.iter
+    (fun (name, s) ->
+      ignore
+        (check_identical name
+           (at_shards s [ 1; 2; 4 ]
+           @ [ { s with shards = 2; scheduler = Shard_engine.Lockstep } ])))
+    [
+      ("one-function storm", small_storm);
+      ( "palette, 2 routers",
+        {
+          small_storm with
+          routers = 2;
+          workload = Scenario.Palette;
+          arrivals = Scenario.Bursty 500;
+        } );
+      ("chain len 3 unfused", chain false);
+      ("chain len 3 fused", chain true);
+      ( "faults at 5%",
+        {
+          small_storm with
+          sandboxes = 16;
+          arrivals = Scenario.Azure;
+          duration_s = 0.2;
+          faults = Some (Scenario.Per_trigger 0.05);
+        } );
+    ]
 
 let test_colocation_invariant () =
   let rows shards =
@@ -998,6 +1056,10 @@ let () =
             test_scale_invariant;
           Alcotest.test_case "faults rows shards-invariant" `Slow
             test_faults_invariant;
+          Alcotest.test_case "identity check names the diverging field"
+            `Quick test_identity_names_field;
+          Alcotest.test_case "scenario families shards/lock-step identical"
+            `Quick test_scenario_families;
           Alcotest.test_case "colocation rows shards-invariant" `Slow
             test_colocation_invariant;
         ] );
