@@ -19,13 +19,13 @@ test-stress:
 	HORSE_STRESS=1 dune exec test/test_fault.exe
 	HORSE_STRESS=1 dune exec test/test_workflow.exe
 
-# the default flow: build, tests (incl. stressed model-based suites),
-# regenerate all bench records, gate on them (sweeps must not
-# regress; alloc:*, flat:* and storm:path:* must hold 2x; scale:*
-# must hold 1.5x on multi-core hosts; policy:* pull tails must not
-# lose to push under blackouts; chain:* fused tails must not lose to
-# unfused at length >= 3; router:* must hold 1.5x at >= 4 routers on
-# multi-core hosts)
+# the default flow: build, tests (incl. stressed model-based suites
+# and micro.exe's hot-path allocation budgets), regenerate all bench
+# records, gate on them (sweeps must not regress; scale:* must hold
+# 1.5x on multi-core hosts; shard:epochs:* must cut epochs 5x;
+# policy:* pull tails must not lose to push under blackouts; chain:*
+# fused tails must not lose to unfused at length >= 3; router:* must
+# hold 1.5x at >= 4 routers on multi-core hosts)
 verify: build test test-stress bench-json bench-micro bench-scale bench-shard bench-storm bench-policy bench-chain bench-router bench-check
 
 bench:
@@ -48,11 +48,13 @@ CHUNK ?=
 bench-json:
 	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/main.exe -- sweeps --jobs $(JOBS) $(if $(CHUNK),--chunk $(CHUNK)) --json BENCH_summary.json
 
-# quick microbenchmark record: event-queue + run-queue ns/op, words/op
-# and the dequeue flatness sweep, in release mode (quick trials are
-# enough for the 2x gates; `make perf` records the full-length runs)
+# quick hot-path microbenchmarks in release mode: event-queue,
+# run-queue and router-decide ns/op and words/op, and the dequeue
+# flatness sweep; exits non-zero when a row is over its budget (the
+# table at the top of bench/micro.ml).  `make perf` runs the
+# full-length trials.
 bench-micro:
-	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/micro.exe -- --quick --json BENCH_micro.json
+	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/micro.exe -- --quick
 
 # the sharded-engine scale benchmark: big cluster runs (up to 256k
 # parked sandboxes / 32k triggers) executed once sequentially and once
@@ -96,30 +98,25 @@ bench-chain:
 
 # gate on the recorded artifacts: sweeps at jobs >= 4 must not regress
 # (speedup >= 1.0 on multi-core hosts; >= 0.75 overhead floor on a
-# single-core host, where >1x is physically impossible); alloc:* and
-# storm:path:* entries must show >= 2x fewer words than the boxed
-# baselines; flat:* entries must show the arena hot path scaling >= 2x
-# flatter than the walking baseline; scale:* and router:* entries must
-# show >= 1.5x over sequential (>= 0.5 overhead floor on single-core
-# hosts); shard:epochs:* must cut epochs >= 5x; policy:* and chain:*
-# virtual-time tail ratios must hold >= 1.0 on every host
+# single-core host, where >1x is physically impossible); scale:* and
+# router:* entries must show >= 1.5x over sequential (>= 0.5 overhead
+# floor on single-core hosts); shard:epochs:* must cut epochs >= 5x;
+# policy:* and chain:* virtual-time tail ratios must hold >= 1.0 on
+# every host
 bench-check:
-	dune exec bench/bench_check.exe -- BENCH_summary.json $(wildcard BENCH_micro.json) $(wildcard BENCH_scale.json) $(wildcard BENCH_shard.json) $(wildcard BENCH_storm.json) $(wildcard BENCH_policy.json) $(wildcard BENCH_chain.json) $(wildcard BENCH_router.json)
+	dune exec bench/bench_check.exe -- BENCH_summary.json $(wildcard BENCH_scale.json) $(wildcard BENCH_shard.json) $(wildcard BENCH_policy.json) $(wildcard BENCH_chain.json) $(wildcard BENCH_router.json)
 
 # the resume-storm macro-benchmark: 1000 paused uLL sandboxes on one
 # ull_runqueue, churn at 0/100/1000 subscribers, then resume them all
 # back-to-back (wall-clock; QUICK=1 for a smoke run — `dune runtest`
-# runs that one), the cluster-storm identity gate, and the
-# boxed-vs-flat trigger-path machinery pair recorded to
-# BENCH_storm.json for bench-check
+# runs that one), and the cluster-storm identity gate
 bench-storm:
-	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/storm.exe -- $(if $(QUICK),--quick) --json BENCH_storm.json
+	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/storm.exe -- $(if $(QUICK),--quick)
 
 # full-length hot-path microbenchmarks (event queue, pool dispatch,
-# run queue) in release mode; also records BENCH_micro.json so
-# bench-check gates the allocation and flatness budgets
+# run queue, router decide) in release mode, budgets enforced
 perf:
-	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/micro.exe -- --json BENCH_micro.json
+	OCAMLRUNPARAM=$(BENCH_RUNPARAM) dune exec --profile release bench/micro.exe
 
 examples:
 	dune exec examples/quickstart.exe

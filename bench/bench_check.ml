@@ -30,20 +30,6 @@
      speedup >= 1.5 — splitting the router plane must beat the
      single-router serial bottleneck by half again on real cores.
      Single-core floor: 0.5, like [scale:*].
-   - every [alloc:*] entry (words-per-operation pairs from micro.exe)
-     must show >= 2.0 — the flat structures must allocate at most
-     half the words per operation of their boxed baselines.
-   - every [flat:*] entry must show >= 2.0.  These pairs record
-     latency *growth factors* across a queue-size sweep (e.g.
-     dequeue-by-node ns at n=1024 over n=64), so the "speedup" field
-     reads as "the baseline's latency grows this many times faster
-     than the arena's" — the arena hot path must stay at least twice
-     as flat as the walking baseline.
-   - every [storm:path:*] entry (storm.exe, boxed trigger-path
-     machinery over flat) must show >= 2.0 — the isolated trigger
-     path must allocate at most half the words of the boxed idiom.
-     (The end-to-end trigger path has absolute words/op and ops/s
-     budgets in the repository benchmark's storm workload.)
    - every [policy:*] entry (policy shoot-out from `main.exe policy`,
      recorded as push tail latency over pull tail latency at the
      highest blackout rate) must show >= 1.0 — late binding must
@@ -61,17 +47,19 @@
      least five-fold on the bursty storm.  Epoch counts are scheduler
      structure, deterministic and core-count independent, so this
      floor does NOT relax on a single-core producer.
-   - [micro:*] timing entries are informational.
+   - [micro:*] entries (ratios the policy and chain sections record
+     without a gate) are informational.
+
+   `make bench-check` passes the records that carry these gates:
+   BENCH_{summary,scale,shard,policy,chain,router}.json.  The hot-path
+   allocation and flatness budgets are not records: micro.exe checks
+   them itself on every run.
 
    Exits non-zero listing every violated entry. *)
 
 module Json = Horse_vmm.Json
 
 let checker_cores = Domain.recommended_domain_count ()
-
-let alloc_floor = 2.0
-
-let flat_floor = 2.0
 
 let failures = ref 0
 
@@ -145,10 +133,7 @@ let check_entry ~file ~producer_cores entry =
         "FAIL %s: %s lacks epochs_lockstep/epochs_adaptive metadata\n" file
         name
   in
-  if starts_with ~prefix:"alloc:" name then verdict alloc_floor
-  else if starts_with ~prefix:"flat:" name then verdict flat_floor
-  else if starts_with ~prefix:"storm:path:" name then verdict alloc_floor
-  else if starts_with ~prefix:"shard:epochs:" name then epoch_verdict 5.0
+  if starts_with ~prefix:"shard:epochs:" name then epoch_verdict 5.0
   else if starts_with ~prefix:"scale:" name then
     (* the "jobs" of a scale entry records the --shards it ran at *)
     if jobs >= 4 then verdict scale_floor

@@ -1231,28 +1231,6 @@ let manual_merge_benches () =
           ~allocate:(fun () -> merge_setup ~source_len:36 ~target_len)
           ~run:(fun (source, target) ->
             ignore (Reference.insert_each ~source ~target));
-        (* the "better data structure" rebuttal: O(log n) per-element
-           inserts into a skip list still cost O(vcpus*log n) per
-           resume, and the structure cannot be spliced in O(1) *)
-        time_consuming
-          ~name:(Printf.sprintf "merge/skiplist 36 into %d" target_len)
-          ~batch:1001
-          ~allocate:(fun () ->
-            let source, target = merge_setup ~source_len:36 ~target_len in
-            let skip =
-              Horse_psm.Skip_list.of_list ~compare:Int.compare
-                (Ll.to_list target)
-            in
-            (source, skip))
-          ~run:(fun (source, skip) ->
-            let rec drain () =
-              match Ll.pop_first source with
-              | None -> ()
-              | Some x ->
-                ignore (Horse_psm.Skip_list.insert skip x);
-                drain ()
-            in
-            drain ());
         time_consuming
           ~name:(Printf.sprintf "merge/psm-splice 36 into %d" target_len)
           ~batch:1001
@@ -1285,8 +1263,8 @@ let bench_psm_precompute_binary ~source_len ~target_len =
     (Bechamel.Staged.stage (fun () ->
          ignore (Psm.Plan.build_binary ~source ~index)))
 
-(* scheduling substrate comparison: binary-heap event queue vs the
-   hierarchical timer wheel, schedule+drain of a burst *)
+(* the simulator's pending-event set: schedule+drain of a burst
+   spread over 50ms, so most events take the 4-ary heap path *)
 let bench_event_queue n =
   let rng = Horse_sim.Rng.create ~seed:23 in
   let ats =
@@ -1300,24 +1278,6 @@ let bench_event_queue n =
          Array.iter (fun at -> ignore (Horse_sim.Event_queue.schedule q ~at ())) ats;
          let rec drain () =
            match Horse_sim.Event_queue.pop q with
-           | Some _ -> drain ()
-           | None -> ()
-         in
-         drain ()))
-
-let bench_timer_wheel n =
-  let rng = Horse_sim.Rng.create ~seed:23 in
-  let ats =
-    Array.init n (fun _ ->
-        Horse_sim.Time_ns.of_ns (Horse_sim.Rng.int rng 50_000_000))
-  in
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "events/timer-wheel %d" n)
-    (Bechamel.Staged.stage (fun () ->
-         let w = Horse_sim.Timer_wheel.create () in
-         Array.iter (fun at -> ignore (Horse_sim.Timer_wheel.schedule w ~at ())) ats;
-         let rec drain () =
-           match Horse_sim.Timer_wheel.pop w with
            | Some _ -> drain ()
            | None -> ()
          in
@@ -1354,7 +1314,6 @@ let micro () =
         bench_psm_precompute_binary ~source_len:36 ~target_len:128;
         bench_psm_precompute_binary ~source_len:36 ~target_len:4096;
         bench_event_queue 1024;
-        bench_timer_wheel 1024;
         bench_load_iterated 36;
         bench_load_coalesced 36;
         bench_workload Category.Cat1;

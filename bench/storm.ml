@@ -1,10 +1,10 @@
 (* resume_storm: the paper's worst case at macro scale, in wall-clock.
 
-   Usage:  storm.exe [--quick] [--json FILE]
+   Usage:  storm.exe [--quick]
 
    A fleet of uLL sandboxes is booted and paused with the Horse
    strategy, so every paused sandbox subscribes its P²SM maintenance
-   callback to the single reserved ull_runqueue.  Four things are
+   callback to the single reserved ull_runqueue.  Three things are
    measured, all in real time (not the simulator's virtual clock):
 
    - churn: enqueue/dequeue of probe vCPUs on the ull_runqueue while
@@ -28,19 +28,11 @@
      ({!Horse.Scenario.identical}; the run aborts if not); only the
      run-phase wall-clock may differ, and both are reported.
 
-   - trigger-path machinery: the one piece of the trigger path the
-     simulation does not dilute — arrival closure vs batch row, boxed
-     record + list cons vs arena row + packed log int, exact Sample vs
-     streaming Quantile — through the real production types, as
-     [storm:path:words-per-trigger].  (The whole trigger path end to
-     end is measured in absolute words/op and ops/s by the storm
-     workload of the repository benchmark.)
+   The whole trigger path is budgeted end to end, in absolute words/op
+   and ops/s, by the storm workload of the repository benchmark.
+   `dune runtest` runs `storm.exe --quick`, so the cluster-storm
+   identity gate runs at tier 1. *)
 
-   `make bench-check` gates the path pair at >= 2x.  `dune runtest`
-   runs `storm.exe --quick`, so the cluster-storm identity gate and
-   the path p50 agreement check run at tier 1. *)
-
-module Time = Horse_sim.Time_ns
 module Metrics = Horse_sim.Metrics
 module Rng = Horse_sim.Rng
 module Topology = Horse_cpu.Topology
@@ -84,22 +76,14 @@ let churn_ns queue ~rounds ~trials =
   !best /. float_of_int (2 * batch * rounds)
 
 let () =
-  let quick = ref false in
-  let json_path : string option ref = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--json" :: path :: rest ->
-      json_path := Some path;
-      parse rest
+  let quick =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> false
+    | [ "--quick" ] -> true
     | arg :: _ ->
-      Printf.eprintf "usage: storm.exe [--quick] [--json FILE] (got %S)\n" arg;
+      Printf.eprintf "usage: storm.exe [--quick] (got %S)\n" arg;
       exit 1
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  let quick = !quick in
   let n = if quick then 200 else 1000 in
   let mid = min 100 n in
   let trials = if quick then 3 else 5 in
@@ -246,157 +230,4 @@ let () =
         "speedup";
         Report.ratio (if wall_par > 0.0 then wall_seq /. wall_par else 1.0);
       ];
-    ];
-  (* ---------------------------------------------------------------- *)
-  (* Trigger-path machinery in isolation                               *)
-  (* ---------------------------------------------------------------- *)
-  (* A whole simulated trigger is dominated by the simulation itself
-     (the vmm resume, scheduler and P2SM maintenance allocate several
-     hundred words per trigger whichever way triggers are carried), so
-     this measures just the machinery the two styles disagree on,
-     through the real production types and the same synthetic latency
-     stream:
-     boxed retains an arrival closure per trigger, then a boxed record
-     tagged and consed per completion, with exact Sample percentiles
-     over the reversed list — the pre-arena idiom; flat writes a batch
-     row (3 int columns) per trigger, an arena row (7 int columns)
-     plus a packed completion-log int per completion, and streams
-     every latency into a fixed-size Quantile.  Both sides must agree
-     on p50 (up to the P2 estimator) or the bench aborts. *)
-  (* total words allocated, wherever they land: the arena's big column
-     doublings go straight to the major heap and must be billed too *)
-  let alloc_words () =
-    let s = Gc.quick_stat () in
-    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-  in
-  let measure f =
-    Gc.full_major ();
-    let w0 = alloc_words () in
-    let result = f () in
-    (result, alloc_words () -. w0)
-  in
-  let module Platform = Horse_faas.Platform in
-  let module Arena = Horse_faas.Trigger_records in
-  let module Batch = Horse_trace.Batch in
-  let module Stats = Horse_sim.Stats in
-  let path_n = if quick then 200_000 else 1_000_000 in
-  let lat_ns k = 1_000 + ((k * 7919) mod 1_009) in
-  let warm = Platform.Warm Sandbox.Horse in
-  let fn_name = "ull" in
-  let boxed_p50, boxed_path_w =
-    measure (fun () ->
-        let deliver at l completed =
-          let triggered_at = Time.of_ns at in
-          let zero = Time.span_ns 0 in
-          let r =
-            {
-              Platform.function_name = fn_name;
-              mode = warm;
-              triggered_at;
-              init = zero;
-              exec = Time.span_ns l;
-              preemption = zero;
-              completed_at = Time.add triggered_at (Time.span_ns l);
-            }
-          in
-          completed := (0, r) :: !completed
-        in
-        let arrivals =
-          Array.init path_n (fun k ->
-              let at = 10 * k and l = lat_ns k in
-              fun completed -> deliver at l completed)
-        in
-        let completed = ref [] in
-        Array.iter (fun arrive -> arrive completed) arrivals;
-        let s = Stats.Sample.create () in
-        List.iter
-          (fun (_, r) ->
-            Stats.Sample.add s
-              (float_of_int (Time.span_to_ns (Platform.record_total r))
-              /. 1e3))
-          (List.rev !completed);
-        Stats.Sample.percentile s 50.0)
-  in
-  let flat_p50, flat_path_w =
-    measure (fun () ->
-        let batch = Batch.create ~capacity:path_n () in
-        for k = 0 to path_n - 1 do
-          Batch.add batch ~at:(Time.span_ns (10 * k)) ~fn_id:0
-            ~payload:(lat_ns k)
-        done;
-        let arena = Arena.create ~capacity:path_n () in
-        let log = ref (Array.make 1024 0) in
-        let log_len = ref 0 in
-        let q = Stats.Quantile.create ~quantiles:[| 0.5; 0.99; 0.999 |] () in
-        for k = 0 to Batch.length batch - 1 do
-          let l = Batch.payload batch k in
-          let triggered_at = Time.of_ns (Batch.time_ns batch k) in
-          let zero = Time.span_ns 0 in
-          let h =
-            Arena.append arena ~fn_id:(Batch.fn_id batch k) ~mode:0
-              ~triggered_at ~init:zero ~exec:(Time.span_ns l)
-              ~preemption:zero
-              ~completed_at:(Time.add triggered_at (Time.span_ns l))
-          in
-          let slot = Arena.slot arena h in
-          if !log_len = Array.length !log then begin
-            let bigger = Array.make (2 * !log_len) 0 in
-            Array.blit !log 0 bigger 0 !log_len;
-            log := bigger
-          end;
-          !log.(!log_len) <- slot lsl 1;
-          incr log_len;
-          Stats.Quantile.add q
-            (float_of_int (Arena.total_ns arena slot) /. 1e3)
-        done;
-        Stats.Quantile.percentile q 50.0)
-  in
-  let rel_diff =
-    if boxed_p50 = 0.0 then Float.abs flat_p50
-    else Float.abs (boxed_p50 -. flat_p50) /. boxed_p50
-  in
-  if rel_diff > 0.05 then begin
-    Printf.eprintf
-      "storm path: exact Sample p50 %.3fus and streaming Quantile p50 \
-       %.3fus diverged — the two aggregation paths disagree\n"
-      boxed_p50 flat_p50;
-    exit 1
-  end;
-  let pn = float_of_int path_n in
-  Report.print
-    ~caption:
-      (Printf.sprintf
-         "trigger-path machinery, %d triggers: the per-trigger words \
-          each style allocates on top of the shared simulation \
-          (arrival representation, completion record, completion log, \
-          latency aggregation).  p50 agreed within %.2f%%."
-         path_n (100.0 *. rel_diff))
-    ~header:[ "measurement"; "boxed"; "flat"; "improvement" ]
-    [
-      [
-        "path words/trigger";
-        Printf.sprintf "%.1fw" (boxed_path_w /. pn);
-        Printf.sprintf "%.1fw" (flat_path_w /. pn);
-        Report.ratio
-          (if flat_path_w > 0.0 then boxed_path_w /. flat_path_w else 1.0);
-      ];
-      [
-        "p50 latency";
-        Report.ns (boxed_p50 *. 1e3);
-        Report.ns (flat_p50 *. 1e3);
-        "";
-      ];
-    ];
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    Report.write_json ~path ~jobs:1
-      [
-        {
-          Report.t_name = "storm:path:words-per-trigger";
-          t_jobs = 1;
-          t_wall_seq_s = boxed_path_w /. pn;
-          t_wall_par_s = flat_path_w /. pn;
-          t_meta = [];
-        };
-      ]
+    ]

@@ -1,6 +1,6 @@
 (** The operations shared by the flat {!Arena_list} and the boxed
-    {!Linked_list} oracle, so trace-equality tests and benchmarks can
-    drive either implementation from one script — the same pattern
+    {!Linked_list} oracle, so trace-equality tests can drive either
+    implementation from one script — the same pattern
     [Event_queue_reference] plays for the event core. *)
 
 module type S = sig

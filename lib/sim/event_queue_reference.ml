@@ -2,8 +2,7 @@
    model for the flat {!Event_queue}: one heap-allocated cell per event,
    tombstoned on cancel and skimmed at pop time.  The property tests
    drive random op scripts through both implementations and require
-   identical observable traces; the micro-benchmarks report its per-event
-   allocation as the baseline the flat queue is measured against. *)
+   identical observable traces. *)
 
 type 'a cell = {
   at : Time_ns.t;

@@ -4,8 +4,7 @@
     among equal timestamps, O(1) tombstoning cancel) but implemented
     the straightforward way: one allocated cell per event on a generic
     {!Binary_heap}.  It exists so the flat production queue can be
-    property-tested against an independent implementation, and so the
-    micro-benchmarks can report the allocation saving per event. *)
+    property-tested against an independent implementation. *)
 
 type 'a t
 

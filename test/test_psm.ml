@@ -589,67 +589,6 @@ let test_merge_script_equality seed () =
   Harness.check ~seeds:[ seed ] ~scripts:4 ~len:100 merge_spec
 
 (* ------------------------------------------------------------------ *)
-(* Skip list (the "better queue" alternative)                          *)
-(* ------------------------------------------------------------------ *)
-
-module Sl = Horse_psm.Skip_list
-
-let test_skip_insert_sorted () =
-  let t = Sl.create ~compare:icmp () in
-  List.iter (fun x -> ignore (Sl.insert t x)) [ 5; 1; 9; 3; 7; 1 ];
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 5; 7; 9 ] (Sl.to_list t);
-  Alcotest.(check int) "length" 6 (Sl.length t);
-  Alcotest.(check bool) "consistent" true (Sl.is_consistent t)
-
-let test_skip_stable () =
-  let t = Sl.create ~compare:(fun (a, _) (b, _) -> Int.compare a b) () in
-  List.iter (fun x -> ignore (Sl.insert t x)) [ (1, "a"); (1, "b"); (1, "c") ];
-  Alcotest.(check (list string)) "FIFO among equals" [ "a"; "b"; "c" ]
-    (List.map snd (Sl.to_list t))
-
-let test_skip_pop_min () =
-  let t = Sl.of_list ~compare:icmp [ 4; 2; 8 ] in
-  Alcotest.(check (option int)) "min" (Some 2) (Sl.pop_min t);
-  Alcotest.(check (option int)) "next" (Some 4) (Sl.pop_min t);
-  Alcotest.(check int) "length" 1 (Sl.length t);
-  Alcotest.(check bool) "consistent" true (Sl.is_consistent t)
-
-let test_skip_remove_first () =
-  let t = Sl.of_list ~compare:icmp [ 1; 2; 3; 4 ] in
-  Alcotest.(check bool) "removed" true (Sl.remove_first t (fun x -> x mod 2 = 0));
-  Alcotest.(check (list int)) "2 gone" [ 1; 3; 4 ] (Sl.to_list t);
-  Alcotest.(check bool) "no match" false (Sl.remove_first t (fun x -> x > 10));
-  Alcotest.(check bool) "consistent" true (Sl.is_consistent t)
-
-let test_skip_mem () =
-  let t = Sl.of_list ~compare:icmp [ 10; 20; 30 ] in
-  Alcotest.(check bool) "present" true (Sl.mem t 20);
-  Alcotest.(check bool) "absent" false (Sl.mem t 25)
-
-let test_skip_search_is_sublinear () =
-  (* the whole point: inserting at a random position in a big skip
-     list walks far fewer nodes than the linked list does *)
-  let n = 4096 in
-  let sl = Sl.create ~compare:icmp () in
-  let ll = Ll.create ~compare:icmp () in
-  let rng = ref 12345 in
-  let next () =
-    rng := (!rng * 1103515245 + 12345) land 0x3FFFFFFF;
-    !rng mod 1_000_000
-  in
-  let sl_hops = ref 0 and ll_steps = ref 0 in
-  for _ = 1 to n do
-    let x = next () in
-    sl_hops := !sl_hops + Sl.insert sl x;
-    ll_steps := !ll_steps + snd (Ll.insert_sorted ll x)
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "hops %d << steps %d" !sl_hops !ll_steps)
-    true
-    (!sl_hops * 10 < !ll_steps);
-  Alcotest.(check bool) "same contents" true (Sl.to_list sl = Ll.to_list ll)
-
-(* ------------------------------------------------------------------ *)
 (* Property tests                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -747,33 +686,6 @@ let prop_incremental_maintenance =
       (ignore (Psm.Plan.execute plan ~index:idx ~source:a);
        Al.to_list b = expected))
 
-let prop_skip_list_matches_sorted =
-  QCheck2.Test.make
-    ~name:"skip list == List.sort under random insert/remove scripts"
-    ~count:300
-    QCheck2.Gen.(
-      pair
-        (list_size (0 -- 80) (0 -- 100))
-        (list_size (0 -- 20) (0 -- 100)))
-    (fun (inserts, removals) ->
-      let t = Sl.create ~compare:icmp () in
-      List.iter (fun x -> ignore (Sl.insert t x)) inserts;
-      let expected = ref (List.sort icmp inserts) in
-      List.iter
-        (fun x ->
-          let removed = Sl.remove_first t (fun y -> y = x) in
-          let present = List.mem x !expected in
-          if present then begin
-            let rec drop = function
-              | [] -> []
-              | y :: rest -> if y = x then rest else y :: drop rest
-            in
-            expected := drop !expected
-          end;
-          if removed <> present then failwith "remove/mem disagreement")
-        removals;
-      Sl.is_consistent t && Sl.to_list t = !expected)
-
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -783,7 +695,6 @@ let props =
       prop_psm_binary_equals_linear;
       prop_psm_parallel_equals_sequential;
       prop_incremental_maintenance;
-      prop_skip_list_matches_sorted;
     ]
 
 let () =
@@ -863,16 +774,6 @@ let () =
             (test_merge_script_equality 42);
           Alcotest.test_case "merge script, seed 1337" `Quick
             (test_merge_script_equality 1337);
-        ] );
-      ( "skip_list",
-        [
-          Alcotest.test_case "insert sorted" `Quick test_skip_insert_sorted;
-          Alcotest.test_case "stable" `Quick test_skip_stable;
-          Alcotest.test_case "pop min" `Quick test_skip_pop_min;
-          Alcotest.test_case "remove first" `Quick test_skip_remove_first;
-          Alcotest.test_case "mem" `Quick test_skip_mem;
-          Alcotest.test_case "sublinear search" `Quick
-            test_skip_search_is_sublinear;
         ] );
       ( "incremental",
         [

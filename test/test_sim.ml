@@ -372,119 +372,6 @@ let eq_spec : eq_op Harness.spec =
 let test_eq_matches_reference () = Harness.check ~scripts:12 ~len:150 eq_spec
 
 (* ------------------------------------------------------------------ *)
-(* Timer wheel                                                         *)
-(* ------------------------------------------------------------------ *)
-
-module Tw = Horse_sim.Timer_wheel
-
-let test_wheel_orders () =
-  let w = Tw.create () in
-  List.iter
-    (fun (ns, tag) -> ignore (Tw.schedule w ~at:(at ns) tag))
-    [ (300, "c"); (10, "a"); (200, "b"); (5_000_000, "e"); (70_000, "d") ];
-  let drain () =
-    let rec go acc =
-      match Tw.pop w with
-      | None -> List.rev acc
-      | Some (_, tag) -> go (tag :: acc)
-    in
-    go []
-  in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c"; "d"; "e" ] (drain ())
-
-let test_wheel_fifo_ties () =
-  let w = Tw.create () in
-  ignore (Tw.schedule w ~at:(at 42) "first");
-  ignore (Tw.schedule w ~at:(at 42) "second");
-  ignore (Tw.schedule w ~at:(at 42) "third");
-  let pop () = snd (Option.get (Tw.pop w)) in
-  Alcotest.(check string) "1" "first" (pop ());
-  Alcotest.(check string) "2" "second" (pop ());
-  Alcotest.(check string) "3" "third" (pop ())
-
-let test_wheel_cancel () =
-  let w = Tw.create () in
-  let h = Tw.schedule w ~at:(at 10) "x" in
-  ignore (Tw.schedule w ~at:(at 20) "y");
-  Alcotest.(check bool) "cancel" true (Tw.cancel w h);
-  Alcotest.(check bool) "cancel twice" false (Tw.cancel w h);
-  Alcotest.(check int) "length" 1 (Tw.length w);
-  Alcotest.(check string) "skips cancelled" "y" (snd (Option.get (Tw.pop w)))
-
-let test_wheel_overflow_horizon () =
-  (* events beyond slots^levels land in the overflow and still fire *)
-  let w = Tw.create ~levels:2 ~slots:4 () in
-  (* horizon = 16 ticks *)
-  ignore (Tw.schedule w ~at:(at 1000) "far");
-  ignore (Tw.schedule w ~at:(at 3) "near");
-  Alcotest.(check string) "near first" "near" (snd (Option.get (Tw.pop w)));
-  Alcotest.(check string) "far still fires" "far" (snd (Option.get (Tw.pop w)));
-  Alcotest.(check bool) "empty" true (Tw.is_empty w)
-
-let test_wheel_rejects_past () =
-  let w = Tw.create () in
-  ignore (Tw.schedule w ~at:(at 100) ());
-  ignore (Tw.pop w);
-  Alcotest.(check int) "clock" 100 (Horse_sim.Time_ns.to_ns (Tw.now w));
-  Alcotest.check_raises "past"
-    (Invalid_argument "Timer_wheel.schedule: timestamp before the wheel clock")
-    (fun () -> ignore (Tw.schedule w ~at:(at 50) ()))
-
-let test_wheel_next_time () =
-  let w = Tw.create () in
-  Alcotest.(check bool) "empty" true (Tw.next_time w = None);
-  ignore (Tw.schedule w ~at:(at 777) ());
-  Alcotest.(check bool) "set" true (Tw.next_time w = Some (at 777))
-
-(* The oracle: interleave random schedules and pops on both structures
-   and require identical observable traces, including FIFO ties. *)
-let prop_wheel_matches_event_queue =
-  QCheck2.Test.make
-    ~name:"timer wheel trace == event queue trace (random interleavings)"
-    ~count:200
-    QCheck2.Gen.(
-      list_size (1 -- 120)
-        (oneof
-           [
-             map (fun d -> `Schedule d) (0 -- 2_000_000);
-             return `Pop;
-           ]))
-    (fun script ->
-      let w = Tw.create ~levels:3 ~slots:8 () in
-      let q = Eq.create () in
-      let tag = ref 0 in
-      let wheel_now = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | `Schedule delta ->
-            (* keep timestamps legal for the wheel: never in its past *)
-            let at_ns = !wheel_now + delta in
-            incr tag;
-            ignore (Tw.schedule w ~at:(at at_ns) !tag);
-            ignore (Eq.schedule q ~at:(at at_ns) !tag)
-          | `Pop -> (
-            match (Tw.pop w, Eq.pop q) with
-            | None, None -> ()
-            | Some (t1, v1), Some (t2, v2) ->
-              if not (Time.equal t1 t2 && v1 = v2) then ok := false;
-              wheel_now := Time.to_ns t1
-            | Some _, None | None, Some _ -> ok := false))
-        script;
-      (* drain both to the end *)
-      let rec drain () =
-        match (Tw.pop w, Eq.pop q) with
-        | None, None -> ()
-        | Some (t1, v1), Some (t2, v2) ->
-          if not (Time.equal t1 t2 && v1 = v2) then ok := false
-          else drain ()
-        | Some _, None | None, Some _ -> ok := false
-      in
-      drain ();
-      !ok)
-
-(* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -874,7 +761,6 @@ let props =
     [
       prop_heap_sorts;
       prop_percentile_matches_sorted;
-      prop_wheel_matches_event_queue;
       prop_engine_fires_in_order;
       prop_engine_clock_matches_event_time;
     ]
@@ -917,16 +803,6 @@ let () =
           Alcotest.test_case "handle reuse" `Quick test_eq_handle_reuse;
           Alcotest.test_case "matches boxed reference (harness scripts)"
             `Quick test_eq_matches_reference;
-        ] );
-      ( "timer_wheel",
-        [
-          Alcotest.test_case "orders" `Quick test_wheel_orders;
-          Alcotest.test_case "FIFO ties" `Quick test_wheel_fifo_ties;
-          Alcotest.test_case "cancel" `Quick test_wheel_cancel;
-          Alcotest.test_case "overflow horizon" `Quick
-            test_wheel_overflow_horizon;
-          Alcotest.test_case "rejects past" `Quick test_wheel_rejects_past;
-          Alcotest.test_case "next_time" `Quick test_wheel_next_time;
         ] );
       ( "engine",
         [
