@@ -1236,32 +1236,28 @@ let manual_merge_benches () =
           ~batch:1001
           ~allocate:(fun () ->
             let source, target = merge_setup_arena ~source_len:36 ~target_len in
-            let index = Psm.Index.build target in
-            let plan = Psm.Plan.build ~source ~index in
-            (source, index, plan))
-          ~run:(fun (source, index, plan) ->
-            ignore (Psm.Plan.execute plan ~index ~source));
+            (source, target, Psm.Plan.build ~source ~target))
+          ~run:(fun (source, target, plan) ->
+            ignore (Psm.Plan.execute plan ~target ~source));
       ])
     [ 128; 1024; 4096 ]
 
 let bench_psm_precompute ~source_len ~target_len =
   let source, target = merge_setup_arena ~source_len ~target_len in
-  let index = Psm.Index.build target in
   Bechamel.Test.make
     ~name:
       (Printf.sprintf "psm/precompute %d vs %d" source_len target_len)
     (Bechamel.Staged.stage (fun () ->
-         ignore (Psm.Plan.build ~source ~index)))
+         ignore (Psm.Plan.build ~source ~target)))
 
 (* the O(|A|·log|B|) variant of the paper's O(n) position scan *)
 let bench_psm_precompute_binary ~source_len ~target_len =
   let source, target = merge_setup_arena ~source_len ~target_len in
-  let index = Psm.Index.build target in
   Bechamel.Test.make
     ~name:
       (Printf.sprintf "psm/precompute-binary %d vs %d" source_len target_len)
     (Bechamel.Staged.stage (fun () ->
-         ignore (Psm.Plan.build_binary ~source ~index)))
+         ignore (Psm.Plan.build_binary ~source ~target)))
 
 (* the simulator's pending-event set: schedule+drain of a burst
    spread over 50ms, so most events take the 4-ary heap path *)

@@ -1,6 +1,7 @@
 (* Hot-path microbenchmarks of the production structures: the event
-   queue, the pool dispatch path, the arena run queue and the router's
-   decide path.  Each row reports one implementation's absolute value
+   queue, the pool dispatch path, the arena run queue, the P²SM
+   maintenance callback of paused sandboxes and the router's decide
+   path.  Each row reports one implementation's absolute value
    with its unit.
 
    Usage:  micro.exe [--quick]
@@ -17,7 +18,9 @@
    untimed warm-up round, so the arrays have reached steady state and
    no row is billed its cold-start growth.  Timings are the minimum
    over trials (the stable floor); word counts come from one untimed
-   pass and need no minimum. *)
+   pass and need no minimum.  The run-queue trials of all sizes are
+   interleaved, so a ratio between two sizes compares passes that saw
+   the same host load. *)
 
 (* Ceilings for the gated rows: the values measured when the budgets
    were set, in words per operation (or a growth factor). *)
@@ -26,6 +29,7 @@ let budgets =
     ("eq-near:words-per-event", 5.2);
     ("eq-far:words-per-event", 5.0);
     ("rq-mutation:words-per-mutation", 3.0);
+    ("psm-maintenance:words-per-callback", 0.0);
     ("router:decide-push-warm-first:words-per-decide", 2.0);
     ("router:decide-pull:words-per-decide", 6.0);
     ("router:decide-core:words-per-decide", 16.0);
@@ -152,17 +156,47 @@ let rq_vcpus n =
    a live accumulator so nothing is dead-code-eliminated. *)
 let rq_sink = ref 0
 
-(* Steady-state churn on a persistent queue: each round dequeues every
-   node then re-enqueues every vCPU, the two halves timed separately.
-   One run gives enqueue ns, dequeue-by-node ns, and words per
-   mutation. *)
-let rq_churn ~n ~subs ~rounds ~trials =
+let counting_queue ~subs =
   let q = Runqueue.create ~cpu:0 ~id:0 () in
   for _ = 1 to subs do
     ignore
       (Runqueue.subscribe q (fun _event ~pos ~node:_ ->
            rq_sink := !rq_sink + pos))
   done;
+  q
+
+module Sandbox = Horse_vmm.Sandbox
+module Vmm = Horse_vmm.Vmm
+
+(* A ull_runqueue with [subs] sandboxes HORSE-paused against it: each
+   subscriber is the VMM's own maintenance callback over a real P²SM
+   plan of 4 vCPUs with random credits. *)
+let paused_queue ~subs =
+  let scheduler =
+    Horse_sched.Scheduler.create ~ull_count:1
+      ~topology:Horse_cpu.Topology.r650_smt ()
+  in
+  let vmm =
+    Vmm.create ~jitter:0.0 ~scheduler ~metrics:(Horse_sim.Metrics.create ()) ()
+  in
+  let rng = Rng.create ~seed:17 in
+  for id = 1 to subs do
+    let sb = Sandbox.create ~id ~vcpus:4 ~memory_mb:128 ~ull:true () in
+    Array.iter
+      (fun v -> Vcpu.set_credit v (Rng.int rng 1_000_000))
+      (Sandbox.vcpus sb);
+    ignore (Vmm.boot vmm sb);
+    ignore (Vmm.pause vmm ~strategy:Sandbox.Horse sb)
+  done;
+  List.hd (Horse_sched.Scheduler.ull_runqueues scheduler)
+
+(* Steady-state churn on a persistent queue of [n] vCPUs: each round
+   dequeues every node then re-enqueues every vCPU.  The words come
+   from one untimed pass; [trial] times one more pass, returning its
+   dequeue and enqueue halves in ns. *)
+type churn = { n : int; words : float; trial : unit -> float * float }
+
+let rq_churn q ~n ~rounds =
   let vcpus = rq_vcpus n in
   let nodes = Array.map (fun v -> fst (Runqueue.enqueue q v)) vcpus in
   let dequeue_all () =
@@ -182,9 +216,7 @@ let rq_churn ~n ~subs ~rounds ~trials =
         done)
     -. counter_words
   in
-  let best = ref infinity in
-  let enq_ns = ref 0.0 and deq_ns = ref 0.0 in
-  for _ = 1 to trials do
+  let trial () =
     let e = ref 0.0 and d = ref 0.0 in
     for _ = 1 to rounds do
       let t0 = now_ns () in
@@ -195,18 +227,33 @@ let rq_churn ~n ~subs ~rounds ~trials =
       d := !d +. (t1 -. t0);
       e := !e +. (t2 -. t1)
     done;
-    if !e +. !d < !best then begin
-      best := !e +. !d;
-      enq_ns := !e;
-      deq_ns := !d
-    end
+    (!d, !e)
+  in
+  { n; words; trial }
+
+(* [trials] timed passes of every churn, interleaved: trial k of each
+   runs before trial k+1 of any, so every churn samples the same load
+   phases of a busy host.  Each keeps its fastest pass (by total). *)
+let time_churns ~rounds ~trials churns =
+  let best = Array.map (fun _ -> (infinity, 0.0, 0.0)) churns in
+  for _ = 1 to trials do
+    Array.iteri
+      (fun i c ->
+        let d, e = c.trial () in
+        let total, _, _ = best.(i) in
+        if d +. e < total then best.(i) <- (d +. e, d, e))
+      churns
   done;
-  let ops = float_of_int (n * rounds) in
-  {
-    enq_ns = !enq_ns /. ops;
-    deq_ns = !deq_ns /. ops;
-    words_per_mut = words /. (2.0 *. ops);
-  }
+  Array.mapi
+    (fun i c ->
+      let _, d, e = best.(i) in
+      let ops = float_of_int (c.n * rounds) in
+      {
+        enq_ns = e /. ops;
+        deq_ns = d /. ops;
+        words_per_mut = c.words /. (2.0 *. ops);
+      })
+    churns
 
 (* ------------------------------------------------------------------ *)
 (* Router decide path: policy decisions against the mirror view        *)
@@ -304,23 +351,38 @@ let () =
   in
   let rq =
     let n = 256 and fan = 64 in
-    let c0 = rq_churn ~n ~subs:0 ~rounds ~trials in
-    let c64 = rq_churn ~n ~subs:fan ~rounds ~trials in
-    (* fan-out cost: what each extra subscriber adds to a mutation *)
-    let per_sub =
+    let costs =
+      time_churns ~rounds ~trials
+        [|
+          rq_churn (counting_queue ~subs:0) ~n ~rounds;
+          rq_churn (counting_queue ~subs:fan) ~n ~rounds;
+          rq_churn (paused_queue ~subs:fan) ~n ~rounds;
+          rq_churn (counting_queue ~subs:0) ~n:64 ~rounds;
+          rq_churn (counting_queue ~subs:0) ~n:1024 ~rounds;
+        |]
+    in
+    let c0 = costs.(0) and c64 = costs.(1) and psm = costs.(2) in
+    let small = costs.(3) and large = costs.(4) in
+    (* what each of the [fan] subscribers of [c] adds to a mutation
+       of [base] *)
+    let per_sub ~(base : rq_cost) (c : rq_cost) =
       Float.max 0.01
-        ((c64.enq_ns +. c64.deq_ns -. c0.enq_ns -. c0.deq_ns)
+        ((c.enq_ns +. c.deq_ns -. base.enq_ns -. base.deq_ns)
         /. float_of_int fan)
     in
-    (* flatness: how much dequeue-by-node slows down when the queue
-       grows 16x; a per-element walk would grow ~16x *)
-    let small = rq_churn ~n:64 ~subs:0 ~rounds ~trials in
-    let large = rq_churn ~n:1024 ~subs:0 ~rounds ~trials in
     [
       ("rq-enqueue:ns-per-op", Ns, c0.enq_ns);
       ("rq-dequeue:ns-per-op", Ns, c0.deq_ns);
-      ("rq-notify:ns-per-sub", Ns, per_sub);
+      ("rq-notify:ns-per-sub", Ns, per_sub ~base:c0 c64);
       ("rq-mutation:words-per-mutation", Words, c64.words_per_mut);
+      (* a paused plan's callback over the counting one: the same
+         churn, so the difference is the P²SM upkeep alone *)
+      ("psm-maintenance:ns-per-callback", Ns, per_sub ~base:c64 psm);
+      ( "psm-maintenance:words-per-callback",
+        Words,
+        (psm.words_per_mut -. c64.words_per_mut) /. float_of_int fan );
+      (* flatness: how much dequeue-by-node slows down when the queue
+         grows 16x; a per-element walk would grow ~16x *)
       ("rq-dequeue:growth-64-to-1024", Growth, large.deq_ns /. small.deq_ns);
     ]
   in
@@ -352,8 +414,9 @@ let () =
     ~caption:
       "Hot paths of the production structures: flat event queue \
        (ring + 4-ary heap), pool dispatch at chunk 1 and 32, arena run \
-       queue, router decide per builtin policy.  Budgeted rows must stay \
-       at or under their budget."
+       queue, P²SM upkeep per paused subscriber, router decide per \
+       builtin policy.  Budgeted rows must stay at or under their \
+       budget."
     ~header:[ "benchmark"; "value"; "budget" ]
     (List.map
        (fun (name, unit_, value) ->

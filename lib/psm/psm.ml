@@ -2,71 +2,17 @@ module Al = Arena_list
 
 exception Stale
 
-module Index = struct
-  type 'a t = {
-    target : 'a Al.t;
-    mutable nodes : Al.handle array;
-    mutable size : int;
-  }
-
-  let build target = { target; nodes = Al.handles target; size = Al.length target }
-
-  let target t = t.target
-
-  let length t = t.size
-
-  let anchor t k =
-    if k < 0 || k > t.size then invalid_arg "Psm.Index.anchor: key out of range";
-    if k = 0 then Al.nil else t.nodes.(k - 1)
-
-  let ensure_capacity t =
-    if t.size = Array.length t.nodes then begin
-      let capacity = max 8 (2 * t.size) in
-      let nodes = Array.make capacity Al.nil in
-      Array.blit t.nodes 0 nodes 0 t.size;
-      t.nodes <- nodes
-    end
-
-  let note_insert t ~pos node =
-    if pos < 0 || pos > t.size then
-      invalid_arg "Psm.Index.note_insert: position out of range";
-    ensure_capacity t;
-    Array.blit t.nodes pos t.nodes (pos + 1) (t.size - pos);
-    t.nodes.(pos) <- node;
-    t.size <- t.size + 1
-
-  let note_remove t ~pos =
-    if pos < 0 || pos >= t.size then
-      invalid_arg "Psm.Index.note_remove: position out of range";
-    Array.blit t.nodes (pos + 1) t.nodes pos (t.size - pos - 1);
-    t.size <- t.size - 1
-
-  let rebuild t =
-    t.nodes <- Al.handles t.target;
-    t.size <- Al.length t.target
-
-  (* #{b in B : b <= a}: first position whose node value exceeds [a]. *)
-  let find_key t a =
-    let compare = Al.compare_fn t.target in
-    let rec search lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if compare (Al.value t.target t.nodes.(mid)) a <= 0 then
-          search (mid + 1) hi
-        else search lo mid
-      end
-    in
-    search 0 t.size
-
-  let is_consistent t =
-    t.size = Al.length t.target
-    &&
-    let fresh = Al.handles t.target in
-    let ok = ref true in
-    Array.iteri (fun i h -> if not (Al.equal h t.nodes.(i)) then ok := false) fresh;
-    !ok
-end
+(* #{b in B : b <= a}: the first position of [target] whose value
+   exceeds [a], by binary search over the list's order buffer. *)
+let find_key target a =
+  let compare = Al.compare_fn target in
+  let lo = ref 0 and hi = ref (Al.length target) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if compare (Al.value target (Al.nth target mid)) a <= 0 then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
 
 module Plan = struct
   (* posA as four parallel arrays over segment index: splice key,
@@ -75,10 +21,15 @@ module Plan = struct
      chain, so [heads]/[tails] chain into each other in array order.
      Flat storage makes the per-mutation maintenance (the note_target
      operations) in-place int arithmetic: the resume-storm hot path
-     allocates nothing per notification. *)
+     allocates nothing per notification.  arrayB is not stored: the
+     target's own order buffer ({!Al.nth}) addresses its nodes, and
+     [target_len] counts the target length the notes reported, so a
+     missed update still shows at merge time. *)
   type 'a t = {
     source : 'a Al.t;
+    target : 'a Al.t;
     compare : 'a -> 'a -> int;
+    mutable target_len : int;
     mutable keys : int array;
     mutable heads : Al.handle array;
     mutable tails : Al.handle array;
@@ -90,10 +41,12 @@ module Plan = struct
 
   type stats = { threads : int; spliced : int; max_segment : int }
 
-  let create_empty source =
+  let create_empty ~source ~target =
     {
       source;
+      target;
       compare = Al.compare_fn source;
+      target_len = Al.length target;
       keys = Array.make 8 0;
       heads = Array.make 8 Al.nil;
       tails = Array.make 8 Al.nil;
@@ -161,19 +114,17 @@ module Plan = struct
     done;
     if !lo < t.nseg && t.keys.(!lo) = key then !lo else -1
 
-  let build ~source ~(index : 'a Index.t) =
-    let t = create_empty source in
+  let build ~source ~target =
+    let t = create_empty ~source ~target in
     (* Two-pointer scan: both lists are sorted, so the key is found by
-       advancing a single cursor over the index. *)
+       advancing a single cursor over the target. *)
     let cursor = ref 0 in
-    let n = Index.length index in
+    let n = Al.length target in
     Array.iter
       (fun node ->
         let a = Al.value source node in
         while
-          !cursor < n
-          && t.compare (Al.value index.Index.target index.Index.nodes.(!cursor)) a
-             <= 0
+          !cursor < n && t.compare (Al.value target (Al.nth target !cursor)) a <= 0
         do
           incr cursor
         done;
@@ -181,11 +132,10 @@ module Plan = struct
       (Al.handles source);
     t
 
-  let build_binary ~source ~index =
-    let t = create_empty source in
+  let build_binary ~source ~target =
+    let t = create_empty ~source ~target in
     Array.iter
-      (fun node ->
-        push t ~key:(Index.find_key index (Al.value source node)) ~node)
+      (fun node -> push t ~key:(find_key target (Al.value source node)) ~node)
       (Al.handles source);
     t
 
@@ -208,35 +158,35 @@ module Plan = struct
 
   (* Split the segment at [key]: the suffix of elements [a] with
      [v <= a] moves to [key + 1] (they now follow the new target
-     element). *)
+     element).  A plain loop over local refs: this runs once per
+     subscriber per queue mutation, and must not allocate. *)
   let split_segment t key v =
     let i = find_seg t key in
     if i >= 0 then begin
       let count = t.counts.(i) in
-      (* first element of the segment that must follow the new target
-         element, i.e. the first [a] with [v <= a] (sorted, so a
-         suffix) *)
-      let rec first_moved node walked =
-        if walked >= count then None
-        else if t.compare v (Al.value t.source node) <= 0 then
-          Some (node, walked)
-        else first_moved (Al.next t.source node) (walked + 1)
-      in
-      match first_moved t.heads.(i) 0 with
-      | None -> ()  (* every element stays before the new target node *)
-      | Some (_, 0) ->
+      (* walk to the first element that must follow the new target
+         element, i.e. the first [a] with [v <= a] (sorted, so the
+         moved elements are a suffix) *)
+      let node = ref t.heads.(i) and walked = ref 0 in
+      while !walked < count && t.compare v (Al.value t.source !node) > 0 do
+        node := Al.next t.source !node;
+        incr walked
+      done;
+      if !walked = 0 then
         (* the whole segment moves: just re-key it (pos+1 is free —
            strictly greater keys were already shifted) *)
         t.keys.(i) <- key + 1
-      | Some (node, walked) ->
+      else if !walked < count then begin
         let old_tail = t.tails.(i) in
-        t.tails.(i) <- Al.prev t.source node;
-        t.counts.(i) <- walked;
+        t.tails.(i) <- Al.prev t.source !node;
+        t.counts.(i) <- !walked;
         shift_right t (i + 1);
         t.keys.(i + 1) <- key + 1;
-        t.heads.(i + 1) <- node;
+        t.heads.(i + 1) <- !node;
         t.tails.(i + 1) <- old_tail;
-        t.counts.(i + 1) <- count - walked
+        t.counts.(i + 1) <- count - !walked
+      end
+      (* else every element stays before the new target node *)
     end
 
   let note_target_insert t ~pos v =
@@ -246,7 +196,8 @@ module Plan = struct
     for j = 0 to t.nseg - 1 do
       if t.keys.(j) > pos then t.keys.(j) <- t.keys.(j) + 1
     done;
-    split_segment t pos v
+    split_segment t pos v;
+    t.target_len <- t.target_len + 1
 
   let note_target_remove t ~pos =
     let q = pos + 1 in
@@ -263,11 +214,17 @@ module Plan = struct
         t.counts.(i - 1) <- t.counts.(i - 1) + t.counts.(i);
         shift_left t i
       end
-      else t.keys.(i) <- q - 1
+      else t.keys.(i) <- q - 1;
+    t.target_len <- t.target_len - 1
 
-  let note_source_insert t ~index ~node =
+  let check_lists name t ~target ~source =
+    if target != t.target || source != t.source then
+      invalid_arg (name ^ ": not the lists the plan was built over")
+
+  let note_source_insert t ~target ~node =
+    check_lists "Psm.Plan.note_source_insert" t ~target ~source:t.source;
     let v = Al.value t.source node in
-    let key = Index.find_key index v in
+    let key = find_key target v in
     let i = find_seg t key in
     if i >= 0 then begin
       if t.compare v (Al.value t.source t.heads.(i)) < 0 then t.heads.(i) <- node;
@@ -308,16 +265,23 @@ module Plan = struct
     end;
     t.total <- t.total - 1
 
-  let check_fresh t ~index ~source =
+  (* The missed-update check: the plan must have been told of every
+     target mutation since it was built. *)
+  let check_fresh t ~target ~source =
+    check_lists "Psm.Plan.execute" t ~target ~source;
     if not t.valid then raise Stale;
-    if Index.length index <> Al.length (Index.target index) then raise Stale;
+    if t.target_len <> Al.length target then raise Stale;
     if t.total <> Al.length source then raise Stale;
     for j = 0 to t.nseg - 1 do
-      if t.keys.(j) < 0 || t.keys.(j) > Index.length index then raise Stale
+      if t.keys.(j) < 0 || t.keys.(j) > t.target_len then raise Stale
     done
 
-  let splice_one t index target i =
-    Al.Unsafe.link_after target ~anchor:(Index.anchor index t.keys.(i))
+  (* Key 0 splices at the head; key k after the target's k-th node,
+     read straight from its order buffer. *)
+  let splice_one t target i =
+    let k = t.keys.(i) in
+    Al.Unsafe.link_after target
+      ~anchor:(if k = 0 then Al.nil else Al.nth target (k - 1))
       ~first:t.heads.(i) ~last:t.tails.(i)
 
   let finish t =
@@ -338,24 +302,22 @@ module Plan = struct
       ~nseg:t.nseg;
     finish t
 
-  let execute t ~index ~source =
-    check_fresh t ~index ~source;
-    let target = Index.target index in
+  let execute t ~target ~source =
+    check_fresh t ~target ~source;
     for i = 0 to t.nseg - 1 do
-      splice_one t index target i
+      splice_one t target i
     done;
     commit t ~target ~source
 
-  let execute_parallel ~domains t ~index ~source =
+  let execute_parallel ~domains t ~target ~source =
     if domains < 1 then invalid_arg "Psm.Plan.execute_parallel: domains < 1";
-    check_fresh t ~index ~source;
-    let target = Index.target index in
+    check_fresh t ~target ~source;
     let n = t.nseg in
     let workers = min domains (max n 1) in
     if n > 0 then
       if workers = 1 then
         for i = 0 to n - 1 do
-          splice_one t index target i
+          splice_one t target i
         done
       else begin
         (* strand [w] handles segments w, w+workers, w+2·workers …;
@@ -366,7 +328,7 @@ module Plan = struct
         let strand w () =
           let i = ref w in
           while !i < n do
-            splice_one t index target !i;
+            splice_one t target !i;
             i := !i + workers
           done
         in
@@ -378,11 +340,12 @@ module Plan = struct
       end;
     commit t ~target ~source
 
-  let is_consistent t ~index ~source =
-    t.valid
+  let is_consistent t ~target ~source =
+    t.valid && target == t.target && source == t.source
     && t.total = Al.length source
+    && t.target_len = Al.length target
     &&
-    let fresh = build ~source ~index in
+    let fresh = build ~source ~target in
     fresh.nseg = t.nseg
     &&
     let ok = ref true in

@@ -1,12 +1,13 @@
 (** P²SM — parallel precomputed sorted merge (paper §4.1).
 
     Merges a sorted list [A] (a paused sandbox's [merge_vcpus]) into a
-    sorted list [B] (the [ull_runqueue]) in O(1) pointer writes, by
-    precomputing:
+    sorted list [B] (the [ull_runqueue]) in O(1) pointer writes, using:
 
-    - {!Index} — the paper's [arrayB]: position [k] → the handle of
-      [B]'s node at position [k], so splice points are addressable
-      without walking;
+    - the paper's [arrayB]: position [k] → the handle of [B]'s node at
+      position [k], so splice points are addressable without walking.
+      This is [B]'s own order buffer ({!Arena_list.nth}, O(1)), which
+      the list keeps current on every mutation — one array per queue,
+      shared by every subscribed plan, not a copy per paused sandbox;
     - {!Plan} — the paper's [posA]: a map from splice position in [B]
       to the contiguous sublist of [A] that belongs there.
 
@@ -22,67 +23,30 @@
     parallelism argument — and {!Plan.execute_parallel} really runs
     it on OCaml domains.
 
-    Both structures support the incremental maintenance of §4.1.3:
-    while a sandbox stays paused, every insert/remove on the
-    ull_runqueue is reflected with {!Plan.note_target_insert} /
-    {!Plan.note_target_remove} (and {!Index.note_insert} /
-    {!Index.note_remove}), and every vCPU added to the paused set
-    with {!Plan.note_source_insert}.  The maintenance path is
-    in-place over flat [int] arrays: it allocates nothing per event,
-    which is what keeps resume storms (thousands of subscribed paused
-    sandboxes) affordable. *)
+    The plan supports the incremental maintenance of §4.1.3: while a
+    sandbox stays paused, every insert/remove on the ull_runqueue is
+    reflected with {!Plan.note_target_insert} /
+    {!Plan.note_target_remove}, and every vCPU added to the paused set
+    with {!Plan.note_source_insert}.  [arrayB] needs no upkeep of its
+    own.  The maintenance path is in-place over flat [int] arrays: it
+    allocates nothing per event, which is what keeps resume storms
+    (thousands of subscribed paused sandboxes) affordable. *)
 
 exception Stale
 (** Raised by merge execution when the precomputed structures do not
     match the current lists (a missed incremental update — a bug in
     the caller's bookkeeping). *)
 
-module Index : sig
-  type 'a t
-  (** The [arrayB] of the paper: direct node addressing for a target
-      list. *)
-
-  val build : 'a Arena_list.t -> 'a t
-  (** Snapshot the handle array of [B] (O(|B|)). *)
-
-  val target : 'a t -> 'a Arena_list.t
-
-  val length : 'a t -> int
-  (** Number of indexed nodes; must equal [length (target t)] for the
-      index to be fresh. *)
-
-  val anchor : 'a t -> int -> Arena_list.handle
-  (** [anchor t k] is the node to splice after for key [k]:
-      {!Arena_list.nil} denotes the list head (key 0), otherwise the
-      [k]-th node (1-based).  @raise Invalid_argument if [k] is
-      outside [0, length t]. *)
-
-  val note_insert : 'a t -> pos:int -> Arena_list.handle -> unit
-  (** Reflect an insertion into [B]: the new node now sits at 0-based
-      position [pos] (the step count returned by
-      {!Arena_list.insert_sorted}). *)
-
-  val note_remove : 'a t -> pos:int -> unit
-  (** Reflect a removal from [B] at 0-based position [pos]. *)
-
-  val rebuild : 'a t -> unit
-  (** Re-snapshot from the target (used after a merge grows [B]). *)
-
-  val find_key : 'a t -> 'a -> int
-  (** [find_key t a] is [#{b ∈ B : b ≤ a}] by binary search over the
-      handle array (O(log |B|)) — the fast variant of the paper's
-      O(n) position computation. *)
-
-  val is_consistent : 'a t -> bool
-  (** True iff the array matches a fresh walk of the target. *)
-end
-
 module Plan : sig
   type 'a t
   (** The [posA] of the paper, for one (source, target) pair.  Stored
       as flat parallel arrays (key, head handle, tail handle, count
       per segment), so incremental maintenance is in-place int
-      arithmetic. *)
+      arithmetic.  The plan also counts the target length its
+      {!note_target_insert}/{!note_target_remove} calls imply, which
+      is how {!execute} detects a target mutation nobody reported.
+      Functions that name the lists raise [Invalid_argument] if they
+      are not the plan's. *)
 
   type stats = {
     threads : int;  (** segments spliced = merge threads used *)
@@ -90,12 +54,14 @@ module Plan : sig
     max_segment : int;  (** longest sublist (0 if empty source) *)
   }
 
-  val build : source:'a Arena_list.t -> index:'a Index.t -> 'a t
+  val build : source:'a Arena_list.t -> target:'a Arena_list.t -> 'a t
   (** The precompute phase, by a linear two-pointer scan
       (O(|A| + |B|)).  Source and target must share an arena. *)
 
-  val build_binary : source:'a Arena_list.t -> index:'a Index.t -> 'a t
-  (** Same result via per-element binary search (O(|A|·log |B|));
+  val build_binary :
+    source:'a Arena_list.t -> target:'a Arena_list.t -> 'a t
+  (** Same result via per-element binary search over the target's
+      order buffer (key of [a] = [#{b ∈ B : b ≤ a}], O(|A|·log |B|));
       faster when [A] is tiny next to [B].  Ablation material. *)
 
   val key_count : 'a t -> int
@@ -119,15 +85,16 @@ module Plan : sig
   val note_target_insert : 'a t -> pos:int -> 'a -> unit
   (** The target gained an element with value [v] at 0-based position
       [pos]: shifts affected keys and splits the straddling segment.
-      Call for every paused plan whenever the ull_runqueue grows. *)
+      Call for every paused plan whenever the ull_runqueue grows.
+      Allocates nothing. *)
 
   val note_target_remove : 'a t -> pos:int -> unit
   (** The target lost the element at 0-based position [pos]: shifts
       keys down and coalesces the two segments that become
-      adjacent. *)
+      adjacent.  Allocates nothing. *)
 
   val note_source_insert :
-    'a t -> index:'a Index.t -> node:Arena_list.handle -> unit
+    'a t -> target:'a Arena_list.t -> node:Arena_list.handle -> unit
   (** A node was just inserted (sorted) into the source list; extends
       or creates the segment its value belongs to. *)
 
@@ -137,19 +104,22 @@ module Plan : sig
       @raise Not_found if the node is not covered by the plan. *)
 
   val execute :
-    'a t -> index:'a Index.t -> source:'a Arena_list.t -> stats
-  (** The merge phase (Algorithm 1): two chain writes per key, then
-      one O(|A| + |B|) order-buffer commit ({!Arena_list.Unsafe.merge_commit})
-      — per merge, not per subscriber.  Consumes the source (left
-      empty; its handles stay valid, re-owned by the target), grows
-      the target, invalidates the plan and leaves the index stale
-      (call {!Index.rebuild}).
-      @raise Stale if index or plan do not match the lists. *)
+    'a t -> target:'a Arena_list.t -> source:'a Arena_list.t -> stats
+  (** The merge phase (Algorithm 1): two chain writes per key, each
+      anchored at the target node its key names in the target's order
+      buffer, then one O(|A| + |B|) order-buffer commit
+      ({!Arena_list.Unsafe.merge_commit}) — per merge, not per
+      subscriber.  Consumes the source (left empty; its handles stay
+      valid, re-owned by the target), grows the target and
+      invalidates the plan.
+      @raise Stale if the plan was already executed, or the target
+      length or source length differs from what the plan was told
+      (a missed update). *)
 
   val execute_parallel :
     domains:int ->
     'a t ->
-    index:'a Index.t ->
+    target:'a Arena_list.t ->
     source:'a Arena_list.t ->
     stats
   (** Same, splicing segments from up to [domains] parallel strands
@@ -159,7 +129,7 @@ module Plan : sig
       @raise Invalid_argument if [domains < 1]. *)
 
   val is_consistent :
-    'a t -> index:'a Index.t -> source:'a Arena_list.t -> bool
+    'a t -> target:'a Arena_list.t -> source:'a Arena_list.t -> bool
   (** True iff rebuilding from scratch yields this plan — the
       incremental-maintenance correctness oracle used by tests. *)
 end

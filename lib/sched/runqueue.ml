@@ -96,15 +96,13 @@ let pop_front t =
     notify t Removed ~pos:0 ~node:Al.nil;
     Some vcpu
 
-let apply_merge t ~plan ~index ~source =
-  if not (Psm.Index.target index == t.queue) then
-    invalid_arg "Runqueue.apply_merge: index built over a different queue";
+let apply_merge t ~plan ~source =
   (* Captured before execute consumes the plan/source; [nodes] is the
      spliced handles in source order (they survive the merge: slots
      are re-owned, not moved). *)
   let keys, counts = Psm.Plan.keys_counts plan in
   let nodes = Al.handles source in
-  let stats = Psm.Plan.execute plan ~index ~source in
+  let stats = Psm.Plan.execute plan ~target:t.queue ~source in
   (* Tell the remaining subscribers where every vCPU landed, phrased
      as sequential inserts: element j of the segment spliced at key k
      sits at position k + (elements spliced before this segment) + j.

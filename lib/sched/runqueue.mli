@@ -11,9 +11,10 @@
     every structural mutation still reports the nodes the boxed
     oracle would have walked (for cost accounting) and notifies
     subscribers with enough detail ([pos] + handle) to drive
-    {!Horse_psm.Psm.Index.note_insert} and
     {!Horse_psm.Psm.Plan.note_target_insert} incrementally.  The
-    notification itself passes only immediate arguments in
+    list's own order buffer is the paper's [arrayB] for every
+    subscriber at once, so a subscriber keeps no copy of the queue.
+    The notification itself passes only immediate arguments in
     deterministic (ascending subscription) order — nothing is
     allocated per mutation per subscriber. *)
 
@@ -66,7 +67,8 @@ val timeslice : t -> Horse_sim.Time_ns.span
 val length : t -> int
 
 val queue : t -> Vcpu.t Horse_psm.Arena_list.t
-(** The underlying sorted list (P²SM indexes are built over it). *)
+(** The underlying sorted list (P²SM plans are built over it, and
+    address its nodes through its order buffer). *)
 
 val arena : t -> Vcpu.t Horse_psm.Arena_list.arena
 (** The slot arena backing this queue (shared across a scheduler). *)
@@ -93,7 +95,6 @@ val pop_front : t -> Vcpu.t option
 val apply_merge :
   t ->
   plan:Vcpu.t Horse_psm.Psm.Plan.t ->
-  index:Vcpu.t Horse_psm.Psm.Index.t ->
   source:Vcpu.t Horse_psm.Arena_list.t ->
   Horse_psm.Psm.Plan.stats * Horse_psm.Arena_list.handle array
 (** The P²SM merge of a resuming sandbox's [merge_vcpus] into this
@@ -101,6 +102,8 @@ val apply_merge :
     resuming sandbox must unsubscribe first).  All spliced vCPUs are
     marked [Queued].  Also returns the spliced handles (source order)
     so the resumer can record its placements.
+    @raise Invalid_argument if [plan] was built over another queue or
+    source.
     @raise Horse_psm.Psm.Stale as {!Horse_psm.Psm.Plan.execute}. *)
 
 val subscribe : t -> callback -> subscription

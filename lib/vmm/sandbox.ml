@@ -26,11 +26,9 @@ type placement = {
 type horse_state = {
   merge_vcpus : Vcpu.t Horse_psm.Arena_list.t;
   ull_queue : Horse_sched.Runqueue.t;
-  index : Vcpu.t Psm.Index.t;
   plan : Vcpu.t Psm.Plan.t;
   subscription : Horse_sched.Runqueue.subscription;
   precomputed : Horse_coalesce.Coalesce.Precomputed.t option;
-  mutable maintenance_events : int;
 }
 
 type t = {
@@ -96,17 +94,18 @@ let horse_state t = t.horse_state
 
 let set_horse_state t h = t.horse_state <- h
 
-(* Rough per-entry sizes in bytes: an index slot is one handle, a
+(* Rough per-entry sizes in bytes: an arrayB slot is one handle, a
    plan segment is four array cells, a merge_vcpus element is its
    share of the arena's parallel arrays.  The constants predate the
    arena representation and are kept as-is: the absolute number only
    feeds the §5.2 memory report, which must stay comparable across
-   revisions. *)
+   revisions — so arrayB is still billed per paused sandbox, one slot
+   per queued vCPU, although the queue's order buffer is shared. *)
 let horse_memory_footprint_bytes t =
   match t.horse_state with
   | None -> 0
   | Some h ->
-    let index_bytes = 8 * Psm.Index.length h.index in
+    let index_bytes = 8 * Horse_sched.Runqueue.length h.ull_queue in
     let plan_bytes = 48 * Psm.Plan.key_count h.plan in
     let merge_bytes = 24 * Horse_psm.Arena_list.length h.merge_vcpus in
     index_bytes + plan_bytes + merge_bytes + 64

@@ -10,9 +10,10 @@
     fallback ladder starts a fresh one).  While [Paused] under a
     HORSE-family
     strategy it carries the precomputed fast-resume state of §4.1.3 /
-    §4.2.2: the pre-sorted [merge_vcpus] list, the P²SM index + plan
-    against its assigned ull_runqueue, the run-queue subscription
-    keeping them fresh, and the coalesced load-update constants.
+    §4.2.2: the pre-sorted [merge_vcpus] list, the P²SM plan against
+    its assigned ull_runqueue (whose own order buffer is the plan's
+    [arrayB]), the run-queue subscription keeping the plan fresh, and
+    the coalesced load-update constants.
     That state is created by {!Vmm.pause} and consumed by
     {!Vmm.resume}; this module only stores it. *)
 
@@ -46,14 +47,15 @@ type horse_state = {
   merge_vcpus : Horse_sched.Vcpu.t Horse_psm.Arena_list.t;
       (** the sandbox's vCPUs, pre-sorted by the scheduler's key, in
           the ull_runqueue's arena so the merge can splice them *)
-  ull_queue : Horse_sched.Runqueue.t;  (** assigned at pause time *)
-  index : Horse_sched.Vcpu.t Horse_psm.Psm.Index.t;  (** arrayB *)
+  ull_queue : Horse_sched.Runqueue.t;
+      (** assigned at pause time; its order buffer is [arrayB] *)
   plan : Horse_sched.Vcpu.t Horse_psm.Psm.Plan.t;  (** posA *)
   subscription : Horse_sched.Runqueue.subscription;
+      (** refreshes [plan] on every queue mutation while paused; each
+          refresh counts in the VMM's [psm.maintenance_events] (§5.2's
+          overhead) *)
   precomputed : Horse_coalesce.Coalesce.Precomputed.t option;
       (** the §4.2.2 constants; [None] for [Ppsm] (vanilla load path) *)
-  mutable maintenance_events : int;
-      (** posA/arrayB refreshes while paused (§5.2's overhead) *)
 }
 
 type t

@@ -187,8 +187,9 @@ let make_precomputed n =
   Coalesce.Precomputed.make ~alpha:pelt.Coalesce.Affine.alpha
     ~beta:pelt.Coalesce.Affine.beta ~n
 
-(* Pause-side setup of the §4.1.3 structures: merge_vcpus, arrayB,
-   posA and the subscription that keeps them fresh. *)
+(* Pause-side setup of the §4.1.3 structures: merge_vcpus, posA and
+   the subscription that keeps posA fresh (arrayB is the queue's own
+   order buffer and needs no upkeep). *)
 let build_horse_state t sandbox ~with_coalesce =
   let ull_queue = Scheduler.select_ull_for_pause t.scheduler in
   Scheduler.attach_paused t.scheduler ull_queue;
@@ -198,42 +199,27 @@ let build_horse_state t sandbox ~with_coalesce =
   Array.iter
     (fun vcpu -> ignore (Al.insert_sorted merge_vcpus vcpu))
     (Sandbox.vcpus sandbox);
-  let index = Psm.Index.build (Runqueue.queue ull_queue) in
-  let plan = Psm.Plan.build ~source:merge_vcpus ~index in
-  let state_ref = ref None in
+  let queue = Runqueue.queue ull_queue in
+  let plan = Psm.Plan.build ~source:merge_vcpus ~target:queue in
   (* hoisted: the callback fires for every queue mutation while the
      sandbox is paused — don't re-hash the counter name each time *)
   let maintenance_total = Metrics.counter_ref t.metrics "psm.maintenance_events" in
   let on_change event ~pos ~node =
     (match event with
     | Runqueue.Inserted ->
-      Psm.Plan.note_target_insert plan ~pos
-        (Al.value (Runqueue.queue ull_queue) node);
-      Psm.Index.note_insert index ~pos node
-    | Runqueue.Removed ->
-      Psm.Plan.note_target_remove plan ~pos;
-      Psm.Index.note_remove index ~pos);
-    incr maintenance_total;
-    match !state_ref with
-    | Some hs -> hs.Sandbox.maintenance_events <- hs.Sandbox.maintenance_events + 1
-    | None -> ()
+      Psm.Plan.note_target_insert plan ~pos (Al.value queue node)
+    | Runqueue.Removed -> Psm.Plan.note_target_remove plan ~pos);
+    incr maintenance_total
   in
-  let subscription = Runqueue.subscribe ull_queue on_change in
-  let hs =
-    {
-      Sandbox.merge_vcpus;
-      ull_queue;
-      index;
-      plan;
-      subscription;
-      precomputed =
-        (if with_coalesce then Some (make_precomputed (Sandbox.vcpu_count sandbox))
-         else None);
-      maintenance_events = 0;
-    }
-  in
-  state_ref := Some hs;
-  hs
+  {
+    Sandbox.merge_vcpus;
+    ull_queue;
+    plan;
+    subscription = Runqueue.subscribe ull_queue on_change;
+    precomputed =
+      (if with_coalesce then Some (make_precomputed (Sandbox.vcpu_count sandbox))
+       else None);
+  }
 
 let pause t ~strategy sandbox =
   require_state sandbox [ Sandbox.Running ] "pause: sandbox not running";
@@ -371,7 +357,7 @@ let resume t sandbox =
         Runqueue.unsubscribe hs.Sandbox.ull_queue hs.Sandbox.subscription;
         let stats, nodes =
           Runqueue.apply_merge hs.Sandbox.ull_queue ~plan:hs.Sandbox.plan
-            ~index:hs.Sandbox.index ~source:hs.Sandbox.merge_vcpus
+            ~source:hs.Sandbox.merge_vcpus
         in
         Scheduler.detach_paused t.scheduler hs.Sandbox.ull_queue;
         let queue = Runqueue.queue hs.Sandbox.ull_queue in

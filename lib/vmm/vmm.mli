@@ -84,8 +84,9 @@ val pause : t -> strategy:Sandbox.strategy -> Sandbox.t -> Horse_sim.Time_ns.spa
 (** Remove the sandbox's vCPUs from their queues and stash the
     strategy-dependent resume state: the vanilla value list, the
     [Coal] coalescing constants, or the full HORSE state
-    (merge_vcpus, arrayB/posA against the assigned ull_runqueue, the
-    maintenance subscription).
+    (merge_vcpus, the posA plan against the assigned ull_runqueue,
+    whose own order buffer serves as arrayB, and the maintenance
+    subscription).
     @raise Invalid_state unless [Running]. *)
 
 val resume : t -> Sandbox.t -> resume_result

@@ -361,11 +361,10 @@ let test_psm_merge_on_pool () =
     let arena = Al.create_arena ~compare:Int.compare () in
     let source = Al.of_sorted_list arena source_values in
     let target = Al.of_sorted_list arena target_values in
-    let index = Psm.Index.build target in
-    let plan = Psm.Plan.build ~source ~index in
+    let plan = Psm.Plan.build ~source ~target in
     (match strategy with
-    | `Sequential -> ignore (Psm.Plan.execute plan ~index ~source)
-    | `Pool n -> ignore (Psm.Plan.execute_parallel ~domains:n plan ~index ~source));
+    | `Sequential -> ignore (Psm.Plan.execute plan ~target ~source)
+    | `Pool n -> ignore (Psm.Plan.execute_parallel ~domains:n plan ~target ~source));
     Al.to_list target
   in
   let reference = merged `Sequential in

@@ -188,9 +188,8 @@ let test_arena_handles_survive_merge () =
   let src = Al.of_sorted_list arena [ 2; 6 ]
   and tgt = Al.of_sorted_list arena [ 1; 5; 9 ] in
   let h2 = Al.nth src 0 and h6 = Al.nth src 1 in
-  let idx = Psm.Index.build tgt in
-  let plan = Psm.Plan.build ~source:src ~index:idx in
-  ignore (Psm.Plan.execute plan ~index:idx ~source:src);
+  let plan = Psm.Plan.build ~source:src ~target:tgt in
+  ignore (Psm.Plan.execute plan ~target:tgt ~source:src);
   check_list "merged" [ 1; 2; 5; 6; 9 ] (Al.to_list tgt);
   Alcotest.(check bool) "src empty" true (Al.is_empty src);
   Alcotest.(check bool) "h2 now in target" true (Al.mem tgt h2);
@@ -226,46 +225,6 @@ let test_insert_each () =
   Alcotest.(check bool) "walked some" true (walked > 0)
 
 (* ------------------------------------------------------------------ *)
-(* P²SM: Index                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_index_build () =
-  let b = amake [ 10; 20; 30 ] in
-  let idx = Psm.Index.build b in
-  Alcotest.(check int) "length" 3 (Psm.Index.length idx);
-  Alcotest.(check bool) "consistent" true (Psm.Index.is_consistent idx);
-  Alcotest.(check bool) "anchor 0 is head" true
-    (Al.is_nil (Psm.Index.anchor idx 0));
-  Alcotest.(check int) "anchor 2 value" 20 (Al.value b (Psm.Index.anchor idx 2))
-
-let test_index_find_key () =
-  let b = amake [ 10; 20; 20; 30 ] in
-  let idx = Psm.Index.build b in
-  Alcotest.(check int) "below all" 0 (Psm.Index.find_key idx 5);
-  Alcotest.(check int) "equal goes after" 3 (Psm.Index.find_key idx 20);
-  Alcotest.(check int) "between" 3 (Psm.Index.find_key idx 25);
-  Alcotest.(check int) "above all" 4 (Psm.Index.find_key idx 99)
-
-let test_index_incremental () =
-  let b = amake [ 10; 30 ] in
-  let idx = Psm.Index.build b in
-  let node, pos = Al.insert_sorted b 20 in
-  Psm.Index.note_insert idx ~pos node;
-  Alcotest.(check bool) "after insert" true (Psm.Index.is_consistent idx);
-  let victim = Al.nth b 0 in
-  let pos = Al.remove_node b victim in
-  Psm.Index.note_remove idx ~pos;
-  Alcotest.(check bool) "after remove" true (Psm.Index.is_consistent idx)
-
-let test_index_rebuild () =
-  let b = amake [ 1; 2 ] in
-  let idx = Psm.Index.build b in
-  ignore (Al.insert_sorted b 3);
-  Alcotest.(check bool) "stale" false (Psm.Index.is_consistent idx);
-  Psm.Index.rebuild idx;
-  Alcotest.(check bool) "fresh" true (Psm.Index.is_consistent idx)
-
-(* ------------------------------------------------------------------ *)
 (* P²SM: Plan build + execute                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -273,15 +232,14 @@ let run_merge ?(binary = false) ?(parallel = 0) a_vals b_vals =
   let arena = Al.create_arena ~compare:icmp () in
   let a = Al.of_sorted_list arena a_vals
   and b = Al.of_sorted_list arena b_vals in
-  let idx = Psm.Index.build b in
   let plan =
-    if binary then Psm.Plan.build_binary ~source:a ~index:idx
-    else Psm.Plan.build ~source:a ~index:idx
+    if binary then Psm.Plan.build_binary ~source:a ~target:b
+    else Psm.Plan.build ~source:a ~target:b
   in
   let stats =
     if parallel > 0 then
-      Psm.Plan.execute_parallel ~domains:parallel plan ~index:idx ~source:a
-    else Psm.Plan.execute plan ~index:idx ~source:a
+      Psm.Plan.execute_parallel ~domains:parallel plan ~target:b ~source:a
+    else Psm.Plan.execute plan ~target:b ~source:a
   in
   (Al.to_list b, Al.length b, Al.is_empty a, stats)
 
@@ -320,12 +278,22 @@ let test_plan_merge_equal_values () =
   let arena = Al.create_arena ~compare:kcmp () in
   let a = Al.of_sorted_list arena [ (5, "a1"); (5, "a2") ]
   and b = Al.of_sorted_list arena [ (5, "b") ] in
-  let idx = Psm.Index.build b in
-  let plan = Psm.Plan.build ~source:a ~index:idx in
-  ignore (Psm.Plan.execute plan ~index:idx ~source:a);
+  let plan = Psm.Plan.build ~source:a ~target:b in
+  ignore (Psm.Plan.execute plan ~target:b ~source:a);
   Alcotest.(check (list string))
     "target first among equals" [ "b"; "a1"; "a2" ]
     (List.map snd (Al.to_list b))
+
+let test_plan_binary_keys () =
+  (* a key is #{b in B : b <= a}, found by binary search over B's order
+     buffer: equal values go after the target's *)
+  let arena = Al.create_arena ~compare:icmp () in
+  let a = Al.of_sorted_list arena [ 5; 20; 25; 99 ]
+  and b = Al.of_sorted_list arena [ 10; 20; 20; 30 ] in
+  let plan = Psm.Plan.build_binary ~source:a ~target:b in
+  Alcotest.(check (list int)) "keys" [ 0; 3; 4 ] (Psm.Plan.keys plan);
+  Alcotest.(check (list int)) "counts" [ 1; 2; 1 ]
+    (Array.to_list (snd (Psm.Plan.keys_counts plan)))
 
 let test_plan_binary_matches_linear () =
   let merged_lin, _, _, s1 = run_merge [ 1; 5; 9 ] [ 2; 4; 6; 8 ] in
@@ -350,22 +318,32 @@ let test_plan_stale_on_unseen_target_change () =
   let arena = Al.create_arena ~compare:icmp () in
   let a = Al.of_sorted_list arena [ 2 ]
   and b = Al.of_sorted_list arena [ 1; 3 ] in
-  let idx = Psm.Index.build b in
-  let plan = Psm.Plan.build ~source:a ~index:idx in
-  ignore (Al.insert_sorted b 5) (* not reported to index/plan *);
+  let plan = Psm.Plan.build ~source:a ~target:b in
+  ignore (Al.insert_sorted b 5) (* not reported to the plan *);
+  Alcotest.(check bool) "inconsistent" false
+    (Psm.Plan.is_consistent plan ~target:b ~source:a);
   Alcotest.check_raises "stale" Psm.Stale (fun () ->
-      ignore (Psm.Plan.execute plan ~index:idx ~source:a))
+      ignore (Psm.Plan.execute plan ~target:b ~source:a))
+
+let test_plan_stale_on_unseen_target_removal () =
+  let arena = Al.create_arena ~compare:icmp () in
+  let a = Al.of_sorted_list arena [ 2 ]
+  and b = Al.of_sorted_list arena [ 1; 3; 5 ] in
+  let plan = Psm.Plan.build ~source:a ~target:b in
+  (* the tail removal leaves every key in range: only the length
+     count the plan keeps can tell *)
+  ignore (Al.remove_node b (Al.nth b 2)) (* not reported to the plan *);
+  Alcotest.check_raises "stale" Psm.Stale (fun () ->
+      ignore (Psm.Plan.execute plan ~target:b ~source:a))
 
 let test_plan_stale_on_double_execute () =
   let arena = Al.create_arena ~compare:icmp () in
   let a = Al.of_sorted_list arena [ 2 ]
   and b = Al.of_sorted_list arena [ 1; 3 ] in
-  let idx = Psm.Index.build b in
-  let plan = Psm.Plan.build ~source:a ~index:idx in
-  ignore (Psm.Plan.execute plan ~index:idx ~source:a);
-  Psm.Index.rebuild idx;
+  let plan = Psm.Plan.build ~source:a ~target:b in
+  ignore (Psm.Plan.execute plan ~target:b ~source:a);
   Alcotest.check_raises "re-execute" Psm.Stale (fun () ->
-      ignore (Psm.Plan.execute plan ~index:idx ~source:a))
+      ignore (Psm.Plan.execute plan ~target:b ~source:a))
 
 (* ------------------------------------------------------------------ *)
 (* P²SM: incremental maintenance                                       *)
@@ -379,16 +357,14 @@ let test_plan_target_insert_split () =
   (* source [2;4;6] vs target [5]: segment {2;4} at key 0, {6} at key 1.
      Inserting 3 into the target must split {2;4}. *)
   let a, b = pair_in_arena [ 2; 4; 6 ] [ 5 ] in
-  let idx = Psm.Index.build b in
-  let plan = Psm.Plan.build ~source:a ~index:idx in
+  let plan = Psm.Plan.build ~source:a ~target:b in
   Alcotest.(check (list int)) "keys before" [ 0; 1 ] (Psm.Plan.keys plan);
-  let node, pos = Al.insert_sorted b 3 in
+  let _, pos = Al.insert_sorted b 3 in
   Psm.Plan.note_target_insert plan ~pos 3;
-  Psm.Index.note_insert idx ~pos node;
   Alcotest.(check (list int)) "keys after" [ 0; 1; 2 ] (Psm.Plan.keys plan);
   Alcotest.(check bool) "consistent" true
-    (Psm.Plan.is_consistent plan ~index:idx ~source:a);
-  let stats = Psm.Plan.execute plan ~index:idx ~source:a in
+    (Psm.Plan.is_consistent plan ~target:b ~source:a);
+  let stats = Psm.Plan.execute plan ~target:b ~source:a in
   check_list "merged" [ 2; 3; 4; 5; 6 ] (Al.to_list b);
   Alcotest.(check int) "three segments" 3 stats.Psm.Plan.threads
 
@@ -396,42 +372,38 @@ let test_plan_target_remove_coalesce () =
   (* source [2;6] vs target [1;5;9]: keys 1 and 2.  Removing 5 must
      coalesce both segments onto key 1. *)
   let a, b = pair_in_arena [ 2; 6 ] [ 1; 5; 9 ] in
-  let idx = Psm.Index.build b in
-  let plan = Psm.Plan.build ~source:a ~index:idx in
+  let plan = Psm.Plan.build ~source:a ~target:b in
   Alcotest.(check (list int)) "keys before" [ 1; 2 ] (Psm.Plan.keys plan);
   let victim = Al.nth b 1 in
   let pos = Al.remove_node b victim in
   Psm.Plan.note_target_remove plan ~pos;
-  Psm.Index.note_remove idx ~pos;
   Alcotest.(check (list int)) "keys after" [ 1 ] (Psm.Plan.keys plan);
   Alcotest.(check bool) "consistent" true
-    (Psm.Plan.is_consistent plan ~index:idx ~source:a);
-  ignore (Psm.Plan.execute plan ~index:idx ~source:a);
+    (Psm.Plan.is_consistent plan ~target:b ~source:a);
+  ignore (Psm.Plan.execute plan ~target:b ~source:a);
   check_list "merged" [ 1; 2; 6; 9 ] (Al.to_list b)
 
 let test_plan_source_insert () =
   let a, b = pair_in_arena [ 2; 8 ] [ 5 ] in
-  let idx = Psm.Index.build b in
-  let plan = Psm.Plan.build ~source:a ~index:idx in
+  let plan = Psm.Plan.build ~source:a ~target:b in
   let node, _ = Al.insert_sorted a 3 in
-  Psm.Plan.note_source_insert plan ~index:idx ~node;
+  Psm.Plan.note_source_insert plan ~target:b ~node;
   Alcotest.(check int) "total" 3 (Psm.Plan.total plan);
   Alcotest.(check bool) "consistent" true
-    (Psm.Plan.is_consistent plan ~index:idx ~source:a);
-  ignore (Psm.Plan.execute plan ~index:idx ~source:a);
+    (Psm.Plan.is_consistent plan ~target:b ~source:a);
+  ignore (Psm.Plan.execute plan ~target:b ~source:a);
   check_list "merged" [ 2; 3; 5; 8 ] (Al.to_list b)
 
 let test_plan_source_remove () =
   let a, b = pair_in_arena [ 2; 3; 8 ] [ 5 ] in
-  let idx = Psm.Index.build b in
-  let plan = Psm.Plan.build ~source:a ~index:idx in
+  let plan = Psm.Plan.build ~source:a ~target:b in
   let node = Al.nth a 1 in
   Psm.Plan.note_source_remove plan ~node;
   ignore (Al.remove_node a node);
   Alcotest.(check int) "total" 2 (Psm.Plan.total plan);
   Alcotest.(check bool) "consistent" true
-    (Psm.Plan.is_consistent plan ~index:idx ~source:a);
-  ignore (Psm.Plan.execute plan ~index:idx ~source:a);
+    (Psm.Plan.is_consistent plan ~target:b ~source:a);
+  ignore (Psm.Plan.execute plan ~target:b ~source:a);
   check_list "merged" [ 2; 5; 8 ] (Al.to_list b)
 
 (* ------------------------------------------------------------------ *)
@@ -564,9 +536,8 @@ let merge_spec : merge_op Harness.spec =
               if b <> f then fail "pop diverged" else None
             | Mmerge vals ->
               let src = Al.of_sorted_list arena vals in
-              let idx = Psm.Index.build fl in
-              let plan = Psm.Plan.build ~source:src ~index:idx in
-              ignore (Psm.Plan.execute plan ~index:idx ~source:src);
+              let plan = Psm.Plan.build ~source:src ~target:fl in
+              ignore (Psm.Plan.execute plan ~target:fl ~source:src);
               bx :=
                 Ll.of_sorted_list ~compare:icmp
                   (Reference.merge_values ~compare:icmp vals (Ll.to_list !bx));
@@ -651,20 +622,18 @@ let mutation_gen =
         map (fun v -> Source_insert v) (0 -- 100);
       ])
 
-let apply_mutation a b idx plan = function
+let apply_mutation a b plan = function
   | Target_insert v ->
-    let node, pos = Al.insert_sorted b v in
-    Psm.Plan.note_target_insert plan ~pos v;
-    Psm.Index.note_insert idx ~pos node
+    let _, pos = Al.insert_sorted b v in
+    Psm.Plan.note_target_insert plan ~pos v
   | Target_remove i when Al.length b > 0 ->
     let node = Al.nth b (i mod Al.length b) in
     let pos = Al.remove_node b node in
-    Psm.Plan.note_target_remove plan ~pos;
-    Psm.Index.note_remove idx ~pos
+    Psm.Plan.note_target_remove plan ~pos
   | Target_remove _ -> ()
   | Source_insert v ->
     let node, _ = Al.insert_sorted a v in
-    Psm.Plan.note_source_insert plan ~index:idx ~node
+    Psm.Plan.note_source_insert plan ~target:b ~node
 
 let prop_incremental_maintenance =
   QCheck2.Test.make
@@ -674,16 +643,14 @@ let prop_incremental_maintenance =
       triple sorted_list_gen sorted_list_gen (list_size (0 -- 25) mutation_gen))
     (fun (a_vals, b_vals, mutations) ->
       let a, b = pair_in_arena a_vals b_vals in
-      let idx = Psm.Index.build b in
-      let plan = Psm.Plan.build ~source:a ~index:idx in
-      List.iter (apply_mutation a b idx plan) mutations;
+      let plan = Psm.Plan.build ~source:a ~target:b in
+      List.iter (apply_mutation a b plan) mutations;
       let expected =
         Reference.merge_values ~compare:icmp (Al.to_list a) (Al.to_list b)
       in
-      Psm.Index.is_consistent idx
-      && Psm.Plan.is_consistent plan ~index:idx ~source:a
+      Psm.Plan.is_consistent plan ~target:b ~source:a
       &&
-      (ignore (Psm.Plan.execute plan ~index:idx ~source:a);
+      (ignore (Psm.Plan.execute plan ~target:b ~source:a);
        Al.to_list b = expected))
 
 let props =
@@ -738,13 +705,6 @@ let () =
           Alcotest.test_case "merge stability" `Quick test_merge_values_stability;
           Alcotest.test_case "insert each" `Quick test_insert_each;
         ] );
-      ( "index",
-        [
-          Alcotest.test_case "build" `Quick test_index_build;
-          Alcotest.test_case "find_key" `Quick test_index_find_key;
-          Alcotest.test_case "incremental" `Quick test_index_incremental;
-          Alcotest.test_case "rebuild" `Quick test_index_rebuild;
-        ] );
       ( "plan",
         [
           Alcotest.test_case "simple merge" `Quick test_plan_simple_merge;
@@ -753,11 +713,15 @@ let () =
           Alcotest.test_case "all before" `Quick test_plan_merge_all_before;
           Alcotest.test_case "all after" `Quick test_plan_merge_all_after;
           Alcotest.test_case "equal values" `Quick test_plan_merge_equal_values;
+          Alcotest.test_case "binary keys, ties go after" `Quick
+            test_plan_binary_keys;
           Alcotest.test_case "binary == linear" `Quick
             test_plan_binary_matches_linear;
           Alcotest.test_case "parallel merge" `Quick test_plan_parallel_merge;
           Alcotest.test_case "stale on unseen change" `Quick
             test_plan_stale_on_unseen_target_change;
+          Alcotest.test_case "stale on unseen removal" `Quick
+            test_plan_stale_on_unseen_target_removal;
           Alcotest.test_case "stale on double execute" `Quick
             test_plan_stale_on_double_execute;
         ] );

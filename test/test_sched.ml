@@ -134,9 +134,8 @@ let test_runqueue_apply_merge () =
   List.iter
     (fun (i, c) -> ignore (Al.insert_sorted source (mk_vcpu ~sandbox:1 ~index:i ~credit:c ())))
     [ (0, 5); (1, 20); (2, 40) ];
-  let index = Psm.Index.build (Runqueue.queue q) in
-  let plan = Psm.Plan.build ~source ~index in
-  let stats, nodes = Runqueue.apply_merge q ~plan ~index ~source in
+  let plan = Psm.Plan.build ~source ~target:(Runqueue.queue q) in
+  let stats, nodes = Runqueue.apply_merge q ~plan ~source in
   Alcotest.(check int) "3 spliced" 3 stats.Psm.Plan.spliced;
   Alcotest.(check int) "3 nodes returned" 3 (Array.length nodes);
   Alcotest.(check (list int)) "final order" [ 5; 10; 20; 30; 40 ]
@@ -212,14 +211,13 @@ let test_subscriber_determinism seed () =
   Alcotest.(check bool) "identical across reruns" true
     (log_a = log_a' && log_b = log_b' && firing = firing')
 
-let test_runqueue_merge_wrong_index_rejected () =
+let test_runqueue_merge_wrong_queue_rejected () =
   let q = mk_queue () and other = Runqueue.create ~cpu:1 ~id:1 () in
   let source = Al.create (Runqueue.arena other) in
-  let index = Psm.Index.build (Runqueue.queue other) in
-  let plan = Psm.Plan.build ~source ~index in
+  let plan = Psm.Plan.build ~source ~target:(Runqueue.queue other) in
   Alcotest.check_raises "wrong queue"
-    (Invalid_argument "Runqueue.apply_merge: index built over a different queue")
-    (fun () -> ignore (Runqueue.apply_merge q ~plan ~index ~source))
+    (Invalid_argument "Psm.Plan.execute: not the lists the plan was built over")
+    (fun () -> ignore (Runqueue.apply_merge q ~plan ~source))
 
 (* ------------------------------------------------------------------ *)
 (* Load tracking                                                       *)
@@ -635,16 +633,104 @@ let prop_merge_positions_track_subscriber =
           ignore
             (Al.insert_sorted source (mk_vcpu ~sandbox:3 ~index ~credit ())))
         source_credits;
-      let index = Psm.Index.build (Runqueue.queue q) in
-      let plan = Psm.Plan.build ~source ~index in
-      ignore (Runqueue.apply_merge q ~plan ~index ~source);
+      let plan = Psm.Plan.build ~source ~target:(Runqueue.queue q) in
+      ignore (Runqueue.apply_merge q ~plan ~source);
       !shadow = List.map Vcpu.credit (Al.to_list (Runqueue.queue q)))
+
+(* k paused plans subscribed to one queue, kept fresh only through
+   Runqueue notifications (the VMM's callback: note_target_* and
+   nothing else), while a random script churns the queue and merges
+   some plans into it.  Every remaining plan must stay equal to a
+   from-scratch rebuild, and every merge must equal the reference
+   merge, vCPU for vCPU (so FIFO order among equal credits counts). *)
+type rq_op = Enqueue of int | Dequeue of int | Pop | Merge of int
+
+let rq_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun c -> Enqueue c) (0 -- 50));
+        (3, map (fun i -> Dequeue i) (0 -- 1000));
+        (1, pure Pop);
+        (1, map (fun j -> Merge j) (0 -- 7));
+      ])
+
+let prop_many_subscribers =
+  QCheck2.Test.make
+    ~name:"k subscribed plans stay fresh under queue churn and merges"
+    ~count:200
+    QCheck2.Gen.(
+      triple
+        (list_size (0 -- 20) (0 -- 50))
+        (list_size (1 -- 8) (list_size (0 -- 6) (0 -- 50)))
+        (list_size (0 -- 40) rq_op_gen))
+    (fun (queue_credits, sources, script) ->
+      let q = mk_queue ~kind:Runqueue.Ull () in
+      let queue = Runqueue.queue q in
+      List.iteri
+        (fun index credit ->
+          ignore (Runqueue.enqueue q (mk_vcpu ~sandbox:100 ~index ~credit ())))
+        queue_credits;
+      let plans =
+        Array.of_list
+          (List.mapi
+             (fun j credits ->
+               let source = Al.create (Runqueue.arena q) in
+               List.iteri
+                 (fun index credit ->
+                   ignore
+                     (Al.insert_sorted source
+                        (mk_vcpu ~sandbox:j ~index ~credit ())))
+                 credits;
+               let plan = Psm.Plan.build ~source ~target:queue in
+               let sub =
+                 Runqueue.subscribe q (fun event ~pos ~node ->
+                     match event with
+                     | Runqueue.Inserted ->
+                       Psm.Plan.note_target_insert plan ~pos (Al.value queue node)
+                     | Runqueue.Removed -> Psm.Plan.note_target_remove plan ~pos)
+               in
+               Some (source, plan, sub))
+             sources)
+      in
+      let ok = ref true in
+      let merge j =
+        match plans.(j) with
+        | None -> ()
+        | Some (source, plan, sub) ->
+          plans.(j) <- None;
+          Runqueue.unsubscribe q sub;
+          let expected =
+            Horse_psm.Reference.merge_values ~compare:Vcpu.compare_credit
+              (Al.to_list source) (Al.to_list queue)
+          in
+          ok :=
+            !ok
+            && Psm.Plan.is_consistent plan ~target:queue ~source
+            &&
+            (ignore (Runqueue.apply_merge q ~plan ~source);
+             List.for_all2 ( == ) expected (Al.to_list queue))
+      in
+      List.iteri
+        (fun step op ->
+          match op with
+          | Enqueue credit ->
+            ignore (Runqueue.enqueue q (mk_vcpu ~sandbox:200 ~index:step ~credit ()))
+          | Dequeue i when Runqueue.length q > 0 ->
+            ignore (Runqueue.dequeue q (Al.nth queue (i mod Runqueue.length q)))
+          | Dequeue _ -> ()
+          | Pop -> ignore (Runqueue.pop_front q)
+          | Merge j -> merge (j mod Array.length plans))
+        script;
+      Array.iteri (fun j _ -> merge j) plans;
+      !ok && Runqueue.subscriber_count q = 0 && Al.is_sorted queue)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_runqueue_always_sorted;
       prop_merge_positions_track_subscriber;
+      prop_many_subscribers;
       prop_pelt_decay_split;
     ]
 
@@ -669,7 +755,7 @@ let () =
             test_runqueue_pop_front_notifies;
           Alcotest.test_case "apply_merge" `Quick test_runqueue_apply_merge;
           Alcotest.test_case "merge guards queue identity" `Quick
-            test_runqueue_merge_wrong_index_rejected;
+            test_runqueue_merge_wrong_queue_rejected;
           Alcotest.test_case "deterministic notify, seed 1" `Quick
             (test_subscriber_determinism 1);
           Alcotest.test_case "deterministic notify, seed 42" `Quick
