@@ -2,10 +2,13 @@
    paper's evaluation on the simulated testbed, and wall-clock
    micro-benchmarks (Bechamel) of the real algorithm implementations.
 
-   Usage:  main.exe [table1|fig1|fig2|fig3|fig4|overhead|colocation|
-                     summary|xen|faults|scale|shard|policy|chain|
-                     router|sweeps|ablations|micro|csv|all]
-                                 (default: all)
+   Usage:  main.exe [EXPERIMENT ...]
+                                 run each named experiment in order
+                                 (default: all) — table1, fig1..fig4,
+                                 overhead, colocation, summary, xen,
+                                 faults, scale, shard, policy, chain,
+                                 router, sweeps, ablations, micro, csv,
+                                 all
                     [--jobs N]   fan experiment tasks over N strands
                                  (default: recommended_domain_count - 1;
                                  results are bit-identical for any N)
@@ -20,17 +23,25 @@
                                  rows are bit-identical for any S)
                     [--routers R] router shards for the partitioned
                                  control-plane runs of [router]
-                                 (default 4; the gated acceptance
-                                 point of `make bench-router`)
-                    [--json F]   record per-experiment wall-clock
-                                 (sequential vs parallel) into F
+                                 (default 4)
 
-   [sweeps] runs every timed experiment sweep back to back — the
-   input `make bench-json` feeds to BENCH_summary.json.  [scale] is
-   the sharded-engine benchmark `make bench-scale` feeds to
-   BENCH_scale.json; [shard], [policy], [chain] and [router] feed
-   BENCH_{shard,policy,chain,router}.json the same way.  Every
-   cluster section is a list of {!Horse.Scenario.t} and gates its
+   Every bench gate is checked by the section that measures it, and
+   prints one verdict line ("gate ok" or "gate FAIL"); after the last
+   named experiment the run exits non-zero if any gate failed.
+   Wall-clock floors follow the running host's cores ({!wall_floor}).
+   - [sweeps] runs every timed experiment sweep back to back; at
+     --jobs N > 1 it times each sequentially and at N strands (min of
+     7 interleaved rounds), and at N >= 4 the parallel run must not
+     lose (seq / par >= 1.0; 0.75 on one core).
+   - [scale] at >= 4 shards and [router] at >= 4 routers: the run must
+     beat the sequential / single-router run 1.5x (0.5 on one core).
+   - [shard] and [scale]: the adaptive scheduler must cut the
+     lock-step scheduler's epochs >= 5x on the bursty storm.
+   - [policy]: at the highest blackout rate, push's e2e p99 and p999
+     over pull's must be >= 1.0 — pull must not lose the tail.
+   - [chain]: at length >= 3, the unfused e2e p99 and p999 over the
+     fused ones must be >= 1.0 — fusion must not lose.
+   Every cluster section is a list of {!Horse.Scenario.t} and gates its
    table on {!Horse.Scenario.identical} first.  [ablations] prints the
    design-space studies, [csv] writes results/*.csv for plotting. *)
 
@@ -38,15 +49,10 @@ module E = Horse.Experiments
 module Scenario = Horse.Scenario
 module Report = Horse.Report
 module Category = Horse_workload.Category
-module Json = Horse_vmm.Json
 module Shard_engine = Horse_sim.Shard_engine
 
 let section title =
   Printf.printf "\n==== %s ====\n\n%!" title
-
-(* ------------------------------------------------------------------ *)
-(* Wall-clock harness: --jobs / --json                                 *)
-(* ------------------------------------------------------------------ *)
 
 let jobs = ref (Horse_parallel.Pool.default_jobs ())
 
@@ -56,43 +62,65 @@ let shards = ref (max 4 (Horse_parallel.Pool.default_jobs ()))
 
 let routers = ref 4
 
-let json_path : string option ref = ref None
+(* ------------------------------------------------------------------ *)
+(* Gates                                                               *)
+(* ------------------------------------------------------------------ *)
 
-let timings : Report.timing list ref = ref []
+let failed_gates = ref 0
+
+(* A wall-clock floor for the running host: on one core a parallel
+   speedup is physically unreachable (the strands timeshare it), so
+   the floor drops to an overhead bound that still catches a
+   collapse. *)
+let wall_floor ~multi_core ~single_core =
+  if Domain.recommended_domain_count () >= 2 then multi_core else single_core
+
+let gate name ~floor value =
+  let ok = value >= floor in
+  if not ok then incr failed_gates;
+  Printf.printf "gate %s %s: %.2f %s %.2f\n%!"
+    (if ok then "ok  " else "FAIL")
+    name value
+    (if ok then ">=" else "<")
+    floor
+
+(* ------------------------------------------------------------------ *)
+(* Wall-clock harness: sequential vs parallel sweeps                   *)
+(* ------------------------------------------------------------------ *)
 
 let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
-(* min-of-N interleaved rounds when recording timings: alternating
-   sequential and parallel runs exposes both sides to the same cache,
-   GC and machine-noise conditions, and the minimum is the stable
-   floor of each.  (The old shape — one parallel run first, one
-   sequential run second — handed the sequential side a warmed-up
-   process and charged the parallel side the pool spawn.) *)
+(* set by [sweeps] at --jobs > 1 *)
+let compare_seq_par = ref false
+
+(* min-of-N interleaved rounds: alternating sequential and parallel
+   runs exposes both sides to the same cache, GC and machine-noise
+   conditions, and the minimum is the stable floor of each. *)
 let timing_rounds = 7
 
-(* Time one experiment's computation (not its rendering) at the
-   requested --jobs.  With --json and jobs > 1, the computation is
-   also run at jobs = 1 to record the sequential reference wall-clock
-   in the same process — determinism guarantees the reference
-   computes the very same rows, so only the timing differs. *)
+(* Run one experiment's computation (not its rendering) at the
+   requested --jobs.  Under [sweeps] at jobs > 1 the computation is
+   also timed against jobs = 1 in the same process — determinism
+   guarantees both sides compute the very same rows, so only the
+   timing differs — and gated at jobs >= 4. *)
 let timed name f =
-  let time g =
-    (* settle the major heap first, so one round's collection debt is
-       not billed to whichever side happens to run next *)
-    Gc.full_major ();
-    let t0 = now_s () in
-    let r = g () in
-    (now_s () -. t0, r)
-  in
-  match !json_path with
-  | Some _ when !jobs > 1 ->
+  if not !compare_seq_par then f ~jobs:!jobs
+  else begin
+    let time g =
+      (* settle the major heap first, so one round's collection debt is
+         not billed to whichever side happens to run next *)
+      Gc.full_major ();
+      let t0 = now_s () in
+      g ();
+      now_s () -. t0
+    in
     (* untimed warm-up pays one-time costs (shared-pool spawn, lazy
        initialisers) for both sides *)
     let result = f ~jobs:!jobs in
     (* calibrate an iteration count so every timed run lasts at least
        ~50ms: the shortest sweeps are ~0.5ms of wall, where a single
        scheduler hiccup reads as a 20% "regression" *)
-    let approx, _ = time (fun () -> f ~jobs:1) in
+    let approx = time (fun () -> ignore (f ~jobs:1)) in
     let iters = max 1 (int_of_float (ceil (0.05 /. Float.max 1e-6 approx))) in
     let run j () =
       for _ = 1 to iters do
@@ -101,34 +129,16 @@ let timed name f =
     in
     let wall_seq = ref infinity and wall_par = ref infinity in
     for _ = 1 to timing_rounds do
-      let s, () = time (run 1) in
-      if s < !wall_seq then wall_seq := s;
-      let p, () = time (run !jobs) in
-      if p < !wall_par then wall_par := p
+      wall_seq := Float.min !wall_seq (time (run 1));
+      wall_par := Float.min !wall_par (time (run !jobs))
     done;
-    let per_iter w = w /. float_of_int iters in
-    timings :=
-      {
-        Report.t_name = name;
-        t_jobs = !jobs;
-        t_wall_seq_s = per_iter !wall_seq;
-        t_wall_par_s = per_iter !wall_par;
-        t_meta = [];
-      }
-      :: !timings;
+    let name = Printf.sprintf "sweeps:%s seq/par at jobs %d" name !jobs in
+    let speedup = !wall_seq /. !wall_par in
+    if !jobs >= 4 then
+      gate name ~floor:(wall_floor ~multi_core:1.0 ~single_core:0.75) speedup
+    else Printf.printf "info %s: %.2f (gated at jobs >= 4)\n%!" name speedup;
     result
-  | Some _ | None ->
-    let wall, result = time (fun () -> f ~jobs:!jobs) in
-    timings :=
-      {
-        Report.t_name = name;
-        t_jobs = !jobs;
-        t_wall_seq_s = wall;
-        t_wall_par_s = wall;
-        t_meta = [];
-      }
-      :: !timings;
-    result
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: initialization and execution times                         *)
@@ -506,14 +516,14 @@ let ablations () =
        (E.keepalive_policies ()))
 
 (* ------------------------------------------------------------------ *)
-(* Cluster scenarios: the identity gate and the families               *)
+(* Cluster scenarios: the identity gate                                *)
 (* ------------------------------------------------------------------ *)
 
 (* Every cluster section gates its table on this first: rows that
    differ across shard counts, schedulers or seeds would mean the
    table compares different work. *)
-let identical ?run section variants =
-  match Scenario.identical ?run variants with
+let identical section variants =
+  match Scenario.identical variants with
   | Ok rows -> rows
   | Error msg ->
     Printf.eprintf "%s: %s\n" section msg;
@@ -521,23 +531,6 @@ let identical ?run section variants =
 
 let at_shards s counts =
   List.map (fun shards -> { s with Scenario.shards }) counts
-
-(* Push vs pull vs core-granular: a ~300us service time makes warm
-   capacity an actual constraint at 100k triggers/s (~30 in flight),
-   and clumped arrivals wider than the believed-free pool inside one
-   placement round-trip are exactly where the policies diverge. *)
-let policy_storm ?(seed = 42) ?(policy = Scenario.default.policy) ~triggers
-    ~rate () =
-  {
-    Scenario.default with
-    seed;
-    policy;
-    workload =
-      Scenario.One_function
-        (Horse_faas.Function_def.Fixed (Horse_sim.Time_ns.span_us 300.0));
-    arrivals = Scenario.Bursty triggers;
-    faults = Some (Scenario.Blackouts rate);
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Fault-rate sweep                                                    *)
@@ -598,35 +591,18 @@ let scale_points = [ (16, 64_000, 8_000); (32, 256_000, 32_000) ]
    lock-step oracle and the adaptive scheduler.  Rows must agree on
    everything but the synchronization counters, and the adaptive side
    must cut outer windows >= 5x — that is the whole point of
-   per-channel clocks + idle fast-forward on clumped arrivals.
-   Recorded as [shard:epochs:storm<N>k]; bench_check gates the epoch
-   ratio, which is core-count independent. *)
-let epoch_storm ~shards:nshards ~triggers =
-  let team = Horse_parallel.Team.shared ~width:nshards in
-  let measured = ref [] in
-  let run s =
-    let wait0 = Horse_parallel.Team.barrier_wait_ns team in
-    let row, wall = Scenario.run_timed s in
-    measured :=
-      (wall, Horse_parallel.Team.barrier_wait_ns team - wait0) :: !measured;
-    row
-  in
-  let storm =
-    {
-      (policy_storm ~triggers ~rate:0.0 ()) with
-      shards = nshards;
-    }
-  in
+   per-channel clocks + idle fast-forward on clumped arrivals.  The
+   epoch ratio is scheduler structure, so the floor does not depend
+   on the host. *)
+let epoch_storm ~shards ~triggers =
+  let storm = { (E.policy_storm ~triggers ~rate:0.0 ()) with shards } in
   let lockstep, adaptive =
     match
-      identical ~run "shard: adaptive vs lock-step"
+      identical "shard: adaptive vs lock-step"
         [ { storm with scheduler = Shard_engine.Lockstep }; storm ]
     with
     | [ l; a ] -> (l.Scenario.sync, a.Scenario.sync)
     | _ -> assert false
-  in
-  let (wall_adapt, barrier_wait_ns), (wall_lock, _) =
-    match !measured with [ a; l ] -> (a, l) | _ -> assert false
   in
   let ratio =
     float_of_int lockstep.epochs /. float_of_int (max 1 adaptive.epochs)
@@ -636,25 +612,10 @@ let epoch_storm ~shards:nshards ~triggers =
      %d rounds, %d fast-forwards), traces identical\n%!"
     (triggers / 1000) lockstep.epochs adaptive.epochs (Report.ratio ratio)
     adaptive.rounds adaptive.fast_forwards;
-  timings :=
-    {
-      Report.t_name = Printf.sprintf "shard:epochs:storm%dk" (triggers / 1000);
-      t_jobs = nshards;
-      (* wall clocks carry the honest lock-step-vs-adaptive cost; the
-         gated quantity is the epoch ratio in the metadata *)
-      t_wall_seq_s = wall_lock;
-      t_wall_par_s = wall_adapt;
-      t_meta =
-        [
-          ("epochs_lockstep", Json.Int lockstep.epochs);
-          ("epochs_adaptive", Json.Int adaptive.epochs);
-          ("rounds_lockstep", Json.Int lockstep.rounds);
-          ("rounds_adaptive", Json.Int adaptive.rounds);
-          ("fast_forwards", Json.Int adaptive.fast_forwards);
-          ("barrier_wait_ns", Json.Int barrier_wait_ns);
-        ];
-    }
-    :: !timings
+  gate
+    (Printf.sprintf "shard:epochs:storm%dk lock-step/adaptive epochs"
+       (triggers / 1000))
+    ~floor:5.0 ratio
 
 let scale () =
   section
@@ -682,25 +643,14 @@ let scale () =
           wall_seq := Float.min !wall_seq (wall point);
           wall_par := Float.min !wall_par (wall { point with shards = !shards })
         done;
-        timings :=
-          {
-            Report.t_name =
-              Printf.sprintf "scale:%dsrv/%dk-sb/%dk-trig" servers
-                (sandboxes / 1000) (triggers / 1000);
-            t_jobs = !shards;
-            t_wall_seq_s = !wall_seq;
-            t_wall_par_s = !wall_par;
-            (* synchronization structure of the run — identical on the
-               sequential and sharded sides (the identity gate above
-               compares these fields too) *)
-            t_meta =
-              [
-                ("epochs", Json.Int reference.sync.epochs);
-                ("rounds", Json.Int reference.sync.rounds);
-                ("fast_forwards", Json.Int reference.sync.fast_forwards);
-              ];
-          }
-          :: !timings;
+        let name =
+          Printf.sprintf "scale:%dsrv/%dk-sb/%dk-trig seq/par at shards %d"
+            servers (sandboxes / 1000) (triggers / 1000) !shards
+        in
+        if !shards >= 4 then
+          gate name
+            ~floor:(wall_floor ~multi_core:1.5 ~single_core:0.5)
+            (!wall_seq /. !wall_par);
         [
           string_of_int servers;
           string_of_int sandboxes;
@@ -730,7 +680,7 @@ let scale () =
   epoch_storm ~shards:!shards ~triggers:100_000
 
 (* ------------------------------------------------------------------ *)
-(* Shard: quick adaptive-scheduler gate (make bench-shard)             *)
+(* Shard: quick adaptive-scheduler gate                                *)
 (* ------------------------------------------------------------------ *)
 
 let shard () =
@@ -744,7 +694,9 @@ let shard () =
     (fun seed ->
       ignore
         (identical "shard"
-           (at_shards (policy_storm ~seed ~triggers ~rate:0.9 ()) [ 1; 2; 4 ])))
+           (at_shards
+              (E.policy_storm ~seed ~triggers ~rate:0.9 ())
+              [ 1; 2; 4 ])))
     [ 1; 42; 1337 ];
   Printf.printf
     "identity: adaptive scheduler bit-identical for seeds {1,42,1337} x \
@@ -761,21 +713,6 @@ let shard () =
 let policy_triggers = [ 10_000; 100_000 ]
 
 let policy_rates = [ 0.0; 0.5; 0.9 ]
-
-(* Record a virtual-time tail ratio into a timing entry: seq = the
-   baseline tail, par = the contender's, so "speedup" = baseline tail
-   / contender tail and the bench_check >= 1.0 gate reads "the
-   contender wins". *)
-let record_ratio name seq_us par_us =
-  timings :=
-    {
-      Report.t_name = name;
-      t_jobs = !shards;
-      t_wall_seq_s = seq_us /. 1e6;
-      t_wall_par_s = par_us /. 1e6;
-      t_meta = [];
-    }
-    :: !timings
 
 let policy () =
   let module Cluster = Horse_faas.Cluster in
@@ -796,7 +733,7 @@ let policy () =
           ignore
             (identical "policy"
                (at_shards
-                  (policy_storm ~seed ~policy ~triggers:identity_triggers
+                  (E.policy_storm ~seed ~policy ~triggers:identity_triggers
                      ~rate:highest_rate ())
                   [ 1; 2; 4 ])))
         [ 1; 42; 1337 ])
@@ -817,7 +754,7 @@ let policy () =
                   rate,
                   Scenario.run
                     {
-                      (policy_storm ~policy ~triggers:n ~rate ()) with
+                      (E.policy_storm ~policy ~triggers:n ~rate ()) with
                       shards = !shards;
                     } ))
               policy_rates)
@@ -849,8 +786,8 @@ let policy () =
            string_of_int r.messages;
          ])
        rows);
-  (* gated entries: at the highest blackout rate, pull's tail must not
-     be worse than push's *)
+  (* the gates: at the highest blackout rate, pull's tail must not be
+     worse than push's (push tail / pull tail >= 1) *)
   let find label n =
     let _, _, _, (r : Scenario.row) =
       List.find
@@ -861,19 +798,15 @@ let policy () =
   in
   List.iter
     (fun n ->
-      let push = find "push-warm-first" n in
-      let pull = find "pull" n in
-      let core = find "core" n in
-      record_ratio
-        (Printf.sprintf "policy:pull-vs-push:p99:%dk" (n / 1000))
-        push.p99_us pull.p99_us;
-      record_ratio
-        (Printf.sprintf "policy:pull-vs-push:p999:%dk" (n / 1000))
-        push.p999_us pull.p999_us;
-      (* informational, ungated: core-granular vs push on the same axis *)
-      record_ratio
-        (Printf.sprintf "micro:policy:core-vs-push:p99:%dk" (n / 1000))
-        push.p99_us core.p99_us)
+      let push = find "push-warm-first" n and pull = find "pull" n in
+      let tail q push pull =
+        gate
+          (Printf.sprintf "policy:pull-vs-push:%s:%dk push/pull e2e tail" q
+             (n / 1000))
+          ~floor:1.0 (push /. pull)
+      in
+      tail "p99" push.p99_us pull.p99_us;
+      tail "p999" push.p999_us pull.p999_us)
     policy_triggers
 
 (* ------------------------------------------------------------------ *)
@@ -881,16 +814,6 @@ let policy () =
 (* ------------------------------------------------------------------ *)
 
 let chain_lens = [ 1; 3; 6 ]
-
-let chain_scenario ?(seed = 42) ~strategy ~len ~fused () =
-  {
-    Scenario.default with
-    seed;
-    strategy;
-    workload = Scenario.Chain { len; fused };
-    arrivals = Scenario.Uniform 2_000;
-    duration_s = 0.25;
-  }
 
 let chain () =
   let module Sandbox = Horse_vmm.Sandbox in
@@ -908,7 +831,7 @@ let chain () =
           ignore
             (identical "chain"
                (at_shards
-                  (chain_scenario ~seed ~strategy:Sandbox.Horse ~len:6 ~fused
+                  (E.chain_scenario ~seed ~strategy:Sandbox.Horse ~len:6 ~fused
                      ())
                   [ 1; 2; 4 ])))
         [ 1; 42; 1337 ])
@@ -928,7 +851,7 @@ let chain () =
                   fused,
                   Scenario.run
                     {
-                      (chain_scenario ~strategy ~len ~fused ()) with
+                      (E.chain_scenario ~strategy ~len ~fused ()) with
                       shards = !shards;
                     } ))
               [ false; true ])
@@ -964,51 +887,32 @@ let chain () =
     in
     r.e2e
   in
-  (* gated entries: fusion must win the tail at every length >= 3
-     (unfused is the baseline, fused the contender) *)
+  (* the gates: fusion must not lose the tail at any length >= 3
+     (unfused tail / fused tail >= 1) *)
   List.iter
     (fun len ->
       if len >= 3 then begin
-        let unfused = find "horse" len false in
-        let fused = find "horse" len true in
-        record_ratio
-          (Printf.sprintf "chain:fused-vs-unfused:p99:len%d" len)
-          unfused.p99_us fused.p99_us;
-        record_ratio
-          (Printf.sprintf "chain:fused-vs-unfused:p999:len%d" len)
-          unfused.p999_us fused.p999_us
+        let unfused = find "horse" len false
+        and fused = find "horse" len true in
+        let tail q unfused fused =
+          gate
+            (Printf.sprintf
+               "chain:fused-vs-unfused:%s:len%d unfused/fused e2e tail" q len)
+            ~floor:1.0 (unfused /. fused)
+        in
+        tail "p99" unfused.p99_us fused.p99_us;
+        tail "p999" unfused.p999_us fused.p999_us
       end)
-    chain_lens;
-  (* informational, ungated: fusion is a no-op at length 1, and the
-     vanilla-strategy tail shows the win is not HORSE-specific *)
-  record_ratio "micro:chain:len1-fusion-noop:p99"
-    (find "horse" 1 false).p99_us (find "horse" 1 true).p99_us;
-  record_ratio "micro:chain:vanil-fused-vs-unfused:p99:len6"
-    (find "vanil" 6 false).p99_us (find "vanil" 6 true).p99_us
+    chain_lens
 
 (* ------------------------------------------------------------------ *)
-(* Router: partitioned control plane (make bench-router)               *)
+(* Router: partitioned control plane                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The router sweep's points: 1 is the serial reference, the gated
-   acceptance point is whatever --routers asks for (default 4, the
-   bench_check floor kicks in at >= 4). *)
+(* The router sweep's points: 1 is the serial reference, and every
+   point at >= 4 routers (--routers adds one, default 4) is gated. *)
 let router_points () =
   List.sort_uniq compare (List.filter (fun r -> r <= 8) [ 1; 2; 4; 8; !routers ])
-
-(* The bursty storm whose fn-id column cycles a 32-function palette:
-   the affinity hash spreads it near-uniformly over every router, the
-   serial bottleneck this sweep measures. *)
-let router_storm ?(seed = 42) ~routers ~triggers () =
-  {
-    Scenario.default with
-    seed;
-    routers;
-    servers = 8;
-    sandboxes = 1_024;
-    workload = Scenario.Palette;
-    arrivals = Scenario.Bursty triggers;
-  }
 
 let router () =
   section
@@ -1024,7 +928,7 @@ let router () =
       List.iter
         (fun seed ->
           let storm =
-            router_storm ~seed ~routers ~triggers:identity_triggers ()
+            E.router_storm ~seed ~routers ~triggers:identity_triggers ()
           in
           let lockstep =
             { storm with shards = 4; scheduler = Shard_engine.Lockstep }
@@ -1043,7 +947,7 @@ let router () =
   let rounds = 3 in
   let measure routers =
     let storm =
-      { (router_storm ~routers ~triggers ()) with shards = !shards }
+      { (E.router_storm ~routers ~triggers ()) with shards = !shards }
     in
     let row = Scenario.run storm (* warm-up *) in
     let best = ref infinity in
@@ -1054,27 +958,6 @@ let router () =
   in
   let measured = List.map (fun r -> (r, measure r)) (router_points ()) in
   let _, (_, base_wall) = List.hd measured in
-  List.iter
-    (fun (r, ((row : Scenario.row), w)) ->
-      if r >= 2 then
-        timings :=
-          {
-            Report.t_name =
-              Printf.sprintf "router:plane:r%d:%dk-trig" r (triggers / 1000);
-            (* the "jobs" of a router entry records the router count *)
-            t_jobs = r;
-            t_wall_seq_s = base_wall;
-            t_wall_par_s = w;
-            t_meta =
-              [
-                ("routers", Json.Int r);
-                ("spills", Json.Int row.spills);
-                ("epochs", Json.Int row.sync.epochs);
-                ("messages", Json.Int row.messages);
-              ];
-          }
-          :: !timings)
-    measured;
   Report.print
     ~caption:
       (Printf.sprintf
@@ -1099,7 +982,16 @@ let router () =
            Printf.sprintf "%.3fs" w;
            Report.ratio (base_wall /. w);
          ])
-       measured)
+       measured);
+  List.iter
+    (fun (r, (_, w)) ->
+      if r >= 4 then
+        gate
+          (Printf.sprintf "router:plane:r%d:%dk-trig routers=1/routers=%d wall"
+             r (triggers / 1000) r)
+          ~floor:(wall_floor ~multi_core:1.5 ~single_core:0.5)
+          (base_wall /. w))
+    measured
 
 (* ------------------------------------------------------------------ *)
 (* Headline summary                                                    *)
@@ -1417,10 +1309,11 @@ let csv () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Every timed experiment sweep, back to back — what `make bench-json`
-   runs so BENCH_summary.json covers the full evaluation, not one
-   figure.  (fig1 re-times table1's computation, so it is skipped.) *)
+(* Every timed experiment sweep, back to back, each timed sequential
+   vs parallel at --jobs > 1.  (fig1 re-times table1's computation, so
+   it is skipped.) *)
 let sweeps () =
+  compare_seq_par := !jobs > 1;
   table1 ();
   fig2 ();
   fig3 ();
@@ -1429,7 +1322,8 @@ let sweeps () =
   colocation ();
   summary ();
   xen ();
-  faults ()
+  faults ();
+  compare_seq_par := false
 
 let all () =
   table1 ();
@@ -1463,8 +1357,8 @@ let () =
   in
   let usage () =
     Printf.eprintf
-      "usage: %s [experiment] [--jobs N] [--chunk C] [--shards S] \
-       [--routers R] [--json FILE]\n"
+      "usage: %s [experiment ...] [--jobs N] [--chunk C] [--shards S] \
+       [--routers R]\n"
       Sys.argv.(0);
     Printf.eprintf "experiments: %s\n" (String.concat ", " (List.map fst experiments));
     exit 1
@@ -1503,10 +1397,7 @@ let () =
       | Some _ | None ->
         Printf.eprintf "--routers: expected an integer in 1..8, got %S\n" r;
         exit 1)
-    | "--json" :: path :: rest ->
-      json_path := Some path;
-      parse positional rest
-    | [ (("--jobs" | "--chunk" | "--shards" | "--routers" | "--json") as flag) ] ->
+    | [ (("--jobs" | "--chunk" | "--shards" | "--routers") as flag) ] ->
       Printf.eprintf "missing value after %s\n" flag;
       usage ()
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
@@ -1514,18 +1405,22 @@ let () =
       usage ()
     | name :: rest -> parse (name :: positional) rest
   in
-  let run name =
+  let lookup name =
     match List.assoc_opt name experiments with
-    | Some f -> f ()
+    | Some f -> f
     | None ->
       Printf.eprintf "unknown experiment %S; available: %s\n" name
         (String.concat ", " (List.map fst experiments));
       exit 1
   in
-  (match parse [] (List.tl (Array.to_list Sys.argv)) with
-  | [] -> all ()
-  | [ name ] -> run name
-  | _ -> usage ());
-  match !json_path with
-  | None -> ()
-  | Some path -> Report.write_json ~path ~jobs:!jobs (List.rev !timings)
+  (* every name is resolved before the first experiment runs *)
+  let names =
+    match parse [] (List.tl (Array.to_list Sys.argv)) with
+    | [] -> [ "all" ]
+    | names -> names
+  in
+  List.iter (fun f -> f ()) (List.map lookup names);
+  if !failed_gates > 0 then begin
+    Printf.eprintf "%d bench gate(s) below their floor\n" !failed_gates;
+    exit 1
+  end

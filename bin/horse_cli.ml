@@ -353,16 +353,7 @@ let cluster_cmd =
         (List.filter (fun r -> r <= routers) [ 1; 2; 4; 8; routers ])
     in
     let storm =
-      {
-        Scenario.default with
-        profile;
-        seed;
-        shards;
-        servers = 8;
-        sandboxes = 1_024;
-        workload = Scenario.Palette;
-        arrivals = Scenario.Bursty triggers;
-      }
+      { (E.router_storm ~seed ~routers ~triggers ()) with profile; shards }
     in
     let rows =
       List.map

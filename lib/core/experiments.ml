@@ -869,6 +869,44 @@ let faults ?(seed = 42) ?(duration_s = 5.0) ?(rates = [ 0.0; 0.001; 0.01; 0.1 ])
         [ Sandbox.Vanilla; Sandbox.Horse ])
     rates
 
+(* Push vs pull vs core-granular: a ~300us service time makes warm
+   capacity an actual constraint at 100k triggers/s (~30 in flight),
+   and clumped arrivals wider than the believed-free pool inside one
+   placement round-trip are exactly where the policies diverge. *)
+let policy_storm ?(seed = 42) ?(policy = Scenario.default.policy) ~triggers
+    ~rate () =
+  {
+    Scenario.default with
+    seed;
+    policy;
+    workload = Scenario.One_function (Function_def.Fixed (Time.span_us 300.0));
+    arrivals = Scenario.Bursty triggers;
+    faults = Some (Scenario.Blackouts rate);
+  }
+
+let chain_scenario ?(seed = 42) ~strategy ~len ~fused () =
+  {
+    Scenario.default with
+    seed;
+    strategy;
+    workload = Scenario.Chain { len; fused };
+    arrivals = Scenario.Uniform 2_000;
+    duration_s = 0.25;
+  }
+
+(* The bursty storm whose fn-id column cycles a 32-function palette:
+   the affinity hash spreads it near-uniformly over every router. *)
+let router_storm ?(seed = 42) ~routers ~triggers () =
+  {
+    Scenario.default with
+    seed;
+    routers;
+    servers = 8;
+    sandboxes = 1_024;
+    workload = Scenario.Palette;
+    arrivals = Scenario.Bursty triggers;
+  }
+
 let run_scenarios ?(jobs = 1) ?chunk scenarios =
   fan ?chunk ~jobs Scenario.run scenarios
 

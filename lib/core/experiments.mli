@@ -260,6 +260,31 @@ val faults :
     is inside the records, and the 0 % rows are bit-identical to a run
     with no fault plan at all. *)
 
+(** {1 Canonical cluster scenarios}
+
+    Shared by the bench sections, the CLI and the gate tests. *)
+
+val policy_storm :
+  ?seed:int -> ?policy:Horse_faas.Cluster.Policy.t -> triggers:int ->
+  rate:float -> unit -> Scenario.t
+(** The policy shoot-out's storm: [triggers] bursty arrivals of one
+    300 µs uLL function on {!Scenario.default}'s 4-server cluster,
+    under [rate] whole-server blackouts per server-second (seed 42,
+    warm-first push by default).  At rate 0 it is also the
+    lock-step-vs-adaptive epoch storm. *)
+
+val chain_scenario :
+  ?seed:int -> strategy:Horse_vmm.Sandbox.strategy -> len:int ->
+  fused:bool -> unit -> Scenario.t
+(** 2000 uniform instances of a [len]-stage uLL chain over 0.25 s,
+    [fused] or not, on {!Scenario.default}'s cluster (seed 42). *)
+
+val router_storm :
+  ?seed:int -> routers:int -> triggers:int -> unit -> Scenario.t
+(** [triggers] bursty arrivals cycling the 32-function
+    {!Scenario.Palette} over [routers] routers, 8 servers and 1024
+    warm sandboxes (seed 42). *)
+
 val run_scenarios :
   ?jobs:int -> ?chunk:int -> Scenario.t list -> Scenario.row list
 (** {!Scenario.run} over a list, fanned over [jobs] strands like every

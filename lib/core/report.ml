@@ -55,117 +55,3 @@ let span s = ns (float_of_int (Horse_sim.Time_ns.span_to_ns s))
 let pct v = Printf.sprintf "%.2f%%" v
 
 let ratio v = Printf.sprintf "%.2fx" v
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable bench records                                      *)
-(* ------------------------------------------------------------------ *)
-
-module Json = Horse_vmm.Json
-
-type timing = {
-  t_name : string;
-  t_jobs : int;
-  t_wall_seq_s : float;
-  t_wall_par_s : float;
-  t_meta : (string * Json.t) list;
-}
-
-let speedup t =
-  if t.t_wall_par_s > 0.0 then t.t_wall_seq_s /. t.t_wall_par_s else 1.0
-
-let timing_to_json t =
-  Json.Object
-    ([
-       ("name", Json.String t.t_name);
-       ("jobs", Json.Int t.t_jobs);
-       ("wall_seq_s", Json.Float t.t_wall_seq_s);
-       ("wall_par_s", Json.Float t.t_wall_par_s);
-       ("speedup", Json.Float (speedup t));
-     ]
-    @ t.t_meta)
-
-let to_json ~jobs timings =
-  let host_cores = Domain.recommended_domain_count () in
-  Json.to_string
-    (Json.Object
-       ([
-          (* /2 added per-entry metadata (epochs, rounds, barrier-wait
-             ns, ...) carried in each experiment object; all /1 fields
-             are unchanged, so /1 readers still parse the core pairs *)
-          ("schema", Json.String "horse-bench/2");
-          ("jobs", Json.Int jobs);
-          (* cores of the machine that produced the artifact: the gate
-             (bench_check) holds single-core hosts to a lower floor *)
-          ("host_cores", Json.Int host_cores);
-        ]
-       @ (if host_cores <= 1 then
-            (* stamp the artifact itself so a reader (or a gate on a
-               different machine) never mistakes a timeshared run for
-               a parallel one *)
-            [ ("degraded_host", Json.Bool true) ]
-          else [])
-       @ [ ("experiments", Json.List (List.map timing_to_json timings)) ]))
-
-(* The [host_cores] recorded in an existing artifact at [path], if it
-   parses as a bench document. *)
-let recorded_host_cores path =
-  if not (Sys.file_exists path) then None
-  else
-    try
-      let ic = open_in_bin path in
-      let contents =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      Option.bind (Json.member "host_cores" (Json.parse contents)) Json.to_int
-    with _ -> None
-
-let force_requested () =
-  match Sys.getenv_opt "FORCE" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
-let write_file path body =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc body;
-      output_char oc '\n')
-
-let write_json ~path ~jobs timings =
-  let host_cores = Domain.recommended_domain_count () in
-  if host_cores <= 1 then
-    Printf.printf
-      "warning: producing bench artifact on a single-core host \
-       (host_cores = %d) — parallel speedups are not physically \
-       reachable here; the record is stamped \"degraded_host\"\n%!"
-      host_cores;
-  match recorded_host_cores path with
-  | Some prev when prev > host_cores && not (force_requested ()) ->
-    (* provenance guard: a weaker producer must not silently replace a
-       multi-core record — that would erase the only measurement the
-       parallel gates can honestly judge.  The refused run is kept
-       next to the artifact, stamped with the reason. *)
-    let reason =
-      Printf.sprintf
-        "host_cores would regress %d -> %d; kept the existing artifact \
-         (set FORCE=1 to overwrite)"
-        prev host_cores
-    in
-    let rejected = path ^ ".rejected" in
-    let body =
-      match Json.parse (to_json ~jobs timings) with
-      | Json.Object pairs ->
-        Json.to_string
-          (Json.Object (("refusal_reason", Json.String reason) :: pairs))
-      | other -> Json.to_string other
-    in
-    write_file rejected body;
-    Printf.printf "REFUSED %s: %s\n  refused run recorded in %s\n%!" path
-      reason rejected
-  | Some _ | None ->
-    write_file path (to_json ~jobs timings);
-    Printf.printf "wrote %s (%d experiments, jobs=%d)\n%!" path
-      (List.length timings) jobs

@@ -24,47 +24,3 @@ val pct : float -> string
 
 val ratio : float -> string
 (** Multiplier with two decimals ("7.16x"). *)
-
-(** {1 Machine-readable bench records}
-
-    The bench harness's [--json] mode dumps per-experiment wall-clock
-    timings so the repo's perf trajectory can be tracked run over
-    run (schema ["horse-bench/2"]: /1 plus free-form per-entry
-    metadata — epoch counts, barrier-wait ns, drained-event splits —
-    merged into each experiment object). *)
-
-type timing = {
-  t_name : string;  (** experiment label, e.g. ["fig3"] *)
-  t_jobs : int;  (** parallelism of the timed run *)
-  t_wall_seq_s : float;  (** wall-clock at [--jobs 1], seconds *)
-  t_wall_par_s : float;  (** wall-clock at [--jobs t_jobs], seconds *)
-  t_meta : (string * Horse_vmm.Json.t) list;
-      (** extra pairs merged into the entry's JSON object (must not
-          collide with the core keys) *)
-}
-
-val speedup : timing -> float
-(** [t_wall_seq_s /. t_wall_par_s] (1.0 when the parallel time is
-    zero). *)
-
-val to_json : jobs:int -> timing list -> string
-(** The whole run as one JSON document: schema tag, requested [jobs],
-    the producing host's core count, and one object per experiment
-    with both wall-clocks and the sequential/parallel speedup.  On a
-    single-core producer the document additionally carries
-    ["degraded_host": true] — parallel speedups are physically
-    unreachable there, and downstream gates judge the artifact
-    against relaxed floors. *)
-
-val write_json : path:string -> jobs:int -> timing list -> unit
-(** [to_json] to a file, with a one-line confirmation on stdout (and
-    a visible warning first when the host is single-core).
-
-    Provenance guard: if [path] already holds a bench document whose
-    [host_cores] exceeds this producer's, the overwrite is {e refused}
-    — the existing multi-core record is the only measurement the
-    parallel gates can honestly judge, and a timeshared laptop run
-    must not silently replace it.  The refused document is written to
-    [path ^ ".rejected"] with a ["refusal_reason"] field stamped into
-    it, and the refusal is printed.  Set [FORCE=1] in the environment
-    to overwrite anyway. *)

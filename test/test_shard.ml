@@ -491,6 +491,76 @@ let test_colocation_invariant () =
     [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
+(* Bench gates at quick scale                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The deterministic gates of bench/main.exe's shard, policy and chain
+   sections, on their smallest points.  The tails compared here are
+   the rows' P² estimates; when the estimator behind [Scenario.row]
+   is replaced, these gates read the new tails unchanged. *)
+
+let test_epoch_gate () =
+  (* the adaptive scheduler must cut lock-step epochs >= 5x on the 20k
+     bursty storm, at any shard count *)
+  List.iter
+    (fun shards ->
+      let storm =
+        { (E.policy_storm ~triggers:20_000 ~rate:0.0 ()) with shards }
+      in
+      match
+        check_identical "epoch storm"
+          [ { storm with scheduler = Shard_engine.Lockstep }; storm ]
+      with
+      | [ lockstep; adaptive ] ->
+        let l = lockstep.Scenario.sync.epochs
+        and a = adaptive.Scenario.sync.epochs in
+        Alcotest.(check bool)
+          (Printf.sprintf "shards=%d: lock-step %d >= 5 x adaptive %d" shards
+             l a)
+          true
+          (l >= 5 * a)
+      | _ -> assert false)
+    [ 1; 4 ]
+
+(* [holds contender baseline] on the e2e p99 and p999 *)
+let check_tails ~what ~holds ~(contender : Scenario.tail)
+    ~(baseline : Scenario.tail) =
+  List.iter
+    (fun (q, c, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s e2e %s: %.1fus vs %.1fus" what q c b)
+        true (holds c b))
+    [
+      ("p99", contender.p99_us, baseline.p99_us);
+      ("p999", contender.p999_us, baseline.p999_us);
+    ]
+
+let test_pull_vs_push_gate () =
+  (* under blackouts, late binding must not lose the tail to push *)
+  let run policy =
+    let storm = E.policy_storm ~policy ~triggers:10_000 ~rate:0.9 () in
+    (Scenario.run { storm with shards = 2 }).e2e
+  in
+  check_tails ~what:"pull vs push" ~holds:( <= )
+    ~contender:(run (Cluster.Policy.pull ()))
+    ~baseline:(run (Cluster.Policy.push ()))
+
+let test_fused_vs_unfused_gate () =
+  (* fusion removes a notification and a placement round-trip per hop:
+     it must win the tail outright at length >= 3 *)
+  List.iter
+    (fun len ->
+      let run fused =
+        (Scenario.run
+           (E.chain_scenario ~strategy:Sandbox.Horse ~len ~fused ()))
+          .e2e
+      in
+      check_tails
+        ~what:(Printf.sprintf "len %d fused vs unfused" len)
+        ~holds:( < ) ~contender:(run true) ~baseline:(run false))
+    [ 3; 6 ]
+
+(* ------------------------------------------------------------------ *)
 (* Shard engine basics                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1062,6 +1132,15 @@ let () =
             `Quick test_scenario_families;
           Alcotest.test_case "colocation rows shards-invariant" `Slow
             test_colocation_invariant;
+        ] );
+      ( "bench gates",
+        [
+          Alcotest.test_case "adaptive cuts lock-step epochs >= 5x" `Quick
+            test_epoch_gate;
+          Alcotest.test_case "pull tail <= push tail under blackouts" `Quick
+            test_pull_vs_push_gate;
+          Alcotest.test_case "fused tail < unfused tail at len 3, 6" `Quick
+            test_fused_vs_unfused_gate;
         ] );
       ( "engine",
         [

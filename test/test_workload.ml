@@ -1,12 +1,11 @@
 (* Tests for horse_workload: the real uLL functions (firewall, NAT,
-   array filter), the thumbnail generator and the CPU burner. *)
+   array filter) and the thumbnail generator. *)
 
 module Packet = Horse_workload.Packet
 module Firewall = Horse_workload.Firewall
 module Nat = Horse_workload.Nat
 module Array_filter = Horse_workload.Array_filter
 module Thumbnail = Horse_workload.Thumbnail
-module Cpu_burn = Horse_workload.Cpu_burn
 module Category = Horse_workload.Category
 module Rng = Horse_sim.Rng
 module Time = Horse_sim.Time_ns
@@ -225,23 +224,6 @@ let test_thumbnail_variability_tightens () =
   Alcotest.(check bool) "tight < loose" true (spread 0.01 < spread 1.0)
 
 (* ------------------------------------------------------------------ *)
-(* CPU burner                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_primes () =
-  Alcotest.(check int) "primes < 10" 4 (Cpu_burn.primes_below 10);
-  Alcotest.(check int) "primes < 100" 25 (Cpu_burn.primes_below 100);
-  Alcotest.(check int) "primes < 2" 0 (Cpu_burn.primes_below 2);
-  Alcotest.check_raises "n < 2" (Invalid_argument "Cpu_burn.primes_below: n < 2")
-    (fun () -> ignore (Cpu_burn.primes_below 1))
-
-let test_events_per_period () =
-  let rng = Rng.create ~seed:4 in
-  let events = Cpu_burn.events_per_period rng ~period:(Time.span_ms 500.0) in
-  Alcotest.(check bool) "plausible sysbench rate" true
-    (events > 2000 && events < 3500)
-
-(* ------------------------------------------------------------------ *)
 (* Categories                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -322,11 +304,6 @@ let () =
           Alcotest.test_case "latency model" `Quick test_thumbnail_latency_model;
           Alcotest.test_case "variability knob" `Quick
             test_thumbnail_variability_tightens;
-        ] );
-      ( "cpu_burn",
-        [
-          Alcotest.test_case "primes" `Quick test_primes;
-          Alcotest.test_case "events per period" `Quick test_events_per_period;
         ] );
       ( "category",
         [
