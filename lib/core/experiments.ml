@@ -432,9 +432,8 @@ let thumbnail_def =
              ~image_bytes:Horse_workload.Thumbnail.default_image_bytes))
 
 let colocation_summarise source =
-  (* paper-figure experiment: keep the exact [Sample] aggregator (the
-     streaming [Quantile] is for unbounded sweeps — see EXPERIMENTS.md
-     on the policy) *)
+  (* paper-figure experiment: the exact [Sample] aggregator, read at
+     any percentile *)
   let latencies = Stats.Sample.create () in
   let affected = ref 0 and max_delay_ns = ref 0.0 in
   let thumbnail_id =

@@ -311,7 +311,7 @@ type pending_trigger = {
 
 (* One router shard.  Everything mutable in here is owned by the
    router's strand: hooks, mirrors, queues, the completion log, the
-   rejection log, the latency estimator and the metrics registry all
+   rejection log, the latency stream and the metrics registry all
    mutate only on [r_engine]'s timeline, in deterministic
    message-delivery order.  The mirrors are the policy view's arrays,
    indexed by the router-local server index. *)
@@ -557,7 +557,14 @@ let healthy_count t =
 let pending_count t =
   Array.fold_left (fun acc r -> acc + Queue.length r.r_pending) 0 t.routers
 
-let e2e_latencies t = t.routers.(0).r_e2e
+(* Like [metrics]: router 0's live stream with one router, a fresh
+   exact merge of every router's stream with several. *)
+let e2e_latencies t =
+  if Array.length t.routers = 1 then t.routers.(0).r_e2e
+  else
+    match List.filter_map (fun r -> r.r_e2e) (Array.to_list t.routers) with
+    | [] -> None
+    | streams -> Some (Stats.Quantile.merge streams)
 
 let e2e_latencies_of t r =
   if r < 0 || r >= router_count t then

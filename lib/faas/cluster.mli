@@ -203,7 +203,7 @@ val create_sharded :
     shards.  Defaults: 4 servers, 1 router, {!Policy.push} (warm-first),
     each server an r650 with one ull_runqueue, an inert fault plan,
     legacy (no-op) recovery.  [e2e] (default off) turns on the
-    router-side end-to-end latency estimator ({!e2e_latencies}).  Each
+    router-side end-to-end latency stream ({!e2e_latencies}).  Each
     server's platform gets its own plan derived from [faults] by server
     index, so per-server fault sequences are independent of routing
     order; the cluster-level plan drives the {!schedule_faults}
@@ -266,8 +266,8 @@ val router_metrics : t -> int -> Horse_sim.Metrics.t
     view).  @raise Invalid_argument on an out-of-range index. *)
 
 val e2e_latencies_of : t -> int -> Horse_sim.Stats.Quantile.t option
-(** Router [r]'s end-to-end latency estimator (the stream of triggers
-    that {e completed} on router [r]'s timeline — including any it
+(** Router [r]'s end-to-end latency stream (the triggers that
+    {e completed} on router [r]'s timeline — including any it
     received over the spill ring).  [None] when [e2e] is off.
     @raise Invalid_argument on an out-of-range index. *)
 
@@ -313,12 +313,13 @@ val pending_count : t -> int
     for a claim.  Always 0 under the push and core policies. *)
 
 val e2e_latencies : t -> Horse_sim.Stats.Quantile.t option
-(** With [~e2e:true], router 0's end-to-end latency stream in
+(** With [~e2e:true], the fleet's end-to-end latency stream in
     microseconds — arrival at the router to completion notification
     (including queueing, placement and spill delays and the recovery
-    ladder), tracked at p50/p99/p999.  The whole fleet's stream when
-    [router_count = 1]; use {!e2e_latencies_of} for the other routers
-    of a partitioned plane.  [None] when [e2e] is off. *)
+    ladder), tracked at p50/p99/p999.  With one router this {e is} the
+    router's live stream; with several it is a fresh exact merge of
+    every router's stream, rebuilt per call (see {!e2e_latencies_of}
+    for one router's live stream).  [None] when [e2e] is off. *)
 
 val mark_down : t -> int -> unit
 (** Exclude a server from routing (as a blackout does) and zero the

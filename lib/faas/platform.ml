@@ -163,10 +163,8 @@ type t = {
   arena : Trigger_records.t;  (* completed invocations, append order *)
   mutable records_cache : record list;  (* memoized [records] shim *)
   mutable records_cache_len : int;  (* arena length the cache reflects *)
-  (* per-mode interned metric handles: the trigger and completion
-     paths must neither sprintf a series name nor re-hash it *)
-  latency_d : Metrics.dist array;
-  init_d : Metrics.dist array;
+  (* per-mode interned counters: the trigger and completion paths
+     must neither sprintf a counter name nor re-hash it *)
   triggers_c : int ref array;
   completions_c : int ref;
   mutable next_sandbox_id : int;
@@ -201,14 +199,6 @@ let create ?(topology = Topology.r650) ?(cost = Cost_model.firecracker)
     arena = Trigger_records.create ();
     records_cache = [];
     records_cache_len = 0;
-    latency_d =
-      Array.init mode_count (fun i ->
-          Metrics.dist_handle metrics
-            ("platform.latency." ^ mode_name (mode_of_code i)));
-    init_d =
-      Array.init mode_count (fun i ->
-          Metrics.dist_handle metrics
-            ("platform.init." ^ mode_name (mode_of_code i)));
     triggers_c =
       Array.init mode_count (fun i ->
           Metrics.counter_ref metrics
@@ -416,19 +406,6 @@ let complete t inv =
       ~completed_at:(Engine.now t.engine)
   in
   t.completions_c := !(t.completions_c) + 1;
-  Metrics.observe_dist t.latency_d.(code)
-    (float_of_int
-       (Time.span_to_ns inv.inv_init + Time.span_to_ns inv.inv_exec
-      + inv.preempt_ns));
-  (* the init distribution is observed here, not at launch: a doomed
-     attempt (exec crash, later retried or aborted) must not leak a
-     phantom observation that under-reports the burned-rung and
-     backoff time eventually charged into the completing record's
-     [init].  Observing at completion keeps the stream in lock-step
-     with the arena — dist count = record count — so a Quantile
-     observer that looks mid-ladder sees only fully-charged values. *)
-  Metrics.observe_dist t.init_d.(code)
-    (float_of_int (Time.span_to_ns inv.inv_init));
   (* post-execution policy: warm sandboxes go back to their pool, cold
      ones idle under keep-alive before being reclaimed.  A crash during
      the re-pause loses the sandbox (it is never pooled) but not the

@@ -67,11 +67,10 @@ exception Unknown_function of string
     - {b graceful degradation}: a failed or timed-out [Warm] start
       falls back to [Restore], a failed [Restore] to [Cold] — with
       the virtual time burned by every failed rung charged into the
-      eventual record's [init] (no latency is hidden).  The
-      [platform.init.<mode>] distributions observe exactly the charged
-      values, at completion time: a doomed attempt never publishes a
-      partial init, so an observer registered mid-ladder sees a stream
-      in lock-step with the record arena;
+      eventual record's [init] (no latency is hidden).  The record
+      is appended to {!trigger_records} only at completion: a doomed
+      attempt never publishes a partial init, so an observer that
+      looks mid-ladder sees no row for the invocation yet;
     - {b watchdog timeouts}: a per-mode limit on the synchronous init
       duration; a tripped watchdog stops the sandbox, charges the
       watchdog window and descends the ladder;

@@ -684,7 +684,11 @@ let instances_completed t = Array.fold_left ( + ) 0 t.t_completed
 
 let instances_failed t = Array.fold_left ( + ) 0 t.t_failed
 
-let e2e t = t.t_e2e.(0)
+(* Like [Cluster.e2e_latencies]: router 0's live stream with one
+   router, a fresh exact merge with several. *)
+let e2e t =
+  if t.t_routers = 1 then t.t_e2e.(0)
+  else Stats.Quantile.merge (Array.to_list t.t_e2e)
 
 let e2e_of t r =
   if r < 0 || r >= t.t_routers then

@@ -205,9 +205,10 @@ val instances_failed : t -> int
 
 val e2e : t -> Horse_sim.Stats.Quantile.t
 (** Start-to-last-completion latency per completed instance, in
-    microseconds, tracked at p50/p99/p999 on the router timeline —
-    router 0's stream (the whole plane when [Cluster.router_count =
-    1]; see {!e2e_of} for the others). *)
+    microseconds, tracked at p50/p99/p999 on the router timeline, for
+    the whole plane.  With one router this {e is} the router's live
+    stream; with several it is a fresh exact merge of every router's
+    stream, rebuilt per call (see {!e2e_of} for one router's). *)
 
 val e2e_of : t -> int -> Horse_sim.Stats.Quantile.t
 (** Router [r]'s instance-latency stream (instances homed there).

@@ -1,21 +1,6 @@
-type series = Stats.Sample.t
+type t = { counters : (string, int ref) Hashtbl.t }
 
-(* A bounded-memory latency distribution: exact mean/extremes from the
-   Welford accumulator, streamed percentiles from the P² estimator. *)
-type dist = { online : Stats.Online.t; quantile : Stats.Quantile.t }
-
-type t = {
-  counters : (string, int ref) Hashtbl.t;
-  samples : (string, Stats.Sample.t) Hashtbl.t;
-  dists : (string, dist) Hashtbl.t;
-}
-
-let create () =
-  {
-    counters = Hashtbl.create 32;
-    samples = Hashtbl.create 32;
-    dists = Hashtbl.create 32;
-  }
+let create () = { counters = Hashtbl.create 32 }
 
 let counter_ref t name =
   match Hashtbl.find_opt t.counters name with
@@ -32,57 +17,6 @@ let incr t ?(by = 1) name =
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
-let series_handle t name =
-  match Hashtbl.find_opt t.samples name with
-  | Some s -> s
-  | None ->
-    let s = Stats.Sample.create () in
-    Hashtbl.add t.samples name s;
-    s
-
-let observe_h s x = Stats.Sample.add s x
-
-let observe t name x = observe_h (series_handle t name) x
-
-let sample t name = Hashtbl.find_opt t.samples name
-
-let observe_span t name span =
-  observe t name (float_of_int (Time_ns.span_to_ns span))
-
-let dist_handle ?quantiles t name =
-  match Hashtbl.find_opt t.dists name with
-  | Some d -> d
-  | None ->
-    let d =
-      {
-        online = Stats.Online.create ();
-        quantile = Stats.Quantile.create ?quantiles ();
-      }
-    in
-    Hashtbl.add t.dists name d;
-    d
-
-let observe_dist d x =
-  Stats.Online.add d.online x;
-  Stats.Quantile.add d.quantile x
-
-let observe_dist_span d span =
-  observe_dist d (float_of_int (Time_ns.span_to_ns span))
-
-let dist t name = Hashtbl.find_opt t.dists name
-
-let dist_count d = Stats.Online.count d.online
-
-let dist_mean d = Stats.Online.mean d.online
-
-let dist_percentile d p = Stats.Quantile.percentile d.quantile p
-
-let sorted_bindings table value =
-  Hashtbl.fold (fun k v acc -> (k, value v) :: acc) table []
+let counters t =
+  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let counters t = sorted_bindings t.counters ( ! )
-
-let samples t = sorted_bindings t.samples Fun.id
-
-let dists t = sorted_bindings t.dists Fun.id

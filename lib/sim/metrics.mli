@@ -1,30 +1,17 @@
-(** A named-metric registry shared by an experiment's components.
+(** A named-counter registry shared by an experiment's components.
 
-    Components (scheduler, VMM, FaaS router) record counters and
-    latency observations under string names; the bench harness reads
-    them back when printing a table.  One registry per experiment — no
-    global state.
+    Components (scheduler, VMM, FaaS router) bump counters under
+    string names; the bench harness reads them back when printing a
+    table.  One registry per experiment — no global state.
 
-    Observations come in two kinds.  A {e sample series} retains every
-    observation ({!Stats.Sample}) and answers exact percentiles — right
-    for bounded diagnostic streams.  A {e dist} streams observations
-    through {!Stats.Online} + {!Stats.Quantile} in fixed memory — the
-    only safe kind on per-trigger hot paths, where a 100M-event run
-    must not retain 100M floats.
+    Latencies are not kept here: each completed trigger is recorded
+    once, as a row of the platform's record arena, and every latency
+    distribution is read from those rows.
 
-    Hot paths should not re-hash a metric's name on every event:
-    {!counter_ref}, {!series_handle} and {!dist_handle} intern the
-    lookup once and the [_h]-suffixed observers take the returned
-    handle directly. *)
+    Hot paths should not re-hash a counter's name on every event:
+    {!counter_ref} interns the lookup once and returns the live cell. *)
 
 type t
-
-type series
-(** An interned handle on a sample series (see {!series_handle}). *)
-
-type dist
-(** An interned handle on a streaming distribution (see
-    {!dist_handle}). *)
 
 val create : unit -> t
 
@@ -40,49 +27,5 @@ val counter_ref : t -> string -> int ref
 val counter : t -> string -> int
 (** Current value; 0 if never bumped. *)
 
-val series_handle : t -> string -> series
-(** The live series behind [name] (created empty on first use).  Like
-    {!counter_ref}, the handle skips the name hash on every
-    observation; it stays visible to {!sample} and {!samples}. *)
-
-val observe_h : series -> float -> unit
-(** Append one observation through an interned handle. *)
-
-val observe : t -> string -> float -> unit
-(** Append one observation to the sample series [name]
-    ([observe_h (series_handle t name)]). *)
-
-val sample : t -> string -> Stats.Sample.t option
-(** The sample series, if any observation was recorded. *)
-
-val observe_span : t -> string -> Time_ns.span -> unit
-(** {!observe} with the span converted to nanoseconds. *)
-
-val dist_handle : ?quantiles:float array -> t -> string -> dist
-(** The streaming distribution behind [name] (created on first use
-    with the given target quantiles — {!Stats.Quantile.create}'s
-    defaults when omitted). *)
-
-val observe_dist : dist -> float -> unit
-
-val observe_dist_span : dist -> Time_ns.span -> unit
-
-val dist : t -> string -> dist option
-
-val dist_count : dist -> int
-
-val dist_mean : dist -> float
-(** Exact running mean; 0.0 when empty. *)
-
-val dist_percentile : dist -> float -> float
-(** Streamed estimate, [p] in [0,100]; see
-    {!Stats.Quantile.percentile} for the target-set restriction. *)
-
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
-
-val samples : t -> (string * Stats.Sample.t) list
-(** All sample series, sorted by name. *)
-
-val dists : t -> (string * dist) list
-(** All streaming distributions, sorted by name. *)

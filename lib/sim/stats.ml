@@ -99,24 +99,17 @@ module Sample = struct
 end
 
 module Quantile = struct
-  (* P² (Jain & Chlamtac 1985): one five-marker estimator per target
-     quantile, updated in O(1) per observation — fixed memory no
-     matter how long the stream runs, unlike [Sample] which retains
-     every observation.  The first five observations are kept exactly
-     (they seed the markers), so short streams report exact
-     percentiles and only long ones are estimates.  Purely
-     deterministic: the estimate depends only on the observation
-     sequence, never on timing or memory layout. *)
+  (* Exact: every observation is retained in a [Sample] and percentiles
+     use its closest-ranks rule, so the answer depends only on the
+     multiset of observations — never on stream order — and streams
+     merge exactly.  The running sum is kept beside the sample so the
+     mean is the insertion-order sum, unaffected by the sample's
+     in-place sort. *)
 
   type t = {
     targets : float array;  (* quantile fractions, as given *)
-    q : float array array;  (* marker heights, 5 per target *)
-    n : float array array;  (* marker positions, 1-based *)
-    np : float array array;  (* desired marker positions *)
-    dn : float array array;  (* desired-position increments *)
-    seed_buf : float array;  (* the first five observations *)
+    sample : Sample.t;
     sum : float array;  (* single cell, kept unboxed (see Online) *)
-    mutable count : int;
   }
 
   let default_targets = [| 0.5; 0.9; 0.99; 0.999 |]
@@ -129,178 +122,50 @@ module Quantile = struct
         if p <= 0.0 || p >= 1.0 then
           invalid_arg "Stats.Quantile.create: target outside (0,1)")
       quantiles;
-    let k = Array.length quantiles in
     {
       targets = Array.copy quantiles;
-      q = Array.init k (fun _ -> Array.make 5 0.0);
-      n = Array.init k (fun _ -> Array.make 5 0.0);
-      np = Array.init k (fun _ -> Array.make 5 0.0);
-      dn =
-        Array.init k (fun i ->
-            let p = quantiles.(i) in
-            [| 0.0; p /. 2.0; p; (1.0 +. p) /. 2.0; 1.0 |]);
-      seed_buf = Array.make 5 0.0;
+      sample = Sample.create ();
       sum = [| 0.0 |];
-      count = 0;
     }
-
-  let count t = t.count
-
-  let mean t = if t.count = 0 then 0.0 else t.sum.(0) /. float_of_int t.count
-
-  let init_markers t =
-    let sorted = Array.copy t.seed_buf in
-    Array.sort Float.compare sorted;
-    Array.iteri
-      (fun j p ->
-        Array.blit sorted 0 t.q.(j) 0 5;
-        for i = 0 to 4 do
-          t.n.(j).(i) <- float_of_int (i + 1)
-        done;
-        t.np.(j).(0) <- 1.0;
-        t.np.(j).(1) <- 1.0 +. (2.0 *. p);
-        t.np.(j).(2) <- 1.0 +. (4.0 *. p);
-        t.np.(j).(3) <- 3.0 +. (2.0 *. p);
-        t.np.(j).(4) <- 5.0)
-      t.targets
-
-  (* One marker adjustment: parabolic (PP) when the interpolated
-     height stays between its neighbours, linear otherwise. *)
-  let adjust q n i s =
-    let qi = q.(i) and ni = n.(i) in
-    let parabolic =
-      qi
-      +. s
-         /. (n.(i + 1) -. n.(i - 1))
-         *. (((ni -. n.(i - 1) +. s) *. (q.(i + 1) -. qi) /. (n.(i + 1) -. ni))
-            +. ((n.(i + 1) -. ni -. s) *. (qi -. q.(i - 1)) /. (ni -. n.(i - 1))))
-    in
-    (if q.(i - 1) < parabolic && parabolic < q.(i + 1) then q.(i) <- parabolic
-     else begin
-       let j = if s > 0.0 then i + 1 else i - 1 in
-       q.(i) <- qi +. (s *. (q.(j) -. qi) /. (n.(j) -. ni))
-     end);
-    n.(i) <- ni +. s
-
-  let add_to_target t j x =
-    let q = t.q.(j) and n = t.n.(j) and np = t.np.(j) and dn = t.dn.(j) in
-    let k =
-      if x < q.(0) then begin
-        q.(0) <- x;
-        0
-      end
-      else if x >= q.(4) then begin
-        q.(4) <- x;
-        3
-      end
-      else begin
-        let k = ref 0 in
-        while x >= q.(!k + 1) do
-          incr k
-        done;
-        !k
-      end
-    in
-    for i = k + 1 to 4 do
-      n.(i) <- n.(i) +. 1.0
-    done;
-    for i = 0 to 4 do
-      np.(i) <- np.(i) +. dn.(i)
-    done;
-    for i = 1 to 3 do
-      let d = np.(i) -. n.(i) in
-      if
-        (d >= 1.0 && n.(i + 1) -. n.(i) > 1.0)
-        || (d <= -1.0 && n.(i - 1) -. n.(i) < -1.0)
-      then adjust q n i (if d >= 0.0 then 1.0 else -1.0)
-    done
 
   let add t x =
     t.sum.(0) <- t.sum.(0) +. x;
-    if t.count < 5 then begin
-      t.seed_buf.(t.count) <- x;
-      t.count <- t.count + 1;
-      if t.count = 5 then init_markers t
-    end
-    else begin
-      t.count <- t.count + 1;
-      for j = 0 to Array.length t.targets - 1 do
-        add_to_target t j x
-      done
-    end
+    Sample.add t.sample x
 
-  (* Exact closest-ranks interpolation over the seed buffer — the same
-     rule [Sample.percentile] uses — so streams of up to five
-     observations are exact. *)
-  let exact_small t p =
-    let sorted = Array.sub t.seed_buf 0 t.count in
-    Array.sort Float.compare sorted;
-    let rank = p /. 100.0 *. float_of_int (t.count - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = int_of_float (Float.ceil rank) in
-    if lo = hi then sorted.(lo)
-    else begin
-      let w = rank -. float_of_int lo in
-      (sorted.(lo) *. (1.0 -. w)) +. (sorted.(hi) *. w)
-    end
+  let count t = Sample.count t.sample
+
+  let mean t =
+    let n = count t in
+    if n = 0 then 0.0 else t.sum.(0) /. float_of_int n
 
   let percentile t p =
-    if t.count = 0 then invalid_arg "Stats.Quantile.percentile: empty";
+    let n = count t in
+    if n = 0 then invalid_arg "Stats.Quantile.percentile: empty";
     if p < 0.0 || p > 100.0 then
       invalid_arg "Stats.Quantile.percentile: p out of [0,100]";
-    if t.count <= 5 then exact_small t p
-    else begin
-      let target = p /. 100.0 in
-      let j = ref (-1) in
-      Array.iteri
-        (fun i q -> if Float.abs (q -. target) < 1e-9 then j := i)
-        t.targets;
-      if !j < 0 then
-        invalid_arg "Stats.Quantile.percentile: not a configured target";
-      t.q.(!j).(2)
-    end
+    (* the targets are the stream's declared read set; streams of up
+       to five observations answer any [p] *)
+    if
+      n > 5
+      && not
+           (Array.exists
+              (fun q -> Float.abs (q -. (p /. 100.0)) < 1e-9)
+              t.targets)
+    then invalid_arg "Stats.Quantile.percentile: not a configured target";
+    Sample.percentile t.sample p
 
-  let targets t = Array.copy t.targets
-end
-
-module Histogram = struct
-  type t = {
-    lo : float;
-    width : float;
-    counts : int array;
-    mutable under : int;
-    mutable over : int;
-    mutable total : int;
-  }
-
-  let create ~lo ~hi ~buckets =
-    if hi <= lo then invalid_arg "Stats.Histogram.create: hi <= lo";
-    if buckets <= 0 then invalid_arg "Stats.Histogram.create: buckets <= 0";
-    {
-      lo;
-      width = (hi -. lo) /. float_of_int buckets;
-      counts = Array.make buckets 0;
-      under = 0;
-      over = 0;
-      total = 0;
-    }
-
-  let add t x =
-    t.total <- t.total + 1;
-    if x < t.lo then t.under <- t.under + 1
-    else begin
-      let idx = int_of_float ((x -. t.lo) /. t.width) in
-      if idx >= Array.length t.counts then t.over <- t.over + 1
-      else t.counts.(idx) <- t.counts.(idx) + 1
-    end
-
-  let count t = t.total
-
-  let bucket_counts t = Array.copy t.counts
-
-  let underflow t = t.under
-
-  let overflow t = t.over
+  let merge = function
+    | [] -> invalid_arg "Stats.Quantile.merge: no streams"
+    | first :: _ as streams ->
+      let merged = create ~quantiles:first.targets () in
+      List.iter
+        (fun q ->
+          for i = 0 to count q - 1 do
+            Sample.add merged.sample q.sample.data.(i)
+          done;
+          merged.sum.(0) <- merged.sum.(0) +. q.sum.(0))
+        streams;
+      merged
 end
 
 let mean_of = function

@@ -50,7 +50,6 @@ type t = {
      string hashing *)
   pauses_c : int ref array;
   resumes_c : int ref array;
-  resume_ns_s : Metrics.series array;
 }
 
 let create ?(cost = Cost_model.firecracker) ?(jitter = 0.02) ?(seed = 7)
@@ -72,7 +71,6 @@ let create ?(cost = Cost_model.firecracker) ?(jitter = 0.02) ?(seed = 7)
     faults;
     pauses_c = by_strategy "vmm.pauses.%s" Metrics.counter_ref;
     resumes_c = by_strategy "vmm.resumes.%s" Metrics.counter_ref;
-    resume_ns_s = by_strategy "vmm.resume_ns.%s" Metrics.series_handle;
   }
 
 let cost t = t.cost
@@ -412,8 +410,6 @@ let resume t sandbox =
   let code = Sandbox.strategy_code strategy in
   let cnt = t.resumes_c.(code) in
   cnt := !cnt + 1;
-  Metrics.observe_h t.resume_ns_s.(code)
-    (float_of_int (Time.span_to_ns total));
   Log.debug (fun m ->
       m "resume %a strategy=%s total=%dns threads=%d" Sandbox.pp sandbox
         (Sandbox.strategy_name strategy)

@@ -1084,10 +1084,11 @@ let test_metrics_recorded () =
     (Metrics.counter m "platform.triggers.warm-horse");
   Alcotest.(check int) "completion counter" 1
     (Metrics.counter m "platform.completions");
-  Alcotest.(check bool) "init dist exists" true
-    (match Metrics.dist m "platform.init.warm-horse" with
-    | Some d -> Metrics.dist_count d = 1
-    | None -> false)
+  let arena = Platform.trigger_records platform in
+  Alcotest.(check int) "one arena row" 1 (Trigger_records.length arena);
+  Alcotest.(check int) "row mode is warm-horse"
+    (Platform.mode_code (Platform.Warm Sandbox.Horse))
+    (Trigger_records.mode_code arena 0)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)

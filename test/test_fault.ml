@@ -18,6 +18,7 @@ module Ll = Horse_psm.Linked_list
 module Sandbox = Horse_vmm.Sandbox
 module Vmm = Horse_vmm.Vmm
 module Platform = Horse_faas.Platform
+module Trigger_records = Horse_faas.Trigger_records
 module Function_def = Horse_faas.Function_def
 module Cluster = Horse_faas.Cluster
 module Fault = Horse_fault.Fault
@@ -334,11 +335,11 @@ let test_fused_segment_rides_ladder_once () =
   Alcotest.(check (triple int int int))
     "unfused: every member descends" (3, 3, 3) (run false)
 
-(* Regression for the backoff-accounting fix: the init distribution
-   must observe only at completion, so an observer registered (or
-   read) mid-ladder sees nothing from the doomed first attempt, and
-   the single eventual observation equals the record's charged init
-   (burned exec + backoff wait + the successful resume). *)
+(* Regression for the backoff-accounting fix: the record arena gains
+   a row only at completion, so a reader looking mid-ladder sees
+   nothing from the doomed first attempt, and the single eventual row
+   carries the charged init (burned exec + backoff wait + the
+   successful resume). *)
 let test_backoff_charged_visible_midladder () =
   let rates = [ (Fault.Exec_crash, 0.5) ] in
   (* platform used directly: no per-server derivation.  Search for
@@ -369,32 +370,24 @@ let test_backoff_charged_visible_midladder () =
   in
   Platform.register platform ull_def;
   Platform.provision platform ~name:"ull" ~count:2 ~strategy:Sandbox.Horse;
-  let init_dist () =
-    Option.get (Metrics.dist (Platform.metrics platform) "platform.init.warm-horse")
-  in
-  let midladder_count = ref (-1) in
+  let arena = Platform.trigger_records platform in
+  let midladder_rows = ref (-1) in
   Platform.trigger platform ~name:"ull" ~mode:(Platform.Warm Sandbox.Horse) ();
-  (* attempt 1 launched synchronously at t=0 and is doomed; observe the
-     stream 1ns in — before the crash resolves, long before the retry *)
+  (* attempt 1 launched synchronously at t=0 and is doomed; look at
+     the arena 1ns in — before the crash resolves, long before the
+     retry *)
   ignore
     (Engine.schedule engine ~after:(Time.span_ns 1) (fun _ ->
-         midladder_count := Metrics.dist_count (init_dist ())));
+         midladder_rows := Trigger_records.length arena));
   Engine.run engine;
-  Alcotest.(check int) "doomed attempt published nothing" 0 !midladder_count;
+  Alcotest.(check int) "doomed attempt published nothing" 0 !midladder_rows;
   Alcotest.(check int) "crashed once, retried once" 1
     (Metrics.counter (Platform.metrics platform) "platform.retries");
-  (match Platform.records platform with
-  | [ r ] ->
-    let d = init_dist () in
-    Alcotest.(check int) "exactly one observation" 1 (Metrics.dist_count d);
-    Alcotest.(check (float 0.5)) "observation = charged init"
-      (float_of_int (Time.span_to_ns r.Platform.init))
-      (Metrics.dist_mean d);
-    (* the charge includes the backed-off wait, so it dominates the
-       1 ms backoff alone *)
-    Alcotest.(check bool) "backoff visible in init" true
-      (Time.span_to_ns r.Platform.init > Time.span_to_ns backoff)
-  | rs -> Alcotest.failf "expected exactly one record, got %d" (List.length rs))
+  Alcotest.(check int) "exactly one row" 1 (Trigger_records.length arena);
+  (* the charge includes the backed-off wait, so it dominates the 1 ms
+     backoff alone *)
+  Alcotest.(check bool) "backoff visible in init" true
+    (Time.span_to_ns (Trigger_records.init arena 0) > Time.span_to_ns backoff)
 
 (* ------------------------------------------------------------------ *)
 (* Exception safety: a failed trigger is a no-op                       *)

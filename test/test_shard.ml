@@ -496,8 +496,7 @@ let test_colocation_invariant () =
 
 (* The deterministic gates of bench/main.exe's shard, policy and chain
    sections, on their smallest points.  The tails compared here are
-   the rows' P² estimates; when the estimator behind [Scenario.row]
-   is replaced, these gates read the new tails unchanged. *)
+   the rows' exact percentiles. *)
 
 let test_epoch_gate () =
   (* the adaptive scheduler must cut lock-step epochs >= 5x on the 20k
@@ -725,13 +724,13 @@ let multi_defs () =
 (* A storm over many functions, so the function->router hash actually
    spreads the load: each trigger is scheduled on its affine router's
    engine, as a multi-router deployment must. *)
-let router_storm ?policy ?scheduler ?(faulty = false) ?(flaps = false)
+let router_storm ?policy ?scheduler ?(faulty = false) ?(flaps = false) ?e2e
     ~routers ~seed ~shards () =
   let faults = if faulty then blackout_plan (seed + 1) else Fault.Plan.none in
   let cluster =
     Cluster.create_sharded ~servers:4 ~topology:small_topology ~seed ~faults
-      ~recovery:Platform.Recovery.default ?policy ?scheduler ~shards ~routers
-      ()
+      ~recovery:Platform.Recovery.default ?policy ?scheduler ?e2e ~shards
+      ~routers ()
   in
   List.iter (Cluster.register cluster) (multi_defs ());
   for i = 0 to fn_count - 1 do
@@ -887,6 +886,18 @@ let test_spill_dry_warm () =
   Alcotest.(check int) "observed on the neighbor" 1 (Stats.Quantile.count e2e);
   Alcotest.(check bool) "e2e charges the hop" true
     (Stats.Quantile.mean e2e >= 150.0)
+
+let test_router_e2e_covers_fleet () =
+  (* the fleet's e2e stream covers every router: with no faults each
+     completed trigger is one observation, whichever router it
+     completed on *)
+  let cluster = router_storm ~e2e:true ~routers:4 ~seed:42 ~shards:1 () in
+  let e2e = Option.get (Cluster.e2e_latencies cluster) in
+  Alcotest.(check bool) "storm completed triggers" true
+    (Cluster.record_count cluster > 0);
+  Alcotest.(check int) "one observation per record"
+    (Cluster.record_count cluster)
+    (Stats.Quantile.count e2e)
 
 let test_spill_all_down_and_pinned () =
   let cluster = spill_cluster ~e2e:false () in
@@ -1111,6 +1122,8 @@ let () =
             test_router_invariance;
           Alcotest.test_case "multi-router storms per policy" `Quick
             test_router_invariance_policies;
+          Alcotest.test_case "multi-router e2e covers every router" `Quick
+            test_router_e2e_covers_fleet;
           Alcotest.test_case "dry-warm spill rides the ring" `Quick
             test_spill_dry_warm;
           Alcotest.test_case "all-down spill; pinned never spills" `Quick

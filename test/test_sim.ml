@@ -543,85 +543,131 @@ let test_quantile_rejects () =
     (Invalid_argument "Stats.Quantile.percentile: not a configured target")
     (fun () -> ignore (Stats.Quantile.percentile q 75.0))
 
-(* Model-based: every op appends one draw to both the P² estimator and
-   the exact Sample oracle; at periodic checkpoints the streaming
-   estimate must stay inside the distribution's tolerance band.  One
-   spec per draw shape — P² is tight on smooth unimodal data, the
-   median of well-separated bimodal data is its known weak spot, so
-   that check only pins the estimate inside the support. *)
-let quantile_spec ~name ~draw ~checks =
+(* Model-based: every op appends a burst of draws to both the
+   estimator and the exact Sample oracle; at every checkpoint (each
+   500 observations) the tracked percentiles must be ordered
+   (p50 <= p99 <= p99.9) and equal Sample's, bit for bit.  One spec
+   per draw shape. *)
+let quantile_ps = [ 50.0; 99.0; 99.9 ]
+
+let quantile_spec ~name ~draw =
   {
     Harness.name;
     gen = draw;
-    show = (fun v -> Printf.sprintf "%.3f" v);
+    show =
+      (fun burst -> String.concat "," (List.map (Printf.sprintf "%.3f") burst));
     make =
       (fun () ->
         let sample = Stats.Sample.create () in
         let q =
           Stats.Quantile.create ~quantiles:[| 0.5; 0.99; 0.999 |] ()
         in
-        fun v ->
-          Stats.Sample.add sample v;
-          Stats.Quantile.add q v;
+        fun burst ->
+          let before = Stats.Sample.count sample in
+          List.iter
+            (fun v ->
+              Stats.Sample.add sample v;
+              Stats.Quantile.add q v)
+            burst;
           let n = Stats.Sample.count sample in
-          if n < 500 || n mod 500 <> 0 then None
-          else
-            List.fold_left
-              (fun acc (p, ok) ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                  let exact = Stats.Sample.percentile sample p in
-                  let est = Stats.Quantile.percentile q p in
-                  if ok ~exact ~est then None
-                  else
-                    Some
-                      (Printf.sprintf
-                         "p%g at n=%d: exact %.3f, streaming %.3f" p n
-                         exact est))
-              None checks);
+          if n < 500 || n / 500 = before / 500 then None
+          else begin
+            let est = List.map (Stats.Quantile.percentile q) quantile_ps in
+            match est with
+            | [ p50; p99; p999 ] when not (p50 <= p99 && p99 <= p999) ->
+              Some
+                (Printf.sprintf "n=%d: p50 %.3f, p99 %.3f, p99.9 %.3f unordered"
+                   n p50 p99 p999)
+            | _ ->
+              List.fold_left2
+                (fun acc p est ->
+                  match acc with
+                  | Some _ -> acc
+                  | None ->
+                    let exact = Stats.Sample.percentile sample p in
+                    if Float.equal exact est then None
+                    else
+                      Some
+                        (Printf.sprintf "p%g at n=%d: exact %.3f, quantile %.3f"
+                           p n exact est))
+                None quantile_ps est
+          end);
   }
 
-let rel tol ~exact ~est =
-  Float.abs (est -. exact) <= tol *. Float.max 1.0 (Float.abs exact)
-
-let within lo hi ~exact:_ ~est = est >= lo && est <= hi
+let one draw st = [ draw st ]
 
 let test_quantile_uniform () =
   Harness.check ~scripts:6 ~len:2500
     (quantile_spec ~name:"quantile/uniform"
-       ~draw:(fun st -> Random.State.float st 1000.0)
-       ~checks:[ (50.0, rel 0.10); (99.0, rel 0.10); (99.9, rel 0.15) ])
+       ~draw:(one (fun st -> Random.State.float st 1000.0)))
 
 let test_quantile_exponential () =
   Harness.check ~scripts:6 ~len:2500
     (quantile_spec ~name:"quantile/exponential"
-       ~draw:(fun st -> -200.0 *. log (1.0 -. Random.State.float st 1.0))
-       ~checks:[ (50.0, rel 0.10); (99.0, rel 0.25); (99.9, rel 0.40) ])
+       ~draw:(one (fun st -> -200.0 *. log (1.0 -. Random.State.float st 1.0))))
 
 let test_quantile_bimodal () =
   Harness.check ~scripts:6 ~len:2500
     (quantile_spec ~name:"quantile/bimodal"
-       ~draw:(fun st ->
-         (if Random.State.bool st then 100.0 else 900.0)
-         +. Random.State.float st 10.0)
-       ~checks:
-         [
-           (* the median sits in the gap between the modes: P² may
-              interpolate anywhere inside the support *)
-           (50.0, within 100.0 910.0);
-           (99.0, rel 0.15);
-           (99.9, rel 0.15);
-         ])
+       ~draw:
+         (one (fun st ->
+              (if Random.State.bool st then 100.0 else 900.0)
+              +. Random.State.float st 10.0)))
 
-(* Adversarial streams: shapes a randomized draw never produces.
-   P²'s markers must survive degenerate and fully-sorted input — the
-   parabolic update divides by marker gaps that these streams drive
-   toward zero. *)
+(* Two-mode streams shaped like the storm experiment's trigger
+   latencies (µs): warm resumes near 400, slow starts near 1.7e3 or
+   1.5e6, arriving in clumps of up to 48 (the storm's burst size). *)
+let bursty_spec =
+  quantile_spec ~name:"quantile/bursty two-mode" ~draw:(fun st ->
+      (* 1% of clumps, so about 1% of observations, are slow *)
+      let clump = 1 + Random.State.int st 48 in
+      if Random.State.int st 100 = 0 then
+        List.init clump (fun _ -> 1.5e6 +. Random.State.float st 1e5)
+      else List.init clump (fun _ -> 400.0 +. Random.State.float st 8.0))
+
+(* The storm's own order: the slow starts (518 restores of 1675–1737
+   µs in 100 k triggers at seed 42) all land in the first thousand
+   triggers, while the warm pools refill, in runs of 1–5 with a few of
+   20–269, then the stream is warm to the end.  On this order a
+   fixed-memory estimator lets p99 overtake p99.9 once both sit in the
+   narrow slow mode (at n = 8500 for the storm itself). *)
+let storm_script ~seed =
+  let rng = Rng.create ~seed in
+  let warm k = List.init k (fun _ -> 400.0 +. Rng.float rng 8.0) in
+  let rec warmup acc left =
+    if left = 0 then List.rev acc
+    else begin
+      let k =
+        min left
+          (if Rng.int rng 10 = 0 then 20 + Rng.int rng 250
+           else 1 + Rng.int rng 5)
+      in
+      let slow = List.init k (fun _ -> 1675.0 +. Rng.float rng 62.0) in
+      warmup (warm (2 + Rng.int rng 5) :: slow :: acc) (left - k)
+    end
+  in
+  let head = warmup [ warm 240 ] 518 in
+  let seen = List.fold_left (fun n burst -> n + List.length burst) 0 head in
+  head @ List.init ((10_000 - seen) / 10) (fun _ -> warm 10)
+
+let test_quantile_bursty_two_mode () =
+  Harness.check ~scripts:6 ~len:300 bursty_spec;
+  (* seed 25 is a storm order on which a P² estimator reads p99 above
+     p99.9 after 8008 observations, as it did on the storm itself *)
+  List.iter
+    (fun seed ->
+      match Harness.run bursty_spec (storm_script ~seed) with
+      | None -> ()
+      | Some (_, divergence) ->
+        Alcotest.failf "storm-ordered stream, seed %d: %s" seed divergence)
+    [ 1; 42; 1337; 25 ]
+
+(* Adversarial streams: shapes a randomized draw never produces —
+   degenerate and fully-sorted input. *)
 let test_quantile_adversarial () =
   let targets = [| 0.5; 0.99; 0.999 |] in
   let ps = [ 50.0; 99.0; 99.9 ] in
-  (* all-equal: every marker collapses onto the one observed value *)
+  (* all-equal: every percentile is the one observed value *)
   let q = Stats.Quantile.create ~quantiles:targets () in
   for _ = 1 to 10_000 do
     Stats.Quantile.add q 42.0
@@ -633,9 +679,8 @@ let test_quantile_adversarial () =
         42.0
         (Stats.Quantile.percentile q p))
     ps;
-  (* monotone ramps, both directions: the sorted stream keeps every
-     new observation on the same side of the markers; the estimate
-     must still land near the exact rank *)
+  (* monotone ramps, both directions: the answer is the exact rank
+     whatever the arrival order *)
   let ramp name values =
     let q = Stats.Quantile.create ~quantiles:targets () in
     let s = Stats.Sample.create () in
@@ -646,12 +691,10 @@ let test_quantile_adversarial () =
       values;
     List.iter
       (fun p ->
-        let exact = Stats.Sample.percentile s p in
-        let est = Stats.Quantile.percentile q p in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s p%g: %.1f vs exact %.1f" name p est exact)
-          true
-          (Float.abs (est -. exact) <= 0.05 *. Float.abs exact))
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "%s p%g" name p)
+          (Stats.Sample.percentile s p)
+          (Stats.Quantile.percentile q p))
       ps
   in
   let n = 10_000 in
@@ -661,7 +704,7 @@ let test_quantile_adversarial () =
 let test_quantile_queries_pure () =
   (* percentile reads after observation start are pure: a stream
      interrogated at every checkpoint ends with bit-identical
-     estimates to an uninterrupted one *)
+     answers to an uninterrupted one *)
   let targets = [| 0.5; 0.99; 0.999 |] in
   let queried = Stats.Quantile.create ~quantiles:targets () in
   let silent = Stats.Quantile.create ~quantiles:targets () in
@@ -680,14 +723,37 @@ let test_quantile_queries_pure () =
         (Stats.Quantile.percentile queried p))
     [ 50.0; 99.0; 99.9 ]
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:5 in
-  List.iter (Stats.Histogram.add h) [ -1.0; 0.5; 3.0; 9.9; 15.0 ];
-  Alcotest.(check int) "count" 5 (Stats.Histogram.count h);
-  Alcotest.(check int) "under" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "over" 1 (Stats.Histogram.overflow h);
-  Alcotest.(check (array int)) "buckets" [| 1; 1; 0; 0; 1 |]
-    (Stats.Histogram.bucket_counts h)
+(* Merging R per-router streams equals one stream fed every
+   observation, at every tracked percentile (p1 .. p99 and p99.9). *)
+let prop_quantile_merge_exact =
+  let targets =
+    Array.append (Array.init 99 (fun i -> float_of_int (i + 1) /. 100.0))
+      [| 0.999 |]
+  in
+  QCheck2.Test.make ~name:"quantile merge of R streams equals one stream"
+    ~count:100
+    QCheck2.Gen.(
+      pair (1 -- 4)
+        (list_size (1 -- 300) (pair (0 -- 3) (float_bound_inclusive 1e6))))
+    (fun (routers, obs) ->
+      let one = Stats.Quantile.create ~quantiles:targets () in
+      let parts =
+        List.init routers (fun _ -> Stats.Quantile.create ~quantiles:targets ())
+      in
+      List.iter
+        (fun (r, v) ->
+          Stats.Quantile.add one v;
+          Stats.Quantile.add (List.nth parts (r mod routers)) v)
+        obs;
+      let merged = Stats.Quantile.merge parts in
+      Stats.Quantile.count merged = Stats.Quantile.count one
+      && Array.for_all
+           (fun f ->
+             let p = 100.0 *. f in
+             Float.equal
+               (Stats.Quantile.percentile merged p)
+               (Stats.Quantile.percentile one p))
+           targets)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -701,15 +767,6 @@ let test_metrics_counters () =
   Alcotest.(check int) "unknown" 0 (Metrics.counter m "nope");
   Alcotest.(check (list (pair string int)))
     "listing" [ ("resumes", 4) ] (Metrics.counters m)
-
-let test_metrics_samples () =
-  let m = Metrics.create () in
-  Metrics.observe m "latency" 5.0;
-  Metrics.observe_span m "latency" (Time.span_ns 15);
-  let s = Option.get (Metrics.sample m "latency") in
-  Alcotest.(check int) "count" 2 (Stats.Sample.count s);
-  Alcotest.(check (float 1e-9)) "mean" 10.0 (Stats.Sample.mean s);
-  Alcotest.(check bool) "missing" true (Metrics.sample m "none" = None)
 
 (* The engine must fire callbacks in timestamp order with FIFO ties,
    even when callbacks schedule further events. *)
@@ -761,6 +818,7 @@ let props =
     [
       prop_heap_sorts;
       prop_percentile_matches_sorted;
+      prop_quantile_merge_exact;
       prop_engine_fires_in_order;
       prop_engine_clock_matches_event_time;
     ]
@@ -833,16 +891,16 @@ let () =
             `Quick test_quantile_exponential;
           Alcotest.test_case "quantile vs sample: bimodal (harness)" `Quick
             test_quantile_bimodal;
+          Alcotest.test_case "quantile vs sample: bursty two-mode (harness)"
+            `Quick test_quantile_bursty_two_mode;
           Alcotest.test_case "quantile adversarial streams" `Quick
             test_quantile_adversarial;
           Alcotest.test_case "quantile queries are pure" `Quick
             test_quantile_queries_pure;
-          Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
       ( "metrics",
         [
           Alcotest.test_case "counters" `Quick test_metrics_counters;
-          Alcotest.test_case "samples" `Quick test_metrics_samples;
         ] );
       ("properties", props);
     ]
