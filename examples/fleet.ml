@@ -50,7 +50,12 @@ let run policy =
              ignore
                (Cluster.trigger cluster ~name:"infer"
                   ~mode:(Platform.Warm Sandbox.Horse)
-                  ~on_complete:(fun (_, record) ->
+                  ~on_complete:(fun server slot ->
+                    let record =
+                      Platform.record_of_slot
+                        (Cluster.server cluster server)
+                        slot
+                    in
                     Stats.Sample.add inits
                       (float_of_int (Time.span_to_ns record.Platform.init)))
                   ()))))

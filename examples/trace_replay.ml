@@ -90,8 +90,8 @@ let () =
 
   (* aggregate by start mode *)
   let by_mode = Hashtbl.create 8 in
-  List.iter
-    (fun r ->
+  Platform.iter_records platform (fun slot ->
+      let r = Platform.record_of_slot platform slot in
       let key = Platform.mode_name r.Platform.mode in
       let sample =
         match Hashtbl.find_opt by_mode key with
@@ -102,8 +102,7 @@ let () =
           s
       in
       Stats.Sample.add sample
-        (float_of_int (Time.span_to_ns (Platform.record_total r))))
-    (Platform.records platform);
+        (float_of_int (Time.span_to_ns (Platform.record_total r))));
   let table =
     Hashtbl.fold
       (fun mode sample acc ->

@@ -46,37 +46,8 @@ let fan ?chunk ~jobs f items =
 let ns_of span = float_of_int (Time.span_to_ns span)
 
 (* ------------------------------------------------------------------ *)
-(* Shared latency collection                                           *)
+(* Shared helpers                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* The colocation experiment aggregates per-completion latency — init
-   + exec + preemption — out of either a single platform or a
-   one-server cluster.  This pass walks the trigger-record arenas
-   directly: no record materialization, no list, O(1) memory beyond
-   the aggregator.  (Cluster scenarios aggregate in {!Scenario.run}.) *)
-
-type completions = Of_platform of Platform.t | Of_cluster of Cluster.t
-
-let iter_completions source f =
-  match source with
-  | Of_platform p -> Platform.iter_records p (fun slot -> f p slot)
-  | Of_cluster c ->
-    Cluster.iter_records c (fun server slot -> f (Cluster.server c server) slot)
-
-(* Feed each completion's total latency, in ns scaled down by
-   [unit_ns], into [add] (a [Stats.Sample.add] or [Stats.Quantile.add]
-   partial application).  [fn_id] filters to one function; [on_slot]
-   lets a caller read extra columns of the rows that passed. *)
-let collect_latencies ?fn_id ?on_slot ~unit_ns ~add source =
-  iter_completions source (fun platform slot ->
-      let a = Platform.trigger_records platform in
-      let keep =
-        match fn_id with None -> true | Some id -> Trigger_records.fn_id a slot = id
-      in
-      if keep then begin
-        add (float_of_int (Trigger_records.total_ns a slot) /. unit_ns);
-        match on_slot with None -> () | Some f -> f a slot
-      end)
 
 (* A fresh single-server hypervisor for direct Vmm experiments.  The
    paper's Section 5 testbed runs with hyperthreading enabled (144
@@ -431,29 +402,29 @@ let thumbnail_def =
            Horse_workload.Thumbnail.latency_model ~variability:0.01 rng
              ~image_bytes:Horse_workload.Thumbnail.default_image_bytes))
 
-let colocation_summarise source =
+(* Per-thumbnail latency (init + exec + preemption, ms), read off the
+   platform's trigger-record arena in completion order, plus how many
+   thumbnails a merge thread hit and the largest such delay. *)
+let colocation_summarise platform =
   (* paper-figure experiment: the exact [Sample] aggregator, read at
      any percentile *)
   let latencies = Stats.Sample.create () in
   let affected = ref 0 and max_delay_ns = ref 0.0 in
-  let thumbnail_id =
-    match source with
-    | Of_platform p -> Platform.fn_id p ~name:"thumbnail"
-    | Of_cluster c -> Cluster.fn_id c ~name:"thumbnail"
-  in
-  collect_latencies ~fn_id:thumbnail_id ~unit_ns:1e6 (* ms *)
-    ~add:(Stats.Sample.add latencies)
-    ~on_slot:(fun a slot ->
-      let d = ns_of (Trigger_records.preemption a slot) in
-      if d > 0.0 then begin
-        incr affected;
-        if d > !max_delay_ns then max_delay_ns := d
-      end)
-    source;
+  let thumbnail_id = Platform.fn_id platform ~name:"thumbnail" in
+  let a = Platform.trigger_records platform in
+  Platform.iter_records platform (fun slot ->
+      if Trigger_records.fn_id a slot = thumbnail_id then begin
+        Stats.Sample.add latencies
+          (float_of_int (Trigger_records.total_ns a slot) /. 1e6);
+        let d = ns_of (Trigger_records.preemption a slot) in
+        if d > 0.0 then begin
+          incr affected;
+          if d > !max_delay_ns then max_delay_ns := d
+        end
+      end);
   (latencies, !affected, !max_delay_ns)
 
-let colocation_run ?shards ~profile ~seed ~duration ~ull_vcpus ~strategy
-    ~arrivals () =
+let colocation_run ~profile ~seed ~duration ~ull_vcpus ~strategy ~arrivals =
   let ull_def =
     Function_def.create ~name:"ull" ~vcpus:ull_vcpus ~memory_mb:512
       ~exec:(Function_def.Ull Category.Cat2) ()
@@ -462,75 +433,39 @@ let colocation_run ?shards ~profile ~seed ~duration ~ull_vcpus ~strategy
     (* 10 uLL triggers per second for the whole window *)
     Horse_trace.Arrivals.periodic ~every:(Time.span_ms 100.0) ~duration
   in
-  match shards with
-  | Some shards ->
-    (* the sharded variant: the same colocated workload on a 1-server
-       sharded cluster — every trigger crosses the router's placement
-       delay, so rows differ from the direct variant but are
-       bit-identical for every shard count *)
-    let cluster =
-      Cluster.create_sharded ~servers:1 ~topology:Topology.r650_smt
-        ~cost:(Scenario.cost_of_profile profile) ~seed ~shards ()
-    in
-    let engine = Cluster.engine cluster in
-    Cluster.register cluster (thumbnail_def ());
-    Cluster.register cluster ull_def;
-    Cluster.provision cluster ~name:"thumbnail" ~total:64
-      ~strategy:Sandbox.Vanilla;
-    Cluster.provision cluster ~name:"ull" ~total:2 ~strategy;
-    List.iter
-      (fun offset ->
-        ignore
-          (Engine.schedule engine ~after:offset (fun _ ->
-               ignore
-                 (Cluster.trigger cluster ~name:"thumbnail"
-                    ~mode:(Platform.Warm Sandbox.Vanilla) ()))))
-      arrivals;
-    List.iter
-      (fun offset ->
-        ignore
-          (Engine.schedule engine ~after:offset (fun _ ->
-               ignore
-                 (Cluster.trigger cluster ~name:"ull"
-                    ~mode:(Platform.Warm strategy) ()))))
-      ull_arrivals;
-    Cluster.run cluster;
-    colocation_summarise (Of_cluster cluster)
-  | None ->
-    let engine = Engine.create ~seed () in
-    let platform =
-      Platform.create ~topology:Topology.r650_smt
-        ~cost:(Scenario.cost_of_profile profile) ~seed ~engine ()
-    in
-    Platform.register platform (thumbnail_def ());
-    Platform.register platform ull_def;
-    Platform.provision platform ~name:"thumbnail" ~count:64
-      ~strategy:Sandbox.Vanilla;
-    Platform.provision platform ~name:"ull" ~count:2 ~strategy;
-    List.iter
-      (fun offset ->
-        ignore
-          (Engine.schedule engine ~after:offset (fun _ ->
-               Platform.trigger platform ~name:"thumbnail"
-                 ~mode:(Platform.Warm Sandbox.Vanilla) ())))
-      arrivals;
-    List.iter
-      (fun offset ->
-        ignore
-          (Engine.schedule engine ~after:offset (fun _ ->
-               match
-                 Platform.trigger platform ~name:"ull"
-                   ~mode:(Platform.Warm strategy) ()
-               with
-               | () -> ()
-               | exception Platform.No_warm_sandbox _ -> ())))
-      ull_arrivals;
-    Engine.run engine;
-    colocation_summarise (Of_platform platform)
+  let engine = Engine.create ~seed () in
+  let platform =
+    Platform.create ~topology:Topology.r650_smt
+      ~cost:(Scenario.cost_of_profile profile) ~seed ~engine ()
+  in
+  Platform.register platform (thumbnail_def ());
+  Platform.register platform ull_def;
+  Platform.provision platform ~name:"thumbnail" ~count:64
+    ~strategy:Sandbox.Vanilla;
+  Platform.provision platform ~name:"ull" ~count:2 ~strategy;
+  List.iter
+    (fun offset ->
+      ignore
+        (Engine.schedule engine ~after:offset (fun _ ->
+             Platform.trigger platform ~name:"thumbnail"
+               ~mode:(Platform.Warm Sandbox.Vanilla) ())))
+    arrivals;
+  List.iter
+    (fun offset ->
+      ignore
+        (Engine.schedule engine ~after:offset (fun _ ->
+             match
+               Platform.trigger platform ~name:"ull"
+                 ~mode:(Platform.Warm strategy) ()
+             with
+             | () -> ()
+             | exception Platform.No_warm_sandbox _ -> ())))
+    ull_arrivals;
+  Engine.run engine;
+  colocation_summarise platform
 
 let colocation ?(profile = Firecracker) ?(seed = 42) ?(duration_s = 30.0)
-    ?(repeats = 10) ?(vcpus = [ 1; 8; 16; 24; 36 ]) ?(jobs = 1) ?chunk ?shards
-    () =
+    ?(repeats = 10) ?(vcpus = [ 1; 8; 16; 24; 36 ]) ?(jobs = 1) ?chunk () =
   let duration = Time.span_s duration_s in
   (* The paper reports the worst penalty over its 10 runs ("up to");
      we do the same: per repeat, a paired vanilla/HORSE run on
@@ -540,12 +475,12 @@ let colocation ?(profile = Firecracker) ?(seed = 42) ?(duration_s = 30.0)
     let seed = seed + (1000 * r) in
     let arrivals = thumbnail_arrivals ~seed ~duration in
     let vanilla, _, _ =
-      colocation_run ?shards ~profile ~seed ~duration ~ull_vcpus:n
-        ~strategy:Sandbox.Vanilla ~arrivals ()
+      colocation_run ~profile ~seed ~duration ~ull_vcpus:n
+        ~strategy:Sandbox.Vanilla ~arrivals
     in
     let horse, affected, max_delay_ns =
-      colocation_run ?shards ~profile ~seed ~duration ~ull_vcpus:n
-        ~strategy:Sandbox.Horse ~arrivals ()
+      colocation_run ~profile ~seed ~duration ~ull_vcpus:n
+        ~strategy:Sandbox.Horse ~arrivals
     in
     (vanilla, horse, affected, max_delay_ns)
   in

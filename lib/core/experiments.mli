@@ -157,15 +157,13 @@ type colocation_row = {
 
 val colocation :
   ?profile:profile -> ?seed:int -> ?duration_s:float -> ?repeats:int ->
-  ?vcpus:int list -> ?jobs:int -> ?chunk:int -> ?shards:int -> unit ->
+  ?vcpus:int list -> ?jobs:int -> ?chunk:int -> unit ->
   colocation_row list
 (** Thumbnail invocations driven by an Azure-shaped 30 s arrival
     chunk, colocated with 10 uLL resumes per second, vanilla vs
     HORSE; paired runs, [repeats] (default 10) times per point, worst
-    p99 delta reported (the paper's "up to").  [shards] switches each
-    run onto a 1-server sharded cluster ({!Horse_faas.Cluster.create_sharded})
-    with that many execution tasks: rows then include the router's
-    placement delay, and are bit-identical for every [shards] value. *)
+    p99 delta reported (the paper's "up to"), each run on one
+    platform. *)
 
 (** {1 Ablations & extensions (beyond the paper's figures)} *)
 

@@ -136,7 +136,12 @@ let build s =
     Cluster.create_sharded ~servers:s.servers ~routers:s.routers
       ~topology:Topology.r650_smt ~cost:(cost_of_profile s.profile)
       ~seed:s.seed ~policy:s.policy ~scheduler:s.scheduler ~shards:s.shards
-      ~e2e:true
+      (* a chain's e2e tail is the workflow's instance stream, so the
+         per-trigger router stream would be written and never read *)
+      ~e2e:
+        (match s.workload with
+        | Chain _ -> false
+        | One_function _ | Palette -> true)
       (* a paused sandbox's P²SM maintenance fires on every mutation of
          the ull queue it is attached to, so per-trigger cost scales
          with parked-per-queue: reserve enough ull queues to keep that

@@ -104,10 +104,10 @@ type row = {
       (** per-invocation latency — init + exec + preemption, every
           failed rung and retry wait included *)
   e2e : tail;
-      (** router 0's arrival-to-completion-notification stream
-          (queueing, placement and spill hops included; the whole
-          fleet's at [routers = 1]), or the workflow's
-          start-to-last-completion stream for a chain *)
+      (** the fleet's arrival-to-completion-notification stream, every
+          router's merged (queueing, placement and spill hops
+          included), or the workflow's start-to-last-completion stream
+          for a chain *)
   messages : int;  (** cross-shard messages delivered *)
   sync : sync;
 }

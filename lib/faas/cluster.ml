@@ -305,7 +305,7 @@ type pending_trigger = {
   pt_name : string;
   pt_fn_id : int;
   pt_mode : Platform.start_mode;
-  pt_on_complete : (int * Platform.record -> unit) option;
+  pt_on_complete : (int -> int -> unit) option;  (* server, slot *)
   pt_arrival : Time.t;
 }
 
@@ -334,8 +334,7 @@ type router = {
   (* Group completion log: one packed (slot, global server) int per
      completion, in router-observed order.  The slot indexes the
      server platform's trigger-record arena, so the log itself costs
-     one word per trigger; boxed [(server, record)] pairs are
-     materialized on demand (and memoized) by [records]. *)
+     one word per trigger and copies nothing of the row. *)
   mutable r_log : int array;
   mutable r_log_len : int;
   mutable r_rejected : rejection list;  (* newest first *)
@@ -361,8 +360,6 @@ type t = {
   faults : Fault.Plan.t;  (* cluster-level plan: the blackout schedule *)
   trigger_counts : int array;  (* global; owner-written *)
   srv_bits : int;
-  mutable records_cache : (int * Platform.record) list;
-  mutable records_cache_len : int;
 }
 
 let server_count t = Array.length t.platforms
@@ -508,8 +505,6 @@ let create_sharded ?(servers = 4) ?policy ?(e2e = false)
     faults;
     trigger_counts = Array.make servers 0;
     srv_bits;
-    records_cache = [];
-    records_cache_len = 0;
   }
 
 let server t i =
@@ -620,8 +615,8 @@ let reject r ~reason ~name =
    completion log, mirrors, rejection log — mutates only on [r]'s
    shard, in deterministic message-delivery order.  The completion
    carries the arena slot, not a boxed record: the router logs one
-   packed int and materializes a record only for an explicit
-   [on_complete] subscriber.  Dispatch, claim resolution and spills
+   packed int and hands [on_complete] the same (server, slot) pair.
+   Dispatch, claim resolution and spills
    are mutually recursive, but only through messages: every re-entry
    happens on a later event. *)
 let rec dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li =
@@ -661,9 +656,7 @@ let rec dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li =
                 row.(li) <- min (row.(li) + 1) pool_now;
                 view.v_busy.(li) <- max 0 (view.v_busy.(li) - vc);
                 observe_e2e r ~arrival;
-                (match on_complete with
-                | None -> ()
-                | Some f -> f (g, Platform.record_of_slot platform slot));
+                (match on_complete with None -> () | Some f -> f g slot);
                 apply_claims t r
                   (r.r_policy.Policy.on_completion view ~server:li)))
           ()
@@ -851,74 +844,22 @@ let trigger_id ?router t ~fn_id ~mode ?on_complete () =
   let name = function_name t ~fn_id in
   resolve_entry t ~router ~name ~fn_id ~mode ~on_complete
 
-(* Batched ingestion: slice the (sorted) batch's row indices per
-   affine router — batch order within a slice is global order
-   restricted to that router — and walk each slice through a windowed
-   cursor on its router's engine.  Each refill pre-schedules the next
-   [window] arrivals of that router in batch order — the refill event
-   for the window's boundary instant is scheduled {e before} the
-   boundary trigger itself, so under the engine's FIFO tie-break the
-   next window is enqueued before the boundary trigger fires and
-   arrivals always fire in batch order.  Each event queue therefore
-   holds at most [window] pending arrivals instead of the whole
-   trace. *)
-let schedule_batch ?(window = 4096) ?on_complete t batch =
-  if window < 1 then invalid_arg "Cluster.schedule_batch: window < 1";
-  if not (Batch.sorted batch) then
-    invalid_arg "Cluster.schedule_batch: batch not sorted";
-  let n = Batch.length batch in
-  let fire r k =
-    let fn_id = Batch.fn_id batch k in
-    let mode = Platform.mode_of_code (Batch.payload batch k) in
-    ignore
-      (trigger_resolved t r ~hops:0
-         ~name:(function_name t ~fn_id)
-         ~fn_id ~mode ~on_complete
-         ~arrival:(Engine.now r.r_engine))
-  in
-  let rc = Array.length t.routers in
-  let counts = Array.make rc 0 in
-  for k = 0 to n - 1 do
-    let r = router_of_fn t ~fn_id:(Batch.fn_id batch k) in
-    counts.(r) <- counts.(r) + 1
-  done;
-  let rows = Array.map (fun c -> Array.make (max 1 c) 0) counts in
-  let fill = Array.make rc 0 in
-  for k = 0 to n - 1 do
-    let r = router_of_fn t ~fn_id:(Batch.fn_id batch k) in
-    rows.(r).(fill.(r)) <- k;
-    fill.(r) <- fill.(r) + 1
-  done;
-  Array.iteri
-    (fun ri rows ->
-      let m = counts.(ri) in
-      if m > 0 then begin
-        let r = t.routers.(ri) in
-        let base = Engine.now r.r_engine in
-        let rec refill start =
-          if start < m then begin
-            let stop = min m (start + window) in
-            (* next refill first: it shares the boundary trigger's
-               instant and must win the FIFO tie *)
-            if stop < m then
-              ignore
-                (Engine.schedule_at r.r_engine
-                   ~at:
-                     (Time.add base
-                        (Time.span_ns (Batch.time_ns batch rows.(stop - 1))))
-                   (fun _ -> refill stop));
-            for j = start to stop - 1 do
-              let k = rows.(j) in
-              ignore
-                (Engine.schedule_at r.r_engine
-                   ~at:(Time.add base (Time.span_ns (Batch.time_ns batch k)))
-                   (fun _ -> fire r k))
-            done
-          end
-        in
-        refill 0
-      end)
-    rows
+(* Batched ingestion: each row lands on its function's affine
+   router's engine through the trace layer's windowed cursor. *)
+let schedule_batch ?window ?on_complete t batch =
+  Batch.arm ?window batch ~lanes:(Array.length t.routers)
+    ~route:(fun k -> router_of_fn t ~fn_id:(Batch.fn_id batch k))
+    ~engine:(fun ri -> t.routers.(ri).r_engine)
+    ~fire:(fun ri k ->
+      let r = t.routers.(ri) in
+      let fn_id = Batch.fn_id batch k in
+      ignore
+        (trigger_resolved t r ~hops:0
+           ~name:(function_name t ~fn_id)
+           ~fn_id
+           ~mode:(Platform.mode_of_code (Batch.payload batch k))
+           ~on_complete
+           ~arrival:(Engine.now r.r_engine)))
 
 (* The whole outage schedule is known up front (blackout schedule lead
    time), so the server-side blackout command is posted directly at
@@ -977,41 +918,6 @@ let iter_records t f =
         f (packed land mask) (packed lsr t.srv_bits)
       done)
     t.routers
-
-let fold_records t ~init ~f =
-  let mask = (1 lsl t.srv_bits) - 1 in
-  let acc = ref init in
-  Array.iter
-    (fun r ->
-      for k = 0 to r.r_log_len - 1 do
-        let packed = r.r_log.(k) in
-        acc := f !acc (packed land mask) (packed lsr t.srv_bits)
-      done)
-    t.routers;
-  !acc
-
-(* Compatibility shim over the packed logs, memoized on total length
-   (each log is append-only), like [Platform.records].  Router-major:
-   router 0's completions in observed order, then router 1's, … —
-   one stream when [routers = 1]. *)
-let records t =
-  let total = record_count t in
-  if total <> t.records_cache_len then begin
-    let mask = (1 lsl t.srv_bits) - 1 in
-    let l = ref [] in
-    for ri = Array.length t.routers - 1 downto 0 do
-      let r = t.routers.(ri) in
-      for k = r.r_log_len - 1 downto 0 do
-        let packed = r.r_log.(k) in
-        let server = packed land mask and slot = packed lsr t.srv_bits in
-        l := (server, Platform.record_of_slot t.platforms.(server) slot) :: !l
-      done
-    done;
-    t.records_cache <- !l;
-    t.records_cache_len <- total
-  end;
-  t.records_cache
-
 let rejections t =
   List.concat_map
     (fun r -> List.rev r.r_rejected)

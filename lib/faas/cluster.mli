@@ -366,7 +366,7 @@ val trigger :
   t ->
   name:string ->
   mode:Platform.start_mode ->
-  ?on_complete:(int * Platform.record -> unit) ->
+  ?on_complete:(int -> int -> unit) ->
   unit ->
   outcome
 (** Route one invocation among the healthy servers of the owning
@@ -388,8 +388,13 @@ val trigger :
     triggers place within that router's group and {e never} spill, so
     [on_complete] always fires on the pinned timeline (the workflow
     stepper relies on this).
-    When [on_complete] is omitted the completion is only logged (one
-    packed int), never materialized as a boxed record.
+
+    [on_complete server slot] fires on the router's timeline when the
+    completion notification arrives: [slot] indexes
+    [Platform.trigger_records (server t server)], the invocation's one
+    stored row (the same pair {!iter_records} yields).  Nothing is
+    boxed; a caller that wants a record value calls
+    [Platform.record_of_slot (server t server) slot].
     @raise Platform.Unknown_function *)
 
 val trigger_id :
@@ -397,7 +402,7 @@ val trigger_id :
   t ->
   fn_id:int ->
   mode:Platform.start_mode ->
-  ?on_complete:(int * Platform.record -> unit) ->
+  ?on_complete:(int -> int -> unit) ->
   unit ->
   outcome
 (** {!trigger} by pre-resolved dense id — no per-trigger string
@@ -405,7 +410,7 @@ val trigger_id :
 
 val schedule_batch :
   ?window:int ->
-  ?on_complete:(int * Platform.record -> unit) ->
+  ?on_complete:(int -> int -> unit) ->
   t ->
   Horse_trace.Batch.t ->
   unit
@@ -413,10 +418,12 @@ val schedule_batch :
     owning router engines' current time, each trigger routed exactly
     as {!trigger_id} would at its arrival instant ([payload] column =
     {!Platform.mode_code}) — each row lands on its function's affine
-    router's engine.  Arrivals are pre-scheduled through a windowed
-    cursor per router ([window] at a time, default 4096) so each event
-    queue holds one window rather than the whole trace; within the
-    batch, arrivals fire in batch order.  With [window >= length]
+    router's engine, and [on_complete] fires for each as in
+    {!trigger}.  Arrivals are pre-scheduled through
+    {!Horse_trace.Batch.arm}, one windowed cursor per router ([window]
+    at a time, default 4096), so each event queue holds one window
+    rather than the whole trace; within the batch, arrivals fire in
+    batch order.  With [window >= length]
     the schedule is event-for-event identical to calling
     {!trigger_id} in a loop of [Engine.schedule_at]; with smaller
     windows, later-window arrivals are enqueued mid-run, so an
@@ -447,16 +454,8 @@ val iter_records : t -> (int -> int -> unit) -> unit
     allocating nothing; [slot] indexes
     [Platform.trigger_records (server t server)].  Router-major
     order: router 0's completions in observed order, then router
-    1's, … (one stream when [router_count = 1]). *)
-
-val fold_records : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
-(** Like {!iter_records}: [f acc server slot]. *)
-
-val records : t -> (int * Platform.record) list
-(** All completed invocations fleet-wide, oldest first, tagged with
-    their server — the boxed compatibility view, memoized like
-    {!Platform.records}.  Prefer {!iter_records}/{!fold_records} on
-    large runs. *)
+    1's, … (one stream when [router_count = 1]).  A boxed record of
+    one completion is [Platform.record_of_slot (server t server) slot]. *)
 
 val rejections : t -> rejection list
 (** All rejected triggers, oldest first per router, router-major. *)

@@ -161,8 +161,6 @@ type t = {
   live : (int, invocation) Hashtbl.t;
   mutable busy_vcpus : int;  (* vCPUs held by live invocations *)
   arena : Trigger_records.t;  (* completed invocations, append order *)
-  mutable records_cache : record list;  (* memoized [records] shim *)
-  mutable records_cache_len : int;  (* arena length the cache reflects *)
   (* per-mode interned counters: the trigger and completion paths
      must neither sprintf a counter name nor re-hash it *)
   triggers_c : int ref array;
@@ -197,8 +195,6 @@ let create ?(topology = Topology.r650) ?(cost = Cost_model.firecracker)
     live = Hashtbl.create 64;
     busy_vcpus = 0;
     arena = Trigger_records.create ();
-    records_cache = [];
-    records_cache_len = 0;
     triggers_c =
       Array.init mode_count (fun i ->
           Metrics.counter_ref metrics
@@ -292,17 +288,6 @@ let provision t ~name ~count ~strategy =
   done;
   Metrics.incr t.metrics ~by:!provisioned "platform.provisioned"
 
-let reclaim t ~name ~count =
-  if count < 0 then invalid_arg "Platform.reclaim: negative count";
-  let p = pool t name in
-  let victims = ref 0 in
-  while !victims < count && not (Queue.is_empty p) do
-    Vmm.stop t.vmm (Queue.pop p);
-    incr victims
-  done;
-  Metrics.incr t.metrics ~by:!victims "platform.reclaimed";
-  !victims
-
 let rec pop_pool t fn_id =
   let p = t.pools_by_id.(fn_id) in
   match Queue.take_opt p with
@@ -372,8 +357,8 @@ let schedule_expiry t fn_id sb =
            Metrics.incr t.metrics "platform.keepalive_expiries"
          end))
 
-(* Materialize the boxed compatibility record for one arena slot —
-   only the [records] shim and [Sink_record] callers pay for this. *)
+(* Materialize the boxed record for one arena slot — only
+   [Sink_record] subscribers and explicit callers pay for this. *)
 let record_of_slot t i =
   let a = t.arena in
   {
@@ -399,7 +384,7 @@ let complete t inv =
   Hashtbl.remove t.live inv.id;
   t.busy_vcpus <- t.busy_vcpus - List.length inv.cpus;
   let code = mode_code inv.inv_mode in
-  let handle =
+  let slot =
     Trigger_records.append t.arena ~fn_id:inv.fn_id ~mode:code
       ~triggered_at:inv.started ~init:inv.inv_init ~exec:inv.inv_exec
       ~preemption:(Time.span_ns inv.preempt_ns)
@@ -424,8 +409,8 @@ let complete t inv =
     with Fault.Injected _ -> Metrics.incr t.metrics "platform.pool_losses"));
   match inv.sink with
   | Sink_none -> ()
-  | Sink_slot f -> f (Trigger_records.slot t.arena handle)
-  | Sink_record f -> f (record_of_slot t (Trigger_records.slot t.arena handle))
+  | Sink_slot f -> f slot
+  | Sink_record f -> f (record_of_slot t slot)
 
 let downgrade = function
   | Warm _ -> Some Restore
@@ -679,26 +664,6 @@ let trigger_records t = t.arena
 let record_count t = Trigger_records.length t.arena
 
 let iter_records t f = Trigger_records.iter t.arena f
-
-let fold_records t ~init ~f = Trigger_records.fold t.arena ~init ~f
-
-(* Compatibility shim: materialize the boxed-record list from the
-   arena.  Memoized on arena length — the arena is append-only between
-   [clear_records] calls, so a cache built at length N stays valid
-   until length changes; repeated calls (the old API was O(n) per
-   call, rebuilding a reversed list every time) now rebuild only when
-   new completions landed. *)
-let records t =
-  let len = Trigger_records.length t.arena in
-  if len <> t.records_cache_len then begin
-    let l = ref [] in
-    for i = len - 1 downto 0 do
-      l := record_of_slot t i :: !l
-    done;
-    t.records_cache <- !l;
-    t.records_cache_len <- len
-  end;
-  t.records_cache
 
 let live_invocations t = Hashtbl.length t.live
 

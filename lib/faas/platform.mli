@@ -175,12 +175,6 @@ val provision :
 
 val pool_size : t -> name:string -> int
 
-val reclaim : t -> name:string -> count:int -> int
-(** Stop and remove up to [count] warm sandboxes from [name]'s pool
-    (oldest first); returns how many were reclaimed.  The pool
-    autoscaler's shrink operation.
-    @raise Unknown_function *)
-
 val trigger :
   t ->
   name:string ->
@@ -191,8 +185,8 @@ val trigger :
 (** Start one invocation now (in virtual time).  The sandbox-ready
     path runs synchronously against the scheduler state; execution
     completes after [init + exec (+ preemption)] on the engine, at
-    which point the record is appended to {!records} and
-    [on_complete] fires.
+    which point the row is appended to {!trigger_records} and
+    [on_complete] fires with its boxed {!record_of_slot}.
 
     A [Warm s] trigger resumes under the strategy the sandbox was
     {e paused} with (and pays that strategy's dispatch); [s] decides
@@ -239,22 +233,14 @@ val trigger_records : t -> Trigger_records.t
 val record_count : t -> int
 
 val record_of_slot : t -> int -> record
-(** Materialize the boxed {!record} for one arena slot (what
-    {!records} does for every slot).
+(** Materialize the boxed {!record} for one {!trigger_records} slot —
+    for callers that want a record value; aggregations read the
+    columns in place.
     @raise Invalid_argument on an out-of-range slot. *)
 
 val iter_records : t -> (int -> unit) -> unit
 (** Apply to every completed invocation's arena slot, completion
     order, allocating nothing. *)
-
-val fold_records : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-
-val records : t -> record list
-(** All completed invocations, oldest first — the boxed compatibility
-    view, materialized from the arena.  Memoized: rebuilt only when
-    new completions have landed since the last call (the pre-arena
-    implementation rebuilt a reversed list on {e every} call).  Prefer
-    {!iter_records}/{!fold_records} on large runs. *)
 
 val live_invocations : t -> int
 

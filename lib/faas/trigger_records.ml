@@ -5,12 +5,8 @@ module Time = Horse_sim.Time_ns
    names are interned ids, start modes are dense codes), grown by
    doubling and addressed by slot.  Appending writes seven ints —
    nothing is boxed, so a 100M-trigger run costs 7 words/record flat
-   instead of a cons + record + string per trigger.
-
-   Handles pack (generation, slot) into one immediate int, like the
-   event-queue and run-queue arenas: [clear] bumps the generation, so
-   a handle kept across a reset raises instead of silently reading a
-   recycled slot. *)
+   instead of a cons + record + string per trigger.  Rows are never
+   removed, so a slot stays valid for the arena's lifetime. *)
 
 type t = {
   mutable fn_id : int array;
@@ -21,14 +17,7 @@ type t = {
   mutable preemption : int array;
   mutable completed_at : int array;
   mutable len : int;
-  mutable generation : int;
 }
-
-type handle = int
-
-let gen_bits = 20
-
-let gen_mask = (1 lsl gen_bits) - 1
 
 let create ?(capacity = 64) () =
   let capacity = max 1 capacity in
@@ -42,7 +31,6 @@ let create ?(capacity = 64) () =
     preemption = col ();
     completed_at = col ();
     len = 0;
-    generation = 0;
   }
 
 let length t = t.len
@@ -73,11 +61,7 @@ let append t ~fn_id ~mode ~triggered_at ~init ~exec ~preemption ~completed_at =
   t.preemption.(i) <- Time.span_to_ns preemption;
   t.completed_at.(i) <- Time.to_ns completed_at;
   t.len <- i + 1;
-  (i lsl gen_bits) lor t.generation
-
-let clear t =
-  t.len <- 0;
-  t.generation <- (t.generation + 1) land gen_mask
+  i
 
 let check t i =
   if i < 0 || i >= t.len then invalid_arg "Trigger_records: slot out of range"
@@ -114,21 +98,7 @@ let total_ns t i =
   check t i;
   t.init.(i) + t.exec.(i) + t.preemption.(i)
 
-let slot t h =
-  if h land gen_mask <> t.generation then
-    invalid_arg "Trigger_records.slot: stale handle (arena was cleared)";
-  let i = h lsr gen_bits in
-  check t i;
-  i
-
 let iter t f =
   for i = 0 to t.len - 1 do
     f i
   done
-
-let fold t ~init:acc ~f =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc i
-  done;
-  !acc

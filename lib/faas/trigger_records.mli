@@ -10,21 +10,19 @@
 
     The mode column carries owner-defined dense codes (the platform
     maps its [start_mode] onto them); the fn-id column carries
-    {!Function_def.Registry} ids.  Handles pack (generation, slot)
-    into one immediate int; {!clear} bumps the generation so stale
-    handles raise instead of aliasing recycled slots. *)
+    {!Function_def.Registry} ids.  Rows are never removed, so a slot
+    names one completed invocation for the arena's lifetime: this row
+    is the one store of a completed trigger, and everything downstream
+    (the cluster's completion logs, the workflow node rows) refers to
+    it by slot rather than copying it. *)
 
 type t
-
-type handle
-(** An immediate (generation, slot) reference to one appended row. *)
 
 val create : ?capacity:int -> unit -> t
 (** An empty arena ([capacity] rows pre-sized, default 64). *)
 
 val length : t -> int
-(** Rows appended since the last {!clear} — append order is
-    completion order. *)
+(** Rows appended so far — append order is completion order. *)
 
 val append :
   t ->
@@ -35,15 +33,9 @@ val append :
   exec:Horse_sim.Time_ns.span ->
   preemption:Horse_sim.Time_ns.span ->
   completed_at:Horse_sim.Time_ns.t ->
-  handle
-(** Append one row; allocation-free except on capacity doubling. *)
-
-val clear : t -> unit
-(** Drop every row and invalidate all outstanding handles. *)
-
-val slot : t -> handle -> int
-(** The row index behind a handle.
-    @raise Invalid_argument if the handle predates a {!clear}. *)
+  int
+(** Append one row and return its slot; allocation-free except on
+    capacity doubling. *)
 
 (** {2 Column reads} — all O(1), allocation-free, by slot index
     ([0 .. length - 1]).
@@ -69,5 +61,3 @@ val total_ns : t -> int -> int
 
 val iter : t -> (int -> unit) -> unit
 (** Apply to every slot index in append (= completion) order. *)
-
-val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a

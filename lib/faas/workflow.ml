@@ -9,7 +9,7 @@
    router's timeline because pinned triggers never spill) decrements
    its successors' pending counts and dispatches the ones that reach
    zero.  All mutable stepper state — instance tables, counters, the
-   record arenas, the e2e streams — is partitioned per router, so no
+   node rows, the e2e streams — is partitioned per router, so no
    state is ever touched from a server shard or from another router's
    strand, and DAG traversal is bit-identical across --jobs, --shards
    and every scheduling policy for free.
@@ -192,6 +192,9 @@ type wf = {
   w_name : string;
   w_graph : graph;
   w_units : unit_ array;
+  w_interior : bool array;
+      (* per node: a fused unit's member other than its last, whose
+         row reads as zero-width at the unit's completion *)
   w_router : int;  (* router owning node 0's original function *)
 }
 
@@ -347,7 +350,13 @@ let build_units cluster ~fuse ~wf_name g =
   Array.iteri
     (fun i u -> u.u_succs <- Array.of_list (List.rev succs.(i)))
     units;
-  units
+  let interior = Array.make n false in
+  Array.iter
+    (fun u ->
+      let last = Array.length u.u_members - 1 in
+      Array.iteri (fun k m -> interior.(m) <- k < last) u.u_members)
+    units;
+  (units, interior)
 
 (* ------------------------------------------------------------------ *)
 (* The manager                                                         *)
@@ -365,19 +374,15 @@ type inst = {
   i_on_complete : (instance:int -> at:Time.t -> unit) option;
 }
 
-(* Node records: a trigger_records-style struct-of-arrays arena, nine
-   int columns grown by doubling, addressed by slot index. *)
-type records = {
+(* Node rows: three int columns grown by doubling.  A completed hop is
+   stored once, as its platform's trigger-record row; a node row only
+   points at it, packed as [slot * servers + server].  Every member of
+   a fused unit points at the unit's one row. *)
+type rows = {
   mutable r_len : int;
   mutable r_inst : int array;
   mutable r_node : int array;
-  mutable r_value : int array;
-  mutable r_server : int array;
-  mutable r_trig : int array;
-  mutable r_init : int array;
-  mutable r_exec : int array;
-  mutable r_preempt : int array;
-  mutable r_comp : int array;
+  mutable r_hop : int array;
 }
 
 (* Per-router partition of the stepper's mutable state: instance
@@ -390,28 +395,21 @@ type t = {
   mutable t_wfs : wf array;
   t_by_name : (string, int) Hashtbl.t;
   t_routers : int;
+  t_servers : int;
   t_insts : (int, inst) Hashtbl.t array;
   t_next_local : int array;
   t_completed : int array;
   t_failed : int array;
   t_e2e : Stats.Quantile.t array;
-  t_arenas : records array;
-  mutable t_merged : records option;  (* router-major view, memoized *)
-  mutable t_merged_len : int;
+  t_rows : rows array;
 }
 
-let fresh_records () =
+let fresh_rows () =
   {
     r_len = 0;
     r_inst = Array.make 64 0;
     r_node = Array.make 64 0;
-    r_value = Array.make 64 0;
-    r_server = Array.make 64 0;
-    r_trig = Array.make 64 0;
-    r_init = Array.make 64 0;
-    r_exec = Array.make 64 0;
-    r_preempt = Array.make 64 0;
-    r_comp = Array.make 64 0;
+    r_hop = Array.make 64 0;
   }
 
 let create ?(fuse = false) ~cluster () =
@@ -422,6 +420,7 @@ let create ?(fuse = false) ~cluster () =
     t_wfs = [||];
     t_by_name = Hashtbl.create 8;
     t_routers = routers;
+    t_servers = Cluster.server_count cluster;
     t_insts = Array.init routers (fun _ -> Hashtbl.create 64);
     t_next_local = Array.make routers 0;
     t_completed = Array.make routers 0;
@@ -429,9 +428,7 @@ let create ?(fuse = false) ~cluster () =
     t_e2e =
       Array.init routers (fun _ ->
           Stats.Quantile.create ~quantiles:[| 0.5; 0.99; 0.999 |] ());
-    t_arenas = Array.init routers (fun _ -> fresh_records ());
-    t_merged = None;
-    t_merged_len = -1;
+    t_rows = Array.init routers (fun _ -> fresh_rows ());
   }
 
 let cluster t = t.t_cluster
@@ -452,11 +449,13 @@ let register t ~name g =
     Cluster.router_of_fn t.t_cluster
       ~fn_id:(fn_id_of_name t.t_cluster g.g_nodes.(0).n_name)
   in
-  let units = build_units t.t_cluster ~fuse:t.t_fuse ~wf_name:name g in
+  let w_units, w_interior =
+    build_units t.t_cluster ~fuse:t.t_fuse ~wf_name:name g
+  in
   let id = Array.length t.t_wfs in
   t.t_wfs <-
     Array.append t.t_wfs
-      [| { w_name = name; w_graph = g; w_units = units; w_router } |];
+      [| { w_name = name; w_graph = g; w_units; w_interior; w_router } |];
   Hashtbl.replace t.t_by_name name id;
   id
 
@@ -491,34 +490,31 @@ let provision t ~wf_id ~per_unit =
       | Platform.Cold | Platform.Restore -> ())
     w.w_units
 
-(* -- the record arena ---------------------------------------------- *)
+(* -- node rows ------------------------------------------------------- *)
 
-let append_record r ~inst ~node ~value ~server ~trig ~init ~exec ~preempt
-    ~comp =
+let append_row r ~inst ~node ~hop =
   let cap = Array.length r.r_inst in
   if r.r_len = cap then begin
     let grow a = Array.append a (Array.make cap 0) in
     r.r_inst <- grow r.r_inst;
     r.r_node <- grow r.r_node;
-    r.r_value <- grow r.r_value;
-    r.r_server <- grow r.r_server;
-    r.r_trig <- grow r.r_trig;
-    r.r_init <- grow r.r_init;
-    r.r_exec <- grow r.r_exec;
-    r.r_preempt <- grow r.r_preempt;
-    r.r_comp <- grow r.r_comp
+    r.r_hop <- grow r.r_hop
   end;
   let i = r.r_len in
   r.r_inst.(i) <- inst;
   r.r_node.(i) <- node;
-  r.r_value.(i) <- value;
-  r.r_server.(i) <- server;
-  r.r_trig.(i) <- trig;
-  r.r_init.(i) <- init;
-  r.r_exec.(i) <- exec;
-  r.r_preempt.(i) <- preempt;
-  r.r_comp.(i) <- comp;
+  r.r_hop.(i) <- hop;
   r.r_len <- i + 1
+
+let find_inst t inst_id =
+  let r = inst_id mod t.t_routers in
+  if r < 0 then None else Hashtbl.find_opt t.t_insts.(r) inst_id
+
+(* The trigger-record arena of a hop's server, and the hop's slot. *)
+let hop_arena t hop =
+  Platform.trigger_records (Cluster.server t.t_cluster (hop mod t.t_servers))
+
+let hop_slot t hop = hop / t.t_servers
 
 (* -- dispatch and completion --------------------------------------- *)
 
@@ -531,8 +527,8 @@ let rec dispatch t inst_id inst u_id =
   match
     Cluster.trigger_id t.t_cluster ~router:w.w_router ~fn_id:u.u_fn_id
       ~mode:u.u_mode
-      ~on_complete:(fun (server, record) ->
-        unit_complete t inst_id u_id ~server record)
+      ~on_complete:(fun server slot ->
+        unit_complete t inst_id u_id ~hop:((slot * t.t_servers) + server))
       ()
   with
   | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ -> ()
@@ -542,45 +538,31 @@ let rec dispatch t inst_id inst u_id =
       t.t_failed.(w.w_router) <- t.t_failed.(w.w_router) + 1
     end
 
-and unit_complete t inst_id u_id ~server (record : Platform.record) =
-  let router = inst_id mod t.t_routers in
-  match Hashtbl.find_opt t.t_insts.(router) inst_id with
+and unit_complete t inst_id u_id ~hop =
+  match find_inst t inst_id with
   | None -> ()
   | Some inst ->
+    let router = inst_id mod t.t_routers in
     let w = t.t_wfs.(inst.i_wf) in
     let g = w.w_graph in
     let u = w.w_units.(u_id) in
-    let trig_ns = Time.to_ns record.Platform.triggered_at in
-    let comp_ns = Time.to_ns record.Platform.completed_at in
-    let last = Array.length u.u_members - 1 in
-    Array.iteri
-      (fun k node ->
+    Array.iter
+      (fun node ->
         inst.i_values.(node) <-
           node_value g ~seed:inst.i_seed ~values:inst.i_values node;
         inst.i_done.(node) <- true;
-        (* interior fused members record zero-width rows at the fused
-           completion instant, so the per-row latency identity
-           [comp - trig = init + exec + preemption] holds everywhere;
-           the last member carries the fused record's real timings *)
-        if k = last then
-          append_record t.t_arenas.(router) ~inst:inst_id ~node
-            ~value:inst.i_values.(node) ~server ~trig:trig_ns
-            ~init:(Time.span_to_ns record.Platform.init)
-            ~exec:(Time.span_to_ns record.Platform.exec)
-            ~preempt:(Time.span_to_ns record.Platform.preemption)
-            ~comp:comp_ns
-        else
-          append_record t.t_arenas.(router) ~inst:inst_id ~node
-            ~value:inst.i_values.(node) ~server ~trig:comp_ns ~init:0 ~exec:0
-            ~preempt:0 ~comp:comp_ns)
+        append_row t.t_rows.(router) ~inst:inst_id ~node ~hop)
       u.u_members;
     inst.i_remaining <- inst.i_remaining - 1;
     if inst.i_remaining = 0 then begin
+      let at =
+        Trigger_records.completed_at (hop_arena t hop) (hop_slot t hop)
+      in
       t.t_completed.(router) <- t.t_completed.(router) + 1;
       Stats.Quantile.add t.t_e2e.(router)
-        (float_of_int (comp_ns - inst.i_started_ns) /. 1e3);
+        (float_of_int (Time.to_ns at - inst.i_started_ns) /. 1e3);
       match inst.i_on_complete with
-      | Some f -> f ~instance:inst_id ~at:record.Platform.completed_at
+      | Some f -> f ~instance:inst_id ~at
       | None -> ()
     end
     else
@@ -618,63 +600,21 @@ let start ?seed ?on_complete t ~wf_id () =
     w.w_units;
   inst_id
 
-let schedule_batch ?(window = 4096) t batch =
-  if window < 1 then invalid_arg "Workflow.schedule_batch: window < 1";
-  if not (Batch.sorted batch) then
-    invalid_arg "Workflow.schedule_batch: unsorted batch";
-  let n = Batch.length batch in
-  for k = 0 to n - 1 do
+let schedule_batch ?window t batch =
+  for k = 0 to Batch.length batch - 1 do
     let w = Batch.fn_id batch k in
     if w < 0 || w >= Array.length t.t_wfs then
       invalid_arg
         (Printf.sprintf "Workflow.schedule_batch: unknown workflow id %d" w)
   done;
-  let fire k =
-    let wf_id = Batch.fn_id batch k in
-    let payload = Batch.payload batch k in
-    let seed = if payload = 0 then None else Some payload in
-    ignore (start ?seed t ~wf_id ())
-  in
-  (* windowed cursor in the cluster's schedule_batch style: slice the
-     batch's row indices per home router, then on each router's engine
-     arm one window of arrivals; the last arrival of each window arms
-     the next, so each event queue holds [window] workflow starts at
-     most and each router's starts fire on its own timeline *)
-  let rc = t.t_routers in
-  let counts = Array.make rc 0 in
-  for k = 0 to n - 1 do
-    let r = t.t_wfs.(Batch.fn_id batch k).w_router in
-    counts.(r) <- counts.(r) + 1
-  done;
-  let rows = Array.init rc (fun r -> Array.make counts.(r) 0) in
-  let fill = Array.make rc 0 in
-  for k = 0 to n - 1 do
-    let r = t.t_wfs.(Batch.fn_id batch k).w_router in
-    rows.(r).(fill.(r)) <- k;
-    fill.(r) <- fill.(r) + 1
-  done;
-  for r = 0 to rc - 1 do
-    let slice = rows.(r) in
-    let m = Array.length slice in
-    if m > 0 then begin
-      let engine = Cluster.router_engine t.t_cluster r in
-      let base = Engine.now engine in
-      let rec arm j ~stop =
-        if j < stop then begin
-          let refills = j = stop - 1 && stop < m in
-          let k = slice.(j) in
-          ignore
-            (Engine.schedule_at engine
-               ~at:(Time.add base (Batch.time batch k))
-               (fun _ ->
-                 fire k;
-                 if refills then arm stop ~stop:(min m (stop + window))));
-          arm (j + 1) ~stop
-        end
-      in
-      arm 0 ~stop:(min m window)
-    end
-  done
+  (* each home router's starts fire on its own timeline *)
+  Batch.arm ?window batch ~lanes:t.t_routers
+    ~route:(fun k -> t.t_wfs.(Batch.fn_id batch k).w_router)
+    ~engine:(Cluster.router_engine t.t_cluster)
+    ~fire:(fun _ k ->
+      let payload = Batch.payload batch k in
+      let seed = if payload = 0 then None else Some payload in
+      ignore (start ?seed t ~wf_id:(Batch.fn_id batch k) ()))
 
 let run t = Cluster.run t.t_cluster
 
@@ -698,80 +638,66 @@ let e2e_of t r =
 let wf_router t ~wf_id = (wf t wf_id).w_router
 
 let value t ~instance ~node =
-  let r = instance mod t.t_routers in
-  match
-    if r < 0 then None else Hashtbl.find_opt t.t_insts.(r) instance
-  with
+  match find_inst t instance with
   | None -> invalid_arg "Workflow.value: unknown instance"
   | Some inst ->
     if node < 0 || node >= Array.length inst.i_values || not inst.i_done.(node)
     then invalid_arg "Workflow.value: node not completed";
     inst.i_values.(node)
 
-(* The router-major merged arena: router 0's rows in completion order,
-   then router 1's, … — exactly the single arena when [routers = 1]
-   (returned in place, no copy), rebuilt and memoized on total length
-   otherwise. *)
-let merged t =
-  if t.t_routers = 1 then t.t_arenas.(0)
-  else begin
-    let len = Array.fold_left (fun a r -> a + r.r_len) 0 t.t_arenas in
-    match t.t_merged with
-    | Some m when t.t_merged_len = len -> m
-    | _ ->
-      let cat col =
-        let out = Array.make (max len 1) 0 in
-        let off = ref 0 in
-        Array.iter
-          (fun a ->
-            Array.blit (col a) 0 out !off a.r_len;
-            off := !off + a.r_len)
-          t.t_arenas;
-        out
-      in
-      let m =
-        {
-          r_len = len;
-          r_inst = cat (fun a -> a.r_inst);
-          r_node = cat (fun a -> a.r_node);
-          r_value = cat (fun a -> a.r_value);
-          r_server = cat (fun a -> a.r_server);
-          r_trig = cat (fun a -> a.r_trig);
-          r_init = cat (fun a -> a.r_init);
-          r_exec = cat (fun a -> a.r_exec);
-          r_preempt = cat (fun a -> a.r_preempt);
-          r_comp = cat (fun a -> a.r_comp);
-        }
-      in
-      t.t_merged <- Some m;
-      t.t_merged_len <- len;
-      m
-  end
-
+(* Row [i] is found by walking the per-router lengths: router 0's rows
+   first, then router 1's, … .  Timings are read from the hop's
+   platform row; an interior fused member reads as zero-width at the
+   unit's completion instant, so the per-row latency identity
+   [completed - triggered = init + exec + preemption] holds for every
+   row. *)
 module Records = struct
-  let count t = Array.fold_left (fun a r -> a + r.r_len) 0 t.t_arenas
+  let count t = Array.fold_left (fun a r -> a + r.r_len) 0 t.t_rows
 
   let read col t i =
-    let r = merged t in
-    if i < 0 || i >= r.r_len then
-      invalid_arg "Workflow.Records: slot out of range";
-    col r i
+    let rec go r i =
+      if i < 0 || r = t.t_routers then
+        invalid_arg "Workflow.Records: slot out of range"
+      else
+        let rows = t.t_rows.(r) in
+        if i < rows.r_len then col rows i else go (r + 1) (i - rows.r_len)
+    in
+    go 0 i
 
   let instance t i = read (fun r i -> r.r_inst.(i)) t i
 
   let node t i = read (fun r i -> r.r_node.(i)) t i
 
-  let value t i = read (fun r i -> r.r_value.(i)) t i
+  let hop t i = read (fun r i -> r.r_hop.(i)) t i
 
-  let server t i = read (fun r i -> r.r_server.(i)) t i
+  let value t i = value t ~instance:(instance t i) ~node:(node t i)
 
-  let triggered_ns t i = read (fun r i -> r.r_trig.(i)) t i
+  let server t i = hop t i mod t.t_servers
 
-  let init_ns t i = read (fun r i -> r.r_init.(i)) t i
+  let interior t i =
+    let inst = instance t i in
+    let wf = (Hashtbl.find t.t_insts.(inst mod t.t_routers) inst).i_wf in
+    t.t_wfs.(wf).w_interior.(node t i)
 
-  let exec_ns t i = read (fun r i -> r.r_exec.(i)) t i
+  let completed_ns t i =
+    let h = hop t i in
+    Time.to_ns (Trigger_records.completed_at (hop_arena t h) (hop_slot t h))
 
-  let preemption_ns t i = read (fun r i -> r.r_preempt.(i)) t i
+  let triggered_ns t i =
+    if interior t i then completed_ns t i
+    else
+      let h = hop t i in
+      Time.to_ns (Trigger_records.triggered_at (hop_arena t h) (hop_slot t h))
 
-  let completed_ns t i = read (fun r i -> r.r_comp.(i)) t i
+  let span col t i =
+    if interior t i then 0
+    else
+      let h = hop t i in
+      Time.span_to_ns (col (hop_arena t h) (hop_slot t h))
+
+  let init_ns t i = span Trigger_records.init t i
+
+  let exec_ns t i = span Trigger_records.exec t i
+
+  let preemption_ns t i = span Trigger_records.preemption t i
 end

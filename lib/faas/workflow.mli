@@ -20,8 +20,8 @@
     timeline: units dispatch through [Cluster.trigger_id ~router]
     (pinned triggers never spill, so completions always return to the
     home strand), {!provision} parks pools in the home router's server
-    group, and all stepper state — instance tables, counters, record
-    arenas, e2e streams — is partitioned per router.  Instance ids are
+    group, and all stepper state — instance tables, counters, node
+    rows, e2e streams — is partitioned per router.  Instance ids are
     packed [local * routers + router], which degenerates to the
     historical dense counter when [routers = 1].
 
@@ -41,15 +41,17 @@
     function registered on the cluster: summed execution time, the
     vCPU/memory maximum of its members, a single sandbox resume/pause
     instead of one per member, and no intermediate placement
-    round-trips.  On completion the fused record is expanded back into
-    per-member node records, so fused and unfused runs are
-    trace-equivalent in completion values; interior members record
+    round-trips.  On completion the fused unit expands back into
+    per-member node rows, so fused and unfused runs are
+    trace-equivalent in completion values; interior members read as
     zero-width rows at the fused completion instant (the latency
     identity [completed - triggered = init + exec + preemption] holds
     for every row in both modes).
 
-    Node records live in a {!Trigger_records}-style struct-of-arrays
-    arena: nine parallel int columns, read in place by slot index. *)
+    A completed hop is stored once, as its server platform's
+    {!Trigger_records} row.  A node row is three int columns —
+    instance, node and the packed [(server, slot)] of that platform
+    row — and {!Records} reads everything else through it. *)
 
 type graph
 (** An immutable DAG of function nodes. *)
@@ -180,9 +182,10 @@ val schedule_batch : ?window:int -> t -> Horse_trace.Batch.t -> unit
 (** DAG-aware batch ingestion: one {!start} per batch row at its
     arrival offset, reading the fn-id column as the {e workflow} id
     and the payload column as the instance seed (payload 0 = default
-    seed).  Arrivals are armed through a windowed cursor ([window] at
-    a time, default 4096) like {!Cluster.schedule_batch}, so the event
-    queue holds one window rather than the whole trace; on a
+    seed).  Arrivals are armed through {!Horse_trace.Batch.arm}, the
+    windowed cursor {!Cluster.schedule_batch} uses ([window] at a
+    time, default 4096), so the event queue holds one window rather
+    than the whole trace; on a
     multi-router cluster the rows are sliced per home router and each
     slice is armed on its own router's engine.
     @raise Invalid_argument if [window < 1], the batch is unsorted, or
@@ -221,11 +224,18 @@ val value : t -> instance:int -> node:int -> int
 (** {1 Node records}
 
     One row per completed node, in completion order (fused members
-    expand into member rows at the fused completion instant).  Columns
-    are read in place by slot index, [0 .. count - 1].  Router-major
-    on a multi-router cluster: router 0's rows first, then router
-    1's, … — identical to the historical single stream when
-    [Cluster.router_count = 1]. *)
+    expand into member rows at the fused completion instant), read by
+    row index [0 .. count - 1].  Router-major on a multi-router
+    cluster: router 0's rows first, then router 1's, … — one stream
+    when [Cluster.router_count = 1].
+
+    [instance] and [node] are stored; [value] reads the instance
+    table {!value} reads; [server] and the time columns read the
+    hop's {!Platform.trigger_records} row.  Every member of a fused
+    unit points at the unit's one row: the last member reads its
+    timings, an interior member reads as zero-width (triggered =
+    completed = the row's completion; zero init, exec and
+    preemption). *)
 module Records : sig
   val count : t -> int
 

@@ -1,5 +1,6 @@
 module Time = Horse_sim.Time_ns
 module Rng = Horse_sim.Rng
+module Engine = Horse_sim.Engine
 
 (* A flat trigger batch: three parallel int columns (arrival offset in
    integer nanoseconds, interned function id, opaque payload — the
@@ -158,3 +159,52 @@ let bursty ~rng ~n ~duration ?(burst = 48) ?(spacing = Time.span_us 1.0)
   done;
   sort t;
   t
+
+(* The windowed cursor both batch consumers share: slice the row
+   indices per lane (batch order within a slice is global order
+   restricted to that lane) and walk each slice on its lane's engine.
+   Each refill pre-schedules the next [window] arrivals of the lane —
+   the refill event for the window's boundary instant is scheduled
+   {e before} the boundary arrival itself, so under the engine's FIFO
+   tie-break the next window is enqueued before the boundary arrival
+   fires and arrivals always fire in batch order.  Each event queue
+   therefore holds at most [window] pending arrivals instead of the
+   whole trace. *)
+let arm ?(window = 4096) t ~lanes ~route ~engine ~fire =
+  if window < 1 then invalid_arg "Batch.arm: window < 1";
+  if not (sorted t) then invalid_arg "Batch.arm: batch not sorted";
+  let counts = Array.make lanes 0 in
+  for k = 0 to t.len - 1 do
+    let l = route k in
+    counts.(l) <- counts.(l) + 1
+  done;
+  let rows = Array.map (fun c -> Array.make (max 1 c) 0) counts in
+  let fill = Array.make lanes 0 in
+  for k = 0 to t.len - 1 do
+    let l = route k in
+    rows.(l).(fill.(l)) <- k;
+    fill.(l) <- fill.(l) + 1
+  done;
+  Array.iteri
+    (fun l rows ->
+      let m = counts.(l) in
+      if m > 0 then begin
+        let e = engine l in
+        let base = Engine.now e in
+        let at k = Time.add base (Time.span_ns t.times.(k)) in
+        let rec refill start =
+          let stop = min m (start + window) in
+          (* next refill first: it shares the boundary arrival's
+             instant and must win the FIFO tie *)
+          if stop < m then
+            ignore
+              (Engine.schedule_at e ~at:(at rows.(stop - 1)) (fun _ ->
+                   refill stop));
+          for j = start to stop - 1 do
+            let k = rows.(j) in
+            ignore (Engine.schedule_at e ~at:(at k) (fun _ -> fire l k))
+          done
+        in
+        refill 0
+      end)
+    rows

@@ -6,8 +6,8 @@
     consumer defines (the FaaS layer stores its dense start-mode code
     there).  Producing a million-trigger trace costs three int-array
     writes per arrival instead of a closure plus list cons each, and
-    the consumer ingests it through a windowed cursor so the event
-    queue holds one window, not the whole trace. *)
+    the consumer ingests it through a windowed cursor ({!arm}) so the
+    event queue holds one window, not the whole trace. *)
 
 type t
 
@@ -83,3 +83,25 @@ val bursty :
     {!uniform} with the same [n]; only the clustering differs.
     @raise Invalid_argument if [n < 0], [burst < 1], or a span is
     empty. *)
+
+val arm :
+  ?window:int ->
+  t ->
+  lanes:int ->
+  route:(int -> int) ->
+  engine:(int -> Horse_sim.Engine.t) ->
+  fire:(int -> int -> unit) ->
+  unit
+(** Ingest a sorted batch through a windowed cursor: row [k] goes to
+    lane [route k] (in [0 .. lanes - 1]) and fires [fire lane k] on
+    [engine lane] at the lane engine's current time plus the row's
+    offset.  Each lane pre-schedules [window] arrivals at a time
+    (default 4096), so its event queue holds one window rather than
+    the whole trace; within a lane, rows fire in batch order.  The
+    event that arms a lane's next window is scheduled before that
+    window's boundary arrival, at the same instant, so it fires first
+    under the engine's FIFO tie-break — one extra engine event per
+    window after the first.  With [window >= length] the schedule is
+    event-for-event identical to calling [Engine.schedule_at] row by
+    row.
+    @raise Invalid_argument if [window < 1] or the batch is unsorted. *)

@@ -249,3 +249,20 @@ module Snapshot = struct
     | [] -> None
     | ds -> Some (String.concat "; " ds)
 end
+
+(* Boxed views of completed invocations, for tests that compare whole
+   runs: each arena row materialized through [record_of_slot]. *)
+module Records = struct
+  module Platform = Horse_faas.Platform
+  module Cluster = Horse_faas.Cluster
+
+  let of_platform p =
+    List.init (Platform.record_count p) (Platform.record_of_slot p)
+
+  let of_cluster c =
+    let l = ref [] in
+    Cluster.iter_records c (fun server slot ->
+        let record = Platform.record_of_slot (Cluster.server c server) slot in
+        l := (server, record) :: !l);
+    List.rev !l
+end

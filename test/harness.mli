@@ -95,3 +95,16 @@ module Snapshot : sig
   (** [None] when identical; otherwise a "key: before -> after" list
       covering changed, added and removed keys. *)
 end
+
+(** Boxed views of completed invocations for whole-run comparisons,
+    built from the trigger-record arenas with
+    {!Horse_faas.Platform.record_of_slot}. *)
+module Records : sig
+  val of_platform : Horse_faas.Platform.t -> Horse_faas.Platform.record list
+  (** Every completion of the platform, oldest first. *)
+
+  val of_cluster :
+    Horse_faas.Cluster.t -> (int * Horse_faas.Platform.record) list
+  (** Every completion fleet-wide, tagged with its server, in
+      {!Horse_faas.Cluster.iter_records} order. *)
+end

@@ -166,7 +166,7 @@ let test_records_accumulate () =
   Alcotest.(check int) "live before run" 3 (Platform.live_invocations platform);
   Engine.run engine;
   Alcotest.(check int) "live drained" 0 (Platform.live_invocations platform);
-  Alcotest.(check int) "records" 3 (List.length (Platform.records platform))
+  Alcotest.(check int) "records" 3 (Platform.record_count platform)
 
 let test_concurrent_warm_pool_exhaustion () =
   let _, platform = fresh () in
@@ -407,99 +407,6 @@ let test_governor_signal_identical_across_strategies () =
     (energy_of Sandbox.Vanilla) (energy_of Sandbox.Horse)
 
 (* ------------------------------------------------------------------ *)
-(* Autoscaler                                                          *)
-(* ------------------------------------------------------------------ *)
-
-module Autoscaler = Horse_faas.Autoscaler
-
-let test_autoscaler_tracks_concurrency () =
-  let a = Autoscaler.create () in
-  Alcotest.(check int) "idle" 0 (Autoscaler.current_concurrency a);
-  Autoscaler.note_start a ~at:(Time.of_ns 0);
-  Autoscaler.note_start a ~at:(Time.of_ns 10);
-  Alcotest.(check int) "two live" 2 (Autoscaler.current_concurrency a);
-  Autoscaler.note_complete a ~at:(Time.of_ns 20);
-  Alcotest.(check int) "one live" 1 (Autoscaler.current_concurrency a);
-  Alcotest.check_raises "underflow"
-    (Invalid_argument "Autoscaler.note_complete: no invocation outstanding")
-    (fun () ->
-      Autoscaler.note_complete a ~at:(Time.of_ns 30);
-      Autoscaler.note_complete a ~at:(Time.of_ns 40))
-
-let test_autoscaler_recommendation () =
-  let a = Autoscaler.create ~headroom:1 () in
-  (* no traffic yet: keep nothing warm *)
-  Alcotest.(check int) "cold start" 0
-    (Autoscaler.recommendation a ~at:(Time.of_ns 0));
-  (* a burst of 5 concurrent invocations *)
-  for i = 0 to 4 do
-    Autoscaler.note_start a ~at:(Time.of_ns (i * 1000))
-  done;
-  for i = 0 to 4 do
-    Autoscaler.note_complete a ~at:(Time.of_ns (10_000 + (i * 1000)))
-  done;
-  let rec_now = Autoscaler.recommendation a ~at:(Time.of_ns 20_000) in
-  Alcotest.(check bool)
-    (Printf.sprintf "burst remembered (%d)" rec_now)
-    true (rec_now >= 5);
-  (* after the window slides past the burst, scale back down *)
-  let later = Time.of_ns (Time.span_to_ns (Time.span_s 120.0)) in
-  Alcotest.(check int) "scaled down to headroom" 1
-    (Autoscaler.recommendation a ~at:later)
-
-let test_autoscaler_caps () =
-  let a = Autoscaler.create ~max_pool:3 ~headroom:0 () in
-  for i = 0 to 9 do
-    Autoscaler.note_start a ~at:(Time.of_ns i)
-  done;
-  Alcotest.(check int) "capped" 3
-    (Autoscaler.recommendation a ~at:(Time.of_ns 100))
-
-let test_autoscaler_attached_to_platform () =
-  let engine, platform = fresh () in
-  register_nat platform;
-  let a =
-    Autoscaler.create ~window:(Time.span_s 10.0) ~headroom:1 ~percentile:99.0 ()
-  in
-  Autoscaler.attach a ~platform ~name:"nat" ~strategy:Sandbox.Horse
-    ~interval:(Time.span_s 1.0)
-    ~until:(Time.of_ns (Time.span_to_ns (Time.span_s 30.0)));
-  (* traffic burst in the first 5 seconds: 4 concurrent long-ish calls *)
-  Platform.register platform
-    (Function_def.create ~name:"steady" ~vcpus:1 ~memory_mb:128
-       ~exec:(Function_def.Fixed (Time.span_s 2.0)) ());
-  for i = 0 to 3 do
-    ignore
-      (Engine.schedule engine
-         ~after:(Time.span_ms (float_of_int i *. 100.0))
-         (fun _ ->
-           Autoscaler.note_start a ~at:(Engine.now engine);
-           Platform.trigger platform ~name:"steady" ~mode:Platform.Cold
-             ~on_complete:(fun _ ->
-               Autoscaler.note_complete a ~at:(Engine.now engine))
-             ()))
-  done;
-  Engine.run ~until:(Time.of_ns (Time.span_to_ns (Time.span_s 6.0))) engine;
-  (* the reconciler saw 4 concurrent invocations: pool grew *)
-  Alcotest.(check bool)
-    (Printf.sprintf "scaled up (%d)" (Platform.pool_size platform ~name:"nat"))
-    true
-    (Platform.pool_size platform ~name:"nat" >= 4);
-  Engine.run engine;
-  (* burst long gone: the reconciler shrank the pool to headroom *)
-  Alcotest.(check int) "scaled down" 1 (Platform.pool_size platform ~name:"nat")
-
-let test_reclaim () =
-  let _, platform = fresh () in
-  register_nat platform;
-  Platform.provision platform ~name:"nat" ~count:5 ~strategy:Sandbox.Horse;
-  Alcotest.(check int) "reclaimed 2" 2 (Platform.reclaim platform ~name:"nat" ~count:2);
-  Alcotest.(check int) "three left" 3 (Platform.pool_size platform ~name:"nat");
-  Alcotest.(check int) "reclaim beyond pool" 3
-    (Platform.reclaim platform ~name:"nat" ~count:10);
-  Alcotest.(check int) "empty" 0 (Platform.pool_size platform ~name:"nat")
-
-(* ------------------------------------------------------------------ *)
 (* Cluster                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -587,8 +494,7 @@ let test_cluster_warm_first () =
   in
   Alcotest.(check int) "routed to a warm server over the idle one" 0 pick;
   Cluster.run cluster;
-  Alcotest.(check int) "three completions" 3
-    (List.length (Cluster.records cluster));
+  Alcotest.(check int) "three completions" 3 (Cluster.record_count cluster);
   Alcotest.(check int) "no dry pool" 0 (List.length (Cluster.rejections cluster))
 
 let test_cluster_warm_exhausted_rejects () =
@@ -678,8 +584,7 @@ let test_cluster_end_to_end () =
                 ~mode:(Platform.Warm Sandbox.Horse) ())))
   done;
   Cluster.run cluster;
-  Alcotest.(check int) "30 completions" 30
-    (List.length (Cluster.records cluster));
+  Alcotest.(check int) "30 completions" 30 (Cluster.record_count cluster);
   Alcotest.(check int) "pool restored" 9 (Cluster.pool_size cluster ~name:"slow");
   let counts = Cluster.triggers_per_server cluster in
   Alcotest.(check bool) "every server participated" true
@@ -939,9 +844,8 @@ module Batch = Horse_trace.Batch
 
 (* Every completion is observed twice — through the boxed on_complete
    sink (the oracle list) and through the struct-of-arrays arena.
-   After every op the arena views (the memoized [records] shim,
-   [fold_records] + [record_of_slot], and the int columns) must agree
-   with the oracle exactly. *)
+   After every op the arena views ([record_of_slot] over every slot
+   and the int columns) must agree with the oracle exactly. *)
 type arena_op = Provision of int | Trigger | Advance of int (* us *)
 
 let arena_spec =
@@ -986,31 +890,24 @@ let arena_spec =
             Some
               (Printf.sprintf "record_count %d, oracle saw %d"
                  (Platform.record_count platform) n)
-          else if Platform.records platform <> expected then
-            Some "memoized records shim disagrees with the oracle"
+          else if Harness.Records.of_platform platform <> expected then
+            Some "record_of_slot over the arena disagrees with the oracle"
           else
-            let rebuilt =
-              Platform.fold_records platform ~init:[] ~f:(fun acc slot ->
-                  Platform.record_of_slot platform slot :: acc)
-            in
-            if List.rev rebuilt <> expected then
-              Some "fold_records + record_of_slot disagrees"
-            else
-              let arena = Platform.trigger_records platform in
-              let bad = ref None in
-              List.iteri
-                (fun slot r ->
-                  if
-                    !bad = None
-                    && Trigger_records.total_ns arena slot
-                       <> ns_of (Platform.record_total r)
-                  then
-                    bad :=
-                      Some
-                        (Printf.sprintf
-                           "total_ns column diverges at slot %d" slot))
-                expected;
-              !bad);
+            let arena = Platform.trigger_records platform in
+            let bad = ref None in
+            List.iteri
+              (fun slot r ->
+                if
+                  !bad = None
+                  && Trigger_records.total_ns arena slot
+                     <> ns_of (Platform.record_total r)
+                then
+                  bad :=
+                    Some
+                      (Printf.sprintf "total_ns column diverges at slot %d"
+                         slot))
+              expected;
+            !bad);
   }
 
 let test_arena_oracle () = Harness.check arena_spec
@@ -1054,7 +951,8 @@ let test_batch_matches_closure_ingestion () =
   Cluster.schedule_batch ~window:1024 cluster_b batch;
   Cluster.run cluster_b;
   Alcotest.(check bool) "window >= n bit-identical to closures" true
-    (Cluster.records cluster_a = Cluster.records cluster_b);
+    (Harness.Records.of_cluster cluster_a
+    = Harness.Records.of_cluster cluster_b);
   Alcotest.(check bool) "rejections also identical" true
     (Cluster.rejections cluster_a = Cluster.rejections cluster_b);
   (* a small window re-runs deterministically and loses nothing *)
@@ -1065,10 +963,11 @@ let test_batch_matches_closure_ingestion () =
   Cluster.schedule_batch ~window:7 cluster_d batch;
   Cluster.run cluster_d;
   Alcotest.(check bool) "windowed ingestion deterministic" true
-    (Cluster.records cluster_c = Cluster.records cluster_d);
+    (Harness.Records.of_cluster cluster_c
+    = Harness.Records.of_cluster cluster_d);
   Alcotest.(check int) "windowed ingestion completes the same count"
-    (List.length (Cluster.records cluster_a))
-    (List.length (Cluster.records cluster_c))
+    (Cluster.record_count cluster_a)
+    (Cluster.record_count cluster_c)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics surface                                                     *)
@@ -1127,7 +1026,7 @@ let prop_platform_conservation =
                  | exception Platform.No_warm_sandbox _ -> ())))
         script;
       Engine.run ~until:(Time.of_ns 60_000_000_000) engine;
-      List.length (Platform.records platform) = !attempted
+      Platform.record_count platform = !attempted
       && Platform.live_invocations platform = 0
       && Platform.pool_size platform ~name:"nat" >= pool)
 
@@ -1155,28 +1054,9 @@ let prop_keepalive_accounting =
       e.Keepalive.warm_hits + e.Keepalive.cold_starts = e.Keepalive.invocations
       && (arrivals = [] || e.Keepalive.cold_starts >= 1))
 
-let prop_autoscaler_bounded =
-  QCheck2.Test.make ~name:"autoscaler recommendation within [0, max_pool]"
-    ~count:200
-    QCheck2.Gen.(
-      pair (1 -- 20) (list_size (0 -- 60) bool))
-    (fun (max_pool, script) ->
-      let a = Autoscaler.create ~max_pool ~headroom:1 () in
-      let now = ref 0 in
-      List.iter
-        (fun start ->
-          now := !now + 1_000_000;
-          if start then Autoscaler.note_start a ~at:(Time.of_ns !now)
-          else if Autoscaler.current_concurrency a > 0 then
-            Autoscaler.note_complete a ~at:(Time.of_ns !now))
-        script;
-      let r = Autoscaler.recommendation a ~at:(Time.of_ns !now) in
-      r >= 0 && r <= max_pool)
-
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_platform_conservation; prop_keepalive_accounting;
-      prop_autoscaler_bounded ]
+    [ prop_platform_conservation; prop_keepalive_accounting ]
 
 let () =
   Alcotest.run "horse_faas"
@@ -1240,17 +1120,6 @@ let () =
             test_platform_accounts_energy;
           Alcotest.test_case "governor signal identical" `Quick
             test_governor_signal_identical_across_strategies;
-        ] );
-      ( "autoscaler",
-        [
-          Alcotest.test_case "tracks concurrency" `Quick
-            test_autoscaler_tracks_concurrency;
-          Alcotest.test_case "recommendation" `Quick
-            test_autoscaler_recommendation;
-          Alcotest.test_case "caps" `Quick test_autoscaler_caps;
-          Alcotest.test_case "attached to platform" `Quick
-            test_autoscaler_attached_to_platform;
-          Alcotest.test_case "reclaim" `Quick test_reclaim;
         ] );
       ( "cluster",
         [

@@ -53,7 +53,7 @@ let dump_record buf (server, (r : Platform.record)) =
 
 let dump_cluster cluster =
   let buf = Buffer.create 4096 in
-  List.iter (dump_record buf) (Cluster.records cluster);
+  List.iter (dump_record buf) (Harness.Records.of_cluster cluster);
   List.iter
     (fun (rj : Cluster.rejection) ->
       Buffer.add_string buf
@@ -116,7 +116,7 @@ let test_latency_identity_under_faults () =
      fallback rungs, retries and slowdowns are all inside the record,
      never hidden beside it. *)
   let cluster = storm () in
-  let records = Cluster.records cluster in
+  let records = Harness.Records.of_cluster cluster in
   Alcotest.(check bool) "some invocations completed" true (records <> []);
   List.iter
     (fun (_, (r : Platform.record)) ->
@@ -204,7 +204,7 @@ let test_fallback_ladder_reaches_cold () =
   Platform.provision platform ~name:"ull" ~count:2 ~strategy:Sandbox.Horse;
   Platform.trigger platform ~name:"ull" ~mode:(Platform.Warm Sandbox.Horse) ();
   Engine.run engine;
-  (match Platform.records platform with
+  (match Harness.Records.of_platform platform with
   | [ r ] ->
     Alcotest.(check string) "served cold" "cold"
       (Platform.mode_name r.Platform.mode);
@@ -237,7 +237,7 @@ let test_total_chaos_terminates () =
   Platform.register platform ull_def;
   Platform.trigger platform ~name:"ull" ~mode:(Platform.Warm Sandbox.Horse) ();
   Engine.run engine;
-  Alcotest.(check int) "no records" 0 (List.length (Platform.records platform));
+  Alcotest.(check int) "no records" 0 (Platform.record_count platform);
   Alcotest.(check int) "aborted" 1
     (Metrics.counter (Platform.metrics platform) "platform.aborts")
 
@@ -398,7 +398,7 @@ let platform_snapshot engine platform =
     ([
        ("pool.ull", string_of_int (Platform.pool_size platform ~name:"ull"));
        ("live", string_of_int (Platform.live_invocations platform));
-       ("records", string_of_int (List.length (Platform.records platform)));
+       ("records", string_of_int (Platform.record_count platform));
        ("pending", string_of_int (Engine.pending engine));
        ("now", string_of_int (Time.to_ns (Engine.now engine)));
      ]

@@ -120,7 +120,7 @@ let test_fleet_under_trace_storm () =
                   ~mode:(Platform.Warm Sandbox.Horse) ()))))
     arrivals;
   Cluster.run cluster;
-  let records = Cluster.records cluster in
+  let records = Harness.Records.of_cluster cluster in
   (* a dry pool degrades to a restore on the server instead of
      rejecting, so every trigger completes *)
   Alcotest.(check int) "every trigger completed"
@@ -247,7 +247,7 @@ let test_full_stack_determinism () =
       (fun r ->
         ( Time.to_ns r.Platform.triggered_at,
           Time.span_to_ns (Platform.record_total r) ))
-      (Platform.records platform)
+      (Harness.Records.of_platform platform)
   in
   let a = run () and b = run () in
   Alcotest.(check int) "same cardinality" (List.length a) (List.length b);

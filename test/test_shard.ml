@@ -51,7 +51,7 @@ let dump_cluster cluster =
   Buffer.add_string buf
     (Printf.sprintf "policy=%s pending=%d\n" (Cluster.policy_name cluster)
        (Cluster.pending_count cluster));
-  List.iter (dump_record buf) (Cluster.records cluster);
+  List.iter (dump_record buf) (Harness.Records.of_cluster cluster);
   List.iter
     (fun (rj : Cluster.rejection) ->
       Buffer.add_string buf
@@ -477,19 +477,6 @@ let test_scenario_families () =
         } );
     ]
 
-let test_colocation_invariant () =
-  let rows shards =
-    E.colocation ~seed:7 ~duration_s:0.5 ~repeats:2 ~vcpus:[ 8 ] ~shards ()
-  in
-  let reference = rows 1 in
-  List.iter
-    (fun shards ->
-      Alcotest.(check bool)
-        (Printf.sprintf "colocation shards=%d == shards=1" shards)
-        true
-        (rows shards = reference))
-    [ 2; 4 ]
-
 (* ------------------------------------------------------------------ *)
 (* Bench gates at quick scale                                          *)
 (* ------------------------------------------------------------------ *)
@@ -853,8 +840,13 @@ let test_spill_dry_warm () =
            Some
              (Cluster.trigger_id cluster ~fn_id
                 ~mode:(Platform.Warm Sandbox.Horse)
-                ~on_complete:(fun (server, record) ->
-                  completion := Some (server, record))
+                ~on_complete:(fun server slot ->
+                  completion :=
+                    Some
+                      ( server,
+                        Platform.record_of_slot
+                          (Cluster.server cluster server)
+                          slot ))
                 ())));
   Cluster.run cluster;
   (match !outcome with
@@ -973,7 +965,12 @@ let test_pull_fifo_per_router () =
                ignore
                  (Cluster.trigger_id cluster ~router:r ~fn_id
                     ~mode:(Platform.Warm Sandbox.Horse)
-                    ~on_complete:(fun (_, record) ->
+                    ~on_complete:(fun server slot ->
+                      let record =
+                        Platform.record_of_slot
+                          (Cluster.server cluster server)
+                          slot
+                      in
                       order.(r) <-
                         (tag, Time.to_ns record.Platform.triggered_at)
                         :: order.(r))
@@ -1143,8 +1140,6 @@ let () =
             `Quick test_identity_names_field;
           Alcotest.test_case "scenario families shards/lock-step identical"
             `Quick test_scenario_families;
-          Alcotest.test_case "colocation rows shards-invariant" `Slow
-            test_colocation_invariant;
         ] );
       ( "bench gates",
         [

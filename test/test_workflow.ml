@@ -137,7 +137,10 @@ let run_sequential ?(seed = 11) graph =
         Cluster.trigger cluster
           ~name:(Workflow.node_name graph i)
           ~mode:(Workflow.node_mode graph i)
-          ~on_complete:(fun (_server, r) ->
+          ~on_complete:(fun server slot ->
+            let r =
+              Platform.record_of_slot (Cluster.server cluster server) slot
+            in
             rows := (i, r) :: !rows;
             fire (i + 1))
           ()
@@ -418,6 +421,93 @@ let test_chain_latency_identity () =
     (Workflow.Records.completed_ns wf (row 3)
     - Workflow.Records.triggered_ns wf (row 0))
     !total
+
+(* A node row stores no timings of its own: its timing columns are
+   the hop's platform row.  For chains of 3 and 6, fused and unfused,
+   the last member of every unit reads exactly the rows
+   [Cluster.iter_records] yields (compared as multisets), and every
+   interior fused member reads as zero-width at its unit's
+   completion. *)
+let test_rows_are_platform_rows () =
+  List.iter
+    (fun (len, fuse) ->
+      let label = Printf.sprintf "len %d, fuse=%b" len fuse in
+      let graph =
+        graph_of_shape
+          {
+            Harness.Dag.nodes = len;
+            edges = List.init (len - 1) (fun i -> (i, i + 1));
+          }
+      in
+      let wf = run_sharded ~fuse ~instances:4 graph in
+      let cluster = Workflow.cluster wf in
+      let platform_rows = ref [] in
+      Cluster.iter_records cluster (fun server slot ->
+          let a = Platform.trigger_records (Cluster.server cluster server) in
+          let ns = Time.to_ns and span = Time.span_to_ns in
+          platform_rows :=
+            ( server,
+              ns (Horse_faas.Trigger_records.triggered_at a slot),
+              span (Horse_faas.Trigger_records.init a slot),
+              span (Horse_faas.Trigger_records.exec a slot),
+              span (Horse_faas.Trigger_records.preemption a slot),
+              ns (Horse_faas.Trigger_records.completed_at a slot) )
+            :: !platform_rows);
+      (* each node's unit's last member *)
+      let last_of = Array.make len 0 in
+      List.iter
+        (fun members ->
+          let last = List.nth members (List.length members - 1) in
+          List.iter (fun m -> last_of.(m) <- last) members)
+        (Workflow.unit_members wf ~wf_id:0);
+      Alcotest.(check int)
+        (label ^ ": units") (if fuse then 1 else len)
+        (Workflow.unit_count wf ~wf_id:0);
+      let module R = Workflow.Records in
+      let rows = List.init (R.count wf) (fun i -> i) in
+      let completed_of ~inst ~node =
+        R.completed_ns wf
+          (List.find
+             (fun i -> R.instance wf i = inst && R.node wf i = node)
+             rows)
+      in
+      let unit_rows =
+        List.filter_map
+          (fun i ->
+            let node = R.node wf i in
+            if last_of.(node) = node then
+              Some
+                ( R.server wf i,
+                  R.triggered_ns wf i,
+                  R.init_ns wf i,
+                  R.exec_ns wf i,
+                  R.preemption_ns wf i,
+                  R.completed_ns wf i )
+            else begin
+              let at =
+                completed_of ~inst:(R.instance wf i) ~node:last_of.(node)
+              in
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s: interior row %d zero-width at completion"
+                   label i)
+                [ at; 0; 0; 0; at ]
+                [
+                  R.triggered_ns wf i;
+                  R.init_ns wf i;
+                  R.exec_ns wf i;
+                  R.preemption_ns wf i;
+                  R.completed_ns wf i;
+                ];
+              None
+            end)
+          rows
+      in
+      Alcotest.(check int) (label ^ ": rows") (4 * len) (R.count wf);
+      Alcotest.(check bool)
+        (label ^ ": unit rows = platform rows (multiset)")
+        true
+        (List.sort compare unit_rows = List.sort compare !platform_rows))
+    [ (3, false); (3, true); (6, false); (6, true) ]
 
 let test_chain_hops_sharded () =
   (* on a sharded cluster every inter-node step pays exactly one
@@ -702,6 +792,8 @@ let () =
         [
           Alcotest.test_case "chain latency identity" `Quick
             test_chain_latency_identity;
+          Alcotest.test_case "node rows read the platform rows" `Quick
+            test_rows_are_platform_rows;
           Alcotest.test_case "chain hops are 2x placement (sharded)" `Quick
             test_chain_hops_sharded;
           Alcotest.test_case "rejected dispatch fails the instance" `Quick
