@@ -1,6 +1,6 @@
 # Convenience targets for the HORSE reproduction.
 
-.PHONY: all build test test-stress verify bench bench-micro bench-gates bench-storm perf examples artefacts clean
+.PHONY: all build test test-stress verify bench bench-micro bench-gates perf examples artefacts clean
 
 all: verify
 
@@ -24,7 +24,7 @@ test-stress:
 # then every bench gate at full scale.  No record is written: each
 # bench section checks its own gates and exits non-zero below a floor
 # (bench/main.ml, top comment).
-verify: build test test-stress bench-micro bench-storm bench-gates
+verify: build test test-stress bench-micro bench-gates
 
 bench:
 	dune exec bench/main.exe
@@ -36,9 +36,10 @@ bench:
 # (the sequential reference gets the same setting — the comparison
 # stays fair).
 
-# quick hot-path microbenchmarks in release mode: event-queue,
-# run-queue and router-decide ns/op and words/op, and the dequeue
-# flatness sweep; exits non-zero when a row is over its budget (the
+# quick wall-clock microbenchmarks in release mode: event-queue,
+# run-queue and router-decide ns/op and words/op, the dequeue and
+# P²SM-splice flatness ratios, coalesced vs iterated load updates and
+# the resume storm; exits non-zero when a row is over its budget (the
 # table at the top of bench/micro.ml).  `make perf` runs the
 # full-length trials.
 bench-micro:
@@ -53,15 +54,8 @@ bench-micro:
 bench-gates:
 	OCAMLRUNPARAM=s=8M dune exec --profile release bench/main.exe -- sweeps shard chain policy scale router --jobs 4
 
-# the resume-storm macro-benchmark: 1000 paused uLL sandboxes on one
-# ull_runqueue, churn at 0/100/1000 subscribers, then resume them all
-# back-to-back (wall-clock; QUICK=1 for a smoke run — `dune runtest`
-# runs that one), and the cluster-storm identity gate
-bench-storm:
-	OCAMLRUNPARAM=s=8M dune exec --profile release bench/storm.exe -- $(if $(QUICK),--quick)
-
-# full-length hot-path microbenchmarks (event queue, pool dispatch,
-# run queue, router decide) in release mode, budgets enforced
+# full-length wall-clock microbenchmarks in release mode, budgets
+# enforced
 perf:
 	OCAMLRUNPARAM=s=8M dune exec --profile release bench/micro.exe
 

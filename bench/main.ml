@@ -1,14 +1,13 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation on the simulated testbed, and wall-clock
-   micro-benchmarks (Bechamel) of the real algorithm implementations.
+   paper's evaluation on the simulated testbed.  The wall-clock
+   microbenchmarks of the real implementations are bench/micro.exe.
 
    Usage:  main.exe [EXPERIMENT ...]
                                  run each named experiment in order
                                  (default: all) — table1, fig1..fig4,
                                  overhead, colocation, summary, xen,
                                  faults, scale, shard, policy, chain,
-                                 router, sweeps, ablations, micro, csv,
-                                 all
+                                 router, sweeps, ablations, csv, all
                     [--jobs N]   fan experiment tasks over N strands
                                  (default: recommended_domain_count - 1;
                                  results are bit-identical for any N)
@@ -1061,188 +1060,6 @@ let xen () =
        Category.all)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the real implementations               *)
-(* ------------------------------------------------------------------ *)
-
-module Ll = Horse_psm.Linked_list
-module Al = Horse_psm.Arena_list
-module Psm = Horse_psm.Psm
-module Reference = Horse_psm.Reference
-module Coalesce = Horse_coalesce.Coalesce
-
-let merge_setup ~source_len ~target_len =
-  let rng = Horse_sim.Rng.create ~seed:17 in
-  let sorted n =
-    List.sort Int.compare
-      (List.init n (fun _ -> Horse_sim.Rng.int rng 1_000_000))
-  in
-  let source = Ll.of_sorted_list ~compare:Int.compare (sorted source_len) in
-  let target = Ll.of_sorted_list ~compare:Int.compare (sorted target_len) in
-  (source, target)
-
-(* Same content, but as arena lists sharing one arena — what the real
-   run-queue substrate uses and what P²SM now operates on. *)
-let merge_setup_arena ~source_len ~target_len =
-  let rng = Horse_sim.Rng.create ~seed:17 in
-  let sorted n =
-    List.sort Int.compare
-      (List.init n (fun _ -> Horse_sim.Rng.int rng 1_000_000))
-  in
-  let arena =
-    Al.create_arena ~capacity:(source_len + target_len) ~compare:Int.compare ()
-  in
-  let source = Al.of_sorted_list arena (sorted source_len) in
-  let target = Al.of_sorted_list arena (sorted target_len) in
-  (source, target)
-
-(* The two merge operations consume their inputs, so they cannot run
-   under Bechamel's resource runner (bechamel 0.5 re-applies the
-   function to one resource).  Time them manually instead: pre-build a
-   batch of instances, time each execution, report the median. *)
-let time_consuming ~name ~batch ~allocate ~run =
-  let instances = Array.init batch (fun _ -> allocate ()) in
-  let samples =
-    Array.map
-      (fun instance ->
-        let t0 = Monotonic_clock.now () in
-        run instance;
-        let t1 = Monotonic_clock.now () in
-        Int64.to_float (Int64.sub t1 t0))
-      instances
-  in
-  Array.sort Float.compare samples;
-  (name, samples.(batch / 2))
-
-let manual_merge_benches () =
-  List.concat_map
-    (fun target_len ->
-      [
-        time_consuming
-          ~name:(Printf.sprintf "merge/sequential 36 into %d" target_len)
-          ~batch:1001
-          ~allocate:(fun () -> merge_setup ~source_len:36 ~target_len)
-          ~run:(fun (source, target) ->
-            ignore (Reference.insert_each ~source ~target));
-        time_consuming
-          ~name:(Printf.sprintf "merge/psm-splice 36 into %d" target_len)
-          ~batch:1001
-          ~allocate:(fun () ->
-            let source, target = merge_setup_arena ~source_len:36 ~target_len in
-            (source, target, Psm.Plan.build ~source ~target))
-          ~run:(fun (source, target, plan) ->
-            ignore (Psm.Plan.execute plan ~target ~source));
-      ])
-    [ 128; 1024; 4096 ]
-
-let bench_psm_precompute ~source_len ~target_len =
-  let source, target = merge_setup_arena ~source_len ~target_len in
-  Bechamel.Test.make
-    ~name:
-      (Printf.sprintf "psm/precompute %d vs %d" source_len target_len)
-    (Bechamel.Staged.stage (fun () ->
-         ignore (Psm.Plan.build ~source ~target)))
-
-(* the O(|A|·log|B|) variant of the paper's O(n) position scan *)
-let bench_psm_precompute_binary ~source_len ~target_len =
-  let source, target = merge_setup_arena ~source_len ~target_len in
-  Bechamel.Test.make
-    ~name:
-      (Printf.sprintf "psm/precompute-binary %d vs %d" source_len target_len)
-    (Bechamel.Staged.stage (fun () ->
-         ignore (Psm.Plan.build_binary ~source ~target)))
-
-(* the simulator's pending-event set: schedule+drain of a burst
-   spread over 50ms, so most events take the 4-ary heap path *)
-let bench_event_queue n =
-  let rng = Horse_sim.Rng.create ~seed:23 in
-  let ats =
-    Array.init n (fun _ ->
-        Horse_sim.Time_ns.of_ns (Horse_sim.Rng.int rng 50_000_000))
-  in
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "events/heap-queue %d" n)
-    (Bechamel.Staged.stage (fun () ->
-         let q = Horse_sim.Event_queue.create () in
-         Array.iter (fun at -> ignore (Horse_sim.Event_queue.schedule q ~at ())) ats;
-         let rec drain () =
-           match Horse_sim.Event_queue.pop q with
-           | Some _ -> drain ()
-           | None -> ()
-         in
-         drain ()))
-
-let bench_load_iterated n =
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "load/iterated n=%d" n)
-    (Bechamel.Staged.stage (fun () ->
-         ignore (Coalesce.Affine.iterate Coalesce.Affine.pelt n 512.0)))
-
-let bench_load_coalesced n =
-  let pelt = Coalesce.Affine.pelt in
-  let pre =
-    Coalesce.Precomputed.make ~alpha:pelt.Coalesce.Affine.alpha
-      ~beta:pelt.Coalesce.Affine.beta ~n
-  in
-  Bechamel.Test.make
-    ~name:(Printf.sprintf "load/coalesced n=%d" n)
-    (Bechamel.Staged.stage (fun () -> ignore (Coalesce.Precomputed.apply pre 512.0)))
-
-let bench_workload category =
-  Bechamel.Test.make
-    ~name:("workload/" ^ Category.name category)
-    (Bechamel.Staged.stage (fun () -> ignore (Category.run_real category)))
-
-let micro () =
-  section "Micro-benchmarks (real wall-clock, Bechamel)";
-  let tests =
-    Bechamel.Test.make_grouped ~name:"horse"
-      [
-        bench_psm_precompute ~source_len:36 ~target_len:128;
-        bench_psm_precompute ~source_len:36 ~target_len:4096;
-        bench_psm_precompute_binary ~source_len:36 ~target_len:128;
-        bench_psm_precompute_binary ~source_len:36 ~target_len:4096;
-        bench_event_queue 1024;
-        bench_load_iterated 36;
-        bench_load_coalesced 36;
-        bench_workload Category.Cat1;
-        bench_workload Category.Cat2;
-        bench_workload Category.Cat3;
-      ]
-  in
-  let cfg =
-    Bechamel.Benchmark.cfg ~limit:300
-      ~quota:(Bechamel.Time.second 0.25)
-      ~kde:None ()
-  in
-  let instance = Bechamel.Toolkit.Instance.monotonic_clock in
-  let raw = Bechamel.Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Bechamel.Analyze.ols ~r_square:false ~bootstrap:0
-      ~predictors:[| Bechamel.Measure.run |]
-  in
-  let results = Bechamel.Analyze.all ols instance raw in
-  let rows =
-    List.map (fun (name, ns) -> [ name; Report.ns ns ]) (manual_merge_benches ())
-    @ (Hashtbl.fold
-         (fun name result acc ->
-           let estimate =
-             match Bechamel.Analyze.OLS.estimates result with
-             | Some [ e ] -> Report.ns e
-             | Some _ | None -> "n/a"
-           in
-           [ name; estimate ] :: acc)
-         results []
-      |> List.sort compare)
-  in
-  Report.print
-    ~caption:
-      "P2SM's splice must be (near-)constant while the sequential merge \
-       grows with the target size; one coalesced update must beat 36 \
-       iterated ones"
-    ~header:[ "benchmark"; "ns/run" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* csv: machine-readable dumps for plotting                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1340,8 +1157,7 @@ let all () =
   policy ();
   chain ();
   router ();
-  ablations ();
-  micro ()
+  ablations ()
 
 let () =
   let experiments =
@@ -1351,8 +1167,7 @@ let () =
       ("summary", summary); ("xen", xen); ("faults", faults);
       ("scale", scale); ("shard", shard); ("policy", policy);
       ("chain", chain); ("router", router); ("sweeps", sweeps);
-      ("ablations", ablations);
-      ("micro", micro); ("csv", csv); ("all", all);
+      ("ablations", ablations); ("csv", csv); ("all", all);
     ]
   in
   let usage () =

@@ -1,17 +1,20 @@
-(* Hot-path microbenchmarks of the production structures: the event
+(* Wall-clock microbenchmarks of the real implementations: the event
    queue, the pool dispatch path, the arena run queue, the P²SM
-   maintenance callback of paused sandboxes and the router's decide
-   path.  Each row reports one implementation's absolute value
-   with its unit.
+   maintenance callback of paused sandboxes, the router's decide
+   path, the P²SM splice against the vanilla per-element merge, the
+   coalesced load update against the iterated one, a resume storm
+   against a fleet of paused bystanders, and the three workload
+   categories' real functions.  Each row reports one implementation's
+   absolute value with its unit, or a ratio of two rows.
 
    Usage:  micro.exe [--quick]
 
    [budgets] is the gate: each entry caps one row (value <= budget),
    and the run exits non-zero naming every row over its budget.  The
    word budgets are exact counts, identical in the dev and release
-   profiles; the growth budget is the queue-size ratio itself, the
-   growth a per-element walk would show.  `dune runtest` runs
-   `micro.exe --quick`; `make perf` runs the full-length trials.
+   profiles; the other budgets are host-independent ratios, each with
+   its reason beside it.  `dune runtest` runs `micro.exe --quick`;
+   `make perf` runs the full-length trials.
 
    Methodology: every benchmark runs on a persistent structure in
    rounds (schedule-a-batch / drain-a-batch for the queues) after one
@@ -20,10 +23,12 @@
    over trials (the stable floor); word counts come from one untimed
    pass and need no minimum.  The run-queue trials of all sizes are
    interleaved, so a ratio between two sizes compares passes that saw
-   the same host load. *)
+   the same host load.  The merges consume their inputs and the resume
+   storm its fleet, so those are built untimed per run instead; see
+   [time_merges] and [resume_storm]. *)
 
-(* Ceilings for the gated rows: the values measured when the budgets
-   were set, in words per operation (or a growth factor). *)
+(* Ceilings for the gated rows, in words per operation or as a ratio
+   of two rows. *)
 let budgets =
   [
     ("eq-near:words-per-event", 5.2);
@@ -33,7 +38,19 @@ let budgets =
     ("router:decide-push-warm-first:words-per-decide", 2.0);
     ("router:decide-pull:words-per-decide", 6.0);
     ("router:decide-core:words-per-decide", 16.0);
+    (* the queue grows 16x; a per-element walk would grow ~16x *)
     ("rq-dequeue:growth-64-to-1024", 16.0);
+    (* the target grows 32x: half the growth a per-element walk would
+       show (the splice writes O(1) links; its residue is the
+       order-buffer commit and the cache footprint) *)
+    ("psm-splice:growth-128-to-4096", 16.0);
+    (* one multiply-add in place of 36 iterated steps; measured 0.04 *)
+    ("load-coalesced:over-iterated-36", 0.25);
+    (* a regression guard at about 2x the 10-12x measured: an early
+       resume still notifies ~200 paused plans per inserted vCPU, a
+       late one almost none; tighten it once P²SM upkeep leaves the
+       per-subscriber path *)
+    ("resume-storm:first-over-last-decile", 20.0);
   ]
 
 module Time_ns = Horse_sim.Time_ns
@@ -41,6 +58,7 @@ module Rng = Horse_sim.Rng
 module Report = Horse.Report
 module Pool = Horse_parallel.Pool
 module Eq = Horse_sim.Event_queue
+module Category = Horse_workload.Category
 
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
@@ -306,6 +324,127 @@ let decide_cost policy ~servers ~batch ~rounds ~trials =
       done)
 
 (* ------------------------------------------------------------------ *)
+(* Merges: the P²SM splice vs the vanilla per-element insertion        *)
+(* ------------------------------------------------------------------ *)
+
+module Al = Horse_psm.Arena_list
+module Ll = Horse_psm.Linked_list
+module Psm = Horse_psm.Psm
+module Reference = Horse_psm.Reference
+
+(* the merged sandbox's vCPU count: the paper's largest, 36 *)
+let merge_source = 36
+
+let sorted_ints rng n =
+  List.sort Int.compare (List.init n (fun _ -> Rng.int rng 1_000_000))
+
+(* Both merges consume their inputs, so each run gets an instance of
+   its own, built untimed beforehand; every run is timed alone and the
+   median is kept.  The two target sizes take turns run by run, so
+   their ratio compares runs that saw the same host load.  Returns the
+   medians into 128 and into 4096 target elements. *)
+let time_merges ~batch ~build ~run =
+  let rng = Rng.create ~seed:17 in
+  let instances target_len =
+    Array.init batch (fun _ ->
+        build (sorted_ints rng merge_source) (sorted_ints rng target_len))
+  in
+  let small = instances 128 in
+  let large = instances 4096 in
+  let ns_small = Array.make batch 0.0 and ns_large = Array.make batch 0.0 in
+  let time ns instances i =
+    let t0 = now_ns () in
+    run instances.(i);
+    ns.(i) <- now_ns () -. t0
+  in
+  for i = 0 to batch - 1 do
+    time ns_small small i;
+    time ns_large large i
+  done;
+  let median ns =
+    Array.sort Float.compare ns;
+    ns.(batch / 2)
+  in
+  (median ns_small, median ns_large)
+
+let psm_splice ~batch =
+  time_merges ~batch
+    ~build:(fun a b ->
+      let arena =
+        Al.create_arena
+          ~capacity:(List.length a + List.length b)
+          ~compare:Int.compare ()
+      in
+      let source = Al.of_sorted_list arena a
+      and target = Al.of_sorted_list arena b in
+      (source, target, Psm.Plan.build ~source ~target))
+    ~run:(fun (source, target, plan) ->
+      ignore (Psm.Plan.execute plan ~target ~source))
+
+let sequential_merge ~batch =
+  time_merges ~batch
+    ~build:(fun a b ->
+      ( Ll.of_sorted_list ~compare:Int.compare a,
+        Ll.of_sorted_list ~compare:Int.compare b ))
+    ~run:(fun (source, target) ->
+      ignore (Reference.insert_each ~source ~target))
+
+(* ------------------------------------------------------------------ *)
+(* Load update: one coalesced step vs n iterated ones                  *)
+(* ------------------------------------------------------------------ *)
+
+module Coalesce = Horse_coalesce.Coalesce
+
+(* [f] over [batch] distinct inputs per round, each result folded into
+   a live accumulator so no call is dead code. *)
+let load_sink = ref 0.0
+
+let load_cost f ~batch ~rounds ~trials =
+  (measure ~ops:batch ~rounds ~trials (fun () ->
+       let acc = ref 0.0 in
+       for i = 1 to batch do
+         acc := !acc +. f (float_of_int i)
+       done;
+       load_sink := !acc))
+    .ns_per_op
+
+(* ------------------------------------------------------------------ *)
+(* Resume storm: what a resume pays for its paused bystanders          *)
+(* ------------------------------------------------------------------ *)
+
+(* [n] 2-vCPU uLL sandboxes HORSE-paused against one ull_runqueue, then
+   resumed back to back: the k-th resume still has [n - k - 1] paused
+   subscribers, whose plans each hear of its vCPUs' inserts.  Returns
+   the mean wall ns per resume of the first and of the last decile. *)
+let resume_storm ~n =
+  let scheduler =
+    Horse_sched.Scheduler.create ~topology:Horse_cpu.Topology.r650 ()
+  in
+  let vmm =
+    Vmm.create ~jitter:0.0 ~scheduler ~metrics:(Horse_sim.Metrics.create ()) ()
+  in
+  let sandboxes =
+    Array.init n (fun i ->
+        Sandbox.create ~id:(i + 1) ~vcpus:2 ~memory_mb:128 ~ull:true ())
+  in
+  Array.iter (fun sb -> ignore (Vmm.boot vmm sb)) sandboxes;
+  Array.iter
+    (fun sb -> ignore (Vmm.pause vmm ~strategy:Sandbox.Horse sb))
+    sandboxes;
+  let wall = Array.make n 0.0 in
+  Array.iteri
+    (fun i sb ->
+      let t0 = now_ns () in
+      ignore (Vmm.resume vmm sb);
+      wall.(i) <- now_ns () -. t0)
+    sandboxes;
+  let decile = n / 10 in
+  let mean lo =
+    Array.fold_left ( +. ) 0.0 (Array.sub wall lo decile) /. float_of_int decile
+  in
+  (mean 0, mean (n - decile))
+
+(* ------------------------------------------------------------------ *)
 
 type unit_ = Ns | Words | Growth
 
@@ -399,7 +538,71 @@ let () =
         ])
       (Cluster.Policy.builtins ())
   in
-  let rows = eq "near" near @ eq "far" far @ cancel @ pool @ rq @ router in
+  let merges =
+    let batch = if quick then 31 else 101 in
+    List.concat_map
+      (fun (label, (small, large)) ->
+        [
+          (Printf.sprintf "%s:ns-36-into-128" label, Ns, small);
+          (Printf.sprintf "%s:ns-36-into-4096" label, Ns, large);
+          (Printf.sprintf "%s:growth-128-to-4096" label, Growth, large /. small);
+        ])
+      [
+        ("psm-splice", psm_splice ~batch);
+        ("psm-sequential", sequential_merge ~batch);
+      ]
+  in
+  let load =
+    let pelt = Coalesce.Affine.pelt in
+    let pre =
+      Coalesce.Precomputed.make ~alpha:pelt.alpha ~beta:pelt.beta
+        ~n:merge_source
+    in
+    let iterated =
+      load_cost ~batch ~rounds ~trials
+        (Coalesce.Affine.iterate pelt merge_source)
+    and coalesced =
+      load_cost ~batch ~rounds ~trials (Coalesce.Precomputed.apply pre)
+    in
+    [
+      ("load-iterated:ns-per-36-updates", Ns, iterated);
+      ("load-coalesced:ns-per-update", Ns, coalesced);
+      ("load-coalesced:over-iterated-36", Growth, coalesced /. iterated);
+    ]
+  in
+  let storm =
+    (* the same fleet in both modes, so one budget serves both; each
+       decile keeps its fastest trial *)
+    let first, last =
+      List.fold_left
+        (fun (f, l) (f', l') -> (Float.min f f', Float.min l l'))
+        (infinity, infinity)
+        (List.init trials (fun _ -> resume_storm ~n:200))
+    in
+    [
+      ("resume-storm:ns-first-decile", Ns, first);
+      ("resume-storm:ns-last-decile", Ns, last);
+      ("resume-storm:first-over-last-decile", Growth, first /. last);
+    ]
+  in
+  let workloads =
+    List.map
+      (fun category ->
+        let c =
+          measure ~ops:16 ~rounds ~trials (fun () ->
+              for _ = 1 to 16 do
+                ignore (Sys.opaque_identity (Category.run_real category))
+              done)
+        in
+        ( Printf.sprintf "workload:%s:ns-per-run" (Category.name category),
+          Ns,
+          c.ns_per_op ))
+      Category.all
+  in
+  let rows =
+    eq "near" near @ eq "far" far @ cancel @ pool @ rq @ router @ merges
+    @ load @ storm @ workloads
+  in
   let failures =
     List.filter_map
       (fun (name, budget) ->
@@ -415,8 +618,10 @@ let () =
       "Hot paths of the production structures: flat event queue \
        (ring + 4-ary heap), pool dispatch at chunk 1 and 32, arena run \
        queue, P²SM upkeep per paused subscriber, router decide per \
-       builtin policy.  Budgeted rows must stay at or under their \
-       budget."
+       builtin policy; P²SM splice vs sequential merge of 36 vCPUs, \
+       coalesced vs 36 iterated load updates, a 200-sandbox resume \
+       storm, the real workload functions.  Budgeted rows must stay \
+       at or under their budget."
     ~header:[ "benchmark"; "value"; "budget" ]
     (List.map
        (fun (name, unit_, value) ->

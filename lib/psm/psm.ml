@@ -132,13 +132,6 @@ module Plan = struct
       (Al.handles source);
     t
 
-  let build_binary ~source ~target =
-    let t = create_empty ~source ~target in
-    Array.iter
-      (fun node -> push t ~key:(find_key target (Al.value source node)) ~node)
-      (Al.handles source);
-    t
-
   let key_count t = t.nseg
 
   let total t = t.total

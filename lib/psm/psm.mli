@@ -58,12 +58,6 @@ module Plan : sig
   (** The precompute phase, by a linear two-pointer scan
       (O(|A| + |B|)).  Source and target must share an arena. *)
 
-  val build_binary :
-    source:'a Arena_list.t -> target:'a Arena_list.t -> 'a t
-  (** Same result via per-element binary search over the target's
-      order buffer (key of [a] = [#{b ∈ B : b ≤ a}], O(|A|·log |B|));
-      faster when [A] is tiny next to [B].  Ablation material. *)
-
   val key_count : 'a t -> int
 
   val total : 'a t -> int

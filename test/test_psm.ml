@@ -228,14 +228,11 @@ let test_insert_each () =
 (* P²SM: Plan build + execute                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_merge ?(binary = false) ?(parallel = 0) a_vals b_vals =
+let run_merge ?(parallel = 0) a_vals b_vals =
   let arena = Al.create_arena ~compare:icmp () in
   let a = Al.of_sorted_list arena a_vals
   and b = Al.of_sorted_list arena b_vals in
-  let plan =
-    if binary then Psm.Plan.build_binary ~source:a ~target:b
-    else Psm.Plan.build ~source:a ~target:b
-  in
+  let plan = Psm.Plan.build ~source:a ~target:b in
   let stats =
     if parallel > 0 then
       Psm.Plan.execute_parallel ~domains:parallel plan ~target:b ~source:a
@@ -283,23 +280,6 @@ let test_plan_merge_equal_values () =
   Alcotest.(check (list string))
     "target first among equals" [ "b"; "a1"; "a2" ]
     (List.map snd (Al.to_list b))
-
-let test_plan_binary_keys () =
-  (* a key is #{b in B : b <= a}, found by binary search over B's order
-     buffer: equal values go after the target's *)
-  let arena = Al.create_arena ~compare:icmp () in
-  let a = Al.of_sorted_list arena [ 5; 20; 25; 99 ]
-  and b = Al.of_sorted_list arena [ 10; 20; 20; 30 ] in
-  let plan = Psm.Plan.build_binary ~source:a ~target:b in
-  Alcotest.(check (list int)) "keys" [ 0; 3; 4 ] (Psm.Plan.keys plan);
-  Alcotest.(check (list int)) "counts" [ 1; 2; 1 ]
-    (Array.to_list (snd (Psm.Plan.keys_counts plan)))
-
-let test_plan_binary_matches_linear () =
-  let merged_lin, _, _, s1 = run_merge [ 1; 5; 9 ] [ 2; 4; 6; 8 ] in
-  let merged_bin, _, _, s2 = run_merge ~binary:true [ 1; 5; 9 ] [ 2; 4; 6; 8 ] in
-  check_list "same result" merged_lin merged_bin;
-  Alcotest.(check int) "same threads" s1.Psm.Plan.threads s2.Psm.Plan.threads
 
 let test_plan_parallel_merge () =
   let merged, _, drained, _ =
@@ -593,14 +573,6 @@ let prop_psm_equals_reference =
       let merged, _, drained, _ = run_merge a_vals b_vals in
       drained && merged = Reference.merge_values ~compare:icmp a_vals b_vals)
 
-let prop_psm_binary_equals_linear =
-  QCheck2.Test.make ~name:"binary precompute == linear precompute" ~count:300
-    QCheck2.Gen.(pair sorted_list_gen sorted_list_gen)
-    (fun (a_vals, b_vals) ->
-      let m1, _, _, s1 = run_merge a_vals b_vals in
-      let m2, _, _, s2 = run_merge ~binary:true a_vals b_vals in
-      m1 = m2 && s1.Psm.Plan.threads = s2.Psm.Plan.threads)
-
 let prop_psm_parallel_equals_sequential =
   QCheck2.Test.make ~name:"parallel splice == sequential splice" ~count:60
     QCheck2.Gen.(pair sorted_list_gen sorted_list_gen)
@@ -659,7 +631,6 @@ let props =
       prop_insert_sorted_invariant;
       prop_arena_insert_sorted_invariant;
       prop_psm_equals_reference;
-      prop_psm_binary_equals_linear;
       prop_psm_parallel_equals_sequential;
       prop_incremental_maintenance;
     ]
@@ -713,10 +684,6 @@ let () =
           Alcotest.test_case "all before" `Quick test_plan_merge_all_before;
           Alcotest.test_case "all after" `Quick test_plan_merge_all_after;
           Alcotest.test_case "equal values" `Quick test_plan_merge_equal_values;
-          Alcotest.test_case "binary keys, ties go after" `Quick
-            test_plan_binary_keys;
-          Alcotest.test_case "binary == linear" `Quick
-            test_plan_binary_matches_linear;
           Alcotest.test_case "parallel merge" `Quick test_plan_parallel_merge;
           Alcotest.test_case "stale on unseen change" `Quick
             test_plan_stale_on_unseen_target_change;

@@ -198,90 +198,6 @@ let test_periodic () =
       ignore (Arrivals.periodic ~every:Time.span_zero ~duration:(Time.span_s 1.0)))
 
 (* ------------------------------------------------------------------ *)
-(* Durations schema                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Durations = Horse_trace.Durations
-
-let sample_duration_row () =
-  Durations.make_row ~owner:"o" ~app:"a" ~func:"f" ~average_ms:120.0 ~count:500
-    ~minimum_ms:5.0 ~maximum_ms:9000.0
-    ~percentiles_ms:
-      [ (0, 5.0); (1, 10.0); (25, 40.0); (50, 90.0); (75, 200.0);
-        (99, 2500.0); (100, 9000.0) ]
-
-let test_durations_validation () =
-  Alcotest.check_raises "non-monotone values"
-    (Invalid_argument "Durations.make_row: percentile values not monotone")
-    (fun () ->
-      ignore
-        (Durations.make_row ~owner:"o" ~app:"a" ~func:"f" ~average_ms:1.0
-           ~count:1 ~minimum_ms:1.0 ~maximum_ms:10.0
-           ~percentiles_ms:[ (0, 5.0); (50, 3.0) ]));
-  Alcotest.check_raises "min > max"
-    (Invalid_argument "Durations.make_row: minimum exceeds maximum") (fun () ->
-      ignore
-        (Durations.make_row ~owner:"o" ~app:"a" ~func:"f" ~average_ms:1.0
-           ~count:1 ~minimum_ms:10.0 ~maximum_ms:1.0 ~percentiles_ms:[]))
-
-let test_durations_roundtrip () =
-  let row = sample_duration_row () in
-  let parsed = Durations.parse_line (Durations.to_line row) in
-  Alcotest.(check string) "func" row.Durations.func parsed.Durations.func;
-  Alcotest.(check int) "count" row.Durations.count parsed.Durations.count;
-  Alcotest.(check (float 1e-3)) "p99" 2500.0
-    (List.assoc 99 parsed.Durations.percentiles_ms);
-  Alcotest.(check int) "header columns"
-    (List.length (String.split_on_char ',' Durations.header_line))
-    (List.length (String.split_on_char ',' (Durations.to_line row)))
-
-let test_durations_generate () =
-  let rng = Rng.create ~seed:13 in
-  let row = Durations.generate ~rng ~id:3 ~median_ms:100.0 ~spread:1.0 in
-  Alcotest.(check (float 1.0)) "median honoured" 100.0
-    (List.assoc 50 row.Durations.percentiles_ms);
-  Alcotest.(check bool) "tail above median" true
-    (List.assoc 99 row.Durations.percentiles_ms > 500.0);
-  (* generated rows always re-parse *)
-  let parsed = Durations.parse_line (Durations.to_line row) in
-  Alcotest.(check string) "roundtrips" row.Durations.func parsed.Durations.func
-
-let test_durations_sampler () =
-  let row = sample_duration_row () in
-  let rng = Rng.create ~seed:14 in
-  let n = 5_000 in
-  let draws =
-    List.init n (fun _ -> Time.span_to_ms (Durations.sampler row rng))
-  in
-  List.iter
-    (fun ms ->
-      Alcotest.(check bool) "within envelope" true (ms >= 5.0 && ms <= 9000.0))
-    draws;
-  let sorted = List.sort Float.compare draws in
-  let median = List.nth sorted (n / 2) in
-  (* the p50 of the samples must sit near the row's p50 *)
-  Alcotest.(check bool)
-    (Printf.sprintf "median %.1f near 90" median)
-    true
-    (median > 70.0 && median < 110.0)
-
-let test_long_running_fraction () =
-  let row = sample_duration_row () in
-  (* 1s crossed between p75 (200ms) and p99 (2500ms) *)
-  let fraction = Durations.long_running_fraction row in
-  Alcotest.(check bool)
-    (Printf.sprintf "fraction %.3f in (0.01, 0.25)" fraction)
-    true
-    (fraction > 0.01 && fraction < 0.25);
-  let fast =
-    Durations.make_row ~owner:"o" ~app:"a" ~func:"f" ~average_ms:1.0 ~count:1
-      ~minimum_ms:0.5 ~maximum_ms:2.0
-      ~percentiles_ms:[ (0, 0.5); (50, 1.0); (100, 2.0) ]
-  in
-  Alcotest.(check (float 1e-9)) "all fast" 0.0
-    (Durations.long_running_fraction fast)
-
-(* ------------------------------------------------------------------ *)
 (* Batch: flat trigger traces                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -395,15 +311,6 @@ let () =
           Alcotest.test_case "chunk bounds" `Quick test_chunk_rejects_out_of_day;
           Alcotest.test_case "poisson rate" `Quick test_poisson_process_rate;
           Alcotest.test_case "periodic" `Quick test_periodic;
-        ] );
-      ( "durations",
-        [
-          Alcotest.test_case "validation" `Quick test_durations_validation;
-          Alcotest.test_case "roundtrip" `Quick test_durations_roundtrip;
-          Alcotest.test_case "generate" `Quick test_durations_generate;
-          Alcotest.test_case "sampler" `Quick test_durations_sampler;
-          Alcotest.test_case "long-running fraction" `Quick
-            test_long_running_fraction;
         ] );
       ( "batch",
         [
