@@ -1,6 +1,6 @@
 # Convenience targets for the HORSE reproduction.
 
-.PHONY: all build test test-stress verify bench bench-micro bench-gates perf examples artefacts clean
+.PHONY: all build test test-stress verify bench bench-micro bench-gates golden-full perf examples artefacts clean
 
 all: verify
 
@@ -21,10 +21,11 @@ test-stress:
 
 # the default flow: build, tests (incl. stressed model-based suites,
 # micro.exe's hot-path allocation budgets and the quick bench gates),
-# then every bench gate at full scale.  No record is written: each
+# then every bench gate at full scale and the slow goldens.  No record
+# is written: each
 # bench section checks its own gates and exits non-zero below a floor
 # (bench/main.ml, top comment).
-verify: build test test-stress bench-micro bench-gates
+verify: build test test-stress bench-micro bench-gates golden-full
 
 bench:
 	dune exec bench/main.exe
@@ -53,6 +54,14 @@ bench-micro:
 # blackouts and fused vs unfused chain tails (>= 1.0)
 bench-gates:
 	OCAMLRUNPARAM=s=8M dune exec --profile release bench/main.exe -- sweeps shard chain policy scale router --jobs 4
+
+# the golden outputs too slow for `dune runtest` (about 1 min in
+# release mode): the `shard`, `chain` and `policy` sections must match
+# test/golden/shard_chain_policy.expected byte for byte.  After an
+# intended change of behaviour, regenerate the file with the same
+# command and commit the diff.
+golden-full:
+	OCAMLRUNPARAM=s=8M dune exec --profile release bench/main.exe -- shard chain policy --jobs 2 | diff test/golden/shard_chain_policy.expected -
 
 # full-length wall-clock microbenchmarks in release mode, budgets
 # enforced

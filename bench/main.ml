@@ -11,10 +11,6 @@
                     [--jobs N]   fan experiment tasks over N strands
                                  (default: recommended_domain_count - 1;
                                  results are bit-identical for any N)
-                    [--chunk C]  group C consecutive tasks per dispatch
-                                 (default: auto — thunk 0 is timed and
-                                 the chunk targets ~50us per task;
-                                 results are bit-identical for any C)
                     [--shards S] execution tasks for the sharded
                                  cluster runs of [scale], [shard],
                                  [policy], [chain] and [router] (default
@@ -54,8 +50,6 @@ let section title =
   Printf.printf "\n==== %s ====\n\n%!" title
 
 let jobs = ref (Horse_parallel.Pool.default_jobs ())
-
-let chunk : int option ref = ref None
 
 let shards = ref (max 4 (Horse_parallel.Pool.default_jobs ()))
 
@@ -158,7 +152,7 @@ let paper_table1 = function
 
 let table1 () =
   section "Table 1 - uLL workloads: init + exec per start scenario";
-  let cells = timed "table1" (fun ~jobs -> E.table1 ~jobs ?chunk:!chunk ()) in
+  let cells = timed "table1" (fun ~jobs -> E.table1 ~jobs ()) in
   let rows =
     List.map
       (fun (c : E.table1_cell) ->
@@ -189,7 +183,7 @@ let table1 () =
 
 let fig1 () =
   section "Figure 1 - sandbox initialization share of the pipeline";
-  let cells = timed "fig1" (fun ~jobs -> E.table1 ~jobs ?chunk:!chunk ()) in
+  let cells = timed "fig1" (fun ~jobs -> E.table1 ~jobs ()) in
   let scenarios = [ E.Cold; E.Restore; E.Warm ] in
   let rows =
     List.map
@@ -233,7 +227,7 @@ let fig2 () =
           Report.ns r.finalize_ns;
           Report.pct r.steps45_pct;
         ])
-      (timed "fig2" (fun ~jobs -> E.fig2 ~jobs ?chunk:!chunk ()))
+      (timed "fig2" (fun ~jobs -> E.fig2 ~jobs ()))
   in
   Report.print
     ~caption:
@@ -250,7 +244,7 @@ let fig2 () =
 
 let fig3 () =
   section "Figure 3 - resume time: vanil / ppsm / coal / horse";
-  let rows3 = timed "fig3" (fun ~jobs -> E.fig3 ~jobs ?chunk:!chunk ()) in
+  let rows3 = timed "fig3" (fun ~jobs -> E.fig3 ~jobs ()) in
   let rows =
     List.map
       (fun (r : E.fig3_row) ->
@@ -290,7 +284,7 @@ let fig3 () =
 
 let fig4 () =
   section "Figure 4 - init share: cold / restore / warm / HORSE";
-  let cells = timed "fig4" (fun ~jobs -> E.fig4 ~jobs ?chunk:!chunk ()) in
+  let cells = timed "fig4" (fun ~jobs -> E.fig4 ~jobs ()) in
   let scenarios = [ E.Cold; E.Restore; E.Warm; E.Horse_start ] in
   let rows =
     List.map
@@ -366,7 +360,7 @@ let overhead () =
           Printf.sprintf "%.4f%%" r.resume_burst_cpu_pct;
           string_of_int r.maintenance_events;
         ])
-      (timed "overhead" (fun ~jobs -> E.overhead ~jobs ?chunk:!chunk ()))
+      (timed "overhead" (fun ~jobs -> E.overhead ~jobs ()))
   in
   Report.print
     ~caption:
@@ -401,7 +395,7 @@ let colocation () =
           string_of_int r.affected;
           Printf.sprintf "%.1fus" r.max_delay_us;
         ])
-      (timed "colocation" (fun ~jobs -> E.colocation ~jobs ?chunk:!chunk ()))
+      (timed "colocation" (fun ~jobs -> E.colocation ~jobs ()))
   in
   Report.print
     ~caption:
@@ -565,7 +559,7 @@ let faults () =
         ])
       scenarios
       (timed "faults" (fun ~jobs ->
-           E.run_scenarios ~jobs ?chunk:!chunk scenarios))
+           E.run_scenarios ~jobs scenarios))
   in
   Report.print
     ~caption:
@@ -998,7 +992,7 @@ let router () =
 
 let summary () =
   section "Headline claims";
-  let s = timed "summary" (fun ~jobs -> E.summary ~jobs ?chunk:!chunk ()) in
+  let s = timed "summary" (fun ~jobs -> E.summary ~jobs ()) in
   Report.print ~caption:"Measured vs paper"
     ~header:[ "claim"; "measured"; "paper" ]
     [
@@ -1023,7 +1017,7 @@ let summary () =
 let xen () =
   section "Xen profile - same shape on the second virtualization system";
   let s =
-    E.fig3_summarise (timed "fig3:xen" (fun ~jobs -> E.fig3 ~profile:E.Xen ~jobs ?chunk:!chunk ()))
+    E.fig3_summarise (timed "fig3:xen" (fun ~jobs -> E.fig3 ~profile:E.Xen ~jobs ()))
   in
   Report.print
     ~caption:
@@ -1038,7 +1032,7 @@ let xen () =
     ];
   (* the platform-level view (Figure 4 style) on Xen *)
   let cells =
-    timed "fig4:xen" (fun ~jobs -> E.fig4 ~profile:E.Xen ~repeats:5 ~jobs ?chunk:!chunk ())
+    timed "fig4:xen" (fun ~jobs -> E.fig4 ~profile:E.Xen ~repeats:5 ~jobs ())
   in
   let scenarios = [ E.Cold; E.Restore; E.Warm; E.Horse_start ] in
   Report.print
@@ -1091,7 +1085,7 @@ let csv () =
            f r.E.sanity_ns; f r.E.merge_ns; f r.E.load_ns; f r.E.finalize_ns;
            f r.E.steps45_pct;
          ])
-       (E.fig2 ~jobs:!jobs ?chunk:!chunk ()));
+       (E.fig2 ~jobs:!jobs ()));
   write_csv (Filename.concat dir "fig3_strategies.csv")
     [ "vcpus"; "vanil_ns"; "coal_ns"; "ppsm_ns"; "horse_ns" ]
     (List.map
@@ -1100,7 +1094,7 @@ let csv () =
            string_of_int r.E.vcpus; f r.E.vanil_ns; f r.E.coal_ns;
            f r.E.ppsm_ns; f r.E.horse_ns;
          ])
-       (E.fig3 ~jobs:!jobs ?chunk:!chunk ()));
+       (E.fig3 ~jobs:!jobs ()));
   write_csv (Filename.concat dir "fig4_init_share.csv")
     [ "category"; "scenario"; "init_pct" ]
     (List.map
@@ -1109,7 +1103,7 @@ let csv () =
            Category.name c.E.f4_category; E.scenario_name c.E.f4_scenario;
            f c.E.f4_init_pct;
          ])
-       (E.fig4 ~jobs:!jobs ?chunk:!chunk ()));
+       (E.fig4 ~jobs:!jobs ()));
   write_csv (Filename.concat dir "colocation.csv")
     [ "ull_vcpus"; "vanilla_mean_ms"; "vanilla_p95_ms"; "vanilla_p99_ms";
       "horse_mean_ms"; "horse_p95_ms"; "horse_p99_ms"; "p99_delta_us";
@@ -1122,7 +1116,7 @@ let csv () =
            f r.E.horse_p95_ms; f r.E.horse_p99_ms; f r.E.p99_delta_us;
            string_of_int r.E.affected; f r.E.max_delay_us;
          ])
-       (E.colocation ~jobs:!jobs ?chunk:!chunk ()))
+       (E.colocation ~jobs:!jobs ()))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1172,7 +1166,7 @@ let () =
   in
   let usage () =
     Printf.eprintf
-      "usage: %s [experiment ...] [--jobs N] [--chunk C] [--shards S] \
+      "usage: %s [experiment ...] [--jobs N] [--shards S] \
        [--routers R]\n"
       Sys.argv.(0);
     Printf.eprintf "experiments: %s\n" (String.concat ", " (List.map fst experiments));
@@ -1187,14 +1181,6 @@ let () =
         parse positional rest
       | Some _ | None ->
         Printf.eprintf "--jobs: expected a positive integer, got %S\n" n;
-        exit 1)
-    | "--chunk" :: c :: rest -> (
-      match int_of_string_opt c with
-      | Some c when c >= 1 ->
-        chunk := Some c;
-        parse positional rest
-      | Some _ | None ->
-        Printf.eprintf "--chunk: expected a positive integer, got %S\n" c;
         exit 1)
     | "--shards" :: s :: rest -> (
       match int_of_string_opt s with
@@ -1212,7 +1198,7 @@ let () =
       | Some _ | None ->
         Printf.eprintf "--routers: expected an integer in 1..8, got %S\n" r;
         exit 1)
-    | [ (("--jobs" | "--chunk" | "--shards" | "--routers") as flag) ] ->
+    | [ (("--jobs" | "--shards" | "--routers") as flag) ] ->
       Printf.eprintf "missing value after %s\n" flag;
       usage ()
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->

@@ -31,7 +31,7 @@
    of two rows. *)
 let budgets =
   [
-    ("eq-near:words-per-event", 5.2);
+    ("eq-near:words-per-event", 5.0);
     ("eq-far:words-per-event", 5.0);
     ("rq-mutation:words-per-mutation", 3.0);
     ("psm-maintenance:words-per-callback", 0.0);
@@ -111,8 +111,10 @@ let offsets ~seed ~batch ~horizon =
 
 let rec drain q = match Eq.pop q with Some _ -> drain q | None -> ()
 
-(* [horizon] decides which structure the queue exercises: spans under
-   its 4096ns near-window hit the ring, larger ones the 4-ary heap. *)
+(* [horizon] is the span a batch's timestamps are drawn from: near
+   (2048 ns for 1024 events) makes equal timestamps common, so the
+   heap's sequence tie-break does work; far (10 ms) makes them almost
+   all distinct. *)
 let eq_schedule_pop ~batch ~rounds ~trials ~horizon =
   let offs = offsets ~seed:7 ~batch ~horizon in
   let q = Eq.create () in
@@ -126,7 +128,7 @@ let eq_schedule_pop ~batch ~rounds ~trials ~horizon =
       base := b + horizon)
 
 (* schedule a batch, cancel all of it — no live pops, so the cancel
-   cost (ring tombstone / heap sift) is isolated. *)
+   cost (a heap sift through the handle's slot) is isolated. *)
 let eq_cancel ~batch ~rounds ~trials ~horizon =
   let offs = offsets ~seed:11 ~batch ~horizon in
   let q = Eq.create () in
@@ -280,17 +282,11 @@ let time_churns ~rounds ~trials churns =
 module Cluster = Horse_faas.Cluster
 
 (* A synthetic mirror view shaped like the router's: flat per-server
-   arrays for live/warm/busy, all servers healthy, and the O(1) cached
-   least-loaded answer the sharded router's [Load_index] provides. *)
+   arrays for live/warm/busy, all servers healthy. *)
 let mirror_view ~servers =
   let live = Array.init servers (fun i -> i * 5 mod 7) in
   let warm = Array.init servers (fun i -> 1 + (i * 3 mod 4)) in
   let busy = Array.init servers (fun i -> i * 11 mod 32) in
-  let least =
-    let best = ref 0 in
-    Array.iteri (fun s l -> if l < live.(!best) then best := s) live;
-    Some !best
-  in
   {
     Cluster.Policy.v_healthy = Array.make servers true;
     v_live = live;
@@ -298,7 +294,6 @@ let mirror_view ~servers =
     v_busy = busy;
     v_total_vcpus = 144;
     v_pending = (fun () -> 0);
-    v_least_loaded = (fun () -> least);
   }
 
 (* ns and words per decision on a steady-state router: [batch] decides
@@ -466,8 +461,8 @@ let () =
   let trials = if quick then 3 else 7 in
   let rounds = if quick then 20 else 100 in
   let batch = 1024 in
-  let near = 2048 (* inside the queue's 4096ns ring window *) in
-  let far = 10_000_000 (* far beyond it: the 4-ary heap path *) in
+  let near = 2048 in
+  let far = 10_000_000 in
   let eq name horizon =
     let c = eq_schedule_pop ~batch ~rounds ~trials ~horizon in
     [
@@ -616,7 +611,7 @@ let () =
   Report.print
     ~caption:
       "Hot paths of the production structures: flat event queue \
-       (ring + 4-ary heap), pool dispatch at chunk 1 and 32, arena run \
+       (4-ary heap), pool dispatch at chunk 1 and 32, arena run \
        queue, P²SM upkeep per paused subscriber, router decide per \
        builtin policy; P²SM splice vs sequential merge of 36 vCPUs, \
        coalesced vs 36 iterated load updates, a 200-sandbox resume \

@@ -34,14 +34,15 @@ let mean values = Stats.mean_of values
    of [jobs] strands.  Every task closes over its complete input —
    profile, seed arithmetic, sweep point — at submission, and results
    come back in list order, so the output is bit-identical to
-   [List.map] for any [jobs] and any [chunk] (the determinism tests
-   pin both).  [jobs = 1] *is* [List.map]: no pool, no domains.
+   [List.map] for any [jobs] and any chunk size the pool picks (the
+   determinism and pool tests pin both).  [jobs = 1] *is* [List.map]:
+   no pool, no domains.
    Reusing [Pool.shared] means a sweep never pays domain spawns —
    with per-call pools the spawn/join cost alone outweighed the
    tasks. *)
-let fan ?chunk ~jobs f items =
+let fan ~jobs f items =
   if jobs <= 1 then List.map f items
-  else Pool.map ?chunk (Pool.shared ~jobs ()) ~f:(fun _ x -> f x) items
+  else Pool.map (Pool.shared ~jobs ()) ~f:(fun _ x -> f x) items
 
 let ns_of span = float_of_int (Time.span_to_ns span)
 
@@ -109,7 +110,7 @@ let scenario_mode = function
   | Warm -> Platform.Warm Sandbox.Vanilla
   | Horse_start -> Platform.Warm Sandbox.Horse
 
-let run_start_scenarios ?chunk ~profile ~repeats ~seed ~scenarios ~jobs () =
+let run_start_scenarios ~profile ~repeats ~seed ~scenarios ~jobs () =
   (* one task per (category, scenario) cell: each owns a private
      engine + platform, so cells parallelise without sharing state *)
   let cells =
@@ -117,7 +118,7 @@ let run_start_scenarios ?chunk ~profile ~repeats ~seed ~scenarios ~jobs () =
       (fun category -> List.map (fun scenario -> (category, scenario)) scenarios)
       Category.all
   in
-  fan ?chunk ~jobs
+  fan ~jobs
     (fun (category, scenario) ->
       let engine = Engine.create ~seed () in
           let platform =
@@ -155,8 +156,8 @@ let run_start_scenarios ?chunk ~profile ~repeats ~seed ~scenarios ~jobs () =
     cells
 
 let table1 ?(profile = Firecracker) ?(repeats = 10) ?(seed = 42) ?(jobs = 1)
-    ?chunk () =
-  run_start_scenarios ?chunk ~profile ~repeats ~seed ~jobs
+    () =
+  run_start_scenarios ~profile ~repeats ~seed ~jobs
     ~scenarios:[ Cold; Restore; Warm ] ()
 
 (* ------------------------------------------------------------------ *)
@@ -175,8 +176,8 @@ type fig2_row = {
 }
 
 let fig2 ?(profile = Firecracker) ?(repeats = 10) ?(seed = 42)
-    ?(vcpus = default_sweep) ?(jobs = 1) ?chunk () =
-  fan ?chunk ~jobs
+    ?(vcpus = default_sweep) ?(jobs = 1) () =
+  fan ~jobs
     (fun n ->
       let breakdowns =
         List.init repeats (fun r ->
@@ -219,7 +220,7 @@ type fig3_row = {
 }
 
 let fig3 ?(profile = Firecracker) ?(repeats = 10) ?(seed = 42)
-    ?(vcpus = default_sweep) ?(jobs = 1) ?chunk () =
+    ?(vcpus = default_sweep) ?(jobs = 1) () =
   let measure (n, strategy) =
     mean
       (List.init repeats (fun r ->
@@ -234,7 +235,7 @@ let fig3 ?(profile = Firecracker) ?(repeats = 10) ?(seed = 42)
   let tasks =
     List.concat_map (fun n -> List.map (fun s -> (n, s)) strategies) vcpus
   in
-  let measured = fan ?chunk ~jobs measure tasks in
+  let measured = fan ~jobs measure tasks in
   let rec rows vcpus measured =
     match (vcpus, measured) with
     | [], [] -> []
@@ -275,8 +276,8 @@ type fig4_cell = {
 }
 
 let fig4 ?(profile = Firecracker) ?(repeats = 10) ?(seed = 42) ?(jobs = 1)
-    ?chunk () =
-  run_start_scenarios ?chunk ~profile ~repeats ~seed ~jobs
+    () =
+  run_start_scenarios ~profile ~repeats ~seed ~jobs
     ~scenarios:[ Cold; Restore; Warm; Horse_start ] ()
   |> List.map (fun cell ->
          {
@@ -299,7 +300,7 @@ type overhead_row = {
 }
 
 let overhead ?(profile = Firecracker) ?(seed = 42) ?(vcpus = default_sweep)
-    ?(jobs = 1) ?chunk () =
+    ?(jobs = 1) () =
   let sampling_window_ns = 500e6 (* the paper records usage every 500 ms *) in
   let run_pauses ~strategy n =
     (* 10 background 1-vCPU sandboxes + 10 uLL sandboxes of size n,
@@ -329,7 +330,7 @@ let overhead ?(profile = Firecracker) ?(seed = 42) ?(vcpus = default_sweep)
     let events = Metrics.counter metrics "psm.maintenance_events" in
     (pause_ns, memory_bytes, resume_results, events)
   in
-  fan ?chunk ~jobs
+  fan ~jobs
     (fun n ->
       let vanilla_pause_ns, _, _, _ = run_pauses ~strategy:Sandbox.Vanilla n in
       let horse_pause_ns, memory_bytes, resume_results, events =
@@ -465,7 +466,7 @@ let colocation_run ~profile ~seed ~duration ~ull_vcpus ~strategy ~arrivals =
   colocation_summarise platform
 
 let colocation ?(profile = Firecracker) ?(seed = 42) ?(duration_s = 30.0)
-    ?(repeats = 10) ?(vcpus = [ 1; 8; 16; 24; 36 ]) ?(jobs = 1) ?chunk () =
+    ?(repeats = 10) ?(vcpus = [ 1; 8; 16; 24; 36 ]) ?(jobs = 1) () =
   let duration = Time.span_s duration_s in
   (* The paper reports the worst penalty over its 10 runs ("up to");
      we do the same: per repeat, a paired vanilla/HORSE run on
@@ -487,7 +488,7 @@ let colocation ?(profile = Firecracker) ?(seed = 42) ?(duration_s = 30.0)
   let tasks =
     List.concat_map (fun n -> List.init repeats (fun r -> (n, r))) vcpus
   in
-  let all_runs = fan ?chunk ~jobs one_repeat tasks in
+  let all_runs = fan ~jobs one_repeat tasks in
   let rec chunk k xs =
     if k = 0 then ([], xs)
     else
@@ -841,8 +842,8 @@ let router_storm ?(seed = 42) ~routers ~triggers () =
     arrivals = Scenario.Bursty triggers;
   }
 
-let run_scenarios ?(jobs = 1) ?chunk scenarios =
-  fan ?chunk ~jobs Scenario.run scenarios
+let run_scenarios ?(jobs = 1) scenarios =
+  fan ~jobs Scenario.run scenarios
 
 (* ------------------------------------------------------------------ *)
 (* Headline summary                                                    *)
@@ -858,9 +859,9 @@ type summary = {
   horse_init_pct_max : float;
 }
 
-let summary ?(profile = Firecracker) ?(seed = 42) ?(jobs = 1) ?chunk () =
-  let f3 = fig3_summarise (fig3 ~profile ~seed ~jobs ?chunk ()) in
-  let f4 = fig4 ~profile ~seed ~jobs ?chunk () in
+let summary ?(profile = Firecracker) ?(seed = 42) ?(jobs = 1) () =
+  let f3 = fig3_summarise (fig3 ~profile ~seed ~jobs ()) in
+  let f4 = fig4 ~profile ~seed ~jobs () in
   let pct_of scenario category =
     let cell =
       List.find

@@ -10,9 +10,9 @@
     independent tasks — table cells, sweep points, paired repeats —
     fan out over the cached process-wide {!Horse_parallel.Pool} of
     that many strands ({!Horse_parallel.Pool.shared}, so repeated
-    experiments never pay domain spawns).  [?chunk] (default 1)
-    groups that many consecutive tasks per dispatch.  Results are {e
-    bit-identical for every value of [jobs] and [chunk]}: tasks close
+    experiments never pay domain spawns); the pool picks how many
+    consecutive tasks go in one dispatch.  Results are {e
+    bit-identical for every value of [jobs]}: tasks close
     over their seeds at submission and results are collected in task
     order, so parallelism only changes wall-clock time, never a
     number. *)
@@ -35,7 +35,7 @@ type table1_cell = {
 }
 
 val table1 :
-  ?profile:profile -> ?repeats:int -> ?seed:int -> ?jobs:int -> ?chunk:int ->
+  ?profile:profile -> ?repeats:int -> ?seed:int -> ?jobs:int ->
   unit -> table1_cell list
 (** The paper's Table 1: categories × (cold, restore, warm).
     Figure 1 is the [init_pct] column of the same cells. *)
@@ -55,7 +55,7 @@ type fig2_row = {
 
 val fig2 :
   ?profile:profile -> ?repeats:int -> ?seed:int -> ?vcpus:int list ->
-  ?jobs:int -> ?chunk:int -> unit -> fig2_row list
+  ?jobs:int -> unit -> fig2_row list
 (** Vanilla resume broken into §3.1's six steps while the vCPU count
     sweeps 1 → 36. *)
 
@@ -94,7 +94,7 @@ type fig3_row = {
 
 val fig3 :
   ?profile:profile -> ?repeats:int -> ?seed:int -> ?vcpus:int list ->
-  ?jobs:int -> ?chunk:int -> unit -> fig3_row list
+  ?jobs:int -> unit -> fig3_row list
 
 type fig3_summary = {
   coal_improvement_max : float;  (** fraction of vanilla saved, peak *)
@@ -115,7 +115,7 @@ type fig4_cell = {
 }
 
 val fig4 :
-  ?profile:profile -> ?repeats:int -> ?seed:int -> ?jobs:int -> ?chunk:int ->
+  ?profile:profile -> ?repeats:int -> ?seed:int -> ?jobs:int ->
   unit -> fig4_cell list
 (** Categories × (cold, restore, warm, HORSE). *)
 
@@ -134,7 +134,7 @@ type overhead_row = {
 
 val overhead :
   ?profile:profile -> ?seed:int -> ?vcpus:int list -> ?jobs:int ->
-  ?chunk:int -> unit -> overhead_row list
+  unit -> overhead_row list
 
 (** {1 §5.4 — colocation with longer-running functions} *)
 
@@ -157,7 +157,7 @@ type colocation_row = {
 
 val colocation :
   ?profile:profile -> ?seed:int -> ?duration_s:float -> ?repeats:int ->
-  ?vcpus:int list -> ?jobs:int -> ?chunk:int -> unit ->
+  ?vcpus:int list -> ?jobs:int -> unit ->
   colocation_row list
 (** Thumbnail invocations driven by an Azure-shaped 30 s arrival
     chunk, colocated with 10 uLL resumes per second, vanilla vs
@@ -284,10 +284,10 @@ val router_storm :
     warm sandboxes (seed 42). *)
 
 val run_scenarios :
-  ?jobs:int -> ?chunk:int -> Scenario.t list -> Scenario.row list
+  ?jobs:int -> Scenario.t list -> Scenario.row list
 (** {!Scenario.run} over a list, fanned over [jobs] strands like every
     other sweep here: rows come back in list order, bit-identical for
-    every [jobs]/[chunk]. *)
+    every [jobs]. *)
 
 (** {1 Headline summary} *)
 
@@ -302,4 +302,4 @@ type summary = {
 }
 
 val summary :
-  ?profile:profile -> ?seed:int -> ?jobs:int -> ?chunk:int -> unit -> summary
+  ?profile:profile -> ?seed:int -> ?jobs:int -> unit -> summary

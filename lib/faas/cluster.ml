@@ -52,9 +52,6 @@ module Policy = struct
            decided *)
     v_total_vcpus : int;  (* logical CPUs per server *)
     v_pending : unit -> int;  (* triggers waiting in the router queue *)
-    v_least_loaded : unit -> int option;
-        (* lowest-indexed healthy server with minimal [v_live], via the
-           router's O(1)-amortized load index *)
   }
 
   type decision = Assign of int | Enqueue
@@ -91,27 +88,33 @@ module Policy = struct
           on_claim_unused = (fun ~server:_ -> ());
         })
 
+  (* The lowest-indexed healthy server with the fewest believed live
+     invocations, among those holding a warm sandbox for the decided
+     function when [warm]; -1 when there is none.  No experiment or
+     benchmark builds a router group of more than 32 servers, so a scan
+     of the mirrors is all it takes. *)
+  let scan_least_loaded view ~warm =
+    let best = ref (-1) in
+    for i = 0 to Array.length view.v_live - 1 do
+      if
+        view.v_healthy.(i)
+        && ((not warm) || view.v_warm.(i) > 0)
+        && (!best < 0 || view.v_live.(i) < view.v_live.(!best))
+      then best := i
+    done;
+    !best
+
   let least_loaded view =
-    match view.v_least_loaded () with
-    | Some i -> Assign i
-    | None -> Enqueue (* unreachable: the cluster pre-checks health *)
+    let i = scan_least_loaded view ~warm:false in
+    if i >= 0 then Assign i
+    else Enqueue (* unreachable: the cluster pre-checks health *)
 
   (* The push routers place every trigger immediately, from the
      optimistically-debited mirrors; they never enqueue. *)
   let push () =
-    hookless ~name:"push-warm-first" (fun ~servers view ~vcpus:_ ~needs_pool ->
-        if not needs_pool then least_loaded view
-        else begin
-          (* the least-loaded healthy server among those holding a warm
-             sandbox for the function *)
-          let best = ref (-1) in
-          for i = 0 to servers - 1 do
-            if view.v_healthy.(i) && view.v_warm.(i) > 0 then
-              if !best < 0 || view.v_live.(i) < view.v_live.(!best) then
-                best := i
-          done;
-          if !best >= 0 then Assign !best else least_loaded view
-        end)
+    hookless ~name:"push-warm-first" (fun ~servers:_ view ~vcpus:_ ~needs_pool ->
+        let i = if needs_pool then scan_least_loaded view ~warm:true else -1 in
+        if i >= 0 then Assign i else least_loaded view)
 
   let push_least_loaded () =
     hookless ~name:"push-least-loaded"
@@ -321,9 +324,6 @@ type router = {
   r_group : int array;  (* owned global server indices, ascending *)
   r_policy : Policy.instance;
   r_view : Policy.view;
-  r_index : Load_index.t;
-      (* bucketed argmin over [v_live] among healthy group servers:
-         least-loaded routing without the per-trigger group scan *)
   r_pool : (string, int array) Hashtbl.t;
       (* believed warm-pool size per function per group server *)
   r_pending : pending_trigger Queue.t;  (* router-side claimable queue *)
@@ -410,7 +410,7 @@ let default_placement = Time.span_us 50.0
 let create_sharded ?(servers = 4) ?policy ?(e2e = false)
     ?(topology = Topology.r650) ?(cost = Cost_model.firecracker) ?keep_alive
     ?(seed = 42) ?(faults = Fault.Plan.none) ?recovery ?ull_count
-    ?(placement = default_placement) ?(shards = 1) ?scheduler ?window
+    ?(placement = default_placement) ?(shards = 1) ?scheduler
     ?(routers = 1) () =
   if servers <= 0 then invalid_arg "Cluster.create_sharded: servers <= 0";
   if shards < 1 then invalid_arg "Cluster.create_sharded: shards < 1";
@@ -434,7 +434,7 @@ let create_sharded ?(servers = 4) ?policy ?(e2e = false)
          List.init routers (fun r -> (r, (r + 1) mod routers, placement)))
   in
   let se =
-    Shard_engine.create ~seed ?scheduler ?window ~channels
+    Shard_engine.create ~seed ?scheduler ~channels
       ~sources:(routers + servers) ~lookahead:placement ()
   in
   let platforms =
@@ -463,7 +463,6 @@ let create_sharded ?(servers = 4) ?policy ?(e2e = false)
   let make_router ri =
     (* router [ri] owns servers { g | g mod R = ri }, ascending *)
     let size = (servers - ri + routers - 1) / routers in
-    let index = Load_index.create ~n:size in
     let pending = Queue.create () in
     {
       r_id = ri;
@@ -478,9 +477,7 @@ let create_sharded ?(servers = 4) ?policy ?(e2e = false)
           v_warm = Array.make size 0;
           v_total_vcpus = total_vcpus;
           v_pending = (fun () -> Queue.length pending);
-          v_least_loaded = (fun () -> Load_index.argmin index);
         };
-      r_index = index;
       r_pool = Hashtbl.create 16;
       r_pending = pending;
       r_e2e =
@@ -586,11 +583,6 @@ let fn_vcpus t ~fn_id =
   (Function_def.Registry.def (Platform.registry t.platforms.(0)) fn_id)
     .Function_def.vcpus
 
-(* Keep a router's live mirror and its argmin index in lockstep. *)
-let set_live r li v =
-  r.r_view.Policy.v_live.(li) <- v;
-  Load_index.set r.r_index li v
-
 let observe_e2e r ~arrival =
   match r.r_e2e with
   | None -> ()
@@ -623,7 +615,7 @@ let rec dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li =
   let g = r.r_group.(li) in
   let view = r.r_view in
   t.trigger_counts.(g) <- t.trigger_counts.(g) + 1;
-  set_live r li (view.v_live.(li) + 1);
+  view.v_live.(li) <- view.v_live.(li) + 1;
   (match mode with
   | Platform.Warm _ ->
     let row = pool_row r name in
@@ -645,7 +637,7 @@ let rec dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li =
             let done_at = Time.add (Engine.now server_engine) t.placement in
             Shard_engine.post t.se ~src:dst ~dst:r.r_id ~at:done_at (fun _ ->
                 log_push t r ~server:g ~slot;
-                set_live r li (max 0 (view.v_live.(li) - 1));
+                view.v_live.(li) <- max 0 (view.v_live.(li) - 1);
                 (* reconcile the pool mirror by conservation bounded
                    by ground truth: this completion freed exactly one
                    slot (already counted in [pool_now]), and a plain
@@ -668,7 +660,7 @@ let rec dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li =
         let pool_now = Platform.pool_size platform ~name in
         let back_at = Time.add (Engine.now server_engine) t.placement in
         Shard_engine.post t.se ~src:dst ~dst:r.r_id ~at:back_at (fun _ ->
-            set_live r li (max 0 (view.v_live.(li) - 1));
+            view.v_live.(li) <- max 0 (view.v_live.(li) - 1);
             view.v_busy.(li) <- max 0 (view.v_busy.(li) - vc);
             (* no slot was freed; the pool proved dry, so cap the
                mirror at the observed truth *)
@@ -762,8 +754,7 @@ let mark_down t i =
     (* the router knows the blackout wipes the server: reset its
        mirrors so routing stops preferring the dead pools the moment
        the server is marked down *)
-    set_live r li 0;
-    Load_index.remove r.r_index li;
+    view.v_live.(li) <- 0;
     view.v_busy.(li) <- 0;
     Hashtbl.iter (fun _ row -> row.(li) <- 0) r.r_pool;
     apply_claims t r
@@ -778,7 +769,6 @@ let mark_up t i =
   if not view.Policy.v_healthy.(li) then begin
     view.v_healthy.(li) <- true;
     r.r_healthy_n <- r.r_healthy_n + 1;
-    Load_index.add r.r_index li;
     apply_claims t r
       (r.r_policy.Policy.on_health_change view ~server:li ~up:true)
   end

@@ -99,9 +99,6 @@ module Policy : sig
         (** believed warm-pool size per server for the function *)
     v_total_vcpus : int;  (** logical CPUs per server *)
     v_pending : unit -> int;  (** triggers waiting in the router queue *)
-    v_least_loaded : unit -> int option;
-        (** lowest-indexed healthy server with minimal [v_live], read
-            from the router's {!Load_index} in O(1) amortized time *)
   }
 
   type decision =
@@ -146,8 +143,10 @@ module Policy : sig
       server) to the least-loaded healthy server.  Never enqueues. *)
 
   val push_least_loaded : unit -> t
-  (** ["push-least-loaded"]: always the least-loaded healthy server.
-      Never enqueues. *)
+  (** ["push-least-loaded"]: always the least-loaded healthy server,
+      the one with the fewest believed live invocations, ties going to
+      the lowest index (a scan of the group's mirrors).  Never
+      enqueues. *)
 
   val push_round_robin : unit -> t
   (** ["push-round-robin"]: the first healthy server at or after a
@@ -194,7 +193,6 @@ val create_sharded :
   ?placement:Horse_sim.Time_ns.span ->
   ?shards:int ->
   ?scheduler:Horse_sim.Shard_engine.scheduler ->
-  ?window:Horse_sim.Time_ns.span ->
   ?routers:int ->
   unit ->
   t
@@ -220,7 +218,7 @@ val create_sharded :
     a directed spill ring [r -> (r + 1) mod routers] when
     [routers > 1], and no server<->server channels, so the adaptive
     scheduler bounds each shard by its tightest relevant inbound link.
-    [scheduler] (default [Adaptive]) and [window] pass through to
+    [scheduler] (default [Adaptive]) passes through to
     {!Horse_sim.Shard_engine.create} — [Lockstep] is kept as the
     epoch-semantics oracle.  [shards] (default 1) is the number of
     execution strands {!run} uses — purely an execution-placement

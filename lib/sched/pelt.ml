@@ -1,5 +1,3 @@
-let period_us = 1024
-
 let load_avg_max = 47742
 
 (* The kernel's runnable_avg_yN_inv table: y^k in 0.32 fixed point,
@@ -30,51 +28,3 @@ let decay_load v ~periods =
     let inv = Int64.logand (Int64.of_int32 (decay_multiplier (periods mod 32))) 0xffffffffL in
     Int64.to_int (Int64.shift_right_logical (Int64.mul (Int64.of_int v) inv) 32)
   end
-
-type t = {
-  mutable last_us : int;  (* entity clock at the last update *)
-  mutable phase_us : int;  (* elapsed µs into the current period *)
-  mutable run_us : int;  (* runnable µs within the current period *)
-  mutable sum : int;  (* decayed sum of completed periods *)
-}
-
-let create () = { last_us = 0; phase_us = 0; run_us = 0; sum = 0 }
-
-let update t ~now_us ~running =
-  if now_us < t.last_us then invalid_arg "Pelt.update: clock went backwards";
-  let delta = ref (now_us - t.last_us) in
-  t.last_us <- now_us;
-  while !delta > 0 do
-    let room = period_us - t.phase_us in
-    let step = min !delta room in
-    t.phase_us <- t.phase_us + step;
-    if running then t.run_us <- t.run_us + step;
-    delta := !delta - step;
-    if t.phase_us = period_us then begin
-      (* period rollover: age the history by one period and bank the
-         period's runnable contribution *)
-      t.sum <- min load_avg_max (decay_load t.sum ~periods:1 + t.run_us);
-      t.phase_us <- 0;
-      t.run_us <- 0
-    end
-  done
-
-let load_avg t = t.sum
-
-let utilisation t =
-  Float.min 1.0 (float_of_int t.sum /. float_of_int load_avg_max)
-
-module Runqueue_sum = struct
-  type sum = { mutable total : int }
-
-  let create () = { total = 0 }
-
-  let attach s t = s.total <- s.total + load_avg t
-
-  let detach s t = s.total <- max 0 (s.total - load_avg t)
-
-  let total s = s.total
-
-  let utilisation s =
-    Float.min 1.0 (float_of_int s.total /. float_of_int load_avg_max)
-end

@@ -1,6 +1,6 @@
-(** Per-entity load tracking (PELT), the kernel algorithm behind the
-    paper's step-⑤ load variable (Turner 2011, [21]/[77] in the
-    paper).
+(** The decay kernel of per-entity load tracking (PELT), the kernel
+    algorithm behind the paper's step-⑤ load variable (Turner 2011,
+    [21]/[77] in the paper).
 
     Time is divided into 1024 µs periods.  An entity accumulates
     runnable time geometrically: the contribution of a period [k]
@@ -10,12 +10,10 @@
     32-entry inverse-multiplier table in fixed point; so does this
     module, bit-compatibly with the widely-documented constants.
 
-    {!Runqueue_sum} aggregates entity averages into the per-run-queue
-    load that {!Load_tracking} abstracts, giving the DVFS governor the
-    same signal shape the kernel provides. *)
-
-val period_us : int
-(** 1024 µs per PELT period. *)
+    No experiment calls it: it is the oracle for the property test
+    that ties {!Load_tracking}'s affine step [L(x) = αx + β] to the
+    kernel's decay ([decay_load v ~periods:k] stays within 2 units of
+    [v·αᵏ]). *)
 
 val load_avg_max : int
 (** The geometric series' saturation value, 47742. *)
@@ -29,39 +27,3 @@ val decay_load : int -> periods:int -> int
 (** [decay_load v ~periods] is [v·y^periods], computed exactly as the
     kernel does: halve per 32 periods, then one table multiply.
     Negative periods are rejected. *)
-
-type t
-(** One schedulable entity's accumulator. *)
-
-val create : unit -> t
-(** A fresh entity with no history. *)
-
-val update : t -> now_us:int -> running:bool -> unit
-(** Advance the entity's clock to [now_us], accounting the elapsed
-    time as running (contributing) or sleeping (decaying only).
-    Clock regressions are rejected. *)
-
-val load_avg : t -> int
-(** The current average in [0, load_avg_max]. *)
-
-val utilisation : t -> float
-(** [load_avg / load_avg_max], in [0, 1] — what schedutil consumes. *)
-
-module Runqueue_sum : sig
-  type sum
-  (** Aggregated load of the entities attached to one run queue. *)
-
-  val create : unit -> sum
-
-  val attach : sum -> t -> unit
-  (** Add an entity's current average (a vCPU landing on the queue —
-      the paper's step ⑤ write). *)
-
-  val detach : sum -> t -> unit
-  (** Remove an entity's contribution (vCPU leaving). *)
-
-  val total : sum -> int
-
-  val utilisation : sum -> float
-  (** Sum relative to one fully-loaded entity, clamped to [0, 1]. *)
-end

@@ -5,43 +5,26 @@
    closure:
 
    - Events live in a {e slot arena} of parallel unboxed arrays
-     (payload / generation / sequence / position).  Scheduling recycles
-     a free slot instead of allocating a cell, and a handle is the
-     immediate int [(generation lsl 32) lor slot] — no box, and stale
-     handles die on the generation check when the slot is reused.
+     (payload / generation / position).  Scheduling recycles a free
+     slot instead of allocating a cell, and a handle is the immediate
+     int [(generation lsl 32) lor slot] — no box, and stale handles die
+     on the generation check when the slot is reused.
 
-   - Short-horizon events — the overwhelming majority: quantum ticks,
-     load-update ticks, back-to-back completions — take a {e
-     single-level timer-wheel fast path}: a ring of [4096] one-ns
-     ticks, each an int vector of packed handles appended in FIFO
-     order.  Insertion is O(1) with no comparisons at all.
-
-   - Far-future events fall back to a {e flat 4-ary min-heap} keyed by
+   - Every event sits in one {e flat 4-ary min-heap} keyed by
      (timestamp, sequence) held in three parallel int arrays, sifted
-     with inlined integer compares (no closure calls, no boxing).
-     Cancellation of a heap event is a real sift-based removal;
-     cancellation of a ring event tombstones by generation bump.
+     with inlined integer compares (no closure calls, no boxing).  The
+     sequence number breaks timestamp ties, so events at one instant
+     pop in FIFO order of scheduling; the property tests pin that
+     order against the boxed {!Event_queue_reference}.  Cancellation
+     is a sift-based removal through the slot's heap index, O(log n).
 
-   Popping merges the two sources by (timestamp, sequence), so FIFO
-   among equal timestamps holds across the ring/heap split — the
-   property tests pin the merged order against the boxed
-   {!Event_queue_reference}.
-
-   Invariants the near/far split relies on:
-   - [clock] (timestamp of the last pop) never decreases, and no live
-     ring event is ever behind it: the pop always takes the global
-     minimum, so the clock cannot pass a pending near event.
-   - Live ring events therefore sit in [clock, clock + ring_size), and
-     within that window each tick maps to a distinct ring slot, so a
-     slot's live entries all share one timestamp and carry ascending
-     sequence numbers (FIFO by construction).  Stale tombstones from
-     older rotations are skipped by the generation check. *)
-
-let ring_bits = 12
-
-let ring_size = 1 lsl ring_bits (* 4096 ns near horizon *)
-
-let ring_mask = ring_size - 1
+   Why one heap and no near-horizon fast path: the cluster workloads
+   schedule no quantum or load-update ticks as events, only placement
+   and completion round trips and arrivals.  At seed 42, events due
+   within 4096 ns of the last pop are 1.5% of the pushes of the
+   benchmark's 100k-trigger storm, 26% of its 4-router storm's and
+   32% of its len-6 chain workload's; a ring for them beside the heap
+   bought no workload a measurable gain. *)
 
 (* Handle layout: generation in the high bits, arena slot in the low
    32.  63-bit ints leave 30 generation bits per slot — a slot must be
@@ -50,32 +33,18 @@ let gen_shift = 32
 
 let slot_mask = (1 lsl gen_shift) - 1
 
-(* [a_pos] value for an event parked in the ring (heap events store
-   their heap index, which is >= 0). *)
-let in_ring = -2
-
 type 'a t = {
   (* slot arena *)
   mutable a_payload : 'a array;
   mutable a_gen : int array;
-  mutable a_seq : int array;
-  mutable a_pos : int array; (* heap index | [in_ring] | free-list next *)
+  mutable a_pos : int array; (* heap index | free-list next *)
   mutable free_head : int; (* -1 when the arena is full *)
-  (* 4-ary min-heap of far events, keyed by (at, seq) *)
+  (* 4-ary min-heap, keyed by (at, seq) *)
   mutable hat : int array;
   mutable hseq : int array;
   mutable hslot : int array;
   mutable hsize : int;
-  (* near-horizon timer wheel *)
-  ring_buf : int array array; (* packed handles per tick slot *)
-  ring_len : int array;
-  ring_taken : int array; (* consumed/tombstoned prefix per slot *)
-  mutable ring_live : int;
-  mutable ring_next : int; (* lower bound on the next live ring tick *)
-  (* queue state *)
-  mutable clock : int; (* timestamp of the last pop *)
-  mutable next_seq : int;
-  mutable live_count : int;
+  mutable next_seq : int; (* FIFO tie-break among equal timestamps *)
 }
 
 type handle = int
@@ -87,21 +56,13 @@ let create () =
   {
     a_payload = Array.make cap (dummy ());
     a_gen = Array.make cap 0;
-    a_seq = Array.make cap 0;
     a_pos = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1);
     free_head = 0;
     hat = Array.make cap 0;
     hseq = Array.make cap 0;
     hslot = Array.make cap 0;
     hsize = 0;
-    ring_buf = Array.make ring_size [||];
-    ring_len = Array.make ring_size 0;
-    ring_taken = Array.make ring_size 0;
-    ring_live = 0;
-    ring_next = max_int;
-    clock = 0;
     next_seq = 0;
-    live_count = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -115,8 +76,6 @@ let grow_arena t =
   Array.blit t.a_payload 0 payload 0 cap;
   let gen = Array.make cap' 0 in
   Array.blit t.a_gen 0 gen 0 cap;
-  let seq = Array.make cap' 0 in
-  Array.blit t.a_seq 0 seq 0 cap;
   let pos = Array.make cap' 0 in
   Array.blit t.a_pos 0 pos 0 cap;
   for i = cap to cap' - 1 do
@@ -124,7 +83,6 @@ let grow_arena t =
   done;
   t.a_payload <- payload;
   t.a_gen <- gen;
-  t.a_seq <- seq;
   t.a_pos <- pos;
   t.free_head <- cap
 
@@ -145,7 +103,7 @@ let free_slot t s =
   t.free_head <- s
 
 (* ------------------------------------------------------------------ *)
-(* 4-ary heap (far events)                                             *)
+(* 4-ary heap                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let grow_heap t =
@@ -228,70 +186,6 @@ let heap_remove t i =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Near-horizon ring                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let ring_push t ~tick ~packed =
-  let s = tick land ring_mask in
-  let len = t.ring_len.(s) in
-  let buf = t.ring_buf.(s) in
-  let buf =
-    if len = Array.length buf then begin
-      let buf' = Array.make (max 4 (2 * len)) 0 in
-      Array.blit buf 0 buf' 0 len;
-      t.ring_buf.(s) <- buf';
-      buf'
-    end
-    else buf
-  in
-  buf.(len) <- packed;
-  t.ring_len.(s) <- len + 1;
-  t.ring_live <- t.ring_live + 1;
-  if tick < t.ring_next then t.ring_next <- tick
-
-(* Advance [ring_next] to the first tick at or after the clock whose
-   slot still holds a live entry, leaving that slot's [taken] cursor on
-   the entry; [max_int] when the ring holds nothing live.  Tombstones
-   are skipped (and fully-drained slots reset) as a side effect, so the
-   scan is amortised by the events and cancels that created them. *)
-(* Plain loops and non-escaping refs only: this runs on every pop and
-   must not allocate (a local [rec] closure here showed up as 4 words
-   per event in the micro-bench). *)
-let ring_scan t =
-  if t.ring_live = 0 then begin
-    t.ring_next <- max_int;
-    max_int
-  end
-  else begin
-    if t.ring_next < t.clock then t.ring_next <- t.clock;
-    let found = ref (-1) in
-    while !found < 0 do
-      let s = t.ring_next land ring_mask in
-      let len = t.ring_len.(s) in
-      let buf = t.ring_buf.(s) in
-      let taken = ref t.ring_taken.(s) in
-      while
-        !taken < len
-        &&
-        let p = buf.(!taken) in
-        t.a_gen.(p land slot_mask) <> p asr gen_shift
-      do
-        incr taken
-      done;
-      if !taken < len then begin
-        t.ring_taken.(s) <- !taken;
-        found := t.ring_next
-      end
-      else begin
-        t.ring_len.(s) <- 0;
-        t.ring_taken.(s) <- 0;
-        t.ring_next <- t.ring_next + 1
-      end
-    done;
-    !found
-  end
-
-(* ------------------------------------------------------------------ *)
 (* The public operations                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -300,100 +194,43 @@ let schedule t ~at payload =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let slot = alloc_slot t payload in
-  t.a_seq.(slot) <- seq;
-  let packed = (t.a_gen.(slot) lsl gen_shift) lor slot in
-  if at >= t.clock && at - t.clock < ring_size then begin
-    t.a_pos.(slot) <- in_ring;
-    ring_push t ~tick:at ~packed
-  end
-  else heap_push t ~at ~seq ~slot;
-  t.live_count <- t.live_count + 1;
-  packed
+  heap_push t ~at ~seq ~slot;
+  (t.a_gen.(slot) lsl gen_shift) lor slot
 
 let cancel t h =
   let slot = h land slot_mask in
   if slot >= Array.length t.a_gen || t.a_gen.(slot) <> h asr gen_shift then
     false
   else begin
-    let pos = t.a_pos.(slot) in
-    if pos = in_ring then t.ring_live <- t.ring_live - 1
-    else heap_remove t pos;
+    heap_remove t t.a_pos.(slot);
     free_slot t slot;
-    t.live_count <- t.live_count - 1;
     true
   end
-
-(* Take the entry [ring_scan] left the [taken] cursor on. *)
-let consume_ring t tick =
-  let s = tick land ring_mask in
-  let taken = t.ring_taken.(s) in
-  let packed = t.ring_buf.(s).(taken) in
-  let slot = packed land slot_mask in
-  t.ring_taken.(s) <- taken + 1;
-  t.ring_live <- t.ring_live - 1;
-  t.live_count <- t.live_count - 1;
-  let payload = t.a_payload.(slot) in
-  free_slot t slot;
-  t.clock <- tick;
-  payload
 
 (* Returns only the payload (the timestamp is [hat.(0)], read by the
    caller first) so the hot path builds exactly one [Some (at, v)]
    block and nothing else. *)
-let consume_heap t =
-  let at = t.hat.(0) and slot = t.hslot.(0) in
-  t.hsize <- t.hsize - 1;
-  let last = t.hsize in
-  if last > 0 then
-    sift_down t 0 t.hat.(last) t.hseq.(last) t.hslot.(last);
-  t.live_count <- t.live_count - 1;
+let consume_min t =
+  let slot = t.hslot.(0) in
+  heap_remove t 0;
   let payload = t.a_payload.(slot) in
   free_slot t slot;
-  (* late events (scheduled in the queue's past) must not rewind the
-     clock, or the near/far window would go inconsistent *)
-  if at > t.clock then t.clock <- at;
   payload
 
 let pop_until t ~limit =
-  if t.live_count = 0 then None
+  if t.hsize = 0 then None
   else begin
-    let limit_ns =
-      match limit with None -> max_int | Some l -> Time_ns.to_ns l
-    in
-    let rtick = ring_scan t in
-    let use_ring =
-      if t.hsize = 0 then true
-      else if rtick = max_int then false
-      else begin
-        let hat0 = t.hat.(0) in
-        rtick < hat0
-        || rtick = hat0
-           &&
-           let s = rtick land ring_mask in
-           let packed = t.ring_buf.(s).(t.ring_taken.(s)) in
-           t.a_seq.(packed land slot_mask) < t.hseq.(0)
-      end
-    in
-    if use_ring then
-      if rtick > limit_ns then None
-      else Some (Time_ns.of_ns rtick, consume_ring t rtick)
-    else begin
-      let at = t.hat.(0) in
-      if at > limit_ns then None
-      else Some (Time_ns.of_ns at, consume_heap t)
-    end
+    let at = t.hat.(0) in
+    match limit with
+    | Some l when at > Time_ns.to_ns l -> None
+    | _ -> Some (Time_ns.of_ns at, consume_min t)
   end
 
 let pop t = pop_until t ~limit:None
 
 let next_time t =
-  if t.live_count = 0 then None
-  else begin
-    let rtick = ring_scan t in
-    let m = if t.hsize = 0 then rtick else min rtick t.hat.(0) in
-    Some (Time_ns.of_ns m)
-  end
+  if t.hsize = 0 then None else Some (Time_ns.of_ns t.hat.(0))
 
-let length t = t.live_count
+let length t = t.hsize
 
-let is_empty t = t.live_count = 0
+let is_empty t = t.hsize = 0

@@ -19,9 +19,9 @@ val schedule : 'a t -> at:Time_ns.t -> 'a -> handle
 
 val cancel : 'a t -> handle -> bool
 (** [cancel q h] prevents the event from firing.  Returns [false] if
-    it already fired or was already cancelled.  Near-horizon events
-    are tombstoned in O(1); far-future events are removed from the
-    heap by a sift, O(log n) with no allocation. *)
+    it already fired or was already cancelled.  The handle leads
+    straight to the event's heap position, which a sift removes in
+    O(log n) with no allocation. *)
 
 val next_time : 'a t -> Time_ns.t option
 (** The firing time of the earliest live event. *)
@@ -31,10 +31,9 @@ val pop : 'a t -> (Time_ns.t * 'a) option
 
 val pop_until : 'a t -> limit:Time_ns.t option -> (Time_ns.t * 'a) option
 (** [pop_until q ~limit] is [pop q] restricted to events firing at or
-    before [limit] ([None] means no bound).  The earliest-event search
-    and the removal are fused into one pass, so a run loop pays a
-    single skim per event instead of one for the peek and one for the
-    pop.  Events beyond the limit stay queued. *)
+    before [limit] ([None] means no bound).  The limit check and the
+    removal share one look at the heap root, so a run loop pays no
+    separate peek.  Events beyond the limit stay queued. *)
 
 val length : 'a t -> int
 (** The number of live (non-cancelled) events. *)

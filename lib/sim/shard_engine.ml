@@ -104,7 +104,7 @@ type t = {
   mutable running : bool;
 }
 
-let create ?(seed = 42) ?(scheduler = Adaptive) ?window ?channels ~sources
+let create ?(seed = 42) ?(scheduler = Adaptive) ?channels ~sources
     ~lookahead () =
   if sources < 1 then invalid_arg "Shard_engine.create: sources < 1";
   let la_ns = Time_ns.span_to_ns lookahead in
@@ -142,15 +142,6 @@ let create ?(seed = 42) ?(scheduler = Adaptive) ?window ?channels ~sources
       (fun acc row -> Array.fold_left min acc row)
       inf_ns delay
   in
-  let window_ns =
-    match window with
-    | Some w ->
-      let ns = Time_ns.span_to_ns w in
-      if ns <= 0 then
-        invalid_arg "Shard_engine.create: window must be positive";
-      ns
-    | None -> 16 * la_ns
-  in
   let root = Rng.create ~seed in
   let engine_seed i =
     (* an independent derived stream per shard, keyed by (seed, i):
@@ -162,7 +153,7 @@ let create ?(seed = 42) ?(scheduler = Adaptive) ?window ?channels ~sources
     engines = Array.init sources (fun i -> Engine.create ~seed:(engine_seed i) ());
     lookahead;
     scheduler;
-    window_ns;
+    window_ns = 16 * la_ns;
     step_ns = min la_ns min_delay;
     delay;
     in_edges;

@@ -50,7 +50,6 @@ type scheduler =
 val create :
   ?seed:int ->
   ?scheduler:scheduler ->
-  ?window:Time_ns.span ->
   ?channels:(int * int * Time_ns.span) list ->
   sources:int ->
   lookahead:Time_ns.span ->
@@ -65,10 +64,10 @@ val create :
     exchange messages (duplicates keep the smallest delay) and a
     {!post} on any other pair raises; unlisted pairs carry no bound,
     which is what lets the adaptive scheduler run un-coupled shards
-    ahead.  [window] is the adaptive outer-window span (default
-    [16 * lookahead]); [scheduler] defaults to [Adaptive].
-    @raise Invalid_argument if [sources < 1], any delay or the window
-    is not positive, or a channel endpoint is out of range. *)
+    ahead.  The adaptive outer window spans [16 * lookahead];
+    [scheduler] defaults to [Adaptive].
+    @raise Invalid_argument if [sources < 1], any delay is not
+    positive, or a channel endpoint is out of range. *)
 
 val sources : t -> int
 
@@ -124,7 +123,7 @@ val run :
 val epochs : t -> int
 (** Outer windows executed.  Under [Lockstep] every window is one
     barrier round; under [Adaptive] a window covers a whole
-    fast-forward gap plus [window] span of virtual time. *)
+    fast-forward gap plus [16 * lookahead] of virtual time. *)
 
 val rounds : t -> int
 (** Synchronization rounds executed (equals {!epochs} under

@@ -7,18 +7,6 @@ let indexes_above arr ~threshold =
   done;
   !acc
 
-let indexes_above_into arr ~threshold ~buf =
-  if Array.length buf < Array.length arr then
-    invalid_arg "Array_filter.indexes_above_into: buffer too small";
-  let count = ref 0 in
-  for i = 0 to Array.length arr - 1 do
-    if arr.(i) > threshold then begin
-      buf.(!count) <- i;
-      incr count
-    end
-  done;
-  !count
-
 let sample_input ~seed ~size =
   let rng = Horse_sim.Rng.create ~seed in
   Array.init size (fun _ -> Horse_sim.Rng.int rng 10_000)

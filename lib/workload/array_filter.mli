@@ -11,10 +11,5 @@ val indexes_above : int array -> threshold:int -> int list
 (** Indexes (ascending) of elements strictly greater than
     [threshold]. *)
 
-val indexes_above_into : int array -> threshold:int -> buf:int array -> int
-(** Allocation-free variant for micro-benchmarks: writes matching
-    indexes into [buf] and returns how many were found.
-    @raise Invalid_argument if [buf] is shorter than the input. *)
-
 val sample_input : seed:int -> size:int -> int array
 (** A deterministic pseudo-random input (values in [0, 10000)). *)

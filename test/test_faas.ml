@@ -466,15 +466,20 @@ let test_cluster_least_loaded () =
   let _, cluster =
     fresh_cluster ~policy:(Cluster.Policy.push_least_loaded ()) ()
   in
-  (* keep server 0 busy, the router must avoid it *)
-  let first =
+  (* nothing completes while the engine stands still, so every pick
+     adds one believed live invocation to its server *)
+  let pick () =
     accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ())
   in
-  Alcotest.(check int) "first pick" 0 first;
-  let second =
-    accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ())
-  in
-  Alcotest.(check bool) "avoids busy server" true (second <> 0)
+  Alcotest.(check int) "first pick: three-way tie, lowest index" 0 (pick ());
+  Alcotest.(check int) "avoids the busy server; tie, lowest index" 1
+    (pick ());
+  (* live = [1; 1; 0]: server 2 is the least loaded, but marked down *)
+  Cluster.mark_down cluster 2;
+  Alcotest.(check int) "skips the marked-down server" 0 (pick ());
+  Alcotest.(check int) "then the next least loaded" 1 (pick ());
+  Cluster.mark_up cluster 2;
+  Alcotest.(check int) "re-admitted server is least loaded again" 2 (pick ())
 
 let test_cluster_warm_first () =
   let _, cluster = fresh_cluster () in
@@ -742,98 +747,6 @@ let test_cluster_e2e_estimator () =
   Alcotest.(check bool)
     "absent unless requested" true
     (Option.is_none (Cluster.e2e_latencies plain))
-
-(* ------------------------------------------------------------------ *)
-(* Load index vs naive scan: trace equality                            *)
-(* ------------------------------------------------------------------ *)
-
-module Load_index = Horse_faas.Load_index
-
-type li_op = Li_set of int * int | Li_remove of int | Li_add of int
-
-let li_n = 6
-
-(* The bucketed index must agree with the scan it replaced — lowest
-   present index with the minimal load — after every operation of a
-   random script, including loads well past the initial bucket range
-   and argmin over an emptied membership. *)
-let li_spec =
-  let gen rand =
-    let i = Random.State.int rand li_n in
-    match Random.State.int rand 4 with
-    | 0 | 1 -> Li_set (i, Random.State.int rand 40)
-    | 2 -> Li_remove i
-    | _ -> Li_add i
-  in
-  let show = function
-    | Li_set (i, l) -> Printf.sprintf "Set (%d, %d)" i l
-    | Li_remove i -> Printf.sprintf "Remove %d" i
-    | Li_add i -> Printf.sprintf "Add %d" i
-  in
-  let make () =
-    let sut = Load_index.create ~n:li_n in
-    let loads = Array.make li_n 0 and present = Array.make li_n true in
-    fun op ->
-      (match op with
-      | Li_set (i, l) ->
-        Load_index.set sut i l;
-        loads.(i) <- l
-      | Li_remove i ->
-        Load_index.remove sut i;
-        present.(i) <- false
-      | Li_add i ->
-        Load_index.add sut i;
-        present.(i) <- true);
-      let scan = ref None in
-      for i = 0 to li_n - 1 do
-        if present.(i) then
-          match !scan with
-          | None -> scan := Some i
-          | Some j -> if loads.(i) < loads.(j) then scan := Some i
-      done;
-      let show_opt = function
-        | None -> "none"
-        | Some i -> string_of_int i
-      in
-      if Load_index.argmin sut <> !scan then
-        Some
-          (Printf.sprintf "argmin %s, scan %s"
-             (show_opt (Load_index.argmin sut))
-             (show_opt !scan))
-      else
-        let diverged = ref None in
-        for i = 0 to li_n - 1 do
-          if !diverged = None && Load_index.load sut i <> loads.(i) then
-            diverged :=
-              Some
-                (Printf.sprintf "load %d: index %d, oracle %d" i
-                   (Load_index.load sut i) loads.(i))
-        done;
-        !diverged
-  in
-  Harness.{ name = "load index vs naive scan"; gen; show; make }
-
-let test_load_index_oracle () = Harness.check li_spec
-
-let test_load_index_edges () =
-  Alcotest.check_raises "n = 0" (Invalid_argument "Load_index.create: n <= 0")
-    (fun () -> ignore (Load_index.create ~n:0));
-  let li = Load_index.create ~n:3 in
-  Load_index.set li 0 2;
-  Load_index.set li 1 1;
-  Load_index.set li 2 1;
-  Alcotest.(check (option int)) "lowest of the minimal" (Some 1)
-    (Load_index.argmin li);
-  Load_index.remove li 1;
-  Alcotest.(check (option int)) "exclusion" (Some 2) (Load_index.argmin li);
-  Load_index.remove li 2;
-  Load_index.remove li 0;
-  Alcotest.(check (option int)) "all excluded" None (Load_index.argmin li);
-  (* re-admission returns at the tracked load, not at zero *)
-  Load_index.add li 0;
-  Load_index.add li 1;
-  Alcotest.(check (option int)) "re-admitted at tracked loads" (Some 1)
-    (Load_index.argmin li)
 
 (* ------------------------------------------------------------------ *)
 (* Arena vs boxed records: model-based oracle                          *)
@@ -1146,9 +1059,6 @@ let () =
           Alcotest.test_case "pull queues and claims" `Quick
             test_pull_queues_and_claims;
           Alcotest.test_case "e2e estimator" `Quick test_cluster_e2e_estimator;
-          Alcotest.test_case "load index vs scan (harness)" `Quick
-            test_load_index_oracle;
-          Alcotest.test_case "load index edges" `Quick test_load_index_edges;
           Alcotest.test_case "arena vs boxed oracle (harness)" `Quick
             test_arena_oracle;
           Alcotest.test_case "batch vs closure ingestion" `Quick

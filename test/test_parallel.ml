@@ -239,22 +239,6 @@ let test_table1_jobs_invariant () =
         (sequential = parallel))
     [ 1; 42; 1337 ]
 
-let test_table1_chunk_invariant () =
-  (* chunked parallel submission must stay bit-identical to sequential
-     for every seed and every granularity, including one chunk per
-     task and everything in a single chunk *)
-  List.iter
-    (fun seed ->
-      let sequential = E.table1 ~seed ~jobs:1 () in
-      List.iter
-        (fun chunk ->
-          Alcotest.(check bool)
-            (Printf.sprintf "seed %d: chunk %d == sequential" seed chunk)
-            true
-            (sequential = E.table1 ~seed ~jobs:4 ~chunk ()))
-        [ 1; 7; 1000 ])
-    [ 1; 42; 1337 ]
-
 let test_fig2_fig3_jobs_invariant () =
   let f2s = E.fig2 ~repeats:2 ~vcpus:[ 1; 8; 36 ] ~jobs:1 () in
   let f2p = E.fig2 ~repeats:2 ~vcpus:[ 1; 8; 36 ] ~jobs:3 () in
@@ -421,8 +405,6 @@ let () =
         [
           Alcotest.test_case "table1 seeds 1/42/1337" `Slow
             test_table1_jobs_invariant;
-          Alcotest.test_case "table1 chunks 1/7/n" `Slow
-            test_table1_chunk_invariant;
           Alcotest.test_case "fig2+fig3" `Slow test_fig2_fig3_jobs_invariant;
           Alcotest.test_case "overhead+colocation" `Slow
             test_overhead_colocation_jobs_invariant;

@@ -711,7 +711,7 @@ let multi_defs () =
 (* A storm over many functions, so the function->router hash actually
    spreads the load: each trigger is scheduled on its affine router's
    engine, as a multi-router deployment must. *)
-let router_storm ?policy ?scheduler ?(faulty = false) ?(flaps = false) ?e2e
+let router_storm ?policy ?scheduler ?(faulty = false) ?e2e
     ~routers ~seed ~shards () =
   let faults = if faulty then blackout_plan (seed + 1) else Fault.Plan.none in
   let cluster =
@@ -729,22 +729,6 @@ let router_storm ?policy ?scheduler ?(faulty = false) ?(flaps = false) ?e2e
     let outages = Cluster.schedule_faults cluster ~horizon in
     Alcotest.(check bool) "plan is non-inert" true (outages > 0)
   end;
-  if flaps then
-    (* every server drops out of routing mid-storm and rejoins:
-       pure health churn (unlike a blackout, in-flight work and warm
-       pools survive), staggered so group health keeps changing *)
-    for s = 0 to 3 do
-      let engine =
-        Cluster.router_engine cluster (Cluster.router_of_server cluster s)
-      in
-      let down = Time.span_ms (8.0 +. (3.0 *. float_of_int s)) in
-      let up = Time.span_ms (22.0 +. (4.0 *. float_of_int s)) in
-      ignore
-        (Engine.schedule engine ~after:down (fun _ ->
-             Cluster.mark_down cluster s));
-      ignore
-        (Engine.schedule engine ~after:up (fun _ -> Cluster.mark_up cluster s))
-    done;
   let rng = Rng.create ~seed:(seed + 2) in
   for _ = 1 to 200 do
     let after = Time.span_ns (Rng.int rng (Time.span_to_ns horizon)) in
@@ -1012,63 +996,6 @@ let test_pull_fifo_per_router () =
     "router 1's queue untouched by router 0's blackout" true
     (plain.(1) = perturbed.(1))
 
-(* -- load index vs linear scan under health churn ------------------ *)
-
-(* The push least-loaded policy routes through the router's O(1) load
-   index ([v_least_loaded]).  This policy is its executable spec: a
-   plain linear scan over the same view.  Under server flaps the two
-   must stay trace-equal — any divergence means the index's min
-   tracking broke under health churn. *)
-let linear_least_loaded () =
-  Cluster.Policy.v ~name:"linear-least-loaded" (fun ~servers ->
-      let decide (view : Cluster.Policy.view) ~vcpus:_ ~needs_pool:_ =
-        let best = ref (-1) in
-        for i = 0 to servers - 1 do
-          if
-            view.Cluster.Policy.v_healthy.(i)
-            && (!best < 0
-               || view.Cluster.Policy.v_live.(i)
-                  < view.Cluster.Policy.v_live.(!best))
-          then best := i
-        done;
-        if !best >= 0 then Cluster.Policy.Assign !best
-        else Cluster.Policy.Enqueue
-      in
-      {
-        Cluster.Policy.label = "linear-least-loaded";
-        decide;
-        on_completion = (fun _ ~server:_ -> []);
-        on_rejection = (fun _ ~server:_ -> []);
-        on_health_change = (fun _ ~server:_ ~up:_ -> []);
-        on_provision = (fun ~server:_ ~count:_ -> ());
-        on_claim_unused = (fun ~server:_ -> ());
-      })
-
-(* drop the "policy=<label> ..." header so differently-named policies
-   can be compared byte-for-byte on the rest of the dump *)
-let strip_policy_line s =
-  match String.index_opt s '\n' with
-  | Some i -> String.sub s i (String.length s - i)
-  | None -> s
-
-let test_load_index_churn () =
-  List.iter
-    (fun routers ->
-      List.iter
-        (fun seed ->
-          let dump policy =
-            strip_policy_line
-              (dump_cluster
-                 (router_storm ~policy ~routers ~seed ~shards:2 ~flaps:true ()))
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "routers=%d seed=%d: load index == linear scan"
-               routers seed)
-            (dump (linear_least_loaded ()))
-            (dump (Cluster.Policy.push_least_loaded ())))
-        [ 1; 42; 1337 ])
-    [ 1; 2 ]
-
 (* Print the digest of every storm trace and exit — used once to pin
    the golden digests above against the single-router build. *)
 let () =
@@ -1127,8 +1054,6 @@ let () =
             test_spill_all_down_and_pinned;
           Alcotest.test_case "pull claims FIFO per router" `Quick
             test_pull_fifo_per_router;
-          Alcotest.test_case "load index == linear scan under flaps" `Quick
-            test_load_index_churn;
         ] );
       ( "experiments",
         [

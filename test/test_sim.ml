@@ -236,10 +236,11 @@ let test_eq_pop_until () =
   Alcotest.(check bool) "empty" true (Eq.pop_until q ~limit:None = None)
 
 let test_eq_ring_heap_fifo_boundary () =
-  (* Equal timestamps must stay FIFO even when the two events live in
-     different internal structures: "far" lands in the heap (scheduled
-     4096+ns out), then after the clock advances "late" lands in the
-     near-horizon ring at the very same timestamp. *)
+  (* Equal timestamps must stay FIFO across a pop: "far" is scheduled
+     4096+ns out, then after an earlier pop "late" is scheduled within
+     4096 ns of it at the very same timestamp.  The queue once split
+     events at that 4096 ns horizon between a ring and a heap; the case
+     stays as an order regression at the old boundary. *)
   let q = Eq.create () in
   ignore (Eq.schedule q ~at:(at 3000) "warm");
   ignore (Eq.schedule q ~at:(at 5000) "far");
@@ -249,8 +250,9 @@ let test_eq_ring_heap_fifo_boundary () =
     (snd (Option.get (Eq.pop q)));
   Alcotest.(check string) "ring event second" "late"
     (snd (Option.get (Eq.pop q)));
-  (* the exact near/far split: clock is now 5000, so 5000+4095 is the
-     last ring tick and 5000+4096 the first heap-bound timestamp *)
+  (* the old near/far split: the last pop was at 5000, so 5000+4095
+     was the last near tick and 5000+4096 the first far timestamp;
+     scheduling them in reverse must still pop them in time order *)
   ignore (Eq.schedule q ~at:(at (5000 + 4096)) "first-heap");
   ignore (Eq.schedule q ~at:(at (5000 + 4095)) "last-ring");
   Alcotest.(check string) "edge order 1" "last-ring"
@@ -272,8 +274,8 @@ let test_eq_handle_reuse () =
   Alcotest.(check bool) "cancel after pop" false (Eq.cancel q h2);
   Alcotest.(check bool) "empty" true (Eq.is_empty q)
 
-(* The oracle for the flat arena+ring+heap queue: drive seeded random
-   op scripts (schedules across the near/far split, pops, cancels of
+(* The oracle for the flat arena+heap queue: drive seeded random
+   op scripts (schedules up to 10 us out, pops, cancels of
    live / already-cancelled / already-popped handles, and a full final
    drain) through both the production queue and the boxed-cell
    reference via the model-based harness, requiring identical
@@ -329,7 +331,7 @@ let eq_spec : eq_op Harness.spec =
             match op with
             | Schedule d ->
               (* relative to the last popped time, so deltas straddle
-                 the queue's 4096ns near-horizon window *)
+                 4096 ns, where the queue once split near from far *)
               let at_ns = at (!now + d) in
               incr tag;
               remember (Eq.schedule q ~at:at_ns !tag)

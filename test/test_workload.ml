@@ -140,23 +140,6 @@ let test_filter_basic () =
   Alcotest.(check (list int)) "all" [ 0; 1; 2; 3; 4 ]
     (Array_filter.indexes_above arr ~threshold:0)
 
-let test_filter_into_matches_list () =
-  let arr = Array_filter.sample_input ~seed:5 ~size:Array_filter.standard_size in
-  let buf = Array.make (Array.length arr) 0 in
-  let n = Array_filter.indexes_above_into arr ~threshold:5000 ~buf in
-  let expected = Array_filter.indexes_above arr ~threshold:5000 in
-  Alcotest.(check int) "same count" (List.length expected) n;
-  Alcotest.(check (list int)) "same indexes" expected
-    (Array.to_list (Array.sub buf 0 n))
-
-let test_filter_buffer_guard () =
-  Alcotest.check_raises "short buffer"
-    (Invalid_argument "Array_filter.indexes_above_into: buffer too small")
-    (fun () ->
-      ignore
-        (Array_filter.indexes_above_into [| 1; 2 |] ~threshold:0
-           ~buf:(Array.make 1 0)))
-
 let prop_filter_sound_and_complete =
   QCheck2.Test.make ~name:"every returned index exceeds the threshold, none missed"
     ~count:300
@@ -291,8 +274,6 @@ let () =
       ( "filter",
         [
           Alcotest.test_case "basic" `Quick test_filter_basic;
-          Alcotest.test_case "into == list" `Quick test_filter_into_matches_list;
-          Alcotest.test_case "buffer guard" `Quick test_filter_buffer_guard;
         ] );
       ( "thumbnail",
         [
