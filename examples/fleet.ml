@@ -41,6 +41,7 @@ let run policy =
   let arrivals =
     Arrivals.poisson_process ~rng ~rate_per_s:2000.0 ~duration:(Time.span_s 1.0)
   in
+  let fn_id = Cluster.fn_id cluster ~name:"infer" in
   let inits = Stats.Sample.create () in
   let engine = Cluster.engine cluster in
   List.iter
@@ -48,7 +49,7 @@ let run policy =
       ignore
         (Engine.schedule engine ~after:offset (fun _ ->
              ignore
-               (Cluster.trigger cluster ~name:"infer"
+               (Cluster.trigger cluster ~fn_id
                   ~mode:(Platform.Warm Sandbox.Horse)
                   ~on_complete:(fun server slot ->
                     let record =

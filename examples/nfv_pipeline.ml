@@ -62,12 +62,15 @@ let () =
     ~strategy:Sandbox.Horse;
   Platform.provision platform ~name:"nat" ~count:2 ~strategy:Sandbox.Horse;
 
+  let firewall_id = Platform.fn_id platform ~name:"firewall"
+  and nat_id = Platform.fn_id platform ~name:"nat" in
+  let init_of slot = (Platform.record_of_slot platform slot).Platform.init in
   let rows = ref [] in
   let process packet =
     (* stage 1: firewall decides; its sandbox is resumed via HORSE *)
-    Platform.trigger platform ~name:"firewall"
+    Platform.trigger platform ~fn_id:firewall_id
       ~mode:(Platform.Warm Sandbox.Horse)
-      ~on_complete:(fun fw_record ->
+      ~on_complete:(fun fw_slot ->
         match Firewall.evaluate firewall packet with
         | Firewall.Deny ->
           rows :=
@@ -75,15 +78,15 @@ let () =
               Format.asprintf "%a" Packet.pp packet;
               "DENY";
               "-";
-              Report.span fw_record.Platform.init;
+              Report.span (init_of fw_slot);
               "-";
             ]
             :: !rows
         | Firewall.Allow ->
           (* stage 2: NAT rewrites; separate sandbox, same fast path *)
-          Platform.trigger platform ~name:"nat"
+          Platform.trigger platform ~fn_id:nat_id
             ~mode:(Platform.Warm Sandbox.Horse)
-            ~on_complete:(fun nat_record ->
+            ~on_complete:(fun nat_slot ->
               let rewritten =
                 match Nat.translate nat packet with
                 | Some h -> Format.asprintf "%a" Packet.pp h
@@ -94,8 +97,8 @@ let () =
                   Format.asprintf "%a" Packet.pp packet;
                   "ALLOW";
                   rewritten;
-                  Report.span fw_record.Platform.init;
-                  Report.span nat_record.Platform.init;
+                  Report.span (init_of fw_slot);
+                  Report.span (init_of nat_slot);
                 ]
                 :: !rows)
             ())

@@ -35,10 +35,12 @@ let () =
 
   (* 4. Trigger the function under each start mode and collect the
      sandbox-readiness time (init) and total latency. *)
+  let fn_id = Platform.fn_id platform ~name:"nat" in
   let results = ref [] in
   let run mode =
-    Platform.trigger platform ~name:"nat" ~mode
-      ~on_complete:(fun record ->
+    Platform.trigger platform ~fn_id ~mode
+      ~on_complete:(fun slot ->
+        let record = Platform.record_of_slot platform slot in
         results :=
           ( Platform.mode_name mode,
             record.Platform.init,

@@ -62,14 +62,15 @@ let () =
   let scheduled = ref 0 in
   List.iter
     (fun row ->
+      let name = row.Azure.func in
+      let fn_id = Platform.fn_id platform ~name in
       List.iter
         (fun offset ->
           incr scheduled;
           ignore
             (Engine.schedule engine ~after:offset (fun _ ->
-                 let name = row.Azure.func in
                  let mode =
-                   if Platform.pool_size platform ~name > 0 then
+                   if Platform.pool_size platform ~fn_id > 0 then
                      Platform.Warm Sandbox.Horse
                    else Platform.Cold
                  in
@@ -83,7 +84,7 @@ let () =
                      Platform.Warm Sandbox.Vanilla
                    | m -> m
                  in
-                 Platform.trigger platform ~name ~mode ())))
+                 Platform.trigger platform ~fn_id ~mode ())))
         (Arrivals.chunk ~rng row ~start_minute:540 ~duration))
     rows;
   Engine.run engine;

@@ -136,12 +136,14 @@ let run_start_scenarios ~profile ~repeats ~seed ~scenarios ~jobs () =
           | Horse_start ->
             Platform.provision platform ~name ~count:1 ~strategy:Sandbox.Horse
           | Cold | Restore -> ());
+          let fn_id = Platform.fn_id platform ~name in
+          let arena = Platform.trigger_records platform in
           let inits = ref [] and execs = ref [] in
           for _ = 1 to repeats do
-            Platform.trigger platform ~name ~mode:(scenario_mode scenario)
-              ~on_complete:(fun record ->
-                inits := ns_of record.Platform.init :: !inits;
-                execs := ns_of record.Platform.exec :: !execs)
+            Platform.trigger platform ~fn_id ~mode:(scenario_mode scenario)
+              ~on_complete:(fun slot ->
+                inits := ns_of (Trigger_records.init arena slot) :: !inits;
+                execs := ns_of (Trigger_records.exec arena slot) :: !execs)
               ();
             Engine.run engine
           done;
@@ -444,11 +446,13 @@ let colocation_run ~profile ~seed ~duration ~ull_vcpus ~strategy ~arrivals =
   Platform.provision platform ~name:"thumbnail" ~count:64
     ~strategy:Sandbox.Vanilla;
   Platform.provision platform ~name:"ull" ~count:2 ~strategy;
+  let thumbnail = Platform.fn_id platform ~name:"thumbnail"
+  and ull = Platform.fn_id platform ~name:"ull" in
   List.iter
     (fun offset ->
       ignore
         (Engine.schedule engine ~after:offset (fun _ ->
-             Platform.trigger platform ~name:"thumbnail"
+             Platform.trigger platform ~fn_id:thumbnail
                ~mode:(Platform.Warm Sandbox.Vanilla) ())))
     arrivals;
   List.iter
@@ -456,7 +460,7 @@ let colocation_run ~profile ~seed ~duration ~ull_vcpus ~strategy ~arrivals =
       ignore
         (Engine.schedule engine ~after:offset (fun _ ->
              match
-               Platform.trigger platform ~name:"ull"
+               Platform.trigger platform ~fn_id:ull
                  ~mode:(Platform.Warm strategy) ()
              with
              | () -> ()
@@ -690,12 +694,13 @@ let ablation_energy ?(seed = 42) ?(duration_s = 10.0) () =
       (Function_def.create ~name:"ull" ~vcpus:2 ~memory_mb:512
          ~exec:(Function_def.Ull Category.Cat1) ());
     Platform.provision platform ~name:"ull" ~count:2 ~strategy;
+    let fn_id = Platform.fn_id platform ~name:"ull" in
     List.iter
       (fun offset ->
         ignore
           (Engine.schedule engine ~after:offset (fun _ ->
                match
-                 Platform.trigger platform ~name:"ull"
+                 Platform.trigger platform ~fn_id
                    ~mode:(Platform.Warm strategy) ()
                with
                | () -> ()

@@ -305,7 +305,6 @@ end
 (* A trigger the policy chose not to place yet: it waits in the
    router-side queue until a server claims it. *)
 type pending_trigger = {
-  pt_name : string;
   pt_fn_id : int;
   pt_mode : Platform.start_mode;
   pt_on_complete : (int -> int -> unit) option;  (* server, slot *)
@@ -324,8 +323,9 @@ type router = {
   r_group : int array;  (* owned global server indices, ascending *)
   r_policy : Policy.instance;
   r_view : Policy.view;
-  r_pool : (string, int array) Hashtbl.t;
-      (* believed warm-pool size per function per group server *)
+  mutable r_pool : int array array;
+      (* fn-id -> believed warm-pool size per group server; one row per
+         registered function *)
   r_pending : pending_trigger Queue.t;  (* router-side claimable queue *)
   r_e2e : Stats.Quantile.t option;
       (* arrival -> router-observed completion, microseconds *)
@@ -394,16 +394,6 @@ let router_servers t r =
   if r < 0 || r >= router_count t then
     invalid_arg "Cluster.router_servers: index out of range";
   Array.copy t.routers.(r).r_group
-
-(* The pool-size mirror row for [name]; rows exist from [register] on,
-   so creation never reads live server state mid-run. *)
-let pool_row r name =
-  match Hashtbl.find_opt r.r_pool name with
-  | Some row -> row
-  | None ->
-    let row = Array.make (Array.length r.r_group) 0 in
-    Hashtbl.replace r.r_pool name row;
-    row
 
 let default_placement = Time.span_us 50.0
 
@@ -478,7 +468,7 @@ let create_sharded ?(servers = 4) ?policy ?(e2e = false)
           v_total_vcpus = total_vcpus;
           v_pending = (fun () -> Queue.length pending);
         };
-      r_pool = Hashtbl.create 16;
+      r_pool = [||];
       r_pending = pending;
       r_e2e =
         (if e2e then
@@ -579,6 +569,14 @@ let fn_id t ~name = Platform.fn_id t.platforms.(0) ~name
 
 let function_name t ~fn_id = Platform.function_name t.platforms.(0) ~fn_id
 
+(* Every trigger entry point checks its id here, before any routing
+   side effect. *)
+let check_fn_id t ~fn_id =
+  if
+    fn_id < 0
+    || fn_id >= Function_def.Registry.count (Platform.registry t.platforms.(0))
+  then invalid_arg "Cluster.trigger: unknown fn_id"
+
 let fn_vcpus t ~fn_id =
   (Function_def.Registry.def (Platform.registry t.platforms.(0)) fn_id)
     .Function_def.vcpus
@@ -591,9 +589,13 @@ let observe_e2e r ~arrival =
       (float_of_int (Time.to_ns (Engine.now r.r_engine) - Time.to_ns arrival)
       /. 1e3)
 
-let reject r ~reason ~name =
+let reject t r ~reason ~fn_id =
   let rejection =
-    { reason; function_name = name; at = Engine.now r.r_engine }
+    {
+      reason;
+      function_name = function_name t ~fn_id;
+      at = Engine.now r.r_engine;
+    }
   in
   r.r_rejected <- rejection :: r.r_rejected;
   Metrics.incr r.r_metrics
@@ -611,14 +613,14 @@ let reject r ~reason ~name =
    Dispatch, claim resolution and spills
    are mutually recursive, but only through messages: every re-entry
    happens on a later event. *)
-let rec dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li =
+let rec dispatch t r ~fn_id ~mode ~on_complete ~arrival li =
   let g = r.r_group.(li) in
   let view = r.r_view in
   t.trigger_counts.(g) <- t.trigger_counts.(g) + 1;
   view.v_live.(li) <- view.v_live.(li) + 1;
   (match mode with
   | Platform.Warm _ ->
-    let row = pool_row r name in
+    let row = r.r_pool.(fn_id) in
     if row.(li) > 0 then row.(li) <- row.(li) - 1
   | Platform.Cold | Platform.Restore -> ());
   let vc = fn_vcpus t ~fn_id in
@@ -628,12 +630,12 @@ let rec dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li =
   let arrive = Time.add (Engine.now r.r_engine) t.placement in
   Shard_engine.post t.se ~src:r.r_id ~dst ~at:arrive (fun server_engine ->
       match
-        Platform.trigger_id platform ~fn_id ~mode
-          ~on_complete_slot:(fun slot ->
+        Platform.trigger platform ~fn_id ~mode
+          ~on_complete:(fun slot ->
             (* server side, completion time: capture the pool size the
                sandbox just returned to, then notify the owning
                router *)
-            let pool_now = Platform.pool_size platform ~name in
+            let pool_now = Platform.pool_size platform ~fn_id in
             let done_at = Time.add (Engine.now server_engine) t.placement in
             Shard_engine.post t.se ~src:dst ~dst:r.r_id ~at:done_at (fun _ ->
                 log_push t r ~server:g ~slot;
@@ -644,7 +646,7 @@ let rec dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li =
                    overwrite would erase the optimistic debits of
                    dispatches still in flight, letting the router
                    over-commit a nearly-dry pool *)
-                let row = pool_row r name in
+                let row = r.r_pool.(fn_id) in
                 row.(li) <- min (row.(li) + 1) pool_now;
                 view.v_busy.(li) <- max 0 (view.v_busy.(li) - vc);
                 observe_e2e r ~arrival;
@@ -657,16 +659,16 @@ let rec dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li =
       | exception Platform.No_warm_sandbox _ ->
         (* dry on arrival: the router learns one placement delay
            later and records the typed rejection then *)
-        let pool_now = Platform.pool_size platform ~name in
+        let pool_now = Platform.pool_size platform ~fn_id in
         let back_at = Time.add (Engine.now server_engine) t.placement in
         Shard_engine.post t.se ~src:dst ~dst:r.r_id ~at:back_at (fun _ ->
             view.v_live.(li) <- max 0 (view.v_live.(li) - 1);
             view.v_busy.(li) <- max 0 (view.v_busy.(li) - vc);
             (* no slot was freed; the pool proved dry, so cap the
                mirror at the observed truth *)
-            let row = pool_row r name in
+            let row = r.r_pool.(fn_id) in
             row.(li) <- min row.(li) pool_now;
-            ignore (reject r ~reason:No_warm_capacity ~name);
+            ignore (reject t r ~reason:No_warm_capacity ~fn_id);
             apply_claims t r
               (r.r_policy.Policy.on_rejection view ~server:li)));
   Accepted g
@@ -683,7 +685,7 @@ and apply_claims t r claimants =
       else begin
         let p = Queue.pop r.r_pending in
         ignore
-          (dispatch t r ~name:p.pt_name ~fn_id:p.pt_fn_id ~mode:p.pt_mode
+          (dispatch t r ~fn_id:p.pt_fn_id ~mode:p.pt_mode
              ~on_complete:p.pt_on_complete ~arrival:p.pt_arrival li)
       end)
     claimants
@@ -696,13 +698,13 @@ and apply_claims t r claimants =
    a warm trigger finds the group's believed warm pools dry — the
    blacked-out and dry cases of the protocol; [arrival] stays the
    original ingress time, so end-to-end latency charges the hop. *)
-and trigger_resolved t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival =
+and trigger_resolved t r ~hops ~fn_id ~mode ~on_complete ~arrival =
   let spill_ok = hops < Array.length t.routers - 1 in
   if r.r_healthy_n = 0 then
-    if spill_ok then spill t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival
-    else reject r ~reason:All_servers_down ~name
+    if spill_ok then spill t r ~hops ~fn_id ~mode ~on_complete ~arrival
+    else reject t r ~reason:All_servers_down ~fn_id
   else begin
-    let row = pool_row r name in
+    let row = r.r_pool.(fn_id) in
     r.r_view.Policy.v_warm <- row;
     let needs_pool =
       match mode with
@@ -712,18 +714,17 @@ and trigger_resolved t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival =
     (* a downed server's row cells were zeroed on [mark_down], so the
        sum covers the healthy group only *)
     if spill_ok && needs_pool && Array.fold_left ( + ) 0 row = 0 then
-      spill t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival
+      spill t r ~hops ~fn_id ~mode ~on_complete ~arrival
     else
       match
         r.r_policy.Policy.decide r.r_view ~vcpus:(fn_vcpus t ~fn_id)
           ~needs_pool
       with
       | Policy.Assign li ->
-        dispatch t r ~name ~fn_id ~mode ~on_complete ~arrival li
+        dispatch t r ~fn_id ~mode ~on_complete ~arrival li
       | Policy.Enqueue ->
         Queue.push
           {
-            pt_name = name;
             pt_fn_id = fn_id;
             pt_mode = mode;
             pt_on_complete = on_complete;
@@ -733,14 +734,14 @@ and trigger_resolved t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival =
         Queued
   end
 
-and spill t r ~hops ~name ~fn_id ~mode ~on_complete ~arrival =
+and spill t r ~hops ~fn_id ~mode ~on_complete ~arrival =
   let nxt = t.routers.((r.r_id + 1) mod Array.length t.routers) in
   Metrics.incr r.r_metrics "cluster.spills";
   let at = Time.add (Engine.now r.r_engine) t.placement in
   Shard_engine.post t.se ~src:r.r_id ~dst:nxt.r_id ~at (fun _ ->
       ignore
-        (trigger_resolved t nxt ~hops:(hops + 1) ~name ~fn_id ~mode
-           ~on_complete ~arrival));
+        (trigger_resolved t nxt ~hops:(hops + 1) ~fn_id ~mode ~on_complete
+           ~arrival));
   Forwarded nxt.r_id
 
 let mark_down t i =
@@ -756,7 +757,7 @@ let mark_down t i =
        the server is marked down *)
     view.v_live.(li) <- 0;
     view.v_busy.(li) <- 0;
-    Hashtbl.iter (fun _ row -> row.(li) <- 0) r.r_pool;
+    Array.iter (fun row -> row.(li) <- 0) r.r_pool;
     apply_claims t r
       (r.r_policy.Policy.on_health_change view ~server:li ~up:false)
   end
@@ -773,18 +774,25 @@ let mark_up t i =
       (r.r_policy.Policy.on_health_change view ~server:li ~up:true)
   end
 
+(* Each router grows its pool mirror by the new function's row: fn-ids
+   are dense in registration order, so the row's index is the id. *)
 let register t fn =
   Array.iter (fun p -> Platform.register p fn) t.platforms;
-  Array.iter (fun r -> ignore (pool_row r fn.Function_def.name)) t.routers
+  Array.iter
+    (fun r ->
+      r.r_pool <-
+        Array.append r.r_pool [| Array.make (Array.length r.r_group) 0 |])
+    t.routers
 
 let provision ?router t ~name ~total ~strategy =
+  let fn_id = fn_id t ~name in
   let r =
     match router with
     | Some ri ->
       if ri < 0 || ri >= router_count t then
         invalid_arg "Cluster.provision: router out of range";
       t.routers.(ri)
-    | None -> t.routers.(router_of_fn t ~fn_id:(fn_id t ~name))
+    | None -> t.routers.(router_of_fn t ~fn_id)
   in
   let size = Array.length r.r_group in
   for i = 0 to total - 1 do
@@ -796,43 +804,33 @@ let provision ?router t ~name ~total ~strategy =
      mirror from the actual pools before any window runs *)
   Array.iter
     (fun r ->
-      let row = pool_row r name in
+      let row = r.r_pool.(fn_id) in
       Array.iteri
-        (fun li g -> row.(li) <- Platform.pool_size t.platforms.(g) ~name)
+        (fun li g -> row.(li) <- Platform.pool_size t.platforms.(g) ~fn_id)
         r.r_group)
     t.routers
 
-let pool_size t ~name =
-  Array.fold_left (fun acc p -> acc + Platform.pool_size p ~name) 0 t.platforms
+let pool_size t ~fn_id =
+  Array.fold_left (fun acc p -> acc + Platform.pool_size p ~fn_id) 0 t.platforms
 
-(* Entry point shared by [trigger] and [trigger_id].  Un-pinned
-   triggers land on the function's affine router with the full spill
-   budget; [?router]-pinned triggers (the workflow stepper, which owns
-   per-router state keyed to that id) never spill, so their completion
-   always comes back on the pinned timeline. *)
-let resolve_entry t ~router ~name ~fn_id ~mode ~on_complete =
+(* Un-pinned triggers land on the function's affine router with the
+   full spill budget; [?router]-pinned triggers (the workflow stepper,
+   which owns per-router state keyed to that id) never spill, so their
+   completion always comes back on the pinned timeline. *)
+let trigger ?router t ~fn_id ~mode ?on_complete () =
+  check_fn_id t ~fn_id;
   let rc = Array.length t.routers in
   match router with
   | Some ri ->
     if ri < 0 || ri >= rc then
       invalid_arg "Cluster.trigger: router out of range";
     let r = t.routers.(ri) in
-    trigger_resolved t r ~hops:(rc - 1) ~name ~fn_id ~mode ~on_complete
+    trigger_resolved t r ~hops:(rc - 1) ~fn_id ~mode ~on_complete
       ~arrival:(Engine.now r.r_engine)
   | None ->
     let r = t.routers.(router_of_fn t ~fn_id) in
-    trigger_resolved t r ~hops:0 ~name ~fn_id ~mode ~on_complete
+    trigger_resolved t r ~hops:0 ~fn_id ~mode ~on_complete
       ~arrival:(Engine.now r.r_engine)
-
-let trigger ?router t ~name ~mode ?on_complete () =
-  (* resolve the id up front so an unknown function raises before any
-     routing side effects, exactly as the per-name path always did *)
-  let fn_id = fn_id t ~name in
-  resolve_entry t ~router ~name ~fn_id ~mode ~on_complete
-
-let trigger_id ?router t ~fn_id ~mode ?on_complete () =
-  let name = function_name t ~fn_id in
-  resolve_entry t ~router ~name ~fn_id ~mode ~on_complete
 
 (* Batched ingestion: each row lands on its function's affine
    router's engine through the trace layer's windowed cursor. *)
@@ -843,10 +841,9 @@ let schedule_batch ?window ?on_complete t batch =
     ~fire:(fun ri k ->
       let r = t.routers.(ri) in
       let fn_id = Batch.fn_id batch k in
+      check_fn_id t ~fn_id;
       ignore
-        (trigger_resolved t r ~hops:0
-           ~name:(function_name t ~fn_id)
-           ~fn_id
+        (trigger_resolved t r ~hops:0 ~fn_id
            ~mode:(Platform.mode_of_code (Batch.payload batch k))
            ~on_complete
            ~arrival:(Engine.now r.r_engine)))

@@ -15,8 +15,8 @@
     With [routers > 1] the control plane itself is partitioned:
     functions map to routers by a deterministic hash of their dense
     registry id ({!router_of_fn}), router [r] owns the disjoint server
-    group [{ g | g mod routers = r }] with its own mirrors, load
-    index, pending queue and policy instance, and the routers form a
+    group [{ g | g mod routers = r }] with its own mirrors, pending
+    queue and policy instance, and the routers form a
     directed spill ring — a trigger arriving at a router whose group
     is fully down, or dry of warm pools for a warm trigger, is
     forwarded to the next router over a declared router<->router
@@ -335,7 +335,9 @@ val register : t -> Function_def.t -> unit
 val fn_id : t -> name:string -> int
 (** The fleet-wide dense id for a registered function.  Every server
     interns the same functions in the same order, so one id stands for
-    all servers — resolve once, then use {!trigger_id} on hot paths.
+    all servers.  Names are a setup-time concept: {!register} and
+    {!provision} take the name, and everything after setup
+    ({!pool_size}, {!trigger}, {!schedule_batch}) takes this id.
     @raise Platform.Unknown_function *)
 
 val function_name : t -> fn_id:int -> string
@@ -356,19 +358,20 @@ val provision :
     on its root function's router.
     @raise Invalid_argument on an out-of-range [router]. *)
 
-val pool_size : t -> name:string -> int
-(** Fleet-wide warm-pool size. *)
+val pool_size : t -> fn_id:int -> int
+(** Fleet-wide warm-pool size.
+    @raise Invalid_argument on an unregistered id. *)
 
 val trigger :
   ?router:int ->
   t ->
-  name:string ->
+  fn_id:int ->
   mode:Platform.start_mode ->
   ?on_complete:(int -> int -> unit) ->
   unit ->
   outcome
-(** Route one invocation among the healthy servers of the owning
-    router's group.  [Accepted i] is the chosen (global) server;
+(** Route one invocation of the function among the healthy servers
+    of the owning router's group.  [Accepted i] is the chosen (global) server;
     [Rejected _] means no healthy server existed (the rejection is
     recorded and counted, and [on_complete] never fires); [Queued]
     means the policy parked the trigger in the router queue until a
@@ -392,19 +395,10 @@ val trigger :
     [Platform.trigger_records (server t server)], the invocation's one
     stored row (the same pair {!iter_records} yields).  Nothing is
     boxed; a caller that wants a record value calls
-    [Platform.record_of_slot (server t server) slot].
-    @raise Platform.Unknown_function *)
-
-val trigger_id :
-  ?router:int ->
-  t ->
-  fn_id:int ->
-  mode:Platform.start_mode ->
-  ?on_complete:(int -> int -> unit) ->
-  unit ->
-  outcome
-(** {!trigger} by pre-resolved dense id — no per-trigger string
-    lookup.  @raise Invalid_argument on an unknown id. *)
+    [Platform.record_of_slot (server t server) slot].  A {!rejection}
+    names the triggered function.
+    @raise Invalid_argument on an unregistered id (before any routing
+    side effect) or an out-of-range [router]. *)
 
 val schedule_batch :
   ?window:int ->
@@ -414,7 +408,7 @@ val schedule_batch :
   unit
 (** Ingest a whole (sorted) trigger batch, offsets relative to the
     owning router engines' current time, each trigger routed exactly
-    as {!trigger_id} would at its arrival instant ([payload] column =
+    as {!trigger} would at its arrival instant ([payload] column =
     {!Platform.mode_code}) — each row lands on its function's affine
     router's engine, and [on_complete] fires for each as in
     {!trigger}.  Arrivals are pre-scheduled through
@@ -423,12 +417,13 @@ val schedule_batch :
     rather than the whole trace; within the batch, arrivals fire in
     batch order.  With [window >= length]
     the schedule is event-for-event identical to calling
-    {!trigger_id} in a loop of [Engine.schedule_at]; with smaller
+    {!trigger} in a loop of [Engine.schedule_at]; with smaller
     windows, later-window arrivals are enqueued mid-run, so an
     unrelated simulation event at {e exactly} a window-boundary
     timestamp may interleave differently — each ingestion style is
     individually deterministic and shard-count-invariant.
-    @raise Invalid_argument if [window < 1] or the batch is unsorted. *)
+    @raise Invalid_argument if [window < 1] or the batch is unsorted,
+    and at its arrival instant for a row with an unregistered id. *)
 
 val run : ?until:Horse_sim.Time_ns.t -> t -> unit
 (** Drive the simulation to completion (or to [until], inclusive):

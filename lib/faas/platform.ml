@@ -110,34 +110,22 @@ module Recovery = struct
       cold_timeout }
 end
 
-(* What a completion notifies.  [Sink_slot] hands over the arena slot
-   of the just-appended record — the zero-allocation path the cluster
-   rides; [Sink_record] materializes the boxed record only because a
-   caller asked for one. *)
-type sink =
-  | Sink_none
-  | Sink_record of (record -> unit)
-  | Sink_slot of (int -> unit)
-
 type invocation = {
   id : int;
-  fn : Function_def.t;
   fn_id : int;
-  inv_mode : start_mode;
+  inv_mode : start_mode;  (* the rung that served it *)
+  orig_mode : start_mode;  (* the mode triggered: a retry restarts here *)
+  attempt : int;
+  doomed : bool;  (* an exec-time crash fires instead of the completion *)
   sandbox : Sandbox.t;
   started : Time.t;
   inv_init : Time.span;
   inv_exec : Time.span;
   cpus : int list;
-  sink : sink;
+  on_complete : (int -> unit) option;  (* handed the arena slot *)
   mutable preempt_ns : int;
   mutable finish_at : Time.t;
   mutable completion : Engine.event_handle option;
-  (* what the scheduled event does when it fires — completion for a
-     healthy invocation, the exec-crash handler for a doomed one.
-     Preemption rescheduling goes through this so a pushed-back doomed
-     invocation still crashes instead of silently completing. *)
-  mutable resolve : unit -> unit;
 }
 
 type t = {
@@ -149,12 +137,10 @@ type t = {
   keep_alive : Time.span;
   recovery : Recovery.t;
   registry : Function_def.Registry.t;  (* name <-> dense fn-id *)
-  pools : (string, Sandbox.t Queue.t) Hashtbl.t;
-      (* FIFO warm pools: push-back on park, pop-front on trigger, O(1)
-         either way so million-sandbox pools stay cheap *)
-  mutable pools_by_id : Sandbox.t Queue.t array;
-      (* fn-id -> the same queues as [pools]: the per-trigger path
-         indexes an array instead of hashing the function name *)
+  mutable pools : Sandbox.t Queue.t array;
+      (* fn-id -> FIFO warm pool: push-back on park, pop-front on
+         trigger, O(1) either way so million-sandbox pools stay cheap;
+         cells past the registry's count are spare empty queues *)
   dvfs : Horse_cpu.Dvfs.t;
   energy : Horse_cpu.Energy.t;
   occupancy : (int, invocation) Hashtbl.t;  (* cpu -> invocation *)
@@ -189,8 +175,7 @@ let create ?(topology = Topology.r650) ?(cost = Cost_model.firecracker)
     energy = Horse_cpu.Energy.create ~topology ();
     rng = Rng.create ~seed;
     keep_alive;
-    pools = Hashtbl.create 16;
-    pools_by_id = [||];
+    pools = [||];
     occupancy = Hashtbl.create 64;
     live = Hashtbl.create 64;
     busy_vcpus = 0;
@@ -226,57 +211,46 @@ let register t fn =
       (Printf.sprintf "Platform.register: %s already registered"
          fn.Function_def.name);
   let id = Function_def.Registry.intern t.registry fn in
-  let q = Queue.create () in
-  Hashtbl.replace t.pools fn.Function_def.name q;
-  if id >= Array.length t.pools_by_id then begin
-    let grown =
+  if id >= Array.length t.pools then
+    t.pools <-
       Array.init
         (max 8 (2 * (id + 1)))
         (fun i ->
-          if i < Array.length t.pools_by_id then t.pools_by_id.(i)
-          else Queue.create ())
-    in
-    t.pools_by_id <- grown
-  end;
-  t.pools_by_id.(id) <- q
-
-let find_function t name =
-  match Function_def.Registry.find t.registry name with
-  | Some id -> (Function_def.Registry.def t.registry id, id)
-  | None -> raise (Unknown_function name)
+          if i < Array.length t.pools then t.pools.(i) else Queue.create ())
 
 let registry t = t.registry
 
-let fn_id t ~name = snd (find_function t name)
+let fn_id t ~name =
+  match Function_def.Registry.find t.registry name with
+  | Some id -> id
+  | None -> raise (Unknown_function name)
 
 let function_name t ~fn_id = Function_def.Registry.name t.registry fn_id
 
-let pool t name =
-  ignore (find_function t name);
-  match Hashtbl.find_opt t.pools name with
-  | Some p -> p
-  | None ->
-    let p = Queue.create () in
-    Hashtbl.replace t.pools name p;
-    p
+let check_fn_id t ~fn_id caller =
+  if fn_id < 0 || fn_id >= Function_def.Registry.count t.registry then
+    invalid_arg (caller ^ ": unknown fn_id")
 
-let pool_size t ~name = Queue.length (pool t name)
+let pool_size t ~fn_id =
+  check_fn_id t ~fn_id "Platform.pool_size";
+  Queue.length t.pools.(fn_id)
 
-let new_sandbox t fn =
+let new_sandbox t fn_id =
+  let fn = Function_def.Registry.def t.registry fn_id in
   let id = t.next_sandbox_id in
   t.next_sandbox_id <- id + 1;
   Sandbox.create ~id ~vcpus:fn.Function_def.vcpus
     ~memory_mb:fn.Function_def.memory_mb ~ull:fn.Function_def.ull ()
 
 let provision t ~name ~count ~strategy =
-  let fn, _ = find_function t name in
-  let p = pool t name in
+  let fn_id = fn_id t ~name in
+  let p = t.pools.(fn_id) in
   let provisioned = ref 0 in
   for _ = 1 to count do
     (* a pause-time fault kills the fresh sandbox; retry the slot a
        bounded number of times rather than looping on a hot plan *)
     let rec attempt tries =
-      let sb = new_sandbox t fn in
+      let sb = new_sandbox t fn_id in
       ignore (Vmm.boot t.vmm sb);
       match Vmm.pause t.vmm ~strategy sb with
       | (_ : Time.span) ->
@@ -289,7 +263,7 @@ let provision t ~name ~count ~strategy =
   Metrics.incr t.metrics ~by:!provisioned "platform.provisioned"
 
 let rec pop_pool t fn_id =
-  let p = t.pools_by_id.(fn_id) in
+  let p = t.pools.(fn_id) in
   match Queue.take_opt p with
   | None -> raise (No_warm_sandbox (Function_def.Registry.name t.registry fn_id))
   | Some sb ->
@@ -302,10 +276,10 @@ let rec pop_pool t fn_id =
     end
     else sb
 
-let push_pool t fn_id sb = Queue.push sb t.pools_by_id.(fn_id)
+let push_pool t fn_id sb = Queue.push sb t.pools.(fn_id)
 
 let remove_from_pool t fn_id sb =
-  let p = t.pools_by_id.(fn_id) in
+  let p = t.pools.(fn_id) in
   let before = Queue.length p in
   let keep = Queue.create () in
   Queue.iter (fun other -> if not (other == sb) then Queue.push other keep) p;
@@ -327,27 +301,6 @@ let preemption_penalty t ~resumed_vcpus =
           +. (float_of_int resumed_vcpus
              *. c.Cost_model.preempt_cache_refill_per_vcpu_ns))))
 
-let apply_preemptions t ~resumed_vcpus cpus =
-  List.iter
-    (fun cpu ->
-      match Hashtbl.find_opt t.occupancy cpu with
-      | None -> ()
-      | Some inv -> (
-        match inv.completion with
-        | None -> ()
-        | Some handle ->
-          let penalty = preemption_penalty t ~resumed_vcpus in
-          if Engine.cancel t.engine handle then begin
-            inv.preempt_ns <- inv.preempt_ns + Time.span_to_ns penalty;
-            inv.finish_at <- Time.add inv.finish_at penalty;
-            Metrics.incr t.metrics "platform.preemptions";
-            inv.completion <-
-              Some
-                (Engine.schedule_at t.engine ~at:inv.finish_at (fun _ ->
-                     inv.resolve ()))
-          end))
-    cpus
-
 let schedule_expiry t fn_id sb =
   ignore
     (Engine.schedule t.engine ~after:t.keep_alive (fun _ ->
@@ -357,8 +310,8 @@ let schedule_expiry t fn_id sb =
            Metrics.incr t.metrics "platform.keepalive_expiries"
          end))
 
-(* Materialize the boxed record for one arena slot — only
-   [Sink_record] subscribers and explicit callers pay for this. *)
+(* Materialize the boxed record for one arena slot — only callers
+   that ask for a record value pay for this. *)
 let record_of_slot t i =
   let a = t.arena in
   {
@@ -407,10 +360,7 @@ let complete t inv =
       push_pool t inv.fn_id inv.sandbox;
       schedule_expiry t inv.fn_id inv.sandbox
     with Fault.Injected _ -> Metrics.incr t.metrics "platform.pool_losses"));
-  match inv.sink with
-  | Sink_none -> ()
-  | Sink_slot f -> f slot
-  | Sink_record f -> f (record_of_slot t slot)
+  match inv.on_complete with None -> () | Some f -> f slot
 
 let downgrade = function
   | Warm _ -> Some Restore
@@ -429,44 +379,41 @@ let timeout_for (recovery : Recovery.t) = function
    never descends, so the ladder always terminates.  [attempt] and
    [orig_mode] belong to the async retry loop: an exec-time crash
    re-enters here from the top of the ladder after a backoff. *)
-let rec start_attempt t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt
+let rec start_attempt t ~fn_id ~orig_mode ~mode ~on_complete ~attempt
     ~triggered_at ~penalty_ns =
   let recovery = t.recovery in
   let descend ~to_ ~burned_ns =
     Metrics.incr t.metrics
       (Printf.sprintf "platform.fallbacks.%s-to-%s" (mode_name mode)
          (mode_name to_));
-    start_attempt t ~fn ~fn_id ~orig_mode ~mode:to_ ~sink ~attempt
+    start_attempt t ~fn_id ~orig_mode ~mode:to_ ~on_complete ~attempt
       ~triggered_at
       ~penalty_ns:(penalty_ns + burned_ns)
   in
   match
     match mode with
     | Cold ->
-      let sb = new_sandbox t fn in
+      let sb = new_sandbox t fn_id in
       let boot = Vmm.boot t.vmm sb in
       ( sb,
         Time.add_span boot (Vmm.dispatch_overhead t.vmm ~strategy:Sandbox.Vanilla),
         [] )
     | Restore ->
-      let sb = new_sandbox t fn in
+      let sb = new_sandbox t fn_id in
       let restore = Vmm.restore t.vmm sb in
       ( sb,
         Time.add_span restore
           (Vmm.dispatch_overhead t.vmm ~strategy:Sandbox.Vanilla),
         [] )
-    | Warm strategy ->
+    | Warm _ ->
       let sb = pop_pool t fn_id in
-      (* the resume runs under the strategy recorded at pause time;
+      let result = Vmm.resume t.vmm sb in
+      (* the resume ran under the strategy recorded at pause time, and
          dispatch must match it (a vanilla-paused sandbox cannot take
          the HORSE fast path even if the trigger asked for it) *)
-      let recorded =
-        Option.value ~default:strategy (Sandbox.pause_strategy sb)
-      in
-      let result = Vmm.resume t.vmm sb in
       ( sb,
         Time.add_span result.Vmm.total
-          (Vmm.dispatch_overhead t.vmm ~strategy:recorded),
+          (Vmm.dispatch_overhead t.vmm ~strategy:result.Vmm.strategy),
         result.Vmm.preempted_cpus )
   with
   | exception Fault.Injected { cost; _ }
@@ -489,14 +436,15 @@ let rec start_attempt t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt
         descend ~to_:next ~burned_ns:(Time.span_to_ns limit)
       | Some _ | None ->
         (* bottom rung (or degradation off): counted, but accepted *)
-        launch t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt
-          ~triggered_at ~penalty_ns ~sandbox ~init ~preempted_cpus)
+        launch t ~fn_id ~orig_mode ~mode ~on_complete ~attempt ~triggered_at
+          ~penalty_ns ~sandbox ~init ~preempted_cpus)
     | Some _ | None ->
-      launch t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at
+      launch t ~fn_id ~orig_mode ~mode ~on_complete ~attempt ~triggered_at
         ~penalty_ns ~sandbox ~init ~preempted_cpus)
 
-and launch t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at
+and launch t ~fn_id ~orig_mode ~mode ~on_complete ~attempt ~triggered_at
     ~penalty_ns ~sandbox ~init ~preempted_cpus =
+  let fn = Function_def.Registry.def t.registry fn_id in
   let now = Engine.now t.engine in
   apply_preemptions t ~resumed_vcpus:(Sandbox.vcpu_count sandbox)
     preempted_cpus;
@@ -513,23 +461,34 @@ and launch t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at
      failed-rung costs ([penalty_ns]) and the successful rung itself *)
   let wait_ns = Time.span_to_ns (Time.diff now triggered_at) in
   let inv_init = Time.span_ns (wait_ns + penalty_ns + Time.span_to_ns init) in
-  let finish_at = Time.add triggered_at (Time.add_span inv_init exec) in
+  (* doomed: the sandbox dies part-way through execution.  The crash
+     instant is drawn now (deterministically); [exec_crash] decides
+     between a backed-off retry and an abort when it fires. *)
+  let faults = Vmm.faults t.vmm in
+  let doomed = Fault.Plan.fires faults Fault.Exec_crash in
+  let runs_for =
+    if doomed then
+      let frac = Fault.Plan.fraction faults Fault.Exec_crash in
+      Time.span_ns (int_of_float (frac *. float_of_int (Time.span_to_ns exec)))
+    else exec
+  in
   let inv =
     {
       id;
-      fn;
       fn_id;
       inv_mode = mode;
+      orig_mode;
+      attempt;
+      doomed;
       sandbox;
       started = triggered_at;
       inv_init;
       inv_exec = exec;
       cpus;
-      sink;
+      on_complete;
       preempt_ns = 0;
-      finish_at;
+      finish_at = Time.add triggered_at (Time.add_span inv_init runs_for);
       completion = None;
-      resolve = (fun () -> ());
     }
   in
   Hashtbl.replace t.live id inv;
@@ -543,28 +502,8 @@ and launch t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at
         (Horse_sched.Load_tracking.utilisation (Runqueue.load queue)))
     (Sandbox.placements sandbox);
   List.iter (fun cpu -> Hashtbl.replace t.occupancy cpu inv) cpus;
-  let faults = Vmm.faults t.vmm in
-  if Fault.Plan.fires faults Fault.Exec_crash then begin
-    (* doomed: the sandbox dies part-way through execution.  The crash
-       instant is drawn now (deterministically); the handler decides
-       between a backed-off retry and an abort when it fires. *)
-    let frac = Fault.Plan.fraction faults Fault.Exec_crash in
-    let crash_after =
-      Time.span_ns (int_of_float (frac *. float_of_int (Time.span_to_ns exec)))
-    in
-    inv.finish_at <- Time.add triggered_at (Time.add_span inv_init crash_after);
-    inv.resolve <- (fun () -> exec_crash t inv ~orig_mode ~attempt);
-    inv.completion <-
-      Some
-        (Engine.schedule_at t.engine ~at:inv.finish_at (fun _ ->
-             inv.resolve ()))
-  end
-  else begin
-    inv.resolve <- (fun () -> complete t inv);
-    inv.completion <-
-      Some
-        (Engine.schedule_at t.engine ~at:finish_at (fun _ -> inv.resolve ()))
-  end;
+  inv.completion <-
+    Some (Engine.schedule_at t.engine ~at:inv.finish_at (fun _ -> fire t inv));
   Log.debug (fun m ->
       m "trigger %s mode=%s init=%dns exec=%dns" fn.Function_def.name
         (mode_name mode)
@@ -578,24 +517,52 @@ and launch t ~fn ~fn_id ~orig_mode ~mode ~sink ~attempt ~triggered_at
   let c = t.triggers_c.(code) in
   c := !c + 1
 
-and exec_crash t inv ~orig_mode ~attempt =
+(* What an invocation's scheduled event does: the completion for a
+   healthy invocation, the exec-crash handler for a doomed one.  A
+   preemption reschedules through this too, so a pushed-back doomed
+   invocation still crashes instead of silently completing. *)
+and fire t inv = if inv.doomed then exec_crash t inv else complete t inv
+
+and apply_preemptions t ~resumed_vcpus cpus =
+  List.iter
+    (fun cpu ->
+      match Hashtbl.find_opt t.occupancy cpu with
+      | None -> ()
+      | Some inv -> (
+        match inv.completion with
+        | None -> ()
+        | Some handle ->
+          let penalty = preemption_penalty t ~resumed_vcpus in
+          if Engine.cancel t.engine handle then begin
+            inv.preempt_ns <- inv.preempt_ns + Time.span_to_ns penalty;
+            inv.finish_at <- Time.add inv.finish_at penalty;
+            Metrics.incr t.metrics "platform.preemptions";
+            inv.completion <-
+              Some
+                (Engine.schedule_at t.engine ~at:inv.finish_at (fun _ ->
+                     fire t inv))
+          end))
+    cpus
+
+and exec_crash t inv =
   List.iter (fun cpu -> Hashtbl.remove t.occupancy cpu) inv.cpus;
   Hashtbl.remove t.live inv.id;
   t.busy_vcpus <- t.busy_vcpus - List.length inv.cpus;
   Vmm.crash t.vmm inv.sandbox;
   Metrics.incr t.metrics "platform.exec_crashes";
   let recovery = t.recovery in
-  if attempt < recovery.Recovery.max_attempts then begin
+  if inv.attempt < recovery.Recovery.max_attempts then begin
     Metrics.incr t.metrics "platform.retries";
     let delay_ns =
-      Time.span_to_ns recovery.Recovery.backoff * (1 lsl (attempt - 1))
+      Time.span_to_ns recovery.Recovery.backoff * (1 lsl (inv.attempt - 1))
     in
     ignore
       (Engine.schedule t.engine ~after:(Time.span_ns delay_ns) (fun _ ->
            match
-             start_attempt t ~fn:inv.fn ~fn_id:inv.fn_id ~orig_mode
-               ~mode:orig_mode ~sink:inv.sink ~attempt:(attempt + 1)
-               ~triggered_at:inv.started ~penalty_ns:0
+             start_attempt t ~fn_id:inv.fn_id ~orig_mode:inv.orig_mode
+               ~mode:inv.orig_mode ~on_complete:inv.on_complete
+               ~attempt:(inv.attempt + 1) ~triggered_at:inv.started
+               ~penalty_ns:0
            with
            | () -> ()
            | exception (No_warm_sandbox _ | Fault.Injected _) ->
@@ -603,27 +570,10 @@ and exec_crash t inv ~orig_mode ~attempt =
   end
   else Metrics.incr t.metrics "platform.aborts"
 
-let trigger_sink t ~fn ~fn_id ~mode ~sink =
-  start_attempt t ~fn ~fn_id ~orig_mode:mode ~mode ~sink ~attempt:1
+let trigger t ~fn_id ~mode ?on_complete () =
+  check_fn_id t ~fn_id "Platform.trigger";
+  start_attempt t ~fn_id ~orig_mode:mode ~mode ~on_complete ~attempt:1
     ~triggered_at:(Engine.now t.engine) ~penalty_ns:0
-
-let trigger t ~name ~mode ?on_complete () =
-  let fn, fn_id = find_function t name in
-  let sink =
-    match on_complete with None -> Sink_none | Some f -> Sink_record f
-  in
-  trigger_sink t ~fn ~fn_id ~mode ~sink
-
-(* The allocation-free entry point: function pre-resolved to its dense
-   id, completion notified (if at all) by arena slot rather than a
-   boxed record.  The cluster's batch path and the storm bench ride
-   this. *)
-let trigger_id t ~fn_id ~mode ?on_complete_slot () =
-  let fn = Function_def.Registry.def t.registry fn_id in
-  let sink =
-    match on_complete_slot with None -> Sink_none | Some f -> Sink_slot f
-  in
-  trigger_sink t ~fn ~fn_id ~mode ~sink
 
 (* A whole-server outage: every in-flight invocation is lost (its
    completion event cancelled, its sandbox crashed) and every warm
@@ -645,8 +595,8 @@ let blackout t =
   Hashtbl.reset t.live;
   t.busy_vcpus <- 0;
   let pooled = ref 0 in
-  Hashtbl.iter
-    (fun _ p ->
+  Array.iter
+    (fun p ->
       Queue.iter
         (fun sb ->
           Vmm.crash t.vmm sb;

@@ -158,8 +158,9 @@ val registry : t -> Function_def.Registry.t
     registration order. *)
 
 val fn_id : t -> name:string -> int
-(** The dense id for a registered function — resolve once, then
-    trigger by id on hot paths.
+(** The dense id for a registered function.  Names are a setup-time
+    concept: {!register} and {!provision} take the name, and
+    everything after setup ({!pool_size}, {!trigger}) takes this id.
     @raise Unknown_function *)
 
 val function_name : t -> fn_id:int -> string
@@ -173,20 +174,24 @@ val provision :
     measured window.
     @raise Unknown_function *)
 
-val pool_size : t -> name:string -> int
+val pool_size : t -> fn_id:int -> int
+(** Paused sandboxes in the function's warm pool.
+    @raise Invalid_argument on an unregistered id. *)
 
 val trigger :
   t ->
-  name:string ->
+  fn_id:int ->
   mode:start_mode ->
-  ?on_complete:(record -> unit) ->
+  ?on_complete:(int -> unit) ->
   unit ->
   unit
-(** Start one invocation now (in virtual time).  The sandbox-ready
-    path runs synchronously against the scheduler state; execution
-    completes after [init + exec (+ preemption)] on the engine, at
-    which point the row is appended to {!trigger_records} and
-    [on_complete] fires with its boxed {!record_of_slot}.
+(** Start one invocation of the function now (in virtual time).  The
+    sandbox-ready path runs synchronously against the scheduler state;
+    execution completes after [init + exec (+ preemption)] on the
+    engine, at which point the invocation's row is appended to
+    {!trigger_records} and [on_complete] is handed that row's arena
+    slot.  Nothing is boxed: read the columns in place, or call
+    {!record_of_slot} for a record value.
 
     A [Warm s] trigger resumes under the strategy the sandbox was
     {e paused} with (and pays that strategy's dispatch); [s] decides
@@ -197,31 +202,16 @@ val trigger :
     {!Recovery} fallback ladder; the record's [mode] is then the rung
     that actually served the invocation and its [init] includes the
     failed rungs' burned time.
-    @raise Unknown_function, @raise No_warm_sandbox (the latter only
-    with {!Recovery.t.degrade} off), @raise Horse_fault.Fault.Injected
-    (only with {!Recovery.t.degrade} off) *)
-
-val trigger_id :
-  t ->
-  fn_id:int ->
-  mode:start_mode ->
-  ?on_complete_slot:(int -> unit) ->
-  unit ->
-  unit
-(** {!trigger} by pre-resolved dense id — the allocation-free entry
-    point.  No string lookup; completion (if observed at all) is
-    notified with the arena {e slot index} of the appended row rather
-    than a boxed {!record}, so callers that only aggregate (the
-    cluster, the storm bench) read columns in place via
-    {!trigger_records}.  Semantics are otherwise identical to
-    {!trigger}, fault ladder included.
-    @raise Invalid_argument on an unknown id. *)
+    @raise Invalid_argument on an unregistered id, before any side
+    effect.  @raise No_warm_sandbox (only with {!Recovery.t.degrade}
+    off).  @raise Horse_fault.Fault.Injected (only with
+    {!Recovery.t.degrade} off). *)
 
 val blackout : t -> int
 (** Whole-server outage: cancel every in-flight invocation (crashing
-    its sandbox) and flush every warm pool.  Returns the number of
-    in-flight invocations lost.  Bumps [platform.blackouts],
-    [platform.blackout_invocation_losses] and
+    its sandbox) and flush every warm pool, in fn-id order.  Returns
+    the number of in-flight invocations lost.  Bumps
+    [platform.blackouts], [platform.blackout_invocation_losses] and
     [platform.blackout_pool_losses].  The caller (the cluster) is
     responsible for routing around the server until it recovers. *)
 

@@ -4,7 +4,7 @@
    plane: every instance is keyed to the router owning its root
    function (node 0's original function — stable whether or not the
    root fused), [start] dispatches every zero-indegree unit through
-   [Cluster.trigger_id ~router], and each completion callback
+   [Cluster.trigger ~router], and each completion callback
    (delivered by the cluster in router order, always on the owning
    router's timeline because pinned triggers never spill) decrements
    its successors' pending counts and dispatches the ones that reach
@@ -525,7 +525,7 @@ let rec dispatch t inst_id inst u_id =
      guaranteed to fire on that router's timeline (pinned triggers
      never spill), so the whole traversal stays on one strand *)
   match
-    Cluster.trigger_id t.t_cluster ~router:w.w_router ~fn_id:u.u_fn_id
+    Cluster.trigger t.t_cluster ~router:w.w_router ~fn_id:u.u_fn_id
       ~mode:u.u_mode
       ~on_complete:(fun server slot ->
         unit_complete t inst_id u_id ~hop:((slot * t.t_servers) + server))

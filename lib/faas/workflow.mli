@@ -17,7 +17,7 @@
     keyed to the router owning its root function — node 0's
     {e original} function, stable whether or not the root fused
     ({!wf_router}).  Instances live entirely on that router's
-    timeline: units dispatch through [Cluster.trigger_id ~router]
+    timeline: units dispatch through [Cluster.trigger ~router]
     (pinned triggers never spill, so completions always return to the
     home strand), {!provision} parks pools in the home router's server
     group, and all stepper state — instance tables, counters, node
@@ -167,7 +167,7 @@ val start :
   unit ->
   int
 (** Begin one instance now (in virtual time): every ready unit is
-    dispatched through {!Cluster.trigger_id}, pinned to the home
+    dispatched through {!Cluster.trigger}, pinned to the home
     router; successors follow as completions land.  [seed] (default:
     the instance id) feeds the value computation.  Returns the
     instance id.  On a multi-router cluster the call must be made on

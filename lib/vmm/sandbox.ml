@@ -23,13 +23,18 @@ type placement = {
   queue : Horse_sched.Runqueue.t;
 }
 
-type horse_state = {
+type psm_state = {
   merge_vcpus : Vcpu.t Horse_psm.Arena_list.t;
   ull_queue : Horse_sched.Runqueue.t;
   plan : Vcpu.t Psm.Plan.t;
   subscription : Horse_sched.Runqueue.subscription;
-  precomputed : Horse_coalesce.Coalesce.Precomputed.t option;
 }
+
+type paused =
+  | Paused_vanilla
+  | Paused_coal of Horse_coalesce.Coalesce.Precomputed.t
+  | Paused_ppsm of psm_state
+  | Paused_horse of psm_state * Horse_coalesce.Coalesce.Precomputed.t
 
 type t = {
   id : int;
@@ -38,10 +43,7 @@ type t = {
   ull : bool;
   mutable state : state;
   mutable placements : placement list;
-  mutable pause_strategy : strategy option;
-  mutable paused_values : Vcpu.t list;
-  mutable coal_precomputed : Horse_coalesce.Coalesce.Precomputed.t option;
-  mutable horse_state : horse_state option;
+  mutable paused : paused option;
 }
 
 let create ~id ~vcpus ~memory_mb ?(ull = false) () =
@@ -54,10 +56,7 @@ let create ~id ~vcpus ~memory_mb ?(ull = false) () =
     ull;
     state = Created;
     placements = [];
-    pause_strategy = None;
-    paused_values = [];
-    coal_precomputed = None;
-    horse_state = None;
+    paused = None;
   }
 
 let id t = t.id
@@ -78,21 +77,9 @@ let placements t = t.placements
 
 let set_placements t p = t.placements <- p
 
-let pause_strategy t = t.pause_strategy
+let paused t = t.paused
 
-let set_pause_strategy t s = t.pause_strategy <- s
-
-let paused_values t = t.paused_values
-
-let set_paused_values t v = t.paused_values <- v
-
-let coal_precomputed t = t.coal_precomputed
-
-let set_coal_precomputed t p = t.coal_precomputed <- p
-
-let horse_state t = t.horse_state
-
-let set_horse_state t h = t.horse_state <- h
+let set_paused t p = t.paused <- p
 
 (* Rough per-entry sizes in bytes: an arrayB slot is one handle, a
    plan segment is four array cells, a merge_vcpus element is its
@@ -102,9 +89,9 @@ let set_horse_state t h = t.horse_state <- h
    revisions — so arrayB is still billed per paused sandbox, one slot
    per queued vCPU, although the queue's order buffer is shared. *)
 let horse_memory_footprint_bytes t =
-  match t.horse_state with
-  | None -> 0
-  | Some h ->
+  match t.paused with
+  | None | Some (Paused_vanilla | Paused_coal _) -> 0
+  | Some (Paused_ppsm h | Paused_horse (h, _)) ->
     let index_bytes = 8 * Horse_sched.Runqueue.length h.ull_queue in
     let plan_bytes = 48 * Psm.Plan.key_count h.plan in
     let merge_bytes = 24 * Horse_psm.Arena_list.length h.merge_vcpus in

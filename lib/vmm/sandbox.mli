@@ -7,15 +7,16 @@
 
     plus [Stopped] (destroyed) and [Crashed] (killed by an injected
     fault; a crashed sandbox is never reused — the platform's
-    fallback ladder starts a fresh one).  While [Paused] under a
-    HORSE-family
-    strategy it carries the precomputed fast-resume state of §4.1.3 /
-    §4.2.2: the pre-sorted [merge_vcpus] list, the P²SM plan against
-    its assigned ull_runqueue (whose own order buffer is the plan's
-    [arrayB]), the run-queue subscription keeping the plan fresh, and
-    the coalesced load-update constants.
-    That state is created by {!Vmm.pause} and consumed by
-    {!Vmm.resume}; this module only stores it. *)
+    fallback ladder starts a fresh one).  While [Paused] it carries
+    the resume state its pause strategy precomputed, as one {!paused}
+    value: nothing for [Vanilla] (the resume re-inserts {!vcpus} one
+    by one), the §4.2.2 coalesced load-update constants for [Coal],
+    the §4.1.3 P²SM state for [Ppsm] (the pre-sorted [merge_vcpus]
+    list, the plan against its assigned ull_runqueue, whose own order
+    buffer is the plan's [arrayB], and the run-queue subscription
+    keeping the plan fresh), and both for [Horse].  That state is
+    created by {!Vmm.pause} and consumed by {!Vmm.resume}; this module
+    only stores it. *)
 
 type state = Created | Booting | Running | Paused | Stopped | Crashed
 
@@ -43,7 +44,7 @@ type placement = {
 }
 (** Where one vCPU currently sits (the handle is live on [queue]). *)
 
-type horse_state = {
+type psm_state = {
   merge_vcpus : Horse_sched.Vcpu.t Horse_psm.Arena_list.t;
       (** the sandbox's vCPUs, pre-sorted by the scheduler's key, in
           the ull_runqueue's arena so the merge can splice them *)
@@ -54,9 +55,18 @@ type horse_state = {
       (** refreshes [plan] on every queue mutation while paused; each
           refresh counts in the VMM's [psm.maintenance_events] (§5.2's
           overhead) *)
-  precomputed : Horse_coalesce.Coalesce.Precomputed.t option;
-      (** the §4.2.2 constants; [None] for [Ppsm] (vanilla load path) *)
 }
+(** The P²SM half of a HORSE-family pause (§4.1.3). *)
+
+(** What a pause precomputed for the resume, one constructor per
+    {!strategy}. *)
+type paused =
+  | Paused_vanilla  (** nothing: the resume merges {!vcpus} in order *)
+  | Paused_coal of Horse_coalesce.Coalesce.Precomputed.t
+      (** the §4.2.2 constants for the global load update *)
+  | Paused_ppsm of psm_state  (** P²SM merge, vanilla load updates *)
+  | Paused_horse of psm_state * Horse_coalesce.Coalesce.Precomputed.t
+      (** P²SM merge and the coalesced load-update constants *)
 
 type t
 
@@ -85,26 +95,11 @@ val placements : t -> placement list
 
 val set_placements : t -> placement list -> unit
 
-val pause_strategy : t -> strategy option
-(** The strategy recorded by the last pause, if paused. *)
+val paused : t -> paused option
+(** The state the last pause left for the resume; [Some _] exactly
+    while the sandbox is [Paused]. *)
 
-val set_pause_strategy : t -> strategy option -> unit
-
-val paused_values : t -> Horse_sched.Vcpu.t list
-(** vCPU values stashed by a vanilla-family pause (resume re-inserts
-    them one by one). *)
-
-val set_paused_values : t -> Horse_sched.Vcpu.t list -> unit
-
-val coal_precomputed : t -> Horse_coalesce.Coalesce.Precomputed.t option
-(** The §4.2.2 constants for a [Coal]-strategy pause. *)
-
-val set_coal_precomputed :
-  t -> Horse_coalesce.Coalesce.Precomputed.t option -> unit
-
-val horse_state : t -> horse_state option
-
-val set_horse_state : t -> horse_state option -> unit
+val set_paused : t -> paused option -> unit
 
 val horse_memory_footprint_bytes : t -> int
 (** Estimated bytes held by the P²SM structures while paused (0 when

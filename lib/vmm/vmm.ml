@@ -34,6 +34,7 @@ let breakdown_total_ns b =
 type resume_result = {
   total : Time.span;
   breakdown : breakdown;
+  strategy : Sandbox.strategy;
   merge_threads : int;
   preempted_cpus : int list;
 }
@@ -109,23 +110,16 @@ let evacuate t sandbox =
    arena, so dropping the list without popping would leak their slots
    (and leave stale-but-unreclaimed generations behind). *)
 let teardown t sandbox =
-  (match Sandbox.state sandbox with
-  | Sandbox.Running -> ignore (evacuate t sandbox)
-  | Sandbox.Paused -> (
-    match Sandbox.horse_state sandbox with
-    | Some hs ->
-      Runqueue.unsubscribe hs.Sandbox.ull_queue hs.Sandbox.subscription;
-      while Al.pop_first hs.Sandbox.merge_vcpus <> None do
-        ()
-      done;
-      Scheduler.detach_paused t.scheduler hs.Sandbox.ull_queue;
-      Sandbox.set_horse_state sandbox None
-    | None -> ())
-  | Sandbox.Created | Sandbox.Booting | Sandbox.Stopped | Sandbox.Crashed ->
-    ());
-  Sandbox.set_pause_strategy sandbox None;
-  Sandbox.set_paused_values sandbox [];
-  Sandbox.set_coal_precomputed sandbox None
+  if Sandbox.state sandbox = Sandbox.Running then ignore (evacuate t sandbox);
+  (match Sandbox.paused sandbox with
+  | Some (Sandbox.Paused_ppsm ps | Sandbox.Paused_horse (ps, _)) ->
+    Runqueue.unsubscribe ps.Sandbox.ull_queue ps.Sandbox.subscription;
+    while Al.pop_first ps.Sandbox.merge_vcpus <> None do
+      ()
+    done;
+    Scheduler.detach_paused t.scheduler ps.Sandbox.ull_queue
+  | Some (Sandbox.Paused_vanilla | Sandbox.Paused_coal _) | None -> ());
+  Sandbox.set_paused sandbox None
 
 (* An injected fault killed the sandbox: release its scheduler state
    and mark it [Crashed] — unlike [stop], a crashed sandbox is never
@@ -188,7 +182,7 @@ let make_precomputed n =
 (* Pause-side setup of the §4.1.3 structures: merge_vcpus, posA and
    the subscription that keeps posA fresh (arrayB is the queue's own
    order buffer and needs no upkeep). *)
-let build_horse_state t sandbox ~with_coalesce =
+let build_psm_state t sandbox =
   let ull_queue = Scheduler.select_ull_for_pause t.scheduler in
   Scheduler.attach_paused t.scheduler ull_queue;
   (* merge_vcpus lives in the queue's arena: the eventual splice is
@@ -214,9 +208,6 @@ let build_horse_state t sandbox ~with_coalesce =
     ull_queue;
     plan;
     subscription = Runqueue.subscribe ull_queue on_change;
-    precomputed =
-      (if with_coalesce then Some (make_precomputed (Sandbox.vcpu_count sandbox))
-       else None);
   }
 
 let pause t ~strategy sandbox =
@@ -232,28 +223,22 @@ let pause t ~strategy sandbox =
     c.Cost_model.pause_base_ns
     +. (float_of_int walked *. c.Cost_model.merge_walk_node_ns)
   in
-  let extra =
+  let paused, extra =
     match strategy with
-    | Sandbox.Vanilla ->
-      Sandbox.set_paused_values sandbox
-        (Array.to_list (Sandbox.vcpus sandbox));
-      0.0
+    | Sandbox.Vanilla -> (Sandbox.Paused_vanilla, 0.0)
     | Sandbox.Coal ->
-      Sandbox.set_paused_values sandbox
-        (Array.to_list (Sandbox.vcpus sandbox));
-      Sandbox.set_coal_precomputed sandbox (Some (make_precomputed n));
-      c.Cost_model.coalesce_precompute_ns
+      ( Sandbox.Paused_coal (make_precomputed n),
+        c.Cost_model.coalesce_precompute_ns )
     | Sandbox.Ppsm ->
-      Sandbox.set_horse_state sandbox
-        (Some (build_horse_state t sandbox ~with_coalesce:false));
-      float_of_int n *. c.Cost_model.pause_sort_vcpu_ns
+      ( Sandbox.Paused_ppsm (build_psm_state t sandbox),
+        float_of_int n *. c.Cost_model.pause_sort_vcpu_ns )
     | Sandbox.Horse ->
-      Sandbox.set_horse_state sandbox
-        (Some (build_horse_state t sandbox ~with_coalesce:true));
-      (float_of_int n *. c.Cost_model.pause_sort_vcpu_ns)
-      +. c.Cost_model.coalesce_precompute_ns
+      let ps = build_psm_state t sandbox in
+      ( Sandbox.Paused_horse (ps, make_precomputed n),
+        (float_of_int n *. c.Cost_model.pause_sort_vcpu_ns)
+        +. c.Cost_model.coalesce_precompute_ns )
   in
-  Sandbox.set_pause_strategy sandbox (Some strategy);
+  Sandbox.set_paused sandbox (Some paused);
   Sandbox.set_state sandbox Sandbox.Paused;
   let cnt = t.pauses_c.(Sandbox.strategy_code strategy) in
   cnt := !cnt + 1;
@@ -262,24 +247,45 @@ let pause t ~strategy sandbox =
         (Sandbox.strategy_name strategy));
   jittered t (base +. extra)
 
-(* Step ④, vanilla flavour: one sorted insert per vCPU into the
-   least-loaded normal queue. *)
+(* Step ④, vanilla flavour: one sorted insert per vCPU, in vCPU
+   order, into the least-loaded normal queue. *)
 let vanilla_merge t sandbox =
   let c = t.cost in
   let merge_ns = ref c.Cost_model.runq_fetch_ns in
   let placements =
-    List.map
-      (fun vcpu ->
-        let queue = Scheduler.select_normal t.scheduler in
-        let node, steps = Runqueue.enqueue queue vcpu in
-        merge_ns :=
-          !merge_ns +. c.Cost_model.runq_select_ns
-          +. (float_of_int (steps + 1) *. c.Cost_model.merge_walk_node_ns)
-          +. c.Cost_model.merge_link_ns;
-        { Sandbox.vcpu; node; queue })
-      (Sandbox.paused_values sandbox)
+    Array.to_list
+      (Array.map
+         (fun vcpu ->
+           let queue = Scheduler.select_normal t.scheduler in
+           let node, steps = Runqueue.enqueue queue vcpu in
+           merge_ns :=
+             !merge_ns +. c.Cost_model.runq_select_ns
+             +. (float_of_int (steps + 1) *. c.Cost_model.merge_walk_node_ns)
+             +. c.Cost_model.merge_link_ns;
+           { Sandbox.vcpu; node; queue })
+         (Sandbox.vcpus sandbox))
   in
   (placements, !merge_ns)
+
+(* Step ④, P²SM flavour: one splice of the pre-sorted [merge_vcpus]
+   into the assigned ull_runqueue at the maintained posA; returns the
+   merge threads spawned. *)
+let psm_merge t sandbox ps =
+  Runqueue.unsubscribe ps.Sandbox.ull_queue ps.Sandbox.subscription;
+  let stats, nodes =
+    Runqueue.apply_merge ps.Sandbox.ull_queue ~plan:ps.Sandbox.plan
+      ~source:ps.Sandbox.merge_vcpus
+  in
+  Scheduler.detach_paused t.scheduler ps.Sandbox.ull_queue;
+  let queue = Runqueue.queue ps.Sandbox.ull_queue in
+  Sandbox.set_placements sandbox
+    (Array.fold_right
+       (fun node acc ->
+         { Sandbox.vcpu = Al.value queue node; node;
+           queue = ps.Sandbox.ull_queue }
+         :: acc)
+       nodes []);
+  stats.Psm.Plan.threads
 
 let distinct_queues placements =
   List.fold_left
@@ -293,14 +299,14 @@ let sample_cpus t count =
       Rng.int t.rng (Topology.cpu_count (Scheduler.topology t.scheduler)))
 
 let resume t sandbox =
-  require_state sandbox [ Sandbox.Paused ] "resume: sandbox not paused";
+  (* the lifecycle check: only a paused sandbox holds resume state *)
+  let paused =
+    match Sandbox.paused sandbox with
+    | Some p -> p
+    | None -> raise (Invalid_state "resume: sandbox not paused")
+  in
   let c = t.cost in
   let n = Sandbox.vcpu_count sandbox in
-  let strategy =
-    match Sandbox.pause_strategy sandbox with
-    | Some s -> s
-    | None -> raise (Invalid_state "resume: no pause strategy recorded")
-  in
   let parse_ns = c.Cost_model.parse_ns in
   let lock_ns = c.Cost_model.lock_acquire_ns in
   let sanity_ns = c.Cost_model.sanity_check_ns in
@@ -315,18 +321,23 @@ let resume t sandbox =
     c.Cost_model.load_first_touch_ns
     +. (float_of_int n *. c.Cost_model.load_update_ns)
   in
-  let merge_ns, load_ns, merge_threads =
-    match strategy with
-    | Sandbox.Vanilla ->
+  let psm_merge_ns =
+    c.Cost_model.psm_thread_wake_ns +. c.Cost_model.psm_splice_ns
+    +. c.Cost_model.horse_bookkeeping_ns
+  in
+  let global_load = Scheduler.global_load t.scheduler in
+  let strategy, merge_ns, load_ns, merge_threads =
+    match paused with
+    | Sandbox.Paused_vanilla ->
       let placements, merge_ns = vanilla_merge t sandbox in
       Sandbox.set_placements sandbox placements;
       List.iter
         (fun { Sandbox.queue; _ } ->
           Load_tracking.on_enqueue (Runqueue.load queue);
-          Load_tracking.on_enqueue (Scheduler.global_load t.scheduler))
+          Load_tracking.on_enqueue global_load)
         placements;
-      (merge_ns, vanilla_load_ns, 0)
-    | Sandbox.Coal ->
+      (Sandbox.Vanilla, merge_ns, vanilla_load_ns, 0)
+    | Sandbox.Paused_coal pre ->
       let placements, merge_ns = vanilla_merge t sandbox in
       Sandbox.set_placements sandbox placements;
       (* per-queue loads: one coalesced update per distinct target
@@ -343,58 +354,25 @@ let resume t sandbox =
             (make_precomputed k))
         (distinct_queues placements);
       (* the lock-protected global variable: a single coalesced write *)
-      (match Sandbox.coal_precomputed sandbox with
-      | Some pre ->
-        Load_tracking.on_enqueue_coalesced (Scheduler.global_load t.scheduler) pre
-      | None -> raise (Invalid_state "resume: Coal without coalesce constants"));
-      (merge_ns, c.Cost_model.coalesce_apply_ns, 0)
-    | Sandbox.Ppsm | Sandbox.Horse -> (
-      match Sandbox.horse_state sandbox with
-      | None -> raise (Invalid_state "resume: HORSE pause state missing")
-      | Some hs ->
-        Runqueue.unsubscribe hs.Sandbox.ull_queue hs.Sandbox.subscription;
-        let stats, nodes =
-          Runqueue.apply_merge hs.Sandbox.ull_queue ~plan:hs.Sandbox.plan
-            ~source:hs.Sandbox.merge_vcpus
-        in
-        Scheduler.detach_paused t.scheduler hs.Sandbox.ull_queue;
-        let queue = Runqueue.queue hs.Sandbox.ull_queue in
-        let placements =
-          Array.fold_right
-            (fun node acc ->
-              { Sandbox.vcpu = Al.value queue node; node;
-                queue = hs.Sandbox.ull_queue }
-              :: acc)
-            nodes []
-        in
-        Sandbox.set_placements sandbox placements;
-        let merge_ns =
-          c.Cost_model.psm_thread_wake_ns +. c.Cost_model.psm_splice_ns
-          +. c.Cost_model.horse_bookkeeping_ns
-        in
-        let load_tracker = Runqueue.load hs.Sandbox.ull_queue in
-        let load_ns =
-          match (strategy, hs.Sandbox.precomputed) with
-          | Sandbox.Horse, Some pre ->
-            Load_tracking.on_enqueue_coalesced load_tracker pre;
-            Load_tracking.on_enqueue_coalesced
-              (Scheduler.global_load t.scheduler) pre;
-            c.Cost_model.coalesce_apply_ns
-          | Sandbox.Horse, None ->
-            raise (Invalid_state "resume: HORSE without coalesce constants")
-          | (Sandbox.Ppsm | Sandbox.Vanilla | Sandbox.Coal), _ ->
-            for _ = 1 to n do
-              Load_tracking.on_enqueue load_tracker;
-              Load_tracking.on_enqueue (Scheduler.global_load t.scheduler)
-            done;
-            vanilla_load_ns
-        in
-        Sandbox.set_horse_state sandbox None;
-        (merge_ns, load_ns, stats.Psm.Plan.threads))
+      Load_tracking.on_enqueue_coalesced global_load pre;
+      (Sandbox.Coal, merge_ns, c.Cost_model.coalesce_apply_ns, 0)
+    | Sandbox.Paused_ppsm ps ->
+      let threads = psm_merge t sandbox ps in
+      let load_tracker = Runqueue.load ps.Sandbox.ull_queue in
+      for _ = 1 to n do
+        Load_tracking.on_enqueue load_tracker;
+        Load_tracking.on_enqueue global_load
+      done;
+      (Sandbox.Ppsm, psm_merge_ns, vanilla_load_ns, threads)
+    | Sandbox.Paused_horse (ps, pre) ->
+      let threads = psm_merge t sandbox ps in
+      Load_tracking.on_enqueue_coalesced
+        (Runqueue.load ps.Sandbox.ull_queue)
+        pre;
+      Load_tracking.on_enqueue_coalesced global_load pre;
+      (Sandbox.Horse, psm_merge_ns, c.Cost_model.coalesce_apply_ns, threads)
   in
-  Sandbox.set_pause_strategy sandbox None;
-  Sandbox.set_paused_values sandbox [];
-  Sandbox.set_coal_precomputed sandbox None;
+  Sandbox.set_paused sandbox None;
   Sandbox.set_state sandbox Sandbox.Running;
   let breakdown =
     { parse_ns; lock_ns; sanity_ns; merge_ns; load_ns; finalize_ns }
@@ -417,6 +395,7 @@ let resume t sandbox =
   {
     total;
     breakdown;
+    strategy;
     merge_threads;
     preempted_cpus = sample_cpus t merge_threads;
   }

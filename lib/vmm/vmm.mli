@@ -39,6 +39,9 @@ val breakdown_total_ns : breakdown -> float
 type resume_result = {
   total : Horse_sim.Time_ns.span;
   breakdown : breakdown;
+  strategy : Sandbox.strategy;
+      (** the strategy the sandbox was paused under, which the resume
+          ran *)
   merge_threads : int;
       (** P²SM threads spawned (0 on the vanilla/coal paths) *)
   preempted_cpus : int list;
@@ -81,12 +84,12 @@ val restore : t -> Sandbox.t -> Horse_sim.Time_ns.span
     {!boot}, snapshot-load cost instead of boot cost. *)
 
 val pause : t -> strategy:Sandbox.strategy -> Sandbox.t -> Horse_sim.Time_ns.span
-(** Remove the sandbox's vCPUs from their queues and stash the
-    strategy-dependent resume state: the vanilla value list, the
-    [Coal] coalescing constants, or the full HORSE state
-    (merge_vcpus, the posA plan against the assigned ull_runqueue,
-    whose own order buffer serves as arrayB, and the maintenance
-    subscription).
+(** Remove the sandbox's vCPUs from their queues and store the
+    strategy's resume state as its {!Sandbox.paused} value: nothing
+    for [Vanilla], the coalescing constants for [Coal], the P²SM state
+    for [Ppsm] (merge_vcpus, the posA plan against the assigned
+    ull_runqueue, whose own order buffer serves as arrayB, and the
+    maintenance subscription), both for [Horse].
     @raise Invalid_state unless [Running]. *)
 
 val resume : t -> Sandbox.t -> resume_result

@@ -27,6 +27,9 @@ let register_nat ?(vcpus = 1) platform =
 
 let ns_of = Time.span_to_ns
 
+(* Names resolve at setup; triggers and pool reads take the id. *)
+let fid platform name = Platform.fn_id platform ~name
+
 (* ------------------------------------------------------------------ *)
 (* Function definitions                                                *)
 (* ------------------------------------------------------------------ *)
@@ -76,25 +79,74 @@ let test_register_twice_rejected () =
 
 let test_unknown_function () =
   let _, platform = fresh () in
-  (match Platform.trigger platform ~name:"ghost" ~mode:Platform.Cold () with
-  | () -> Alcotest.fail "accepted unknown function"
+  (* names resolve at setup only: an unknown name fails there *)
+  (match Platform.fn_id platform ~name:"ghost" with
+  | _ -> Alcotest.fail "resolved unknown function"
   | exception Platform.Unknown_function "ghost" -> ());
-  match Platform.provision platform ~name:"ghost" ~count:1 ~strategy:Sandbox.Horse with
+  (match
+     Platform.provision platform ~name:"ghost" ~count:1
+       ~strategy:Sandbox.Horse
+   with
   | () -> Alcotest.fail "provisioned unknown function"
-  | exception Platform.Unknown_function "ghost" -> ()
+  | exception Platform.Unknown_function "ghost" -> ());
+  (* an unregistered id fails at the call, including one that lands in
+     a spare cell of the grown pool array *)
+  register_nat platform;
+  List.iter
+    (fun fn_id ->
+      Alcotest.check_raises "trigger"
+        (Invalid_argument "Platform.trigger: unknown fn_id") (fun () ->
+          Platform.trigger platform ~fn_id ~mode:Platform.Cold ());
+      Alcotest.check_raises "pool_size"
+        (Invalid_argument "Platform.pool_size: unknown fn_id") (fun () ->
+          ignore (Platform.pool_size platform ~fn_id)))
+    [ -1; 1; 8 ];
+  Alcotest.(check int) "nothing started" 0 (Platform.live_invocations platform)
 
 let test_provision_fills_pool () =
   let _, platform = fresh () in
   register_nat platform;
-  Alcotest.(check int) "empty" 0 (Platform.pool_size platform ~name:"nat");
+  Alcotest.(check int) "empty" 0
+    (Platform.pool_size platform ~fn_id:(fid platform "nat"));
   Platform.provision platform ~name:"nat" ~count:3 ~strategy:Sandbox.Horse;
-  Alcotest.(check int) "three" 3 (Platform.pool_size platform ~name:"nat")
+  Alcotest.(check int) "three" 3
+    (Platform.pool_size platform ~fn_id:(fid platform "nat"))
+
+let test_multi_function_blackout () =
+  (* ten functions grow the pool array past its first 8 cells, leaving
+     spare empty queues; a blackout flushes every registered pool *)
+  let _, platform = fresh () in
+  let n = 10 in
+  for i = 0 to n - 1 do
+    Platform.register platform
+      (Function_def.create ~name:(Printf.sprintf "fn%d" i) ~vcpus:1
+         ~memory_mb:512 ~exec:(Function_def.Ull Category.Cat2) ())
+  done;
+  let provisioned = ref 0 in
+  for i = 0 to n - 1 do
+    let count = 1 + (i mod 3) in
+    Platform.provision platform ~name:(Printf.sprintf "fn%d" i) ~count
+      ~strategy:(if i mod 2 = 0 then Sandbox.Horse else Sandbox.Vanilla);
+    provisioned := !provisioned + count
+  done;
+  Alcotest.(check int) "no invocation in flight" 0
+    (Platform.blackout platform);
+  for fn_id = 0 to n - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "fn%d flushed" fn_id)
+      0
+      (Platform.pool_size platform ~fn_id)
+  done;
+  Alcotest.(check int) "every pooled sandbox lost" !provisioned
+    (Metrics.counter (Platform.metrics platform)
+       "platform.blackout_pool_losses")
 
 let test_warm_without_pool_raises () =
   let _, platform = fresh () in
   register_nat platform;
   match
-    Platform.trigger platform ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse) ()
+    Platform.trigger platform ~fn_id:(fid platform "nat")
+      ~mode:(Platform.Warm Sandbox.Horse) ()
   with
   | () -> Alcotest.fail "warm trigger without pool"
   | exception Platform.No_warm_sandbox "nat" -> ()
@@ -105,8 +157,9 @@ let test_warm_without_pool_raises () =
 
 let run_one platform engine ~name ~mode =
   let result = ref None in
-  Platform.trigger platform ~name ~mode
-    ~on_complete:(fun record -> result := Some record)
+  Platform.trigger platform ~fn_id:(fid platform name) ~mode
+    ~on_complete:(fun slot ->
+      result := Some (Platform.record_of_slot platform slot))
     ();
   Engine.run engine;
   Option.get !result
@@ -152,7 +205,8 @@ let test_warm_sandbox_returns_to_pool () =
   for _ = 1 to 5 do
     ignore (run_one platform engine ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse))
   done;
-  Alcotest.(check int) "pool restored" 1 (Platform.pool_size platform ~name:"nat");
+  Alcotest.(check int) "pool restored" 1
+    (Platform.pool_size platform ~fn_id:(fid platform "nat"));
   Alcotest.(check int) "five resumes" 5
     (Metrics.counter (Platform.metrics platform) "vmm.resumes.horse")
 
@@ -161,7 +215,8 @@ let test_records_accumulate () =
   register_nat platform;
   Platform.provision platform ~name:"nat" ~count:3 ~strategy:Sandbox.Horse;
   for _ = 1 to 3 do
-    Platform.trigger platform ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse) ()
+    Platform.trigger platform ~fn_id:(fid platform "nat")
+      ~mode:(Platform.Warm Sandbox.Horse) ()
   done;
   Alcotest.(check int) "live before run" 3 (Platform.live_invocations platform);
   Engine.run engine;
@@ -172,10 +227,13 @@ let test_concurrent_warm_pool_exhaustion () =
   let _, platform = fresh () in
   register_nat platform;
   Platform.provision platform ~name:"nat" ~count:2 ~strategy:Sandbox.Horse;
-  Platform.trigger platform ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse) ();
-  Platform.trigger platform ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse) ();
+  Platform.trigger platform ~fn_id:(fid platform "nat")
+    ~mode:(Platform.Warm Sandbox.Horse) ();
+  Platform.trigger platform ~fn_id:(fid platform "nat")
+    ~mode:(Platform.Warm Sandbox.Horse) ();
   match
-    Platform.trigger platform ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse) ()
+    Platform.trigger platform ~fn_id:(fid platform "nat")
+      ~mode:(Platform.Warm Sandbox.Horse) ()
   with
   | () -> Alcotest.fail "third concurrent warm trigger should fail"
   | exception Platform.No_warm_sandbox "nat" -> ()
@@ -187,26 +245,27 @@ let test_concurrent_warm_pool_exhaustion () =
 let test_keep_alive_expiry () =
   let engine, platform = fresh ~keep_alive:(Time.span_s 5.0) () in
   register_nat platform;
-  Platform.trigger platform ~name:"nat" ~mode:Platform.Cold ();
+  Platform.trigger platform ~fn_id:(fid platform "nat") ~mode:Platform.Cold ();
   (* cold start completes around 1.5s; the pause into the pool happens
      then, the expiry only 5s later *)
   Engine.run ~until:(Time.of_ns 3_000_000_000) engine;
   Alcotest.(check int) "pooled after cold" 1
-    (Platform.pool_size platform ~name:"nat");
+    (Platform.pool_size platform ~fn_id:(fid platform "nat"));
   Engine.run engine;
   (* the expiry event fired 5s later and reclaimed it *)
-  Alcotest.(check int) "expired" 0 (Platform.pool_size platform ~name:"nat");
+  Alcotest.(check int) "expired" 0
+    (Platform.pool_size platform ~fn_id:(fid platform "nat"));
   Alcotest.(check int) "one expiry" 1
     (Metrics.counter (Platform.metrics platform) "platform.keepalive_expiries")
 
 let test_keep_alive_reuse_prevents_expiry () =
   let engine, platform = fresh ~keep_alive:(Time.span_s 5.0) () in
   register_nat platform;
-  Platform.trigger platform ~name:"nat" ~mode:Platform.Cold ();
+  Platform.trigger platform ~fn_id:(fid platform "nat") ~mode:Platform.Cold ();
   (* reuse the pooled sandbox within the window (cold completes ~1.5s) *)
   ignore
     (Engine.schedule engine ~after:(Time.span_s 3.0) (fun _ ->
-         Platform.trigger platform ~name:"nat"
+         Platform.trigger platform ~fn_id:(fid platform "nat")
            ~mode:(Platform.Warm Sandbox.Vanilla) ()));
   Engine.run engine;
   Alcotest.(check int) "warm hit" 1
@@ -227,8 +286,9 @@ let test_preemption_extends_running_invocation () =
   register_nat platform ~vcpus:4;
   Platform.provision platform ~name:"nat" ~count:1 ~strategy:Sandbox.Horse;
   let long_record = ref None in
-  Platform.trigger platform ~name:"long" ~mode:Platform.Cold
-    ~on_complete:(fun r -> long_record := Some r)
+  Platform.trigger platform ~fn_id:(fid platform "long") ~mode:Platform.Cold
+    ~on_complete:(fun slot ->
+      long_record := Some (Platform.record_of_slot platform slot))
     ();
   for i = 1 to 200 do
     ignore
@@ -236,7 +296,7 @@ let test_preemption_extends_running_invocation () =
          ~after:(Time.span_us (float_of_int i *. 100.0))
          (fun _ ->
            match
-             Platform.trigger platform ~name:"nat"
+             Platform.trigger platform ~fn_id:(fid platform "nat")
                ~mode:(Platform.Warm Sandbox.Horse) ()
            with
            | () -> ()
@@ -261,14 +321,15 @@ let test_no_preemption_under_vanilla () =
        ~exec:(Function_def.Fixed (Time.span_ms 50.0)) ());
   register_nat platform ~vcpus:4;
   Platform.provision platform ~name:"nat" ~count:1 ~strategy:Sandbox.Vanilla;
-  Platform.trigger platform ~name:"long" ~mode:Platform.Cold ();
+  Platform.trigger platform ~fn_id:(fid platform "long")
+    ~mode:Platform.Cold ();
   for i = 1 to 200 do
     ignore
       (Engine.schedule engine
          ~after:(Time.span_us (float_of_int i *. 100.0))
          (fun _ ->
            match
-             Platform.trigger platform ~name:"nat"
+             Platform.trigger platform ~fn_id:(fid platform "nat")
                ~mode:(Platform.Warm Sandbox.Vanilla) ()
            with
            | () -> ()
@@ -412,6 +473,8 @@ let test_governor_signal_identical_across_strategies () =
 
 module Cluster = Horse_faas.Cluster
 
+let cfid cluster name = Cluster.fn_id cluster ~name
+
 let fresh_cluster ?(servers = 3) ?policy ?e2e () =
   let cluster =
     Cluster.create_sharded ~servers ?policy ?e2e ~topology:small_topology
@@ -426,21 +489,56 @@ let test_cluster_create_and_register () =
   let _, cluster = fresh_cluster () in
   Alcotest.(check int) "3 servers" 3 (Cluster.server_count cluster);
   (* the function exists on every server: all three accept a cold start *)
+  let fn_id = cfid cluster "nat" in
   for i = 0 to 2 do
-    Platform.trigger (Cluster.server cluster i) ~name:"nat" ~mode:Platform.Cold ()
+    Platform.trigger (Cluster.server cluster i) ~fn_id ~mode:Platform.Cold ()
   done;
   Alcotest.(check int) "three live" 3 (Cluster.live_invocations cluster);
   Alcotest.check_raises "bad index"
     (Invalid_argument "Cluster.server: index out of range") (fun () ->
       ignore (Cluster.server cluster 99))
 
+let test_cluster_unknown_fn_id () =
+  (* an unregistered id raises before any routing side effect: with
+     every server down the unchecked path would spill or reject *)
+  let cluster =
+    Cluster.create_sharded ~servers:4 ~routers:2 ~topology:small_topology
+      ~seed:21 ()
+  in
+  Cluster.register cluster
+    (Function_def.create ~name:"nat" ~vcpus:1 ~memory_mb:512
+       ~exec:(Function_def.Ull Category.Cat2) ());
+  for i = 0 to Cluster.server_count cluster - 1 do
+    Cluster.mark_down cluster i
+  done;
+  List.iter
+    (fun fn_id ->
+      Alcotest.check_raises "trigger"
+        (Invalid_argument "Cluster.trigger: unknown fn_id") (fun () ->
+          ignore (Cluster.trigger cluster ~fn_id ~mode:Platform.Cold ()));
+      Alcotest.check_raises "pinned trigger"
+        (Invalid_argument "Cluster.trigger: unknown fn_id") (fun () ->
+          ignore
+            (Cluster.trigger ~router:1 cluster ~fn_id ~mode:Platform.Cold ()));
+      Alcotest.check_raises "pool_size"
+        (Invalid_argument "Platform.pool_size: unknown fn_id") (fun () ->
+          ignore (Cluster.pool_size cluster ~fn_id)))
+    [ -1; 1; 5 ];
+  Alcotest.(check int) "no rejection" 0
+    (List.length (Cluster.rejections cluster));
+  Alcotest.(check int) "no spill" 0
+    (Metrics.counter (Cluster.metrics cluster) "cluster.spills");
+  Alcotest.(check (array int)) "no dispatch" [| 0; 0; 0; 0 |]
+    (Cluster.triggers_per_server cluster)
+
 let test_cluster_provision_spreads () =
   let _, cluster = fresh_cluster () in
   Cluster.provision cluster ~name:"nat" ~total:7 ~strategy:Sandbox.Horse;
-  Alcotest.(check int) "fleet pool" 7 (Cluster.pool_size cluster ~name:"nat");
+  Alcotest.(check int) "fleet pool" 7
+    (Cluster.pool_size cluster ~fn_id:(cfid cluster "nat"));
+  let fn_id = cfid cluster "nat" in
   let sizes =
-    List.init 3 (fun i ->
-        Platform.pool_size (Cluster.server cluster i) ~name:"nat")
+    List.init 3 (fun i -> Platform.pool_size (Cluster.server cluster i) ~fn_id)
   in
   Alcotest.(check (list int)) "spread 3/2/2" [ 3; 2; 2 ] sizes
 
@@ -458,7 +556,8 @@ let test_cluster_round_robin () =
   in
   let picks =
     List.init 6 (fun _ ->
-        accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ()))
+        accepted (Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
+          ~mode:Platform.Cold ()))
   in
   Alcotest.(check (list int)) "cycles" [ 0; 1; 2; 0; 1; 2 ] picks
 
@@ -469,7 +568,8 @@ let test_cluster_least_loaded () =
   (* nothing completes while the engine stands still, so every pick
      adds one believed live invocation to its server *)
   let pick () =
-    accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ())
+    accepted (Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
+      ~mode:Platform.Cold ())
   in
   Alcotest.(check int) "first pick: three-way tie, lowest index" 0 (pick ());
   Alcotest.(check int) "avoids the busy server; tie, lowest index" 1
@@ -487,7 +587,8 @@ let test_cluster_warm_first () =
      occupy them, so server 2 is the least loaded but holds no pool *)
   Cluster.provision cluster ~name:"nat" ~total:2 ~strategy:Sandbox.Horse;
   let cold () =
-    accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ())
+    accepted (Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
+      ~mode:Platform.Cold ())
   in
   let first = cold () in
   let second = cold () in
@@ -495,7 +596,8 @@ let test_cluster_warm_first () =
     [ first; second ];
   let pick =
     accepted
-      (Cluster.trigger cluster ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse) ())
+      (Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
+        ~mode:(Platform.Warm Sandbox.Horse) ())
   in
   Alcotest.(check int) "routed to a warm server over the idle one" 0 pick;
   Cluster.run cluster;
@@ -512,13 +614,18 @@ let test_cluster_warm_exhausted_rejects () =
     Cluster.create_sharded ~servers:1 ~topology:small_topology ~seed:21
       ~placement ()
   in
+  (* registered first, so "nat" is fn-id 1: the rejection must name
+     the triggered function, not the first one *)
+  Cluster.register cluster
+    (Function_def.create ~name:"fw" ~vcpus:1 ~memory_mb:512
+       ~exec:(Function_def.Ull Category.Cat1) ());
   Cluster.register cluster
     (Function_def.create ~name:"nat" ~vcpus:1 ~memory_mb:512
        ~exec:(Function_def.Ull Category.Cat2) ());
   let arrival = Engine.now (Cluster.engine cluster) in
   Alcotest.(check int) "placed on server 0" 0
     (accepted
-       (Cluster.trigger cluster ~name:"nat"
+       (Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
           ~mode:(Platform.Warm Sandbox.Horse) ()));
   Alcotest.(check int) "nothing recorded before the reply" 0
     (List.length (Cluster.rejections cluster));
@@ -548,7 +655,8 @@ let test_cluster_all_down_rejects () =
     Cluster.mark_down cluster i
   done;
   Alcotest.(check int) "none healthy" 0 (Cluster.healthy_count cluster);
-  (match Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold () with
+  (match Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
+    ~mode:Platform.Cold () with
   | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ ->
     Alcotest.fail "downed fleet must reject"
   | Cluster.Rejected r ->
@@ -558,7 +666,8 @@ let test_cluster_all_down_rejects () =
   (* a recovered server takes traffic again *)
   Cluster.mark_up cluster 1;
   Alcotest.(check int) "routes to the healthy server" 1
-    (accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ()))
+    (accepted (Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
+      ~mode:Platform.Cold ()))
 
 let test_cluster_routing_skips_unhealthy () =
   let _, cluster =
@@ -567,7 +676,8 @@ let test_cluster_routing_skips_unhealthy () =
   Cluster.mark_down cluster 1;
   let picks =
     List.init 4 (fun _ ->
-        accepted (Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold ()))
+        accepted (Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
+          ~mode:Platform.Cold ()))
   in
   Alcotest.(check (list int)) "skips server 1" [ 0; 2; 0; 2 ] picks
 
@@ -585,12 +695,13 @@ let test_cluster_end_to_end () =
          ~after:(Time.span_ms (float_of_int i *. 1.0))
          (fun _ ->
            ignore
-             (Cluster.trigger cluster ~name:"slow"
+             (Cluster.trigger cluster ~fn_id:(cfid cluster "slow")
                 ~mode:(Platform.Warm Sandbox.Horse) ())))
   done;
   Cluster.run cluster;
   Alcotest.(check int) "30 completions" 30 (Cluster.record_count cluster);
-  Alcotest.(check int) "pool restored" 9 (Cluster.pool_size cluster ~name:"slow");
+  Alcotest.(check int) "pool restored" 9
+    (Cluster.pool_size cluster ~fn_id:(cfid cluster "slow"));
   let counts = Cluster.triggers_per_server cluster in
   Alcotest.(check bool) "every server participated" true
     (Array.for_all (fun c -> c > 0) counts)
@@ -611,7 +722,7 @@ let test_policy_no_warm_rejects () =
   each_policy (fun ~pname ~policy ->
       let _, cluster = fresh_cluster ~policy () in
       (match
-         Cluster.trigger cluster ~name:"nat"
+         Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
            ~mode:(Platform.Warm Sandbox.Horse) ()
        with
       | Cluster.Accepted _ -> ()
@@ -642,7 +753,8 @@ let test_policy_all_down_rejects () =
       for i = 0 to Cluster.server_count cluster - 1 do
         Cluster.mark_down cluster i
       done;
-      (match Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold () with
+      (match Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
+        ~mode:Platform.Cold () with
       | Cluster.Accepted _ | Cluster.Queued | Cluster.Forwarded _ ->
         Alcotest.failf "%s: downed fleet must reject" pname
       | Cluster.Rejected r ->
@@ -651,7 +763,8 @@ let test_policy_all_down_rejects () =
           "all-servers-down"
           (Cluster.reject_reason_name r.Cluster.reason));
       Cluster.mark_up cluster 1;
-      match Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold () with
+      match Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
+        ~mode:Platform.Cold () with
       | Cluster.Accepted i ->
         Alcotest.(check int) (pname ^ ": routed to the survivor") 1 i
       | Cluster.Queued | Cluster.Forwarded _ ->
@@ -672,7 +785,7 @@ let test_policy_blackout_midstorm_recovers () =
              ~after:(Time.span_us (float_of_int i *. 100.0))
              (fun _ ->
                ignore
-                 (Cluster.trigger cluster ~name:"nat"
+                 (Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
                     ~mode:(Platform.Warm Sandbox.Horse) ())))
       done;
       (* outage window [10.05ms, 20.05ms): triggers 101..200 land in
@@ -712,7 +825,8 @@ let test_pull_queues_and_claims () =
   let _, cluster =
     fresh_cluster ~servers:2 ~policy:(Cluster.Policy.pull ()) ()
   in
-  let outcome () = Cluster.trigger cluster ~name:"nat" ~mode:Platform.Cold () in
+  let outcome () = Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
+    ~mode:Platform.Cold () in
   (match (outcome (), outcome (), outcome ()) with
   | Cluster.Accepted 0, Cluster.Accepted 1, Cluster.Queued -> ()
   | _ -> Alcotest.fail "expected tokens to route 0, 1 then queue");
@@ -731,7 +845,8 @@ let test_cluster_e2e_estimator () =
   Cluster.provision cluster ~name:"nat" ~total:5 ~strategy:Sandbox.Horse;
   for _ = 1 to 5 do
     ignore
-      (Cluster.trigger cluster ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse)
+      (Cluster.trigger cluster ~fn_id:(cfid cluster "nat")
+        ~mode:(Platform.Warm Sandbox.Horse)
          ())
   done;
   Cluster.run cluster;
@@ -755,10 +870,11 @@ let test_cluster_e2e_estimator () =
 module Trigger_records = Horse_faas.Trigger_records
 module Batch = Horse_trace.Batch
 
-(* Every completion is observed twice — through the boxed on_complete
-   sink (the oracle list) and through the struct-of-arrays arena.
-   After every op the arena views ([record_of_slot] over every slot
-   and the int columns) must agree with the oracle exactly. *)
+(* Every completion is observed twice — boxed at completion time from
+   the slot [on_complete] hands over (the oracle list), and through the
+   struct-of-arrays arena afterwards.  After every op the slots must be
+   the append order and the arena views ([record_of_slot] over every
+   slot and the int columns) must agree with the oracle exactly. *)
 type arena_op = Provision of int | Trigger | Advance of int (* us *)
 
 let arena_spec =
@@ -787,9 +903,11 @@ let arena_spec =
               ~strategy:Sandbox.Horse
           | Trigger -> (
             try
-              Platform.trigger platform ~name:"nat"
+              Platform.trigger platform ~fn_id:(fid platform "nat")
                 ~mode:(Platform.Warm Sandbox.Horse)
-                ~on_complete:(fun r -> oracle := r :: !oracle)
+                ~on_complete:(fun slot ->
+                  oracle :=
+                    (slot, Platform.record_of_slot platform slot) :: !oracle)
                 ()
             with Platform.No_warm_sandbox _ -> ())
           | Advance us ->
@@ -797,9 +915,11 @@ let arena_spec =
               ~until:
                 (Time.add (Engine.now engine)
                    (Time.span_us (float_of_int us))));
-          let expected = List.rev !oracle in
+          let slots, expected = List.split (List.rev !oracle) in
           let n = List.length expected in
-          if Platform.record_count platform <> n then
+          if slots <> List.init n Fun.id then
+            Some "completion slots are not the arena's append order"
+          else if Platform.record_count platform <> n then
             Some
               (Printf.sprintf "record_count %d, oracle saw %d"
                  (Platform.record_count platform) n)
@@ -854,7 +974,7 @@ let test_batch_matches_closure_ingestion () =
     ignore
       (Engine.schedule engine_a ~after:(Batch.time batch k) (fun _ ->
            ignore
-             (Cluster.trigger_id cluster_a ~fn_id
+             (Cluster.trigger cluster_a ~fn_id
                 ~mode:(Platform.Warm Sandbox.Horse)
                 ())))
   done;
@@ -934,14 +1054,17 @@ let prop_platform_conservation =
                    | 2 -> Platform.Warm Sandbox.Horse
                    | _ -> Platform.Warm Sandbox.Vanilla
                  in
-                 match Platform.trigger platform ~name:"nat" ~mode () with
+                 match
+                   Platform.trigger platform ~fn_id:(fid platform "nat") ~mode
+                     ()
+                 with
                  | () -> incr attempted
                  | exception Platform.No_warm_sandbox _ -> ())))
         script;
       Engine.run ~until:(Time.of_ns 60_000_000_000) engine;
       Platform.record_count platform = !attempted
       && Platform.live_invocations platform = 0
-      && Platform.pool_size platform ~name:"nat" >= pool)
+      && Platform.pool_size platform ~fn_id:(fid platform "nat") >= pool)
 
 let prop_keepalive_accounting =
   QCheck2.Test.make ~name:"keep-alive: warm + cold == invocations" ~count:200
@@ -987,6 +1110,8 @@ let () =
             test_provision_fills_pool;
           Alcotest.test_case "warm without pool" `Quick
             test_warm_without_pool_raises;
+          Alcotest.test_case "multi-function blackout" `Quick
+            test_multi_function_blackout;
         ] );
       ( "start_modes",
         [
@@ -1063,6 +1188,8 @@ let () =
             test_arena_oracle;
           Alcotest.test_case "batch vs closure ingestion" `Quick
             test_batch_matches_closure_ingestion;
+          Alcotest.test_case "unknown fn_id raises before routing" `Quick
+            test_cluster_unknown_fn_id;
         ] );
       ( "metrics",
         [ Alcotest.test_case "recorded" `Quick test_metrics_recorded ] );

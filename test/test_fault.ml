@@ -28,6 +28,11 @@ module E = Horse.Experiments
 
 let small_topology = Topology.create ~sockets:1 ~cores_per_socket:8 ()
 
+(* Names resolve at setup; triggers and pool reads take the id. *)
+let fid platform name = Platform.fn_id platform ~name
+
+let cfid cluster name = Cluster.fn_id cluster ~name
+
 let ull_def =
   Function_def.create ~name:"ull" ~vcpus:2 ~memory_mb:512
     ~exec:(Function_def.Ull Category.Cat2) ()
@@ -85,7 +90,7 @@ let storm ?(seed = 7) ?(plan = fun seed -> Fault.Plan.uniform ~seed ~rate:0.05 (
     ignore
       (Engine.schedule engine ~after (fun _ ->
            ignore
-             (Cluster.trigger cluster ~name:"ull"
+             (Cluster.trigger cluster ~fn_id:(cfid cluster "ull")
                 ~mode:(Platform.Warm Sandbox.Horse) ())))
   done;
   ignore (Cluster.schedule_faults cluster ~horizon:(Time.span_ms 10.0));
@@ -143,7 +148,11 @@ let test_resume_crash_consistency () =
   let sb = Sandbox.create ~id:0 ~vcpus:4 ~memory_mb:512 ~ull:true () in
   ignore (Vmm.boot vmm sb);
   ignore (Vmm.pause vmm ~strategy:Sandbox.Horse sb);
-  let hs = Option.get (Sandbox.horse_state sb) in
+  let hs =
+    match Sandbox.paused sb with
+    | Some (Sandbox.Paused_horse (ps, _)) -> ps
+    | Some _ | None -> Alcotest.fail "expected a HORSE pause state"
+  in
   let merge_list = hs.Sandbox.merge_vcpus in
   let stale_handle = Al.first merge_list in
   Alcotest.(check bool) "pause parked merge vcpus" false (Al.is_nil stale_handle);
@@ -202,7 +211,8 @@ let test_fallback_ladder_reaches_cold () =
       ~recovery:Platform.Recovery.default ()
   in
   Platform.provision platform ~name:"ull" ~count:2 ~strategy:Sandbox.Horse;
-  Platform.trigger platform ~name:"ull" ~mode:(Platform.Warm Sandbox.Horse) ();
+  Platform.trigger platform ~fn_id:(fid platform "ull")
+    ~mode:(Platform.Warm Sandbox.Horse) ();
   Engine.run engine;
   (match Harness.Records.of_platform platform with
   | [ r ] ->
@@ -235,7 +245,8 @@ let test_total_chaos_terminates () =
       ~recovery:Platform.Recovery.default ~engine ()
   in
   Platform.register platform ull_def;
-  Platform.trigger platform ~name:"ull" ~mode:(Platform.Warm Sandbox.Horse) ();
+  Platform.trigger platform ~fn_id:(fid platform "ull")
+    ~mode:(Platform.Warm Sandbox.Horse) ();
   Engine.run engine;
   Alcotest.(check int) "no records" 0 (Platform.record_count platform);
   Alcotest.(check int) "aborted" 1
@@ -372,7 +383,8 @@ let test_backoff_charged_visible_midladder () =
   Platform.provision platform ~name:"ull" ~count:2 ~strategy:Sandbox.Horse;
   let arena = Platform.trigger_records platform in
   let midladder_rows = ref (-1) in
-  Platform.trigger platform ~name:"ull" ~mode:(Platform.Warm Sandbox.Horse) ();
+  Platform.trigger platform ~fn_id:(fid platform "ull")
+    ~mode:(Platform.Warm Sandbox.Horse) ();
   (* attempt 1 launched synchronously at t=0 and is doomed; look at
      the arena 1ns in — before the crash resolves, long before the
      retry *)
@@ -396,7 +408,8 @@ let test_backoff_charged_visible_midladder () =
 let platform_snapshot engine platform =
   Harness.Snapshot.capture
     ([
-       ("pool.ull", string_of_int (Platform.pool_size platform ~name:"ull"));
+       ("pool.ull", string_of_int
+         (Platform.pool_size platform ~fn_id:(fid platform "ull")));
        ("live", string_of_int (Platform.live_invocations platform));
        ("records", string_of_int (Platform.record_count platform));
        ("pending", string_of_int (Engine.pending engine));
@@ -412,16 +425,22 @@ let test_failed_trigger_is_noop () =
   in
   let check_noop name f =
     let before = platform_snapshot engine platform in
-    (try f () with Platform.No_warm_sandbox _ | Platform.Unknown_function _ -> ());
+    (try f () with Platform.No_warm_sandbox _ | Invalid_argument _ -> ());
     match Harness.Snapshot.diff before (platform_snapshot engine platform) with
     | None -> ()
     | Some diff -> Alcotest.failf "%s mutated state: %s" name diff
   in
   check_noop "dry warm pool" (fun () ->
-      Platform.trigger platform ~name:"ull" ~mode:(Platform.Warm Sandbox.Horse)
+      Platform.trigger platform ~fn_id:(fid platform "ull")
+        ~mode:(Platform.Warm Sandbox.Horse)
         ());
-  check_noop "unknown function" (fun () ->
-      Platform.trigger platform ~name:"ghost" ~mode:Platform.Cold ())
+  (match Platform.fn_id platform ~name:"ghost" with
+  | _ -> Alcotest.fail "resolved an unknown function"
+  | exception Platform.Unknown_function "ghost" -> ());
+  check_noop "unregistered fn_id" (fun () ->
+      Platform.trigger platform
+        ~fn_id:(Function_def.Registry.count (Platform.registry platform))
+        ~mode:Platform.Cold ())
 
 (* ------------------------------------------------------------------ *)
 (* The faults experiment: --jobs invariance, seed determinism          *)

@@ -111,12 +111,13 @@ let test_fleet_under_trace_storm () =
     Horse_trace.Arrivals.poisson_process ~rng ~rate_per_s:500.0
       ~duration:(Time.span_s 2.0)
   in
+  let fn_id = Cluster.fn_id cluster ~name:"fw" in
   List.iter
     (fun offset ->
       ignore
         (Engine.schedule engine ~after:offset (fun _ ->
              ignore
-               (Cluster.trigger cluster ~name:"fw"
+               (Cluster.trigger cluster ~fn_id
                   ~mode:(Platform.Warm Sandbox.Horse) ()))))
     arrivals;
   Cluster.run cluster;
@@ -130,7 +131,8 @@ let test_fleet_under_trace_storm () =
     (List.length (Cluster.rejections cluster));
   Alcotest.(check int) "nothing live" 0 (Cluster.live_invocations cluster);
   let fallbacks = List.length records - warm_horse records in
-  Alcotest.(check int) "pool restored" 6 (Cluster.pool_size cluster ~name:"fw");
+  Alcotest.(check int) "pool restored" 6
+    (Cluster.pool_size cluster ~fn_id);
   (* warm-first routing keeps the fast path dominant *)
   let warm = warm_horse records in
   Alcotest.(check bool)
@@ -234,12 +236,13 @@ let test_full_stack_determinism () =
       (Function_def.create ~name:"nat" ~vcpus:2 ~memory_mb:512
          ~exec:(Function_def.Ull Category.Cat2) ());
     Platform.provision platform ~name:"nat" ~count:2 ~strategy:Sandbox.Horse;
+    let fn_id = Platform.fn_id platform ~name:"nat" in
     for i = 0 to 49 do
       ignore
         (Engine.schedule engine
            ~after:(Time.span_us (float_of_int i *. 97.0))
            (fun _ ->
-             Platform.trigger platform ~name:"nat"
+             Platform.trigger platform ~fn_id
                ~mode:(Platform.Warm Sandbox.Horse) ()))
     done;
     Engine.run engine;

@@ -105,12 +105,13 @@ let sharded_storm ?policy ?scheduler ~seed ~shards ~faulty () =
   end;
   let rng = Rng.create ~seed:(seed + 2) in
   let engine = Cluster.engine cluster in
+  let fn_id = Cluster.fn_id cluster ~name:"ull" in
   for _ = 1 to 200 do
     let after = Time.span_ns (Rng.int rng (Time.span_to_ns horizon)) in
     ignore
       (Engine.schedule engine ~after (fun _ ->
            ignore
-             (Cluster.trigger cluster ~name:"ull"
+             (Cluster.trigger cluster ~fn_id
                 ~mode:(Platform.Warm Sandbox.Horse) ())))
   done;
   Cluster.run cluster;
@@ -182,6 +183,7 @@ let gap_clump_storm ?scheduler ~seed ~shards () =
   Cluster.register cluster ull_def;
   Cluster.provision cluster ~name:"ull" ~total:12 ~strategy:Sandbox.Horse;
   let engine = Cluster.engine cluster in
+  let fn_id = Cluster.fn_id cluster ~name:"ull" in
   let rng = Rng.create ~seed:(seed + 3) in
   for clump = 0 to 7 do
     let base = 1_000_000 + (clump * 8_000_000) in
@@ -190,7 +192,7 @@ let gap_clump_storm ?scheduler ~seed ~shards () =
       ignore
         (Engine.schedule_at engine ~at (fun _ ->
              ignore
-               (Cluster.trigger cluster ~name:"ull"
+               (Cluster.trigger cluster ~fn_id
                   ~mode:(Platform.Warm Sandbox.Horse) ())))
     done
   done;
@@ -281,10 +283,11 @@ let shard_spec ?policy ~name () =
     let sut = fresh 4 and oracle = fresh 1 in
     let schedule cluster ns =
       let engine = Cluster.engine cluster in
+      let fn_id = Cluster.fn_id cluster ~name:"ull" in
       ignore
         (Engine.schedule engine ~after:(Time.span_ns ns) (fun _ ->
              ignore
-               (Cluster.trigger cluster ~name:"ull"
+               (Cluster.trigger cluster ~fn_id
                   ~mode:(Platform.Warm Sandbox.Horse) ())))
     in
     fun op ->
@@ -340,10 +343,11 @@ let gap_clump_spec () =
     let all = [ sut; lockstep; oracle ] in
     let schedule cluster ns =
       let engine = Cluster.engine cluster in
+      let fn_id = Cluster.fn_id cluster ~name:"ull" in
       ignore
         (Engine.schedule engine ~after:(Time.span_ns ns) (fun _ ->
              ignore
-               (Cluster.trigger cluster ~name:"ull"
+               (Cluster.trigger cluster ~fn_id
                   ~mode:(Platform.Warm Sandbox.Horse) ())))
     in
     fun op ->
@@ -739,7 +743,7 @@ let router_storm ?policy ?scheduler ?(faulty = false) ?e2e
     ignore
       (Engine.schedule engine ~after (fun _ ->
            ignore
-             (Cluster.trigger_id cluster ~fn_id
+             (Cluster.trigger cluster ~fn_id
                 ~mode:(Platform.Warm Sandbox.Horse) ())))
   done;
   Cluster.run cluster;
@@ -822,7 +826,7 @@ let test_spill_dry_warm () =
        (fun _ ->
          outcome :=
            Some
-             (Cluster.trigger_id cluster ~fn_id
+             (Cluster.trigger cluster ~fn_id
                 ~mode:(Platform.Warm Sandbox.Horse)
                 ~on_complete:(fun server slot ->
                   completion :=
@@ -896,11 +900,11 @@ let test_spill_all_down_and_pinned () =
        (fun _ ->
          affine :=
            Some
-             (Cluster.trigger_id cluster ~fn_id
+             (Cluster.trigger cluster ~fn_id
                 ~mode:(Platform.Warm Sandbox.Horse) ());
          pinned :=
            Some
-             (Cluster.trigger_id cluster ~router:home ~fn_id
+             (Cluster.trigger cluster ~router:home ~fn_id
                 ~mode:(Platform.Warm Sandbox.Horse) ())));
   Cluster.run cluster;
   (match !affine with
@@ -914,6 +918,37 @@ let test_spill_all_down_and_pinned () =
       (Cluster.reject_reason_name rj.Cluster.reason)
   | _ -> Alcotest.fail "expected Rejected for the pinned trigger");
   Alcotest.(check int) "exactly one spill" 1
+    (Metrics.counter (Cluster.metrics cluster) "cluster.spills");
+  (* a second function, once every group is down: its affine trigger
+     spills one hop and the neighbor rejects it, naming that function *)
+  Array.iter
+    (fun s -> Cluster.mark_down cluster s)
+    (Cluster.router_servers cluster neighbor);
+  let other = Cluster.fn_id cluster ~name:(fn_name 6) in
+  let spilled = ref None in
+  ignore
+    (Engine.schedule_at
+       (Cluster.router_engine cluster
+          (Cluster.router_of_fn cluster ~fn_id:other))
+       ~at:(Time.of_ns 2_000_000)
+       (fun _ ->
+         spilled :=
+           Some
+             (Cluster.trigger cluster ~fn_id:other ~mode:Platform.Cold ())));
+  Cluster.run cluster;
+  (match !spilled with
+  | Some (Cluster.Forwarded _) -> ()
+  | _ -> Alcotest.fail "expected the second function to spill");
+  Alcotest.(check (list (pair string string)))
+    "each rejection names its function"
+    [ ("all-servers-down", fn_name 1); ("all-servers-down", fn_name 6) ]
+    (List.sort compare
+       (List.map
+          (fun (rj : Cluster.rejection) ->
+            ( Cluster.reject_reason_name rj.Cluster.reason,
+              rj.Cluster.function_name ))
+          (Cluster.rejections cluster)));
+  Alcotest.(check int) "two spills" 2
     (Metrics.counter (Cluster.metrics cluster) "cluster.spills")
 
 (* -- pull-claim fairness across the plane -------------------------- *)
@@ -947,7 +982,7 @@ let test_pull_fifo_per_router () =
              ~at:(Time.of_ns (1_000_000 + (tag * 1_000)))
              (fun _ ->
                ignore
-                 (Cluster.trigger_id cluster ~router:r ~fn_id
+                 (Cluster.trigger cluster ~router:r ~fn_id
                     ~mode:(Platform.Warm Sandbox.Horse)
                     ~on_complete:(fun server slot ->
                       let record =

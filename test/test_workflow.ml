@@ -135,7 +135,7 @@ let run_sequential ?(seed = 11) graph =
     if i < Workflow.node_count graph then
       match
         Cluster.trigger cluster
-          ~name:(Workflow.node_name graph i)
+          ~fn_id:(Cluster.fn_id cluster ~name:(Workflow.node_name graph i))
           ~mode:(Workflow.node_mode graph i)
           ~on_complete:(fun server slot ->
             let r =
