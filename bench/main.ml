@@ -49,9 +49,9 @@ module Shard_engine = Horse_sim.Shard_engine
 let section title =
   Printf.printf "\n==== %s ====\n\n%!" title
 
-let jobs = ref (Horse_parallel.Pool.default_jobs ())
+let jobs = ref (Horse_parallel.Team.default_width ())
 
-let shards = ref (max 4 (Horse_parallel.Pool.default_jobs ()))
+let shards = ref (max 4 (Horse_parallel.Team.default_width ()))
 
 let routers = ref 4
 

@@ -1,10 +1,9 @@
 (* Wall-clock microbenchmarks of the real implementations: the event
-   queue, the pool dispatch path, the arena run queue, the P²SM
-   maintenance callback of paused sandboxes, the router's decide
-   path, the P²SM splice against the vanilla per-element merge, the
-   coalesced load update against the iterated one, a resume storm
-   against a fleet of paused bystanders, and the three workload
-   categories' real functions.  Each row reports one implementation's
+   queue, the arena run queue, the P²SM maintenance callback of paused
+   sandboxes, the router's decide path, the P²SM splice against the
+   vanilla per-element merge, the coalesced load update against the
+   iterated one, a resume storm against a fleet of paused bystanders,
+   and the three workload categories' real functions.  Each row reports one implementation's
    absolute value with its unit, or a ratio of two rows.
 
    Usage:  micro.exe [--quick]
@@ -51,12 +50,14 @@ let budgets =
        late one almost none; tighten it once P²SM upkeep leaves the
        per-subscriber path *)
     ("resume-storm:first-over-last-decile", 20.0);
+    (* the [Filter_matches] box of the outcome; the count itself is
+       taken in place *)
+    ("workload:cat3:words-per-run", 2.0);
   ]
 
 module Time_ns = Horse_sim.Time_ns
 module Rng = Horse_sim.Rng
 module Report = Horse.Report
-module Pool = Horse_parallel.Pool
 module Eq = Horse_sim.Event_queue
 module Category = Horse_workload.Category
 
@@ -142,19 +143,6 @@ let eq_cancel ~batch ~rounds ~trials ~horizon =
       Array.iter (Option.iter (fun h -> ignore (Eq.cancel q h))) handles;
       drain q;
       base := b + horizon)
-
-(* ------------------------------------------------------------------ *)
-(* Pool dispatch latency                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Trivial tasks, so the measured time IS the dispatch machinery:
-   deque push + wake-up + steal + completion accounting, per task. *)
-let pool_dispatch ~jobs ~chunk ~ntasks ~trials =
-  let pool = Pool.shared ~jobs () in
-  let tasks = List.init ntasks (fun i () -> i) in
-  (measure ~ops:ntasks ~rounds:1 ~trials (fun () ->
-       ignore (Pool.run_list ~chunk pool tasks)))
-    .ns_per_op
 
 (* ------------------------------------------------------------------ *)
 (* Run queue                                                           *)
@@ -474,15 +462,6 @@ let () =
     let c = eq_cancel ~batch ~rounds ~trials ~horizon:far in
     [ ("eq-cancel:ns-per-op", Ns, c.ns_per_op) ]
   in
-  let pool =
-    let jobs = 4 and ntasks = if quick then 512 else 4096 in
-    List.map
-      (fun chunk ->
-        ( Printf.sprintf "pool:dispatch-chunk%d:ns-per-task" chunk,
-          Ns,
-          pool_dispatch ~jobs ~chunk ~ntasks ~trials ))
-      [ 1; 32 ]
-  in
   let rq =
     let n = 256 and fan = 64 in
     let costs =
@@ -581,7 +560,7 @@ let () =
     ]
   in
   let workloads =
-    List.map
+    List.concat_map
       (fun category ->
         let c =
           measure ~ops:16 ~rounds ~trials (fun () ->
@@ -589,13 +568,15 @@ let () =
                 ignore (Sys.opaque_identity (Category.run_real category))
               done)
         in
-        ( Printf.sprintf "workload:%s:ns-per-run" (Category.name category),
-          Ns,
-          c.ns_per_op ))
+        let name = Category.name category in
+        [
+          (Printf.sprintf "workload:%s:ns-per-run" name, Ns, c.ns_per_op);
+          (Printf.sprintf "workload:%s:words-per-run" name, Words, c.words_per_op);
+        ])
       Category.all
   in
   let rows =
-    eq "near" near @ eq "far" far @ cancel @ pool @ rq @ router @ merges
+    eq "near" near @ eq "far" far @ cancel @ rq @ router @ merges
     @ load @ storm @ workloads
   in
   let failures =
@@ -611,9 +592,8 @@ let () =
   Report.print
     ~caption:
       "Hot paths of the production structures: flat event queue \
-       (4-ary heap), pool dispatch at chunk 1 and 32, arena run \
-       queue, P²SM upkeep per paused subscriber, router decide per \
-       builtin policy; P²SM splice vs sequential merge of 36 vCPUs, \
+       (4-ary heap), arena run queue, P²SM upkeep per paused \
+       subscriber, router decide per builtin policy; P²SM splice vs sequential merge of 36 vCPUs, \
        coalesced vs 36 iterated load updates, a 200-sandbox resume \
        storm, the real workload functions.  Budgeted rows must stay \
        at or under their budget."

@@ -53,7 +53,7 @@ let jobs_arg =
   in
   Arg.(
     value
-    & opt positive_int (Horse_parallel.Pool.default_jobs ())
+    & opt positive_int (Horse_parallel.Team.default_width ())
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Fan the experiment's independent tasks over $(docv) domains \

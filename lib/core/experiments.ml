@@ -14,7 +14,7 @@ module Cluster = Horse_faas.Cluster
 module Function_def = Horse_faas.Function_def
 module Trigger_records = Horse_faas.Trigger_records
 
-module Pool = Horse_parallel.Pool
+module Team = Horse_parallel.Team
 
 type profile = Scenario.profile = Firecracker | Xen
 
@@ -30,19 +30,19 @@ let default_sweep = [ 1; 2; 4; 8; 12; 16; 20; 24; 28; 32; 36 ]
 
 let mean values = Stats.mean_of values
 
-(* Fan independent experiment tasks over the cached process-wide pool
+(* Fan independent experiment tasks over the cached process-wide team
    of [jobs] strands.  Every task closes over its complete input —
-   profile, seed arithmetic, sweep point — at submission, and results
-   come back in list order, so the output is bit-identical to
-   [List.map] for any [jobs] and any chunk size the pool picks (the
-   determinism and pool tests pin both).  [jobs = 1] *is* [List.map]:
-   no pool, no domains.
-   Reusing [Pool.shared] means a sweep never pays domain spawns —
-   with per-call pools the spawn/join cost alone outweighed the
-   tasks. *)
+   profile, seed arithmetic, sweep point — before the round, and
+   results come back in list order, so the output is bit-identical to
+   [List.map] for any [jobs] (the determinism tests and the
+   paper-tables golden at --jobs 4 pin it).  [jobs = 1] *is*
+   [List.map]: no team, no domains.  Reusing [Team.shared] means a
+   sweep never pays domain spawns, and a sharded scenario inside a
+   task that meets a team already in a round runs its strands inline
+   ({!Team.run}'s nesting rule). *)
 let fan ~jobs f items =
   if jobs <= 1 then List.map f items
-  else Pool.map (Pool.shared ~jobs ()) ~f:(fun _ x -> f x) items
+  else Team.map (Team.shared ~width:jobs) f items
 
 let ns_of span = float_of_int (Time.span_to_ns span)
 

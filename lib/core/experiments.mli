@@ -8,14 +8,13 @@
 
     The sweep-shaped experiments take [?jobs] (default 1): their
     independent tasks — table cells, sweep points, paired repeats —
-    fan out over the cached process-wide {!Horse_parallel.Pool} of
-    that many strands ({!Horse_parallel.Pool.shared}, so repeated
-    experiments never pay domain spawns); the pool picks how many
-    consecutive tasks go in one dispatch.  Results are {e
-    bit-identical for every value of [jobs]}: tasks close
-    over their seeds at submission and results are collected in task
-    order, so parallelism only changes wall-clock time, never a
-    number. *)
+    fan out with {!Horse_parallel.Team.map} over the cached
+    process-wide team of that many strands
+    ({!Horse_parallel.Team.shared}, so repeated experiments never pay
+    domain spawns).  Results are {e bit-identical for every value of
+    [jobs]}: tasks close over their seeds before the fan and results
+    are collected in task order, so parallelism only changes
+    wall-clock time, never a number. *)
 
 type profile = Scenario.profile = Firecracker | Xen
 (** See {!Scenario.cost_of_profile} and {!Scenario.profile_name}. *)
@@ -287,7 +286,11 @@ val run_scenarios :
   ?jobs:int -> Scenario.t list -> Scenario.row list
 (** {!Scenario.run} over a list, fanned over [jobs] strands like every
     other sweep here: rows come back in list order, bit-identical for
-    every [jobs]. *)
+    every [jobs].  A scenario with [shards > 1] runs its shard rounds
+    on the cached team of that width; when that team is already in a
+    round — it is the fan's own team, or another strand of the fan is
+    using it — the scenario's rounds run inline on its strand
+    ({!Horse_parallel.Team.run}'s nesting rule), with the same rows. *)
 
 (** {1 Headline summary} *)
 

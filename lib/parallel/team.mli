@@ -1,24 +1,26 @@
-(** A persistent domain team with a reusable round barrier.
+(** The one parallel runtime: a persistent domain team with a reusable
+    round barrier.
 
-    Where {!Pool} schedules irregular task batches through
-    work-stealing deques, a team runs one strand-indexed job across a
-    fixed set of domains, round after round: [run t f] executes [f w]
-    for every strand [w] in [0 .. width - 1] (strand 0 on the calling
-    domain, the rest each pinned to its own persistent domain) and
-    returns only when every strand has finished.  Releasing a round is
-    a single atomic increment of the round counter — a sense-reversing
-    barrier with the round number as the sense — so a round allocates
-    nothing and costs no semaphore traffic, which is what makes the
-    thousands of short synchronization rounds of
-    [Horse_sim.Shard_engine] affordable.
+    [run t f] executes [f w] for every strand [w] in [0 .. width - 1]
+    (strand 0 on the calling domain, the rest each pinned to its own
+    persistent domain) and returns only when every strand has
+    finished.  Releasing a round is a single atomic increment of the
+    round counter — a sense-reversing barrier with the round number as
+    the sense — so a round costs no semaphore traffic, which is what
+    makes the thousands of short synchronization rounds of
+    [Horse_sim.Shard_engine] affordable.  {!map} builds the experiment
+    sweeps' ordered fan on one such round.
 
-    Strand [w] always executes on the same domain for the life of the
-    team, so per-strand working sets stay cache-warm across rounds.
-    [run] establishes the usual happens-before: writes by the
-    coordinator before [run] are visible to every strand, and writes
-    by the strands inside [f] are visible to the coordinator after
-    [run] returns.  Idle strands spin a short budget, then park on a
-    condition variable, so an over-subscribed host blocks instead of
+    Strand [w] normally executes on the same domain every round, so
+    per-strand working sets stay cache-warm across rounds; but a round
+    never waits for a parked worker to wake: once the caller has run
+    its own strands it runs every worker strand that has not started
+    yet itself, and waits only for strands already running.
+    [run] establishes the usual happens-before: writes by the caller
+    before [run] are visible to every strand, and writes by the
+    strands inside [f] are visible to the caller after [run] returns.
+    Idle strands spin a short budget, then park on a condition
+    variable, so an over-subscribed host blocks instead of
     busy-waiting.
 
     Spawned workers are capped at the cores actually available
@@ -31,11 +33,23 @@
     by strand, never by domain, so results are identical for any
     split.
 
-    If strands raise, the exception of the lowest-numbered strand is
-    re-raised after the barrier — independent of scheduling, like
-    [Pool.run_list]. *)
+    {b Nesting.}  A [run] on a team that is already inside a round —
+    called from one of that team's own strands, or from another domain
+    at the same time — runs every strand inline on its caller, in
+    ascending order, and touches none of the team's shared state.  So
+    a sweep's strand may run a sharded scenario on the same cached
+    team, and two domains may share one team, with the same results
+    as one caller running alone.
+
+    If strands raise, every strand still runs, and the exception of
+    the lowest-numbered strand is re-raised afterwards — independent
+    of scheduling. *)
 
 type t
+
+val default_width : unit -> int
+(** [Domain.recommended_domain_count () - 1] (the caller is the extra
+    strand), at least 1: the default [--jobs] of the command lines. *)
 
 val create : width:int -> unit -> t
 (** A team of [width] strands backed by
@@ -51,16 +65,23 @@ val domains : t -> int
 
 val run : t -> (int -> unit) -> unit
 (** One barrier-delimited round: run [f w] on every strand and wait
-    for all of them.  Must only be called from one coordinating domain
-    at a time, and never from inside a running round.
+    for all of them.  Safe from any domain and from inside a round
+    (see Nesting above).
     @raise Invalid_argument if the team is shut down. *)
 
+val map : t -> ('a -> 'b) -> 'a list -> 'b list
+(** [map t f xs] is [List.map f xs] for every width: one {!run} round
+    in which the strands claim item indices from one atomic counter
+    and store each result at its index.  Every item runs even if some
+    raise; the lowest-indexed item's exception is then re-raised. *)
+
 val rounds : t -> int
-(** Rounds released so far (lifetime of the team). *)
+(** Barrier rounds released so far (lifetime of the team); nested and
+    concurrent inline runs are not counted. *)
 
 val barrier_wait_ns : t -> int
-(** Wall-clock nanoseconds the coordinator has spent waiting at the
-    join barrier, accumulated over all rounds — the direct price of
+(** Monotonic nanoseconds the caller has spent waiting at the join
+    barrier, accumulated over all rounds — the direct price of
     synchronization, as opposed to the work inside the rounds. *)
 
 val shutdown : t -> unit
@@ -70,6 +91,5 @@ val with_team : width:int -> (t -> 'a) -> 'a
 (** [create], run [f], [shutdown] — exception-safe. *)
 
 val shared : width:int -> t
-(** The process-wide cached team for [width], spawned on first use —
-    the analogue of [Pool.shared].  Never shut one of these down while
-    another user might hold it. *)
+(** The process-wide cached team for [width], spawned on first use.
+    Never shut one of these down while another user might hold it. *)

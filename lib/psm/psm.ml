@@ -315,21 +315,16 @@ module Plan = struct
       else begin
         (* strand [w] handles segments w, w+workers, w+2·workers …;
            distinct keys touch disjoint chain cells, so the strands
-           need no mutual exclusion.  The strands run on the
-           process-wide Horse_parallel pool: repeated merges reuse
+           need no mutual exclusion.  The strands are those of the
+           process-wide team of that width: repeated merges reuse
            its domains instead of paying a spawn/join per resume. *)
-        let strand w () =
-          let i = ref w in
-          while !i < n do
-            splice_one t target !i;
-            i := !i + workers
-          done
-        in
-        ignore
-          (Horse_parallel.Pool.run_list
-             (Horse_parallel.Pool.shared ())
-             (List.init workers strand)
-            : unit list)
+        Horse_parallel.Team.run (Horse_parallel.Team.shared ~width:workers)
+          (fun w ->
+            let i = ref w in
+            while !i < n do
+              splice_one t target !i;
+              i := !i + workers
+            done)
       end;
     commit t ~target ~source
 

@@ -116,10 +116,14 @@ module Plan : sig
     target:'a Arena_list.t ->
     source:'a Arena_list.t ->
     stats
-  (** Same, splicing segments from up to [domains] parallel strands
-      of the shared {!Horse_parallel.Pool} — the no-mutual-exclusion
-      claim, executed for real, without a spawn/join per merge.
-      [domains = 1] splices inline.
+  (** Same, splicing segments from up to [domains] parallel strands:
+      one {!Horse_parallel.Team.run} round on the cached team of that
+      width ({!Horse_parallel.Team.shared}), strand [w] splicing
+      segments [w], [w + workers], … — the no-mutual-exclusion claim,
+      executed for real on OCaml domains, without a spawn/join per
+      merge.  [domains = 1] (or a single segment) splices inline, and
+      so does a call from inside a round of the same team (the team's
+      nesting rule).
       @raise Invalid_argument if [domains < 1]. *)
 
   val is_consistent :

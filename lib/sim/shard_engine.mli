@@ -31,7 +31,7 @@
     every shard count}, including fully sequential execution.
 
     The executor hook keeps this library free of any dependency on the
-    domain pool: callers (see [Horse_faas.Cluster.run]) pass a
+    domain runtime: callers (see [Horse_faas.Cluster.run]) pass a
     barrier executor built on [Horse_parallel.Team]; the default runs
     every strand inline on the calling domain.
 

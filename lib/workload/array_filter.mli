@@ -11,5 +11,9 @@ val indexes_above : int array -> threshold:int -> int list
 (** Indexes (ascending) of elements strictly greater than
     [threshold]. *)
 
+val count_above : int array -> threshold:int -> int
+(** [List.length (indexes_above arr ~threshold)], counted in one
+    allocation-free pass. *)
+
 val sample_input : seed:int -> size:int -> int array
 (** A deterministic pseudo-random input (values in [0, 10000)). *)

@@ -60,5 +60,4 @@ let run_real = function
     Nat_result (Nat.translate (Lazy.force nat) header)
   | Cat3 ->
     Filter_matches
-      (List.length
-         (Array_filter.indexes_above (Lazy.force filter_input) ~threshold:5000))
+      (Array_filter.count_above (Lazy.force filter_input) ~threshold:5000)

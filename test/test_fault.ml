@@ -25,6 +25,7 @@ module Fault = Horse_fault.Fault
 module Category = Horse_workload.Category
 module Workflow = Horse_faas.Workflow
 module E = Horse.Experiments
+module Scenario = Horse.Scenario
 
 let small_topology = Topology.create ~sockets:1 ~cores_per_socket:8 ()
 
@@ -459,6 +460,28 @@ let test_faults_experiment_jobs_invariant () =
         (run 1 = run 2))
     [ 1; 42; 1337 ]
 
+(* Sharded scenarios fanned over 4 strands: each strand's scenario runs
+   its shard rounds on the one cached team of that width, so several
+   strands ask that team for a round at once (and the fan itself may
+   be running on it).  Rows must still equal the sequential fan's. *)
+let test_faults_sharded_fan_jobs_invariant () =
+  List.iter
+    (fun shards ->
+      let scenarios =
+        List.map
+          (fun (s : Scenario.t) -> { s with shards })
+          (E.faults ~seed:42 ~duration_s:0.5
+             ~rates:[ 0.0; 0.02; 0.05; 0.1; 0.2; 0.3 ] ())
+      in
+      let reference = E.run_scenarios ~jobs:1 scenarios in
+      for rep = 1 to 3 do
+        Alcotest.(check bool)
+          (Printf.sprintf "shards %d, rep %d: jobs 4 == jobs 1" shards rep)
+          true
+          (E.run_scenarios ~jobs:4 scenarios = reference)
+      done)
+    [ 2; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Mutation self-test: the harness catches a broken implementation     *)
 (* ------------------------------------------------------------------ *)
@@ -518,6 +541,8 @@ let () =
             test_zero_rate_is_inert;
           Alcotest.test_case "faults experiment jobs-invariant" `Slow
             test_faults_experiment_jobs_invariant;
+          Alcotest.test_case "sharded faults fan jobs-invariant" `Slow
+            test_faults_sharded_fan_jobs_invariant;
         ] );
       ( "consistency",
         [

@@ -1,228 +1,98 @@
-(* Tests for Horse_parallel: work-stealing deque semantics, pool
-   lifecycle / result ordering / exception propagation, deterministic
-   seed splitting, and the headline guarantee that parallel
+(* Tests for Horse_parallel: the team's barrier rounds, its ordered
+   [map] (result order, exception propagation, width 1), the nesting
+   rule for nested and concurrent callers, deterministic seed
+   splitting over a fan, and the headline guarantee that parallel
    experiment sweeps are bit-identical to sequential ones. *)
 
-module Deque = Horse_parallel.Deque
-module Pool = Horse_parallel.Pool
+module Team = Horse_parallel.Team
 module Rng = Horse_sim.Rng
 module E = Horse.Experiments
 
 (* ------------------------------------------------------------------ *)
-(* Deque                                                               *)
+(* Team.map: the sweeps' ordered fan                                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_deque_owner_lifo () =
-  let d = Deque.create () in
-  List.iter (Deque.push d) [ 1; 2; 3 ];
-  Alcotest.(check int) "length" 3 (Deque.length d);
-  Alcotest.(check (list (option int)))
-    "pop newest first"
-    [ Some 3; Some 2; Some 1; None ]
-    (List.init 4 (fun _ -> Deque.pop d))
-
-let test_deque_thief_fifo () =
-  let d = Deque.create () in
-  List.iter (Deque.push d) [ 1; 2; 3 ];
-  Alcotest.(check (list (option int)))
-    "steal oldest first"
-    [ Some 1; Some 2; Some 3; None ]
-    (List.init 4 (fun _ -> Deque.steal d))
-
-let test_deque_grows_both_ends () =
-  let d = Deque.create () in
-  (* far beyond the initial capacity, with interleaved consumption *)
-  for i = 0 to 99 do
-    Deque.push d i
-  done;
-  let stolen = List.init 50 (fun _ -> Option.get (Deque.steal d)) in
-  Alcotest.(check (list int)) "stolen prefix in order" (List.init 50 Fun.id)
-    stolen;
-  for i = 100 to 149 do
-    Deque.push d i
-  done;
-  Alcotest.(check int) "length tracks" 100 (Deque.length d);
-  let popped = List.init 100 (fun _ -> Option.get (Deque.pop d)) in
-  Alcotest.(check (list int))
-    "popped suffix newest-first"
-    (List.init 50 (fun i -> 149 - i) @ List.init 50 (fun i -> 99 - i))
-    popped;
-  Alcotest.(check (option int)) "empty" None (Deque.pop d)
-
-(* ------------------------------------------------------------------ *)
-(* Pool lifecycle & ordering                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_lifecycle () =
-  let pool = Pool.create ~jobs:4 () in
-  Alcotest.(check int) "jobs" 4 (Pool.jobs pool);
-  Alcotest.(check (list int)) "runs" [ 1; 2; 3 ]
-    (Pool.run_list pool [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]);
-  Pool.shutdown pool;
-  Pool.shutdown pool (* idempotent *);
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.run_list: pool is shut down") (fun () ->
-      ignore (Pool.run_list pool [ (fun () -> 0) ]))
-
-let test_pool_rejects_zero_jobs () =
-  Alcotest.check_raises "jobs < 1" (Invalid_argument "Pool.create: jobs < 1")
-    (fun () -> ignore (Pool.create ~jobs:0 ()))
-
-(* deliberately unbalanced tasks: completion order differs wildly
-   from submission order, results must not *)
-let skewed_square i x =
+(* deliberately unbalanced items: completion order differs wildly
+   from list order, results must not *)
+let skewed_square x =
   let spin = Atomic.make 0 in
-  for _ = 1 to (i mod 13) * 10_000 do
+  for _ = 1 to (x mod 13) * 10_000 do
     Atomic.incr spin
   done;
   ignore (Atomic.get spin);
   x * x
 
-let test_pool_map_preserves_order () =
+let test_map_preserves_order () =
   let xs = List.init 200 Fun.id in
-  let expected = List.mapi skewed_square xs in
-  Pool.with_pool ~jobs:4 (fun pool ->
+  let expected = List.map skewed_square xs in
+  Team.with_team ~width:4 (fun team ->
       Alcotest.(check (list int))
-        "task order, not completion order" expected
-        (Pool.map pool ~f:skewed_square xs))
+        "item order, not completion order" expected
+        (Team.map team skewed_square xs);
+      Alcotest.(check (list int)) "empty list" [] (Team.map team skewed_square []))
 
-let test_pool_jobs1_is_inline () =
-  (* jobs = 1 must not spawn: tasks run on the calling domain *)
-  let self = Domain.self () in
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let domains =
-        Pool.run_list pool (List.init 5 (fun _ () -> Domain.self ()))
-      in
-      List.iter
-        (fun d -> Alcotest.(check bool) "same domain" true (d = self))
-        domains)
-
-let test_pool_nested_submission () =
-  (* a task may itself fan out on the same pool (the submitter helps,
-     so this must not deadlock even with more tasks than strands) *)
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let totals =
-        Pool.map pool
-          ~f:(fun i _ ->
-            List.fold_left ( + ) 0
-              (Pool.map pool ~f:(fun j _ -> (10 * i) + j) (List.init 8 Fun.id)))
-          (List.init 4 Fun.id)
-      in
-      Alcotest.(check (list int)) "nested results"
-        (List.init 4 (fun i -> (80 * i) + 28))
-        totals)
-
-(* ------------------------------------------------------------------ *)
-(* Exception propagation                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_exception_propagation () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let completed = Array.make 16 false in
-      let task i () =
-        if i = 11 then failwith "task-11"
-        else if i = 5 then failwith "task-5"
-        else completed.(i) <- true
+let test_map_exception_lowest_index () =
+  Team.with_team ~width:4 (fun team ->
+      let ran = Array.make 64 false in
+      let item i =
+        ran.(i) <- true;
+        if i = 9 || i = 37 then failwith (string_of_int i);
+        i
       in
       (* the lowest-indexed failure wins, whatever the schedule *)
-      Alcotest.check_raises "first failure by index" (Failure "task-5")
-        (fun () -> ignore (Pool.run_list pool (List.init 16 task)));
-      (* the batch settled: every non-failing task still ran *)
-      Array.iteri
-        (fun i done_ ->
-          Alcotest.(check bool)
-            (Printf.sprintf "task %d settled" i)
-            (i <> 5 && i <> 11) done_)
-        completed;
-      (* and the pool survives for the next batch *)
-      Alcotest.(check (list int)) "pool still usable" [ 7 ]
-        (Pool.run_list pool [ (fun () -> 7) ]))
+      Alcotest.check_raises "first failure by index" (Failure "9") (fun () ->
+          ignore (Team.map team item (List.init 64 Fun.id)));
+      (* every item ran, the failing ones and those after them too *)
+      Alcotest.(check bool) "every item ran" true (Array.for_all Fun.id ran);
+      (* and the team survives for the next round *)
+      Alcotest.(check (list int)) "team still usable" [ 7 ]
+        (Team.map team (fun x -> x) [ 7 ]))
 
-let test_pool_exception_inline () =
-  Pool.with_pool ~jobs:1 (fun pool ->
-      Alcotest.check_raises "inline too" (Failure "boom") (fun () ->
-          ignore (Pool.run_list pool [ (fun () -> failwith "boom") ])))
+let test_map_width1_is_list_map () =
+  (* width = 1 spawns nothing: every item runs on the calling domain,
+     in list order, and the result is List.map's *)
+  let self = Domain.self () in
+  Team.with_team ~width:1 (fun team ->
+      Alcotest.(check int) "no domains" 0 (Team.domains team);
+      let order = ref [] in
+      let f x =
+        Alcotest.(check bool) "same domain" true (Domain.self () = self);
+        order := x :: !order;
+        skewed_square x
+      in
+      let xs = List.init 20 Fun.id in
+      Alcotest.(check (list int)) "List.map" (List.map skewed_square xs)
+        (Team.map team f xs);
+      Alcotest.(check (list int)) "in list order" xs (List.rev !order);
+      Alcotest.check_raises "exception too" (Failure "boom") (fun () ->
+          ignore (Team.map team (fun _ -> failwith "boom") [ 1 ])))
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic seed splitting                                        *)
 (* ------------------------------------------------------------------ *)
 
-let draw ~rng _i _x = Rng.int rng 1_000_000
+(* item [i] draws from a stream derived from [(seed, i)] — the
+   seed-splitting rule the sweeps rely on *)
+let draws ~width ~seed xs =
+  let root = Rng.create ~seed in
+  Team.with_team ~width (fun team ->
+      Team.map team
+        (fun i -> Rng.int (Rng.derive root ~index:i) 1_000_000)
+        xs)
 
-let test_map_seeded_jobs_invariant () =
+let test_seeded_fan_jobs_invariant () =
   let xs = List.init 64 Fun.id in
-  let seq = Pool.with_pool ~jobs:1 (fun p -> Pool.map_seeded p ~seed:42 ~f:draw xs) in
-  let par = Pool.with_pool ~jobs:4 (fun p -> Pool.map_seeded p ~seed:42 ~f:draw xs) in
-  Alcotest.(check (list int)) "streams independent of jobs" seq par;
-  let par' = Pool.with_pool ~jobs:4 (fun p -> Pool.map_seeded p ~seed:42 ~f:draw xs) in
-  Alcotest.(check (list int)) "and reproducible" par par'
+  let seq = draws ~width:1 ~seed:42 xs in
+  Alcotest.(check (list int)) "streams independent of width" seq
+    (draws ~width:4 ~seed:42 xs);
+  Alcotest.(check (list int)) "and reproducible" seq (draws ~width:4 ~seed:42 xs)
 
-let test_map_seeded_streams_differ () =
-  let xs = List.init 32 Fun.id in
-  let draws =
-    Pool.with_pool ~jobs:1 (fun p -> Pool.map_seeded p ~seed:7 ~f:draw xs)
-  in
+let test_seeded_streams_differ () =
+  let draws = draws ~width:4 ~seed:7 (List.init 32 Fun.id) in
   let distinct = List.sort_uniq Int.compare draws in
   (* 32 six-digit draws colliding would be a broken derivation *)
   Alcotest.(check int) "per-index streams differ" (List.length draws)
     (List.length distinct)
-
-let test_shared_pool () =
-  let a = Pool.shared () and b = Pool.shared () in
-  Alcotest.(check bool) "one process-wide pool" true (a == b);
-  Alcotest.(check (list int)) "usable" [ 0; 1; 4; 9 ]
-    (Pool.map a ~f:(fun i _ -> i * i) (List.init 4 Fun.id))
-
-(* ------------------------------------------------------------------ *)
-(* Chunked submission                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_chunk_results_invariant () =
-  (* chunking changes scheduling granularity, never results or order;
-     use skewed tasks so chunks genuinely finish out of order *)
-  let xs = List.init 100 Fun.id in
-  let expected = List.mapi skewed_square xs in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      List.iter
-        (fun chunk ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "chunk %d" chunk)
-            expected
-            (Pool.map ~chunk pool ~f:skewed_square xs))
-        [ 1; 7; 100; 1000 ])
-
-let test_chunk_rejects_nonpositive () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      Alcotest.check_raises "chunk < 1"
-        (Invalid_argument "Pool.run_list: chunk < 1") (fun () ->
-          ignore (Pool.run_list ~chunk:0 pool [ (fun () -> 1) ])))
-
-let test_chunk_exception_lowest_index () =
-  (* the lowest-indexed failure must win even when the failures land
-     in different chunks on different workers *)
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let task i () = if i = 9 || i = 37 then failwith (string_of_int i) in
-      List.iter
-        (fun chunk ->
-          Alcotest.check_raises
-            (Printf.sprintf "chunk %d: first failure by index" chunk)
-            (Failure "9")
-            (fun () -> ignore (Pool.run_list ~chunk pool (List.init 64 task))))
-        [ 1; 7; 64 ])
-
-let test_map_seeded_chunk_invariant () =
-  let xs = List.init 64 Fun.id in
-  let reference =
-    Pool.with_pool ~jobs:1 (fun p -> Pool.map_seeded p ~seed:42 ~f:draw xs)
-  in
-  Pool.with_pool ~jobs:4 (fun p ->
-      List.iter
-        (fun chunk ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "chunk %d == sequential" chunk)
-            reference
-            (Pool.map_seeded ~chunk p ~seed:42 ~f:draw xs))
-        [ 1; 7; 64 ])
 
 (* ------------------------------------------------------------------ *)
 (* Experiments: parallel == sequential, bit for bit                    *)
@@ -256,14 +126,8 @@ let test_overhead_colocation_jobs_invariant () =
   Alcotest.(check bool) "colocation" true (cs = cp)
 
 (* ------------------------------------------------------------------ *)
-(* P²SM's parallel merge on the shared pool                            *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* Team: persistent barrier rounds                                     *)
 (* ------------------------------------------------------------------ *)
-
-module Team = Horse_parallel.Team
 
 let test_team_runs_every_strand () =
   Team.with_team ~width:4 (fun team ->
@@ -328,6 +192,64 @@ let test_team_shutdown_rejects_run () =
     (Invalid_argument "Team.run: team is shut down") (fun () ->
       Team.run team ignore)
 
+let test_team_rejects_zero_width () =
+  Alcotest.check_raises "width < 1" (Invalid_argument "Team.create: width < 1")
+    (fun () -> ignore (Team.create ~width:0 ()))
+
+let test_team_nested_run_inline () =
+  (* a strand that runs its own team again gets every strand inline,
+     and the outer round is unharmed *)
+  Team.with_team ~width:4 (fun team ->
+      let inner = Array.init 4 (fun _ -> Array.make 4 0) in
+      let outer = Array.make 4 0 in
+      let rounds = Team.rounds team in
+      Team.run team (fun w ->
+          outer.(w) <- outer.(w) + 1;
+          Team.run team (fun v -> inner.(w).(v) <- inner.(w).(v) + 1));
+      Alcotest.(check (list int)) "outer strands once each" [ 1; 1; 1; 1 ]
+        (Array.to_list outer);
+      Array.iteri
+        (fun w row ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "strand %d's nested run: every strand once" w)
+            [ 1; 1; 1; 1 ] (Array.to_list row))
+        inner;
+      Alcotest.(check int) "only the outer round counted" (rounds + 1)
+        (Team.rounds team);
+      (* a nested failure propagates like any other: lowest strand *)
+      Alcotest.check_raises "nested lowest strand" (Failure "nested 2")
+        (fun () ->
+          Team.run team (fun w ->
+              if w = 0 then
+                Team.run team (fun v ->
+                    if v >= 2 then failwith (Printf.sprintf "nested %d" v))));
+      (* the nested sweep's ordered fan *)
+      Alcotest.(check (list (list int)))
+        "map inside map"
+        (List.init 4 (fun i -> List.init 8 (fun j -> (10 * i) + j)))
+        (Team.map team
+           (fun i -> Team.map team (fun j -> (10 * i) + j) (List.init 8 Fun.id))
+           (List.init 4 Fun.id)))
+
+let test_team_concurrent_callers () =
+  (* two domains running rounds on one team at the same time: each
+     caller sees every strand of each of its rounds run exactly once *)
+  Team.with_team ~width:4 (fun team ->
+      let rounds = 200 in
+      let caller () =
+        let hits = Array.make 4 0 in
+        for _ = 1 to rounds do
+          Team.run team (fun w -> hits.(w) <- hits.(w) + 1)
+        done;
+        Array.to_list hits
+      in
+      let other = Domain.spawn caller in
+      let mine = caller () in
+      let theirs = Domain.join other in
+      let expected = [ rounds; rounds; rounds; rounds ] in
+      Alcotest.(check (list int)) "this domain's rounds" expected mine;
+      Alcotest.(check (list int)) "the other domain's rounds" expected theirs)
+
 let test_team_shared_cached () =
   let a = Team.shared ~width:3 and b = Team.shared ~width:3 in
   Alcotest.(check bool) "same team per width" true (a == b);
@@ -335,7 +257,7 @@ let test_team_shared_cached () =
     "distinct widths distinct teams" false
     (Team.shared ~width:2 == a)
 
-let test_psm_merge_on_pool () =
+let test_psm_merge_on_team () =
   let module Al = Horse_psm.Arena_list in
   let module Psm = Horse_psm.Psm in
   let rng = Rng.create ~seed:99 in
@@ -348,7 +270,7 @@ let test_psm_merge_on_pool () =
     let plan = Psm.Plan.build ~source ~target in
     (match strategy with
     | `Sequential -> ignore (Psm.Plan.execute plan ~target ~source)
-    | `Pool n -> ignore (Psm.Plan.execute_parallel ~domains:n plan ~target ~source));
+    | `Team n -> ignore (Psm.Plan.execute_parallel ~domains:n plan ~target ~source));
     Al.to_list target
   in
   let reference = merged `Sequential in
@@ -357,49 +279,26 @@ let test_psm_merge_on_pool () =
       Alcotest.(check (list int))
         (Printf.sprintf "domains:%d == sequential" n)
         reference
-        (merged (`Pool n)))
+        (merged (`Team n)))
     [ 1; 2; 4; 8 ]
 
 let () =
   Alcotest.run "horse_parallel"
     [
-      ( "deque",
+      ( "map",
         [
-          Alcotest.test_case "owner lifo" `Quick test_deque_owner_lifo;
-          Alcotest.test_case "thief fifo" `Quick test_deque_thief_fifo;
-          Alcotest.test_case "grows" `Quick test_deque_grows_both_ends;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "lifecycle" `Quick test_pool_lifecycle;
-          Alcotest.test_case "rejects jobs<1" `Quick test_pool_rejects_zero_jobs;
-          Alcotest.test_case "map order" `Quick test_pool_map_preserves_order;
-          Alcotest.test_case "jobs=1 inline" `Quick test_pool_jobs1_is_inline;
-          Alcotest.test_case "nested submission" `Quick
-            test_pool_nested_submission;
-          Alcotest.test_case "exception propagation" `Quick
-            test_pool_exception_propagation;
-          Alcotest.test_case "exception inline" `Quick
-            test_pool_exception_inline;
-          Alcotest.test_case "shared pool" `Quick test_shared_pool;
-        ] );
-      ( "chunking",
-        [
-          Alcotest.test_case "results invariant" `Quick
-            test_chunk_results_invariant;
-          Alcotest.test_case "rejects chunk<1" `Quick
-            test_chunk_rejects_nonpositive;
-          Alcotest.test_case "exception lowest index" `Quick
-            test_chunk_exception_lowest_index;
-          Alcotest.test_case "map_seeded invariant" `Quick
-            test_map_seeded_chunk_invariant;
+          Alcotest.test_case "order under skewed costs" `Quick
+            test_map_preserves_order;
+          Alcotest.test_case "lowest-index exception" `Quick
+            test_map_exception_lowest_index;
+          Alcotest.test_case "width=1 is List.map" `Quick
+            test_map_width1_is_list_map;
         ] );
       ( "seed-splitting",
         [
           Alcotest.test_case "jobs-invariant" `Quick
-            test_map_seeded_jobs_invariant;
-          Alcotest.test_case "streams differ" `Quick
-            test_map_seeded_streams_differ;
+            test_seeded_fan_jobs_invariant;
+          Alcotest.test_case "streams differ" `Quick test_seeded_streams_differ;
         ] );
       ( "determinism",
         [
@@ -419,7 +318,13 @@ let () =
             test_team_exception_lowest_strand;
           Alcotest.test_case "shutdown" `Quick test_team_shutdown_rejects_run;
           Alcotest.test_case "shared cache" `Quick test_team_shared_cached;
+          Alcotest.test_case "rejects width<1" `Quick
+            test_team_rejects_zero_width;
+          Alcotest.test_case "nested run inline" `Quick
+            test_team_nested_run_inline;
+          Alcotest.test_case "concurrent callers" `Quick
+            test_team_concurrent_callers;
         ] );
       ( "psm",
-        [ Alcotest.test_case "merge on pool" `Quick test_psm_merge_on_pool ] );
+        [ Alcotest.test_case "merge on team" `Quick test_psm_merge_on_team ] );
     ]

@@ -147,6 +147,7 @@ let prop_filter_sound_and_complete =
     (fun (arr, threshold) ->
       let idx = Array_filter.indexes_above arr ~threshold in
       List.for_all (fun i -> arr.(i) > threshold) idx
+      && Array_filter.count_above arr ~threshold = List.length idx
       && Array.for_all (fun x -> x <= threshold) (Array.of_list
            (List.filteri (fun i _ -> not (List.mem i idx)) (Array.to_list arr)))
       |> fun complete -> complete)
@@ -241,7 +242,14 @@ let test_category_run_real () =
     Alcotest.fail "wrong outcome type");
   match Category.run_real Category.Cat3 with
   | Category.Filter_matches n ->
-    Alcotest.(check bool) "some matches" true (n > 0 && n < 3000)
+    Alcotest.(check bool) "some matches" true (n > 0 && n < 3000);
+    (* the count is the length of the index list over the same input *)
+    let input =
+      Array_filter.sample_input ~seed:11 ~size:Array_filter.standard_size
+    in
+    Alcotest.(check int) "count = matching indexes"
+      (List.length (Array_filter.indexes_above input ~threshold:5000))
+      n
   | Category.Firewall_decision _ | Category.Nat_result _ ->
     Alcotest.fail "wrong outcome type"
 
