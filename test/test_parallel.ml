@@ -1,15 +1,17 @@
-(* Tests for Horse_parallel: the team's barrier rounds, its ordered
-   [map] (result order, exception propagation, width 1), the nesting
-   rule for nested and concurrent callers, deterministic seed
-   splitting over a fan, and the headline guarantee that parallel
-   experiment sweeps are bit-identical to sequential ones. *)
+(* Tests for Horse_parallel: the team as the sweeps' domain pool (its
+   ordered [map]: lifecycle, result order, exception propagation,
+   width 1, nested fans, the shared cache), per-item claims, the
+   team's barrier rounds and its nesting rule for nested and
+   concurrent callers, deterministic seed splitting over a fan, and
+   the headline guarantee that parallel experiment sweeps are
+   bit-identical to sequential ones. *)
 
 module Team = Horse_parallel.Team
 module Rng = Horse_sim.Rng
 module E = Horse.Experiments
 
 (* ------------------------------------------------------------------ *)
-(* Team.map: the sweeps' ordered fan                                   *)
+(* The team as the sweeps' domain pool: Team.map and Team.shared       *)
 (* ------------------------------------------------------------------ *)
 
 (* deliberately unbalanced items: completion order differs wildly
@@ -22,7 +24,26 @@ let skewed_square x =
   ignore (Atomic.get spin);
   x * x
 
-let test_map_preserves_order () =
+let test_pool_lifecycle () =
+  let team = Team.create ~width:4 () in
+  Alcotest.(check int) "width" 4 (Team.width team);
+  Alcotest.(check (list int)) "runs" [ 1; 2; 3 ]
+    (Team.map team (fun f -> f ()) [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]);
+  Team.shutdown team;
+  Team.shutdown team (* idempotent *);
+  Alcotest.check_raises "map after shutdown"
+    (Invalid_argument "Team.run: team is shut down") (fun () ->
+      ignore (Team.map team (fun x -> x) [ 0 ]))
+
+let test_pool_rejects_zero_jobs () =
+  (* a sweep's --jobs is the team's width *)
+  Alcotest.check_raises "width < 1" (Invalid_argument "Team.create: width < 1")
+    (fun () -> ignore (Team.create ~width:0 ()));
+  Alcotest.check_raises "shared width < 1"
+    (Invalid_argument "Team.shared: width < 1") (fun () ->
+      ignore (Team.shared ~width:0))
+
+let test_pool_map_preserves_order () =
   let xs = List.init 200 Fun.id in
   let expected = List.map skewed_square xs in
   Team.with_team ~width:4 (fun team ->
@@ -31,7 +52,45 @@ let test_map_preserves_order () =
         (Team.map team skewed_square xs);
       Alcotest.(check (list int)) "empty list" [] (Team.map team skewed_square []))
 
-let test_map_exception_lowest_index () =
+let test_pool_jobs1_is_inline () =
+  (* width = 1 spawns nothing: every item runs on the calling domain,
+     in list order, and the result is List.map's *)
+  let self = Domain.self () in
+  Team.with_team ~width:1 (fun team ->
+      Alcotest.(check int) "no domains" 0 (Team.domains team);
+      let order = ref [] in
+      let f x =
+        Alcotest.(check bool) "same domain" true (Domain.self () = self);
+        order := x :: !order;
+        skewed_square x
+      in
+      let xs = List.init 20 Fun.id in
+      Alcotest.(check (list int)) "List.map" (List.map skewed_square xs)
+        (Team.map team f xs);
+      Alcotest.(check (list int)) "in list order" xs (List.rev !order))
+
+let test_pool_nested_submission () =
+  (* an item may itself fan out on the same team (the nested map runs
+     inline on its strand), with more items than strands *)
+  Team.with_team ~width:3 (fun team ->
+      let totals =
+        Team.map team
+          (fun i ->
+            List.fold_left ( + ) 0
+              (Team.map team (fun j -> (10 * i) + j) (List.init 8 Fun.id)))
+          (List.init 4 Fun.id)
+      in
+      Alcotest.(check (list int)) "nested results"
+        (List.init 4 (fun i -> (80 * i) + 28))
+        totals;
+      Alcotest.(check (list (list int)))
+        "map inside map"
+        (List.init 4 (fun i -> List.init 8 (fun j -> (10 * i) + j)))
+        (Team.map team
+           (fun i -> Team.map team (fun j -> (10 * i) + j) (List.init 8 Fun.id))
+           (List.init 4 Fun.id)))
+
+let test_pool_exception_propagation () =
   Team.with_team ~width:4 (fun team ->
       let ran = Array.make 64 false in
       let item i =
@@ -48,24 +107,48 @@ let test_map_exception_lowest_index () =
       Alcotest.(check (list int)) "team still usable" [ 7 ]
         (Team.map team (fun x -> x) [ 7 ]))
 
-let test_map_width1_is_list_map () =
-  (* width = 1 spawns nothing: every item runs on the calling domain,
-     in list order, and the result is List.map's *)
-  let self = Domain.self () in
+let test_pool_exception_inline () =
   Team.with_team ~width:1 (fun team ->
-      Alcotest.(check int) "no domains" 0 (Team.domains team);
-      let order = ref [] in
-      let f x =
-        Alcotest.(check bool) "same domain" true (Domain.self () = self);
-        order := x :: !order;
-        skewed_square x
-      in
-      let xs = List.init 20 Fun.id in
-      Alcotest.(check (list int)) "List.map" (List.map skewed_square xs)
-        (Team.map team f xs);
-      Alcotest.(check (list int)) "in list order" xs (List.rev !order);
-      Alcotest.check_raises "exception too" (Failure "boom") (fun () ->
+      Alcotest.check_raises "inline too" (Failure "boom") (fun () ->
           ignore (Team.map team (fun _ -> failwith "boom") [ 1 ])))
+
+let test_shared_pool () =
+  let width = Team.default_width () in
+  let a = Team.shared ~width and b = Team.shared ~width in
+  Alcotest.(check bool) "one process-wide team per width" true (a == b);
+  Alcotest.(check (list int)) "usable" [ 0; 1; 4; 9 ]
+    (Team.map a (fun i -> i * i) (List.init 4 Fun.id))
+
+(* ------------------------------------------------------------------ *)
+(* Item claims: Team.map hands out one index at a time, so how many    *)
+(* items each strand takes depends on width and schedule — never the   *)
+(* results or which exception wins                                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_chunk_results_invariant () =
+  let xs = List.init 100 Fun.id in
+  let expected = List.map skewed_square xs in
+  List.iter
+    (fun width ->
+      Team.with_team ~width (fun team ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "width %d" width)
+            expected
+            (Team.map team skewed_square xs)))
+    [ 1; 2; 3; 4; 8 ]
+
+let test_chunk_exception_lowest_index () =
+  (* the lowest-indexed failure must win even when the failures are
+     claimed by different strands on different domains *)
+  let item i = if i = 9 || i = 37 then failwith (string_of_int i) in
+  List.iter
+    (fun width ->
+      Team.with_team ~width (fun team ->
+          Alcotest.check_raises
+            (Printf.sprintf "width %d: first failure by index" width)
+            (Failure "9")
+            (fun () -> ignore (Team.map team item (List.init 64 Fun.id)))))
+    [ 1; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic seed splitting                                        *)
@@ -192,10 +275,6 @@ let test_team_shutdown_rejects_run () =
     (Invalid_argument "Team.run: team is shut down") (fun () ->
       Team.run team ignore)
 
-let test_team_rejects_zero_width () =
-  Alcotest.check_raises "width < 1" (Invalid_argument "Team.create: width < 1")
-    (fun () -> ignore (Team.create ~width:0 ()))
-
 let test_team_nested_run_inline () =
   (* a strand that runs its own team again gets every strand inline,
      and the outer round is unharmed *)
@@ -222,14 +301,7 @@ let test_team_nested_run_inline () =
           Team.run team (fun w ->
               if w = 0 then
                 Team.run team (fun v ->
-                    if v >= 2 then failwith (Printf.sprintf "nested %d" v))));
-      (* the nested sweep's ordered fan *)
-      Alcotest.(check (list (list int)))
-        "map inside map"
-        (List.init 4 (fun i -> List.init 8 (fun j -> (10 * i) + j)))
-        (Team.map team
-           (fun i -> Team.map team (fun j -> (10 * i) + j) (List.init 8 Fun.id))
-           (List.init 4 Fun.id)))
+                    if v >= 2 then failwith (Printf.sprintf "nested %d" v)))))
 
 let test_team_concurrent_callers () =
   (* two domains running rounds on one team at the same time: each
@@ -257,7 +329,8 @@ let test_team_shared_cached () =
     "distinct widths distinct teams" false
     (Team.shared ~width:2 == a)
 
-let test_psm_merge_on_team () =
+let test_psm_merge_on_pool () =
+  (* execute_parallel runs on the shared team for its width *)
   let module Al = Horse_psm.Arena_list in
   let module Psm = Horse_psm.Psm in
   let rng = Rng.create ~seed:99 in
@@ -285,14 +358,25 @@ let test_psm_merge_on_team () =
 let () =
   Alcotest.run "horse_parallel"
     [
-      ( "map",
+      ( "pool",
         [
-          Alcotest.test_case "order under skewed costs" `Quick
-            test_map_preserves_order;
-          Alcotest.test_case "lowest-index exception" `Quick
-            test_map_exception_lowest_index;
-          Alcotest.test_case "width=1 is List.map" `Quick
-            test_map_width1_is_list_map;
+          Alcotest.test_case "lifecycle" `Quick test_pool_lifecycle;
+          Alcotest.test_case "rejects jobs<1" `Quick test_pool_rejects_zero_jobs;
+          Alcotest.test_case "map order" `Quick test_pool_map_preserves_order;
+          Alcotest.test_case "jobs=1 inline" `Quick test_pool_jobs1_is_inline;
+          Alcotest.test_case "nested submission" `Quick
+            test_pool_nested_submission;
+          Alcotest.test_case "exception propagation" `Quick
+            test_pool_exception_propagation;
+          Alcotest.test_case "exception inline" `Quick test_pool_exception_inline;
+          Alcotest.test_case "shared pool" `Quick test_shared_pool;
+        ] );
+      ( "chunking",
+        [
+          Alcotest.test_case "results invariant" `Quick
+            test_chunk_results_invariant;
+          Alcotest.test_case "exception lowest index" `Quick
+            test_chunk_exception_lowest_index;
         ] );
       ( "seed-splitting",
         [
@@ -318,13 +402,11 @@ let () =
             test_team_exception_lowest_strand;
           Alcotest.test_case "shutdown" `Quick test_team_shutdown_rejects_run;
           Alcotest.test_case "shared cache" `Quick test_team_shared_cached;
-          Alcotest.test_case "rejects width<1" `Quick
-            test_team_rejects_zero_width;
           Alcotest.test_case "nested run inline" `Quick
             test_team_nested_run_inline;
           Alcotest.test_case "concurrent callers" `Quick
             test_team_concurrent_callers;
         ] );
       ( "psm",
-        [ Alcotest.test_case "merge on team" `Quick test_psm_merge_on_team ] );
+        [ Alcotest.test_case "merge on pool" `Quick test_psm_merge_on_pool ] );
     ]
