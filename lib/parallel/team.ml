@@ -28,19 +28,22 @@
    and touches no shared field, so nesting and concurrent callers
    neither deadlock nor corrupt a round.
 
-   Worker count is capped at the cores actually available: a strand
-   with no worker runs on the caller, after strand 0, in ascending
-   order.  On a single-core host that caps at *zero* workers — every
-   strand runs inline on the caller, because forcing a parked domain
-   to participate in a barrier on a timeshared core costs a context
-   switch per worker per round (measured ~48us/round for width 4
-   against ~0 inline) and can never overlap any work.  Results don't
-   depend on the split: the job contract is indexed by strand, not by
-   domain. *)
+   A multi-core host gets one worker per strand beyond strand 0, even
+   when the strands outnumber the cores: a worker the OS has not run
+   yet costs a round nothing, since the caller claims its strand, and
+   with fewer workers than strands a 2-vCPU guest kept the caller and
+   its one worker on the same vCPU for seconds after an idle spell
+   (doc/ARCHITECTURE.md §9).  A single-core host gets *zero* workers —
+   every strand runs inline on the caller, because forcing a parked
+   domain to participate in a barrier on a timeshared core costs a
+   context switch per worker per round (measured ~48us/round for
+   width 4 against ~0 inline) and can never overlap any work.  Results
+   don't depend on the split: the job contract is indexed by strand,
+   not by domain. *)
 
 type t = {
   width : int;
-  domains : int;  (* spawned workers; strands beyond run on the caller *)
+  domains : int;  (* spawned workers: [width - 1], or 0 on one core *)
   mutable workers : unit Domain.t array;
   mutable job : int -> unit;  (* current round's work, strand-indexed *)
   round : int Atomic.t;  (* release increment; doubles as the barrier sense *)
@@ -108,7 +111,7 @@ let worker_loop t w () =
 let create ~width () =
   if width < 1 then invalid_arg "Team.create: width < 1";
   let domains =
-    min (width - 1) (max 0 (Domain.recommended_domain_count () - 1))
+    if Domain.recommended_domain_count () < 2 then 0 else width - 1
   in
   let t =
     {
@@ -171,10 +174,6 @@ let barrier_round t f =
   Condition.broadcast t.go_cond;
   Mutex.unlock t.go_lock;
   run_strand t f 0;
-  (* strands with no worker of their own ride on the caller *)
-  for w = t.domains + 1 to t.width - 1 do
-    run_strand t f w
-  done;
   for w = 1 to t.domains do
     if claim t w round then begin
       run_strand t f w;

@@ -23,10 +23,10 @@
     variable, so an over-subscribed host blocks instead of
     busy-waiting.
 
-    Spawned workers are capped at the cores actually available
-    ([Domain.recommended_domain_count () - 1]); strands beyond the cap
-    run on the calling domain, after strand 0, in ascending order.  In
-    particular a single-core host spawns no workers at all and [run]
+    A multi-core host spawns one worker per strand beyond strand 0,
+    even when the strands outnumber the cores: a worker the OS has not
+    scheduled yet costs a round nothing, because the caller runs its
+    strand.  A single-core host spawns no workers at all and [run]
     executes every strand inline — forcing parked domains through a
     barrier on a timeshared core pays a context switch per worker per
     round and can never overlap any work.  The job contract is indexed
@@ -52,10 +52,12 @@ val default_width : unit -> int
     strand), at least 1: the default [--jobs] of the command lines. *)
 
 val create : width:int -> unit -> t
-(** A team of [width] strands backed by
-    [min (width - 1) (recommended_domain_count () - 1)] spawned
-    domains (none for [width = 1], where {!run} degenerates to [f 0]
-    inline).
+(** A team of [width] strands backed by [width - 1] spawned domains
+    — none when [recommended_domain_count () < 2], and none for
+    [width = 1], where {!run} degenerates to [f 0] inline.  The
+    domains count against the runtime's limit (128 in OCaml 5.1,
+    shared with every other live domain); beyond it {!Domain.spawn}
+    fails.
     @raise Invalid_argument if [width < 1]. *)
 
 val width : t -> int

@@ -306,24 +306,25 @@ module Plan = struct
     if domains < 1 then invalid_arg "Psm.Plan.execute_parallel: domains < 1";
     check_fresh t ~target ~source;
     let n = t.nseg in
-    let workers = min domains (max n 1) in
     if n > 0 then
-      if workers = 1 then
+      if domains = 1 || n = 1 then
         for i = 0 to n - 1 do
           splice_one t target i
         done
       else begin
-        (* strand [w] handles segments w, w+workers, w+2·workers …;
-           distinct keys touch disjoint chain cells, so the strands
-           need no mutual exclusion.  The strands are those of the
-           process-wide team of that width: repeated merges reuse
-           its domains instead of paying a spawn/join per resume. *)
-        Horse_parallel.Team.run (Horse_parallel.Team.shared ~width:workers)
+        (* strand [w] handles segments w, w+domains, w+2·domains …
+           (none when [w >= n]); distinct keys touch disjoint chain
+           cells, so the strands need no mutual exclusion.  The
+           strands are those of the process-wide team of width
+           [domains], whatever the segment count: repeated merges
+           reuse its domains instead of paying a spawn/join per
+           resume. *)
+        Horse_parallel.Team.run (Horse_parallel.Team.shared ~width:domains)
           (fun w ->
             let i = ref w in
             while !i < n do
               splice_one t target !i;
-              i := !i + workers
+              i := !i + domains
             done)
       end;
     commit t ~target ~source

@@ -117,9 +117,10 @@ module Plan : sig
     source:'a Arena_list.t ->
     stats
   (** Same, splicing segments from up to [domains] parallel strands:
-      one {!Horse_parallel.Team.run} round on the cached team of that
-      width ({!Horse_parallel.Team.shared}), strand [w] splicing
-      segments [w], [w + workers], … — the no-mutual-exclusion claim,
+      one {!Horse_parallel.Team.run} round on the cached team of width
+      [domains] ({!Horse_parallel.Team.shared}), strand [w] splicing
+      segments [w], [w + domains], … (nothing when [w] is past the
+      last segment) — the no-mutual-exclusion claim,
       executed for real on OCaml domains, without a spawn/join per
       merge.  [domains = 1] (or a single segment) splices inline, and
       so does a call from inside a round of the same team (the team's
