@@ -112,8 +112,13 @@ let timed name f =
     let result = f ~jobs:!jobs in
     (* calibrate an iteration count so every timed run lasts at least
        ~50ms: the shortest sweeps are ~0.5ms of wall, where a single
-       scheduler hiccup reads as a 20% "regression" *)
-    let approx = time (fun () -> ignore (f ~jobs:1)) in
+       scheduler hiccup reads as a 20% "regression".  Size it from the
+       fastest of three sequential runs: near process start one run
+       can read ~4x its steady time. *)
+    let approx =
+      List.fold_left Float.min infinity
+        (List.init 3 (fun _ -> time (fun () -> ignore (f ~jobs:1))))
+    in
     let iters = max 1 (int_of_float (ceil (0.05 /. Float.max 1e-6 approx))) in
     let run j () =
       for _ = 1 to iters do

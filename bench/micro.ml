@@ -1,6 +1,6 @@
 (* Wall-clock microbenchmarks of the real implementations: the event
-   queue, the arena run queue, the P²SM maintenance callback of paused
-   sandboxes, the router's decide path, the P²SM splice against the
+   queue, the arena run queue, the P²SM upkeep of paused sandboxes'
+   plans, the router's decide path, the P²SM splice against the
    vanilla per-element merge, the coalesced load update against the
    iterated one, a resume storm against a fleet of paused bystanders,
    and the three workload categories' real functions.  Each row reports one implementation's
@@ -46,9 +46,9 @@ let budgets =
     (* one multiply-add in place of 36 iterated steps; measured 0.04 *)
     ("load-coalesced:over-iterated-36", 0.25);
     (* a regression guard at about 2x the 10-12x measured: an early
-       resume still notifies ~200 paused plans per inserted vCPU, a
-       late one almost none; tighten it once P²SM upkeep leaves the
-       per-subscriber path *)
+       resume still updates ~200 attached plans per inserted vCPU, a
+       late one almost none; tighten it once P²SM upkeep stops
+       running per attached plan per mutation *)
     ("resume-storm:first-over-last-decile", 20.0);
     (* the [Filter_matches] box of the outcome; the count itself is
        taken in place *)
@@ -160,26 +160,13 @@ let rq_vcpus n =
   Array.init n (fun i ->
       Vcpu.create ~sandbox:0 ~index:i ~credit:(Rng.int rng 1_000_000) ())
 
-(* Keep subscriber callbacks honest: fold every notified position into
-   a live accumulator so nothing is dead-code-eliminated. *)
-let rq_sink = ref 0
-
-let counting_queue ~subs =
-  let q = Runqueue.create ~cpu:0 ~id:0 () in
-  for _ = 1 to subs do
-    ignore
-      (Runqueue.subscribe q (fun _event ~pos ~node:_ ->
-           rq_sink := !rq_sink + pos))
-  done;
-  q
-
 module Sandbox = Horse_vmm.Sandbox
 module Vmm = Horse_vmm.Vmm
 
-(* A ull_runqueue with [subs] sandboxes HORSE-paused against it: each
-   subscriber is the VMM's own maintenance callback over a real P²SM
-   plan of 4 vCPUs with random credits. *)
-let paused_queue ~subs =
+(* A ull_runqueue with [plans] sandboxes HORSE-paused against it: each
+   attached plan is a real P²SM plan of 4 vCPUs with random credits,
+   attached by the VMM's own pause. *)
+let paused_queue ~plans =
   let scheduler =
     Horse_sched.Scheduler.create ~ull_count:1
       ~topology:Horse_cpu.Topology.r650_smt ()
@@ -188,7 +175,7 @@ let paused_queue ~subs =
     Vmm.create ~jitter:0.0 ~scheduler ~metrics:(Horse_sim.Metrics.create ()) ()
   in
   let rng = Rng.create ~seed:17 in
-  for id = 1 to subs do
+  for id = 1 to plans do
     let sb = Sandbox.create ~id ~vcpus:4 ~memory_mb:128 ~ull:true () in
     Array.iter
       (fun v -> Vcpu.set_credit v (Rng.int rng 1_000_000))
@@ -397,7 +384,7 @@ let load_cost f ~batch ~rounds ~trials =
 
 (* [n] 2-vCPU uLL sandboxes HORSE-paused against one ull_runqueue, then
    resumed back to back: the k-th resume still has [n - k - 1] paused
-   subscribers, whose plans each hear of its vCPUs' inserts.  Returns
+   bystanders, whose attached plans each hear of its vCPUs' inserts.  Returns
    the mean wall ns per resume of the first and of the last decile. *)
 let resume_storm ~n =
   let scheduler =
@@ -467,33 +454,28 @@ let () =
     let costs =
       time_churns ~rounds ~trials
         [|
-          rq_churn (counting_queue ~subs:0) ~n ~rounds;
-          rq_churn (counting_queue ~subs:fan) ~n ~rounds;
-          rq_churn (paused_queue ~subs:fan) ~n ~rounds;
-          rq_churn (counting_queue ~subs:0) ~n:64 ~rounds;
-          rq_churn (counting_queue ~subs:0) ~n:1024 ~rounds;
+          rq_churn (Runqueue.create ~cpu:0 ~id:0 ()) ~n ~rounds;
+          rq_churn (paused_queue ~plans:fan) ~n ~rounds;
+          rq_churn (Runqueue.create ~cpu:0 ~id:0 ()) ~n:64 ~rounds;
+          rq_churn (Runqueue.create ~cpu:0 ~id:0 ()) ~n:1024 ~rounds;
         |]
     in
-    let c0 = costs.(0) and c64 = costs.(1) and psm = costs.(2) in
-    let small = costs.(3) and large = costs.(4) in
-    (* what each of the [fan] subscribers of [c] adds to a mutation
-       of [base] *)
-    let per_sub ~(base : rq_cost) (c : rq_cost) =
-      Float.max 0.01
-        ((c.enq_ns +. c.deq_ns -. base.enq_ns -. base.deq_ns)
-        /. float_of_int fan)
-    in
+    let c0 = costs.(0) and psm = costs.(1) in
+    let small = costs.(2) and large = costs.(3) in
     [
       ("rq-enqueue:ns-per-op", Ns, c0.enq_ns);
       ("rq-dequeue:ns-per-op", Ns, c0.deq_ns);
-      ("rq-notify:ns-per-sub", Ns, per_sub ~base:c0 c64);
-      ("rq-mutation:words-per-mutation", Words, c64.words_per_mut);
-      (* a paused plan's callback over the counting one: the same
-         churn, so the difference is the P²SM upkeep alone *)
-      ("psm-maintenance:ns-per-callback", Ns, per_sub ~base:c64 psm);
+      ("rq-mutation:words-per-mutation", Words, psm.words_per_mut);
+      (* the same churn with [fan] plans attached, over the plain
+         queue: the difference is the P²SM upkeep alone, per plan *)
+      ( "psm-maintenance:ns-per-callback",
+        Ns,
+        Float.max 0.01
+          ((psm.enq_ns +. psm.deq_ns -. c0.enq_ns -. c0.deq_ns)
+          /. float_of_int fan) );
       ( "psm-maintenance:words-per-callback",
         Words,
-        (psm.words_per_mut -. c64.words_per_mut) /. float_of_int fan );
+        (psm.words_per_mut -. c0.words_per_mut) /. float_of_int fan );
       (* flatness: how much dequeue-by-node slows down when the queue
          grows 16x; a per-element walk would grow ~16x *)
       ("rq-dequeue:growth-64-to-1024", Growth, large.deq_ns /. small.deq_ns);
@@ -592,8 +574,9 @@ let () =
   Report.print
     ~caption:
       "Hot paths of the production structures: flat event queue \
-       (4-ary heap), arena run queue, P²SM upkeep per paused \
-       subscriber, router decide per builtin policy; P²SM splice vs sequential merge of 36 vCPUs, \
+       (4-ary heap), arena run queue, P²SM upkeep per attached \
+       plan, router decide per builtin policy; P²SM splice vs \
+       sequential merge of 36 vCPUs, \
        coalesced vs 36 iterated load updates, a 200-sandbox resume \
        storm, the real workload functions.  Budgeted rows must stay \
        at or under their budget."

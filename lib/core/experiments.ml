@@ -6,6 +6,7 @@ module Stats = Horse_sim.Stats
 module Topology = Horse_cpu.Topology
 module Cost_model = Horse_cpu.Cost_model
 module Scheduler = Horse_sched.Scheduler
+module Runqueue = Horse_sched.Runqueue
 module Sandbox = Horse_vmm.Sandbox
 module Vmm = Horse_vmm.Vmm
 module Category = Horse_workload.Category
@@ -568,9 +569,7 @@ let ablation_ull_queues ?(profile = Firecracker) ?(seed = 42) ?(sandboxes = 12)
       (* measure the balancing at the moment the whole fleet is paused *)
       List.iter (fun sb -> ignore (Vmm.pause vmm ~strategy:Sandbox.Horse sb)) fleet;
       let attached =
-        List.map
-          (fun q -> Scheduler.attached_paused scheduler q)
-          (Scheduler.ull_runqueues scheduler)
+        List.map Runqueue.attached (Scheduler.ull_runqueues scheduler)
       in
       let max_share =
         float_of_int (List.fold_left max 0 attached) /. float_of_int sandboxes
@@ -743,7 +742,6 @@ type timeslice_row = {
 
 let ablation_timeslice ?(seed = 42) () =
   let module Executor = Horse_sched.Cpu_executor in
-  let module Runqueue = Horse_sched.Runqueue in
   let module Vcpu = Horse_sched.Vcpu in
   let incumbent_work_us = 200.0 in
   let run kind =

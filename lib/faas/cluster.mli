@@ -169,8 +169,8 @@ module Policy : sig
       occupancy ([v_busy] vs [v_total_vcpus]), preferring the server
       with the most free cores that can hold the trigger's [vcpus]
       outright (warm holders first for warm triggers); the server's
-      scheduler late-binds each vCPU to the shallowest run queue at
-      dispatch time ({!Horse_sched.Scheduler.queue_depth}).  Never
+      scheduler late-binds each vCPU to the least-loaded run queue at
+      dispatch time ({!Horse_sched.Scheduler.select_normal}).  Never
       enqueues. *)
 
   val builtins : unit -> t list

@@ -15,7 +15,6 @@ let bucket_minutes = 240
 type t = {
   policy : policy;
   buckets : int array;  (* index = gap in whole minutes, clamped *)
-  mutable arrivals : int;
   mutable last_arrival : Time.t option;
 }
 
@@ -28,7 +27,6 @@ let create policy =
   {
     policy;
     buckets = Array.make (bucket_minutes + 1) 0;
-    arrivals = 0;
     last_arrival = None;
   }
 
@@ -43,10 +41,7 @@ let note_arrival t ~at =
     let bucket = min bucket_minutes (minute_of_span gap) in
     t.buckets.(bucket) <- t.buckets.(bucket) + 1
   | None -> ());
-  t.last_arrival <- Some at;
-  t.arrivals <- t.arrivals + 1
-
-let observed_arrivals t = t.arrivals
+  t.last_arrival <- Some at
 
 let histogram_recommendation t ~percentile ~cap =
   let gaps = Array.fold_left ( + ) 0 t.buckets in

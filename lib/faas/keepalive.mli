@@ -38,8 +38,6 @@ val note_arrival : t -> at:Horse_sim.Time_ns.t -> unit
 val recommendation : t -> Horse_sim.Time_ns.span
 (** The keep-alive window the policy currently recommends. *)
 
-val observed_arrivals : t -> int
-
 type evaluation = {
   invocations : int;
   warm_hits : int;  (** arrivals that found the sandbox still warm *)

@@ -145,7 +145,6 @@ type t = {
   energy : Horse_cpu.Energy.t;
   occupancy : (int, invocation) Hashtbl.t;  (* cpu -> invocation *)
   live : (int, invocation) Hashtbl.t;
-  mutable busy_vcpus : int;  (* vCPUs held by live invocations *)
   arena : Trigger_records.t;  (* completed invocations, append order *)
   (* per-mode interned counters: the trigger and completion paths
      must neither sprintf a counter name nor re-hash it *)
@@ -178,7 +177,6 @@ let create ?(topology = Topology.r650) ?(cost = Cost_model.firecracker)
     pools = [||];
     occupancy = Hashtbl.create 64;
     live = Hashtbl.create 64;
-    busy_vcpus = 0;
     arena = Trigger_records.create ();
     triggers_c =
       Array.init mode_count (fun i ->
@@ -335,7 +333,6 @@ let complete t inv =
     inv.cpus;
   List.iter (fun cpu -> Hashtbl.remove t.occupancy cpu) inv.cpus;
   Hashtbl.remove t.live inv.id;
-  t.busy_vcpus <- t.busy_vcpus - List.length inv.cpus;
   let code = mode_code inv.inv_mode in
   let slot =
     Trigger_records.append t.arena ~fn_id:inv.fn_id ~mode:code
@@ -492,7 +489,6 @@ and launch t ~fn_id ~orig_mode ~mode ~on_complete ~attempt ~triggered_at
     }
   in
   Hashtbl.replace t.live id inv;
-  t.busy_vcpus <- t.busy_vcpus + List.length cpus;
   (* the step-5 load variable drives frequency scaling: refresh the
      governor of each CPU this invocation occupies from its run
      queue's tracked load *)
@@ -547,7 +543,6 @@ and apply_preemptions t ~resumed_vcpus cpus =
 and exec_crash t inv =
   List.iter (fun cpu -> Hashtbl.remove t.occupancy cpu) inv.cpus;
   Hashtbl.remove t.live inv.id;
-  t.busy_vcpus <- t.busy_vcpus - List.length inv.cpus;
   Vmm.crash t.vmm inv.sandbox;
   Metrics.incr t.metrics "platform.exec_crashes";
   let recovery = t.recovery in
@@ -593,7 +588,6 @@ let blackout t =
       incr lost)
     t.live;
   Hashtbl.reset t.live;
-  t.busy_vcpus <- 0;
   let pooled = ref 0 in
   Array.iter
     (fun p ->
@@ -616,5 +610,3 @@ let record_count t = Trigger_records.length t.arena
 let iter_records t f = Trigger_records.iter t.arena f
 
 let live_invocations t = Hashtbl.length t.live
-
-let busy_vcpus t = t.busy_vcpus

@@ -233,8 +233,3 @@ val iter_records : t -> (int -> unit) -> unit
     order, allocating nothing. *)
 
 val live_invocations : t -> int
-
-val busy_vcpus : t -> int
-(** vCPUs currently held by live invocations — the server-local,
-    core-granular occupancy signal ([0 .. cpu_count]).  Tracked
-    incrementally (launch/complete/crash/blackout), never scanned. *)

@@ -630,11 +630,6 @@ let e2e t =
   if t.t_routers = 1 then t.t_e2e.(0)
   else Stats.Quantile.merge (Array.to_list t.t_e2e)
 
-let e2e_of t r =
-  if r < 0 || r >= t.t_routers then
-    invalid_arg "Workflow.e2e_of: router out of range";
-  t.t_e2e.(r)
-
 let wf_router t ~wf_id = (wf t wf_id).w_router
 
 let value t ~instance ~node =

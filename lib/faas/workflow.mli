@@ -211,11 +211,7 @@ val e2e : t -> Horse_sim.Stats.Quantile.t
     microseconds, tracked at p50/p99/p999 on the router timeline, for
     the whole plane.  With one router this {e is} the router's live
     stream; with several it is a fresh exact merge of every router's
-    stream, rebuilt per call (see {!e2e_of} for one router's). *)
-
-val e2e_of : t -> int -> Horse_sim.Stats.Quantile.t
-(** Router [r]'s instance-latency stream (instances homed there).
-    @raise Invalid_argument on an out-of-range index. *)
+    stream, rebuilt per call. *)
 
 val value : t -> instance:int -> node:int -> int
 (** The completion value a finished node produced.

@@ -20,8 +20,8 @@
     before [run] are visible to every strand, and writes by the
     strands inside [f] are visible to the caller after [run] returns.
     Idle strands spin a short budget, then park on a condition
-    variable, so an over-subscribed host blocks instead of
-    busy-waiting.
+    variable, so a host with fewer cores than strands blocks instead
+    of busy-waiting.
 
     A multi-core host spawns one worker per strand beyond strand 0,
     even when the strands outnumber the cores: a worker the OS has not

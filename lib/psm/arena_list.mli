@@ -156,5 +156,5 @@ module Unsafe : sig
       lists' old orders (segment [i] of [counts.(i)] source elements
       entering before target position [keys.(i)]), re-own the source
       slots, fix lengths, and leave [source] empty.  O(|A| + |B|),
-      once per merge — not per subscriber. *)
+      once per merge — not per attached plan. *)
 end

@@ -117,15 +117,3 @@ let pp pp_elt ppf t =
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
        pp_elt)
     (to_list t)
-
-module Unsafe = struct
-  let set_next node n = node.next <- n
-
-  let get_first t = t.head
-
-  let set_first t n = t.head <- n
-
-  let add_length t d = t.len <- t.len + d
-
-  let make_node v = { v; next = None }
-end

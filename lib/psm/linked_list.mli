@@ -1,10 +1,11 @@
 (** Mutable sorted singly-linked lists with exposed nodes.
 
     Run queues in the paper's hypervisors are sorted linked lists
-    (credit-ordered in Xen's credit2); P²SM splices sublists into them
-    by rewriting [next] pointers directly, so nodes are first-class
-    here.  Every mutating operation reports how many nodes it walked,
-    which is what the simulator charges to the virtual clock.
+    (credit-ordered in Xen's credit2).  This boxed list is the oracle
+    the flat {!Arena_list} is checked against, and the target of the
+    vanilla per-element merge in {!Reference}.  Every mutating
+    operation reports how many nodes it walked, which is what the
+    simulator charges to the virtual clock.
 
     Ordering is stable: an element equal to existing ones is placed
     after them (FIFO among equals), the behaviour expected of a run
@@ -60,20 +61,3 @@ val is_sorted : 'a t -> bool
 (** Invariant check used by tests and debug assertions. *)
 
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
-
-(** Raw pointer surgery, needed by {!Psm} to perform the O(1) splice
-    exactly as Algorithm 1 writes it.  Using these directly can break
-    the sort invariant and the length bookkeeping; nothing outside
-    P²SM should. *)
-module Unsafe : sig
-  val set_next : 'a node -> 'a node option -> unit
-
-  val get_first : 'a t -> 'a node option
-
-  val set_first : 'a t -> 'a node option -> unit
-
-  val add_length : 'a t -> int -> unit
-
-  val make_node : 'a -> 'a node
-  (** A detached cell ([next = None]). *)
-end

@@ -2,18 +2,6 @@ module Al = Arena_list
 
 exception Stale
 
-(* #{b in B : b <= a}: the first position of [target] whose value
-   exceeds [a], by binary search over the list's order buffer. *)
-let find_key target a =
-  let compare = Al.compare_fn target in
-  let lo = ref 0 and hi = ref (Al.length target) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if compare (Al.value target (Al.nth target mid)) a <= 0 then lo := mid + 1
-    else hi := mid
-  done;
-  !lo
-
 module Plan = struct
   (* posA as four parallel arrays over segment index: splice key,
      first/last source handle, element count.  Keys are strictly
@@ -140,19 +128,10 @@ module Plan = struct
 
   let keys_counts t = (Array.sub t.keys 0 t.nseg, Array.sub t.counts 0 t.nseg)
 
-  let segments_snapshot t =
-    List.init t.nseg (fun i ->
-        let rec walk node remaining acc =
-          let acc = node :: acc in
-          if remaining <= 1 then List.rev acc
-          else walk (Al.next t.source node) (remaining - 1) acc
-        in
-        (t.keys.(i), walk t.heads.(i) t.counts.(i) []))
-
   (* Split the segment at [key]: the suffix of elements [a] with
      [v <= a] moves to [key + 1] (they now follow the new target
      element).  A plain loop over local refs: this runs once per
-     subscriber per queue mutation, and must not allocate. *)
+     attached plan per queue mutation, and must not allocate. *)
   let split_segment t key v =
     let i = find_seg t key in
     if i >= 0 then begin
@@ -213,50 +192,6 @@ module Plan = struct
   let check_lists name t ~target ~source =
     if target != t.target || source != t.source then
       invalid_arg (name ^ ": not the lists the plan was built over")
-
-  let note_source_insert t ~target ~node =
-    check_lists "Psm.Plan.note_source_insert" t ~target ~source:t.source;
-    let v = Al.value t.source node in
-    let key = find_key target v in
-    let i = find_seg t key in
-    if i >= 0 then begin
-      if t.compare v (Al.value t.source t.heads.(i)) < 0 then t.heads.(i) <- node;
-      if t.compare v (Al.value t.source t.tails.(i)) >= 0 then t.tails.(i) <- node;
-      t.counts.(i) <- t.counts.(i) + 1
-    end
-    else begin
-      (* first index with a greater key *)
-      let lo = ref 0 and hi = ref t.nseg in
-      while !lo < !hi do
-        let mid = (!lo + !hi) lsr 1 in
-        if t.keys.(mid) < key then lo := mid + 1 else hi := mid
-      done;
-      shift_right t !lo;
-      t.keys.(!lo) <- key;
-      t.heads.(!lo) <- node;
-      t.tails.(!lo) <- node;
-      t.counts.(!lo) <- 1
-    end;
-    t.total <- t.total + 1
-
-  let note_source_remove t ~node =
-    (* Segments tile the source in order, so the covering segment
-       falls out of the node's position and the count prefix sums. *)
-    let pos = Al.position t.source node in
-    let i = ref 0 and cum = ref 0 in
-    while !i < t.nseg && !cum + t.counts.(!i) <= pos do
-      cum := !cum + t.counts.(!i);
-      incr i
-    done;
-    if !i >= t.nseg then raise Not_found;
-    let i = !i in
-    if t.counts.(i) = 1 then shift_left t i
-    else begin
-      if Al.equal t.heads.(i) node then t.heads.(i) <- Al.next t.source node
-      else if Al.equal t.tails.(i) node then t.tails.(i) <- Al.prev t.source node;
-      t.counts.(i) <- t.counts.(i) - 1
-    end;
-    t.total <- t.total - 1
 
   (* The missed-update check: the plan must have been told of every
      target mutation since it was built. *)

@@ -7,7 +7,7 @@
       position [k], so splice points are addressable without walking.
       This is [B]'s own order buffer ({!Arena_list.nth}, O(1)), which
       the list keeps current on every mutation — one array per queue,
-      shared by every subscribed plan, not a copy per paused sandbox;
+      shared by every attached plan, not a copy per paused sandbox;
     - {!Plan} — the paper's [posA]: a map from splice position in [B]
       to the contiguous sublist of [A] that belongs there.
 
@@ -26,11 +26,12 @@
     The plan supports the incremental maintenance of §4.1.3: while a
     sandbox stays paused, every insert/remove on the ull_runqueue is
     reflected with {!Plan.note_target_insert} /
-    {!Plan.note_target_remove}, and every vCPU added to the paused set
-    with {!Plan.note_source_insert}.  [arrayB] needs no upkeep of its
-    own.  The maintenance path is in-place over flat [int] arrays: it
-    allocates nothing per event, which is what keeps resume storms
-    (thousands of subscribed paused sandboxes) affordable. *)
+    {!Plan.note_target_remove} (the run queue calls them on every plan
+    attached to it).  The source needs no upkeep: a paused sandbox's
+    vCPU set is fixed from its pause to its resume.  Nor does
+    [arrayB].  The maintenance path is in-place over flat [int]
+    arrays: it allocates nothing per event, which is what keeps resume
+    storms (thousands of attached paused plans) affordable. *)
 
 exception Stale
 (** Raised by merge execution when the precomputed structures do not
@@ -69,12 +70,8 @@ module Plan : sig
   val keys_counts : 'a t -> int array * int array
   (** Fresh copies of the (key, element count) pairs, segment order.
       Taken {e before} {!execute}, they let the run-queue layer tell
-      other subscribers where each element landed (§4.1.3's continuous
-      updates after a merge) in one pass. *)
-
-  val segments_snapshot : 'a t -> (int * Arena_list.handle list) list
-  (** The current (key, nodes) decomposition, keys ascending and nodes
-      in source order (test/debug inspection). *)
+      the other attached plans where each element landed (§4.1.3's
+      continuous updates after a merge) in one pass. *)
 
   val note_target_insert : 'a t -> pos:int -> 'a -> unit
   (** The target gained an element with value [v] at 0-based position
@@ -87,23 +84,13 @@ module Plan : sig
       keys down and coalesces the two segments that become
       adjacent.  Allocates nothing. *)
 
-  val note_source_insert :
-    'a t -> target:'a Arena_list.t -> node:Arena_list.handle -> unit
-  (** A node was just inserted (sorted) into the source list; extends
-      or creates the segment its value belongs to. *)
-
-  val note_source_remove : 'a t -> node:Arena_list.handle -> unit
-  (** A node is about to be removed from the source list.  Must be
-      called {e before} unlinking it.
-      @raise Not_found if the node is not covered by the plan. *)
-
   val execute :
     'a t -> target:'a Arena_list.t -> source:'a Arena_list.t -> stats
   (** The merge phase (Algorithm 1): two chain writes per key, each
       anchored at the target node its key names in the target's order
       buffer, then one O(|A| + |B|) order-buffer commit
       ({!Arena_list.Unsafe.merge_commit}) — per merge, not per
-      subscriber.  Consumes the source (left empty; its handles stay
+      attached plan.  Consumes the source (left empty; its handles stay
       valid, re-owned by the target), grows the target and
       invalidates the plan.
       @raise Stale if the plan was already executed, or the target

@@ -7,8 +7,6 @@ let create ?(update = Affine.pelt) () = { load = 0.0; update; updates = 0 }
 
 let load t = t.load
 
-let update_fn t = t.update
-
 let on_enqueue t =
   t.load <- Affine.apply t.update t.load;
   t.updates <- t.updates + 1

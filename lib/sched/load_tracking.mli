@@ -16,8 +16,6 @@ val create : ?update:Horse_coalesce.Coalesce.Affine.t -> unit -> t
 
 val load : t -> float
 
-val update_fn : t -> Horse_coalesce.Coalesce.Affine.t
-
 val on_enqueue : t -> unit
 (** One vanilla per-vCPU update: [L ← α·L + β]. *)
 

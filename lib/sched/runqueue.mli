@@ -4,37 +4,25 @@
     step ④ inserts vCPUs into its sorted list, step ⑤ updates its
     lock-protected load.  A run queue can be reserved as an
     [ull_runqueue] (§4.1.3): only uLL sandboxes land there, its
-    timeslice is capped at 1 µs, and paused sandboxes {e subscribe}
-    to its changes so their P²SM structures stay fresh.
+    timeslice is capped at 1 µs, and it holds the P²SM plans of the
+    paused sandboxes {e attached} to it, keeping them fresh.
 
     The queue is an {!Horse_psm.Arena_list}: removals are O(1), and
     every structural mutation still reports the nodes the boxed
-    oracle would have walked (for cost accounting) and notifies
-    subscribers with enough detail ([pos] + handle) to drive
-    {!Horse_psm.Psm.Plan.note_target_insert} incrementally.  The
-    list's own order buffer is the paper's [arrayB] for every
-    subscriber at once, so a subscriber keeps no copy of the queue.
-    The notification itself passes only immediate arguments in
-    deterministic (ascending subscription) order — nothing is
-    allocated per mutation per subscriber. *)
+    oracle would have walked (for cost accounting).  Each mutation
+    also updates every attached plan in place, in attach order, with
+    {!Horse_psm.Psm.Plan.note_target_insert} or
+    {!Horse_psm.Psm.Plan.note_target_remove}, and adds the number of
+    plans it updated to the attachers' maintenance counter.  The
+    list's own order buffer is the paper's [arrayB] for every plan at
+    once, so a plan keeps no copy of the queue.  Nothing is allocated
+    per mutation. *)
 
 type t
 
 type kind =
   | Normal  (** general-purpose queue *)
   | Ull  (** reserved for uLL sandboxes, 1 µs timeslice *)
-
-type event =
-  | Inserted  (** a vCPU landed at the notified position *)
-  | Removed  (** the vCPU at the notified position left the queue *)
-
-type callback = event -> pos:int -> node:Horse_psm.Arena_list.handle -> unit
-(** For [Inserted] the handle is live on this queue; for [Removed] it
-    is the already-freed handle of the departed node
-    ({!Horse_psm.Arena_list.nil} after a {!pop_front}) — it
-    identifies, it must not be dereferenced. *)
-
-type subscription
 
 val create :
   ?arena:Vcpu.t Horse_psm.Arena_list.arena ->
@@ -78,19 +66,19 @@ val load : t -> Load_tracking.t
 val enqueue : t -> Vcpu.t -> Horse_psm.Arena_list.handle * int
 (** Sorted insert (step ④ for one vCPU).  Returns the handle (the
     caller keeps it to dequeue later) and the nodes walked.  Marks
-    the vCPU [Queued] and notifies subscribers.  Does {e not} touch
+    the vCPU [Queued] and updates the attached plans.  Does {e not} touch
     the load — the resume path chooses vanilla or coalesced load
     updates separately. *)
 
 val dequeue : t -> Horse_psm.Arena_list.handle -> int
 (** Unlink a previously enqueued node; returns the nodes the oracle
     would have walked (= its position).  Marks the vCPU [Offline] and
-    notifies subscribers.
+    updates the attached plans.
     @raise Not_found if the node is not on this queue. *)
 
 val pop_front : t -> Vcpu.t option
 (** Scheduler pick: the least-credit vCPU, removed from the queue
-    (subscribers are notified of a removal at position 0). *)
+    (the attached plans note a removal at position 0). *)
 
 val apply_merge :
   t ->
@@ -98,19 +86,23 @@ val apply_merge :
   source:Vcpu.t Horse_psm.Arena_list.t ->
   Horse_psm.Psm.Plan.stats * Horse_psm.Arena_list.handle array
 (** The P²SM merge of a resuming sandbox's [merge_vcpus] into this
-    queue.  Subscribers receive one [Inserted] per spliced vCPU (the
-    resuming sandbox must unsubscribe first).  All spliced vCPUs are
+    queue.  Detaches [plan] first, then tells every plan still
+    attached of one insert per spliced vCPU.  All spliced vCPUs are
     marked [Queued].  Also returns the spliced handles (source order)
     so the resumer can record its placements.
     @raise Invalid_argument if [plan] was built over another queue or
     source.
     @raise Horse_psm.Psm.Stale as {!Horse_psm.Psm.Plan.execute}. *)
 
-val subscribe : t -> callback -> subscription
-(** Register a paused sandbox's maintenance callback.  Callbacks fire
-    in ascending subscription order, deterministically. *)
+val attach : t -> events:int ref -> Vcpu.t Horse_psm.Psm.Plan.t -> unit
+(** Keep a paused sandbox's plan (built over this queue) fresh until
+    it is detached: every later mutation updates it, after the plans
+    attached before it, and adds one to [events].
+    @raise Invalid_argument if plans attached with another [events]
+    counter are still attached. *)
 
-val unsubscribe : t -> subscription -> unit
-(** Idempotent. *)
+val detach : t -> Vcpu.t Horse_psm.Psm.Plan.t -> unit
+(** Stop updating the plan.  Idempotent. *)
 
-val subscriber_count : t -> int
+val attached : t -> int
+(** Plans attached now: the paused sandboxes assigned to this queue. *)

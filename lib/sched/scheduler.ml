@@ -5,7 +5,6 @@ type t = {
   arena : Vcpu.t Horse_psm.Arena_list.arena;
   queues : Runqueue.t array;
   mutable ull : Runqueue.t list;
-  paused_attached : (int, int) Hashtbl.t;  (* runqueue id -> count *)
   global_load : Load_tracking.t;
 }
 
@@ -36,7 +35,6 @@ let create ?(ull_count = 1) ~topology () =
     arena;
     queues;
     ull;
-    paused_attached = Hashtbl.create 8;
     global_load = Load_tracking.create ();
   }
 
@@ -95,34 +93,16 @@ let select_normal t =
   | Some q -> q
   | None -> invalid_arg "Scheduler.select_normal: every queue is reserved"
 
-let attached_paused t q =
-  Option.value ~default:0 (Hashtbl.find_opt t.paused_attached (Runqueue.id q))
-
 let select_ull_for_pause t =
   match t.ull with
   | [] -> invalid_arg "Scheduler.select_ull_for_pause: no ull_runqueue"
   | first :: rest ->
     List.fold_left
       (fun best q ->
-        if attached_paused t q < attached_paused t best then q else best)
+        if Runqueue.attached q < Runqueue.attached best then q else best)
       first rest
-
-let attach_paused t q =
-  Hashtbl.replace t.paused_attached (Runqueue.id q) (attached_paused t q + 1)
-
-let detach_paused t q =
-  let n = attached_paused t q in
-  if n <= 0 then invalid_arg "Scheduler.detach_paused: none attached";
-  Hashtbl.replace t.paused_attached (Runqueue.id q) (n - 1)
 
 let global_load t = t.global_load
 
 let total_queued t =
   Array.fold_left (fun acc q -> acc + Runqueue.length q) 0 t.queues
-
-let queue_depth t ~cpu =
-  if cpu < 0 || cpu >= Array.length t.queues then
-    invalid_arg "Scheduler.queue_depth: cpu out of range";
-  Runqueue.length t.queues.(cpu)
-
-let queue_depths t = Array.map Runqueue.length t.queues

@@ -43,28 +43,12 @@ val select_normal : t -> Runqueue.t
     where a vanilla resume puts each vCPU. *)
 
 val select_ull_for_pause : t -> Runqueue.t
-(** The ull_runqueue with the fewest attached paused sandboxes; the
-    caller must bracket the attachment with {!attach_paused} /
-    {!detach_paused}.
+(** The ull_runqueue with the fewest attached paused sandboxes
+    ({!Runqueue.attached}), the first in {!ull_runqueues} on a tie.
     @raise Invalid_argument if no ull_runqueue is reserved. *)
-
-val attach_paused : t -> Runqueue.t -> unit
-
-val detach_paused : t -> Runqueue.t -> unit
-(** @raise Invalid_argument if the queue has no attached sandbox. *)
-
-val attached_paused : t -> Runqueue.t -> int
 
 val total_queued : t -> int
 (** vCPUs sitting on all queues together. *)
-
-val queue_depth : t -> cpu:Horse_cpu.Topology.cpu_id -> int
-(** vCPUs sitting on one CPU's run queue — the per-vCPU occupancy
-    signal a core-granular router reads (credit2 run-queue depth).
-    @raise Invalid_argument on an out-of-range CPU. *)
-
-val queue_depths : t -> int array
-(** {!queue_depth} for every CPU at once, indexed by CPU. *)
 
 val global_load : t -> Load_tracking.t
 (** The single lock-protected load variable of the paper's step ⑤:

@@ -56,15 +56,9 @@ let ( < ) (a : t) (b : t) = Stdlib.( < ) a b
 
 let equal = Int.equal
 
-(* One printer serves both [t] and [span]: both are raw nanosecond
-   counts and want the same adaptive unit. *)
-let pp_ns ppf n =
+let pp ppf n =
   if n < 1_000 then Format.fprintf ppf "%dns" n
   else if n < 1_000_000 then Format.fprintf ppf "%.2fus" (float_of_int n /. 1e3)
   else if n < 1_000_000_000 then
     Format.fprintf ppf "%.2fms" (float_of_int n /. 1e6)
   else Format.fprintf ppf "%.3fs" (float_of_int n /. 1e9)
-
-let pp = pp_ns
-
-let pp_span = pp_ns

@@ -81,6 +81,3 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Prints a timestamp with an adaptive unit (ns, µs, ms, s). *)
-
-val pp_span : Format.formatter -> span -> unit
-(** Prints a duration with an adaptive unit. *)

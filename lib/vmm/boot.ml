@@ -37,8 +37,6 @@ let phase_ms profile = function
   | Code_load -> profile.code_load_ms
   | Handler_warmup -> profile.handler_warmup_ms
 
-let phase_cost profile phase = Time.span_ms (phase_ms profile phase)
-
 let total profile =
   Time.span_ms
     (List.fold_left (fun acc p -> acc +. phase_ms profile p) 0.0 all_phases)

@@ -33,8 +33,6 @@ val firecracker_nodejs : profile
     for a Node.JS function (125 ms VMM + 410 ms kernel + 640 ms
     runtime + 210 ms code + 115 ms warmup). *)
 
-val phase_cost : profile -> phase -> Horse_sim.Time_ns.span
-
 val total : profile -> Horse_sim.Time_ns.span
 (** The cold-start anchor: sum of all phases. *)
 

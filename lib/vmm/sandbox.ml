@@ -11,8 +11,6 @@ let strategy_name = function
   | Coal -> "coal"
   | Horse -> "horse"
 
-let strategy_count = 4
-
 let strategy_code = function Vanilla -> 0 | Ppsm -> 1 | Coal -> 2 | Horse -> 3
 
 let strategies = [| Vanilla; Ppsm; Coal; Horse |]
@@ -27,7 +25,6 @@ type psm_state = {
   merge_vcpus : Vcpu.t Horse_psm.Arena_list.t;
   ull_queue : Horse_sched.Runqueue.t;
   plan : Vcpu.t Psm.Plan.t;
-  subscription : Horse_sched.Runqueue.subscription;
 }
 
 type paused =

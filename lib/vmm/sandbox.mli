@@ -12,9 +12,9 @@
     value: nothing for [Vanilla] (the resume re-inserts {!vcpus} one
     by one), the §4.2.2 coalesced load-update constants for [Coal],
     the §4.1.3 P²SM state for [Ppsm] (the pre-sorted [merge_vcpus]
-    list, the plan against its assigned ull_runqueue, whose own order
-    buffer is the plan's [arrayB], and the run-queue subscription
-    keeping the plan fresh), and both for [Horse].  That state is
+    list and the plan against its assigned ull_runqueue, whose own
+    order buffer is the plan's [arrayB] and which keeps the attached
+    plan fresh), and both for [Horse].  That state is
     created by {!Vmm.pause} and consumed by {!Vmm.resume}; this module
     only stores it. *)
 
@@ -28,10 +28,8 @@ type strategy =
 
 val strategy_name : strategy -> string
 
-val strategy_count : int
-
 val strategy_code : strategy -> int
-(** Dense code in \[0, {!strategy_count}): index per-strategy state
+(** The strategy's index in {!strategies}: index per-strategy state
     (metric handles, tables) without hashing the name. *)
 
 val strategies : strategy array
@@ -50,11 +48,10 @@ type psm_state = {
           the ull_runqueue's arena so the merge can splice them *)
   ull_queue : Horse_sched.Runqueue.t;
       (** assigned at pause time; its order buffer is [arrayB] *)
-  plan : Horse_sched.Vcpu.t Horse_psm.Psm.Plan.t;  (** posA *)
-  subscription : Horse_sched.Runqueue.subscription;
-      (** refreshes [plan] on every queue mutation while paused; each
-          refresh counts in the VMM's [psm.maintenance_events] (§5.2's
-          overhead) *)
+  plan : Horse_sched.Vcpu.t Horse_psm.Psm.Plan.t;
+      (** posA, attached to [ull_queue]: every queue mutation while
+          paused refreshes it and counts in the VMM's
+          [psm.maintenance_events] (§5.2's overhead) *)
 }
 (** The P²SM half of a HORSE-family pause (§4.1.3). *)
 

@@ -91,8 +91,8 @@ let require_state sandbox expected message =
   if not (List.mem (Sandbox.state sandbox) expected) then
     raise (Invalid_state message)
 
-(* Remove the sandbox's vCPUs from their queues; the per-queue Removed
-   notifications keep other paused sandboxes' P²SM structures fresh. *)
+(* Remove the sandbox's vCPUs from their queues; each dequeue keeps the
+   plans attached to that queue fresh. *)
 let evacuate t sandbox =
   let walked = ref 0 in
   List.iter
@@ -113,11 +113,10 @@ let teardown t sandbox =
   if Sandbox.state sandbox = Sandbox.Running then ignore (evacuate t sandbox);
   (match Sandbox.paused sandbox with
   | Some (Sandbox.Paused_ppsm ps | Sandbox.Paused_horse (ps, _)) ->
-    Runqueue.unsubscribe ps.Sandbox.ull_queue ps.Sandbox.subscription;
+    Runqueue.detach ps.Sandbox.ull_queue ps.Sandbox.plan;
     while Al.pop_first ps.Sandbox.merge_vcpus <> None do
       ()
-    done;
-    Scheduler.detach_paused t.scheduler ps.Sandbox.ull_queue
+    done
   | Some (Sandbox.Paused_vanilla | Sandbox.Paused_coal _) | None -> ());
   Sandbox.set_paused sandbox None
 
@@ -179,36 +178,24 @@ let make_precomputed n =
   Coalesce.Precomputed.make ~alpha:pelt.Coalesce.Affine.alpha
     ~beta:pelt.Coalesce.Affine.beta ~n
 
-(* Pause-side setup of the §4.1.3 structures: merge_vcpus, posA and
-   the subscription that keeps posA fresh (arrayB is the queue's own
-   order buffer and needs no upkeep). *)
+(* Pause-side setup of the §4.1.3 structures: merge_vcpus and posA,
+   attached to the queue that keeps posA fresh (arrayB is the queue's
+   own order buffer and needs no upkeep). *)
 let build_psm_state t sandbox =
   let ull_queue = Scheduler.select_ull_for_pause t.scheduler in
-  Scheduler.attach_paused t.scheduler ull_queue;
   (* merge_vcpus lives in the queue's arena: the eventual splice is
      slot surgery, not a copy. *)
   let merge_vcpus = Al.create (Runqueue.arena ull_queue) in
   Array.iter
     (fun vcpu -> ignore (Al.insert_sorted merge_vcpus vcpu))
     (Sandbox.vcpus sandbox);
-  let queue = Runqueue.queue ull_queue in
-  let plan = Psm.Plan.build ~source:merge_vcpus ~target:queue in
-  (* hoisted: the callback fires for every queue mutation while the
-     sandbox is paused — don't re-hash the counter name each time *)
-  let maintenance_total = Metrics.counter_ref t.metrics "psm.maintenance_events" in
-  let on_change event ~pos ~node =
-    (match event with
-    | Runqueue.Inserted ->
-      Psm.Plan.note_target_insert plan ~pos (Al.value queue node)
-    | Runqueue.Removed -> Psm.Plan.note_target_remove plan ~pos);
-    incr maintenance_total
+  let plan =
+    Psm.Plan.build ~source:merge_vcpus ~target:(Runqueue.queue ull_queue)
   in
-  {
-    Sandbox.merge_vcpus;
-    ull_queue;
+  Runqueue.attach ull_queue
+    ~events:(Metrics.counter_ref t.metrics "psm.maintenance_events")
     plan;
-    subscription = Runqueue.subscribe ull_queue on_change;
-  }
+  { Sandbox.merge_vcpus; ull_queue; plan }
 
 let pause t ~strategy sandbox =
   require_state sandbox [ Sandbox.Running ] "pause: sandbox not running";
@@ -270,13 +257,11 @@ let vanilla_merge t sandbox =
 (* Step ④, P²SM flavour: one splice of the pre-sorted [merge_vcpus]
    into the assigned ull_runqueue at the maintained posA; returns the
    merge threads spawned. *)
-let psm_merge t sandbox ps =
-  Runqueue.unsubscribe ps.Sandbox.ull_queue ps.Sandbox.subscription;
+let psm_merge sandbox ps =
   let stats, nodes =
     Runqueue.apply_merge ps.Sandbox.ull_queue ~plan:ps.Sandbox.plan
       ~source:ps.Sandbox.merge_vcpus
   in
-  Scheduler.detach_paused t.scheduler ps.Sandbox.ull_queue;
   let queue = Runqueue.queue ps.Sandbox.ull_queue in
   Sandbox.set_placements sandbox
     (Array.fold_right
@@ -357,7 +342,7 @@ let resume t sandbox =
       Load_tracking.on_enqueue_coalesced global_load pre;
       (Sandbox.Coal, merge_ns, c.Cost_model.coalesce_apply_ns, 0)
     | Sandbox.Paused_ppsm ps ->
-      let threads = psm_merge t sandbox ps in
+      let threads = psm_merge sandbox ps in
       let load_tracker = Runqueue.load ps.Sandbox.ull_queue in
       for _ = 1 to n do
         Load_tracking.on_enqueue load_tracker;
@@ -365,7 +350,7 @@ let resume t sandbox =
       done;
       (Sandbox.Ppsm, psm_merge_ns, vanilla_load_ns, threads)
     | Sandbox.Paused_horse (ps, pre) ->
-      let threads = psm_merge t sandbox ps in
+      let threads = psm_merge sandbox ps in
       Load_tracking.on_enqueue_coalesced
         (Runqueue.load ps.Sandbox.ull_queue)
         pre;

@@ -87,9 +87,9 @@ val pause : t -> strategy:Sandbox.strategy -> Sandbox.t -> Horse_sim.Time_ns.spa
 (** Remove the sandbox's vCPUs from their queues and store the
     strategy's resume state as its {!Sandbox.paused} value: nothing
     for [Vanilla], the coalescing constants for [Coal], the P²SM state
-    for [Ppsm] (merge_vcpus, the posA plan against the assigned
-    ull_runqueue, whose own order buffer serves as arrayB, and the
-    maintenance subscription), both for [Horse].
+    for [Ppsm] (merge_vcpus and the posA plan, attached to the
+    assigned ull_runqueue, whose own order buffer serves as arrayB),
+    both for [Horse].
     @raise Invalid_state unless [Running]. *)
 
 val resume : t -> Sandbox.t -> resume_result

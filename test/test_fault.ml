@@ -158,8 +158,8 @@ let test_resume_crash_consistency () =
   let stale_handle = Al.first merge_list in
   Alcotest.(check bool) "pause parked merge vcpus" false (Al.is_nil stale_handle);
   let ull_queue = hs.Sandbox.ull_queue in
-  Alcotest.(check int) "subscribed while paused" 1
-    (Runqueue.subscriber_count ull_queue);
+  Alcotest.(check int) "attached while paused" 1
+    (Runqueue.attached ull_queue);
   (match Vmm.resume vmm sb with
   | _ -> Alcotest.fail "resume should have crashed"
   | exception Fault.Injected { trigger = Fault.Resume_crash; site; _ } ->
@@ -174,8 +174,7 @@ let test_resume_crash_consistency () =
   (* generation checks still fire: the saved handle is stale *)
   Alcotest.check_raises "stale handle dead" Not_found (fun () ->
       ignore (Al.value merge_list stale_handle));
-  Alcotest.(check int) "maintenance subscription removed" 0
-    (Runqueue.subscriber_count ull_queue);
+  Alcotest.(check int) "plan detached" 0 (Runqueue.attached ull_queue);
   Alcotest.(check int) "crash counted" 1 (Metrics.counter metrics "vmm.crashes");
   (* the machinery still works afterwards: a fresh sandbox completes a
      full cycle on an inert plan path (resume crash only fires per

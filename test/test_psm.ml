@@ -363,29 +363,6 @@ let test_plan_target_remove_coalesce () =
   ignore (Psm.Plan.execute plan ~target:b ~source:a);
   check_list "merged" [ 1; 2; 6; 9 ] (Al.to_list b)
 
-let test_plan_source_insert () =
-  let a, b = pair_in_arena [ 2; 8 ] [ 5 ] in
-  let plan = Psm.Plan.build ~source:a ~target:b in
-  let node, _ = Al.insert_sorted a 3 in
-  Psm.Plan.note_source_insert plan ~target:b ~node;
-  Alcotest.(check int) "total" 3 (Psm.Plan.total plan);
-  Alcotest.(check bool) "consistent" true
-    (Psm.Plan.is_consistent plan ~target:b ~source:a);
-  ignore (Psm.Plan.execute plan ~target:b ~source:a);
-  check_list "merged" [ 2; 3; 5; 8 ] (Al.to_list b)
-
-let test_plan_source_remove () =
-  let a, b = pair_in_arena [ 2; 3; 8 ] [ 5 ] in
-  let plan = Psm.Plan.build ~source:a ~target:b in
-  let node = Al.nth a 1 in
-  Psm.Plan.note_source_remove plan ~node;
-  ignore (Al.remove_node a node);
-  Alcotest.(check int) "total" 2 (Psm.Plan.total plan);
-  Alcotest.(check bool) "consistent" true
-    (Psm.Plan.is_consistent plan ~target:b ~source:a);
-  ignore (Psm.Plan.execute plan ~target:b ~source:a);
-  check_list "merged" [ 2; 5; 8 ] (Al.to_list b)
-
 (* ------------------------------------------------------------------ *)
 (* Trace equality: arena list vs the boxed oracle                      *)
 (* ------------------------------------------------------------------ *)
@@ -583,7 +560,7 @@ let prop_psm_parallel_equals_sequential =
 
 (* Arbitrary mutation scripts: the incremental plan must always agree
    with a from-scratch rebuild, and the final merge must be correct. *)
-type mutation = Target_insert of int | Target_remove of int | Source_insert of int
+type mutation = Target_insert of int | Target_remove of int
 
 let mutation_gen =
   QCheck2.Gen.(
@@ -591,10 +568,9 @@ let mutation_gen =
       [
         map (fun v -> Target_insert v) (0 -- 100);
         map (fun i -> Target_remove i) (0 -- 1000);
-        map (fun v -> Source_insert v) (0 -- 100);
       ])
 
-let apply_mutation a b plan = function
+let apply_mutation b plan = function
   | Target_insert v ->
     let _, pos = Al.insert_sorted b v in
     Psm.Plan.note_target_insert plan ~pos v
@@ -603,9 +579,6 @@ let apply_mutation a b plan = function
     let pos = Al.remove_node b node in
     Psm.Plan.note_target_remove plan ~pos
   | Target_remove _ -> ()
-  | Source_insert v ->
-    let node, _ = Al.insert_sorted a v in
-    Psm.Plan.note_source_insert plan ~target:b ~node
 
 let prop_incremental_maintenance =
   QCheck2.Test.make
@@ -616,7 +589,7 @@ let prop_incremental_maintenance =
     (fun (a_vals, b_vals, mutations) ->
       let a, b = pair_in_arena a_vals b_vals in
       let plan = Psm.Plan.build ~source:a ~target:b in
-      List.iter (apply_mutation a b plan) mutations;
+      List.iter (apply_mutation b plan) mutations;
       let expected =
         Reference.merge_values ~compare:icmp (Al.to_list a) (Al.to_list b)
       in
@@ -712,8 +685,6 @@ let () =
             test_plan_target_insert_split;
           Alcotest.test_case "target remove coalesces" `Quick
             test_plan_target_remove_coalesce;
-          Alcotest.test_case "source insert" `Quick test_plan_source_insert;
-          Alcotest.test_case "source remove" `Quick test_plan_source_remove;
         ] );
       ("properties", props);
     ]

@@ -1,6 +1,6 @@
-(* Tests for horse_sched: vCPUs, run queues (ordering, notifications,
-   P²SM merge integration), load tracking, credit2 accounting and the
-   scheduler's placement policies. *)
+(* Tests for horse_sched: vCPUs, run queues (ordering, upkeep of the
+   attached P²SM plans, P²SM merge integration), load tracking,
+   credit2 accounting and the scheduler's placement policies. *)
 
 module Vcpu = Horse_sched.Vcpu
 module Runqueue = Horse_sched.Runqueue
@@ -81,135 +81,114 @@ let test_runqueue_set_kind_guard () =
     (Invalid_argument "Runqueue.set_kind: queue not empty") (fun () ->
       Runqueue.set_kind q Runqueue.Ull)
 
+(* A plan for a paused set of [credits] against [q], attached to it
+   with the maintenance counter [events]. *)
+let attach_plan ?(sandbox = 1) q ~events credits =
+  let source = Al.create (Runqueue.arena q) in
+  List.iteri
+    (fun index credit ->
+      ignore (Al.insert_sorted source (mk_vcpu ~sandbox ~index ~credit ())))
+    credits;
+  let plan = Psm.Plan.build ~source ~target:(Runqueue.queue q) in
+  Runqueue.attach q ~events plan;
+  (source, plan)
+
+let fresh_plan q (source, plan) =
+  Psm.Plan.is_consistent plan ~target:(Runqueue.queue q) ~source
+
 let test_runqueue_notifications () =
   let q = mk_queue () in
-  let events = ref [] in
-  let sub =
-    Runqueue.subscribe q (fun event ~pos ~node:_ ->
-        events :=
-          (match event with
-          | Runqueue.Inserted -> `Ins pos
-          | Runqueue.Removed -> `Rem pos)
-          :: !events)
-  in
+  let events = ref 0 in
+  let paused = attach_plan q ~events [ 7; 12 ] in
   let v1 = mk_vcpu ~index:0 ~credit:10 () in
   let v2 = mk_vcpu ~index:1 ~credit:5 () in
   let n1, _ = Runqueue.enqueue q v1 in
   ignore (Runqueue.enqueue q v2);
   ignore (Runqueue.dequeue q n1);
-  Alcotest.(check bool) "events" true
-    (List.rev !events = [ `Ins 0; `Ins 0; `Rem 1 ]);
-  Runqueue.unsubscribe q sub;
+  Alcotest.(check int) "one update per mutation" 3 !events;
+  Alcotest.(check bool) "plan fresh" true (fresh_plan q paused);
+  Runqueue.detach q (snd paused);
+  Runqueue.detach q (snd paused);
   ignore (Runqueue.enqueue q (mk_vcpu ~index:2 ()));
-  Alcotest.(check int) "no event after unsubscribe" 3 (List.length !events);
-  Alcotest.(check int) "subscriber count" 0 (Runqueue.subscriber_count q)
+  Alcotest.(check int) "no update after detach" 3 !events;
+  Alcotest.(check int) "attached" 0 (Runqueue.attached q)
 
 let test_runqueue_pop_front_notifies () =
   let q = mk_queue () in
-  let removed = ref 0 in
-  ignore
-    (Runqueue.subscribe q (fun event ~pos:_ ~node:_ ->
-         match event with
-         | Runqueue.Removed -> incr removed
-         | Runqueue.Inserted -> ()));
+  let events = ref 0 in
+  let paused = attach_plan q ~events [ 0; 3 ] in
   ignore (Runqueue.enqueue q (mk_vcpu ~credit:1 ()));
   ignore (Runqueue.enqueue q (mk_vcpu ~index:1 ~credit:2 ()));
   let v = Option.get (Runqueue.pop_front q) in
   Alcotest.(check int) "least credit popped" 1 (Vcpu.credit v);
-  Alcotest.(check int) "one removal" 1 !removed
+  Alcotest.(check int) "two inserts and one pop" 3 !events;
+  Alcotest.(check bool) "plan fresh" true (fresh_plan q paused)
 
 let test_runqueue_apply_merge () =
-  (* a full P²SM round-trip against a queue with a subscriber *)
+  (* a full P²SM round-trip against a queue with a paused bystander *)
   let q = mk_queue ~kind:Runqueue.Ull () in
   List.iter
     (fun (i, c) -> ignore (Runqueue.enqueue q (mk_vcpu ~sandbox:9 ~index:i ~credit:c ())))
     [ (0, 10); (1, 30) ];
-  let inserted_positions = ref [] in
-  ignore
-    (Runqueue.subscribe q (fun event ~pos ~node:_ ->
-         match event with
-         | Runqueue.Inserted -> inserted_positions := pos :: !inserted_positions
-         | Runqueue.Removed -> ()));
-  let source = Al.create (Runqueue.arena q) in
-  List.iter
-    (fun (i, c) -> ignore (Al.insert_sorted source (mk_vcpu ~sandbox:1 ~index:i ~credit:c ())))
-    [ (0, 5); (1, 20); (2, 40) ];
-  let plan = Psm.Plan.build ~source ~target:(Runqueue.queue q) in
+  let events = ref 0 in
+  let bystander = attach_plan ~sandbox:2 q ~events [ 6; 20; 35; 50 ] in
+  let source, plan = attach_plan q ~events [ 5; 7; 20; 40 ] in
+  Alcotest.(check int) "both attached" 2 (Runqueue.attached q);
   let stats, nodes = Runqueue.apply_merge q ~plan ~source in
-  Alcotest.(check int) "3 spliced" 3 stats.Psm.Plan.spliced;
-  Alcotest.(check int) "3 nodes returned" 3 (Array.length nodes);
-  Alcotest.(check (list int)) "final order" [ 5; 10; 20; 30; 40 ]
+  Alcotest.(check int) "merging plan detached" 1 (Runqueue.attached q);
+  Alcotest.(check int) "4 spliced" 4 stats.Psm.Plan.spliced;
+  Alcotest.(check int) "4 nodes returned" 4 (Array.length nodes);
+  Alcotest.(check (list int)) "final order" [ 5; 7; 10; 20; 30; 40 ]
     (List.map Vcpu.credit (Al.to_list (Runqueue.queue q)));
-  Alcotest.(check (list int)) "positions as sequential inserts" [ 0; 2; 4 ]
-    (List.rev !inserted_positions);
+  Alcotest.(check int) "one update per spliced vCPU" 4 !events;
+  Alcotest.(check bool) "bystander fresh" true (fresh_plan q bystander);
   Alcotest.(check bool) "spliced vcpus queued" true
     (Array.for_all
        (fun n -> Vcpu.state (Al.value (Runqueue.queue q) n) = Vcpu.Queued)
        nodes)
 
-(* Satellite: subscriber notification order is deterministic.  Two
-   subscribers registered at different times must observe identical
-   change sequences, with the earlier subscription always fired first
-   (ascending subscription id — the Hashtbl this replaced made no such
-   promise), and a rerun of the same seed must reproduce the exact
-   sequence. *)
-let churn_with_two_subscribers seed =
+(* Two plans attached at different times through the same churn: each
+   stays fresh, the counter grows by the plans attached at each
+   mutation, and a rerun of the seed reproduces the plans' keys and
+   the count. *)
+let churn_with_two_plans seed =
   let st = Random.State.make [| seed |] in
   let q = mk_queue ~kind:Runqueue.Ull () in
-  let log_a = ref [] and log_b = ref [] and firing = ref [] in
-  let record tag log event ~pos ~node:_ =
-    firing := tag :: !firing;
-    log :=
-      (match event with
-      | Runqueue.Inserted -> (true, pos)
-      | Runqueue.Removed -> (false, pos))
-      :: !log
-  in
-  ignore (Runqueue.subscribe q (record 'a' log_a));
+  let events = ref 0 and expected = ref 0 in
+  let a = attach_plan q ~events [ 10; 40; 70 ] in
+  let b = ref None in
   let nodes = ref [] in
-  (* subscriber b arrives only after some churn has already happened:
-     its log must still replay b-for-b against a's tail *)
-  let b_joined = ref 0 in
   for i = 0 to 199 do
-    if i = 50 then begin
-      ignore (Runqueue.subscribe q (record 'b' log_b));
-      b_joined := List.length !log_a
-    end;
+    if i = 50 then b := Some (attach_plan ~sandbox:2 q ~events [ 25; 55 ]);
+    let plans = if i < 50 then 1 else 2 in
     match Random.State.int st 3 with
     | 0 | 1 ->
       let n, _ =
         Runqueue.enqueue q
           (mk_vcpu ~sandbox:i ~credit:(Random.State.int st 100) ())
       in
-      nodes := n :: !nodes
+      nodes := n :: !nodes;
+      expected := !expected + plans
     | _ -> (
       match !nodes with
       | [] -> ()
       | n :: rest ->
         nodes := rest;
-        ignore (Runqueue.dequeue q n))
+        ignore (Runqueue.dequeue q n);
+        expected := !expected + plans)
   done;
-  let tail_of_a =
-    List.filteri (fun i _ -> i < List.length !log_a - !b_joined) !log_a
-  in
-  (List.rev !log_a, List.rev !log_b, List.rev tail_of_a, List.rev !firing)
+  let b = Option.get !b in
+  ( fresh_plan q a && fresh_plan q b,
+    (!events, !expected),
+    (Psm.Plan.keys (snd a), Psm.Plan.keys (snd b)) )
 
-let test_subscriber_determinism seed () =
-  let log_a, log_b, a_since_b, firing = churn_with_two_subscribers seed in
-  Alcotest.(check bool) "b saw exactly a's events since joining" true
-    (log_b = a_since_b);
-  Alcotest.(check bool) "a fires before b on every event" true
-    (let rec alternates = function
-       | [] -> true
-       | 'a' :: 'b' :: rest -> alternates rest
-       | 'a' :: rest -> alternates rest (* before b subscribed *)
-       | _ -> false
-     in
-     alternates firing);
-  (* bit-for-bit reproducible *)
-  let log_a', log_b', _, firing' = churn_with_two_subscribers seed in
+let test_attach_determinism seed () =
+  let fresh, (events, expected), keys = churn_with_two_plans seed in
+  Alcotest.(check bool) "both plans fresh" true fresh;
+  Alcotest.(check int) "counter = plans attached per mutation" expected events;
+  let _, (events', _), keys' = churn_with_two_plans seed in
   Alcotest.(check bool) "identical across reruns" true
-    (log_a = log_a' && log_b = log_b' && firing = firing')
+    (events = events' && keys = keys')
 
 let test_runqueue_merge_wrong_queue_rejected () =
   let q = mk_queue () and other = Runqueue.create ~cpu:1 ~id:1 () in
@@ -324,23 +303,38 @@ let test_scheduler_select_normal_spreads () =
     (Runqueue.id q1 <> Runqueue.id q2);
   Alcotest.(check bool) "never ull" false (Runqueue.is_ull q2)
 
+let empty_plan q =
+  Psm.Plan.build ~source:(Al.create (Runqueue.arena q))
+    ~target:(Runqueue.queue q)
+
 let test_scheduler_ull_balance () =
   let s = Scheduler.create ~ull_count:2 ~topology:small_topology () in
+  let events = ref 0 in
   let q1 = Scheduler.select_ull_for_pause s in
-  Scheduler.attach_paused s q1;
+  let p1 = empty_plan q1 in
+  Runqueue.attach q1 ~events p1;
   let q2 = Scheduler.select_ull_for_pause s in
   Alcotest.(check bool) "balances" true (Runqueue.id q1 <> Runqueue.id q2);
-  Scheduler.attach_paused s q2;
-  Scheduler.detach_paused s q1;
+  Runqueue.attach q2 ~events (empty_plan q2);
+  Runqueue.detach q1 p1;
   let q3 = Scheduler.select_ull_for_pause s in
   Alcotest.(check int) "prefers emptier" (Runqueue.id q1) (Runqueue.id q3)
 
 let test_scheduler_detach_guard () =
   let s = Scheduler.create ~topology:small_topology () in
   let q = Scheduler.select_ull_for_pause s in
-  Alcotest.check_raises "none attached"
-    (Invalid_argument "Scheduler.detach_paused: none attached") (fun () ->
-      Scheduler.detach_paused s q)
+  let events = ref 0 in
+  let p1 = empty_plan q and p2 = empty_plan q in
+  Runqueue.detach q p1;
+  Alcotest.(check int) "never attached: no-op" 0 (Runqueue.attached q);
+  Runqueue.attach q ~events p1;
+  Runqueue.attach q ~events p2;
+  Runqueue.detach q p1;
+  Runqueue.detach q p1;
+  Alcotest.(check int) "double detach counts once" 1 (Runqueue.attached q);
+  Alcotest.check_raises "one counter per queue"
+    (Invalid_argument "Runqueue.attach: another maintenance counter")
+    (fun () -> Runqueue.attach q ~events:(ref 0) (empty_plan q))
 
 let test_scheduler_add_ull () =
   let s = Scheduler.create ~topology:small_topology () in
@@ -460,17 +454,18 @@ let test_executor_validation () =
     (fun () ->
       Executor.submit ex ~queue ~vcpu ~work:(Time.span_us 1.0) ~on_done:ignore)
 
-let test_executor_feeds_psm_subscribers () =
-  (* work churning an ull queue must keep notifying paused plans *)
+let test_executor_feeds_psm_plans () =
+  (* work churning an ull queue must keep the paused plans fresh *)
   let engine, scheduler, ex = executor_fixture () in
   let queue = Scheduler.runqueue scheduler ~cpu:3 in
   let events = ref 0 in
-  ignore (Runqueue.subscribe queue (fun _ ~pos:_ ~node:_ -> incr events));
+  let paused = attach_plan queue ~events [ 0; Vcpu.default_credit ] in
   Executor.submit ex ~queue ~vcpu:(mk_vcpu ()) ~work:(Time.span_us 3.0)
     ~on_done:(fun _ -> ());
   Engine.run engine;
   (* 3 slices: 1 initial enqueue + 2 re-enqueues + 3 pops = 6 events *)
-  Alcotest.(check int) "notifications flowed" 6 !events
+  Alcotest.(check int) "updates flowed" 6 !events;
+  Alcotest.(check bool) "plan fresh" true (fresh_plan queue paused)
 
 (* ------------------------------------------------------------------ *)
 (* PELT                                                                *)
@@ -551,56 +546,12 @@ let prop_runqueue_always_sorted =
         nodes;
       Al.is_sorted (Runqueue.queue q))
 
-let prop_merge_positions_track_subscriber =
-  QCheck2.Test.make
-    ~name:"subscriber replaying merge notifications reconstructs the queue"
-    ~count:200
-    QCheck2.Gen.(
-      pair
-        (list_size (0 -- 20) (0 -- 100))
-        (list_size (0 -- 20) (0 -- 100)))
-    (fun (queue_credits, source_credits) ->
-      let q = mk_queue ~kind:Runqueue.Ull () in
-      List.iteri
-        (fun index credit ->
-          ignore (Runqueue.enqueue q (mk_vcpu ~sandbox:2 ~index ~credit ())))
-        queue_credits;
-      (* shadow copy maintained only from notifications *)
-      let shadow = ref (List.map Vcpu.credit (Al.to_list (Runqueue.queue q))) in
-      let insert_at pos x =
-        let rec go i = function
-          | rest when i = pos -> x :: rest
-          | [] -> [ x ]
-          | y :: rest -> y :: go (i + 1) rest
-        in
-        go 0
-      in
-      ignore
-        (Runqueue.subscribe q (fun event ~pos ~node ->
-             match event with
-             | Runqueue.Inserted ->
-               shadow :=
-                 insert_at pos
-                   (Vcpu.credit (Al.value (Runqueue.queue q) node))
-                   !shadow
-             | Runqueue.Removed ->
-               shadow := List.filteri (fun i _ -> i <> pos) !shadow));
-      let source = Al.create (Runqueue.arena q) in
-      List.iteri
-        (fun index credit ->
-          ignore
-            (Al.insert_sorted source (mk_vcpu ~sandbox:3 ~index ~credit ())))
-        source_credits;
-      let plan = Psm.Plan.build ~source ~target:(Runqueue.queue q) in
-      ignore (Runqueue.apply_merge q ~plan ~source);
-      !shadow = List.map Vcpu.credit (Al.to_list (Runqueue.queue q)))
-
-(* k paused plans subscribed to one queue, kept fresh only through
-   Runqueue notifications (the VMM's callback: note_target_* and
-   nothing else), while a random script churns the queue and merges
-   some plans into it.  Every remaining plan must stay equal to a
-   from-scratch rebuild, and every merge must equal the reference
-   merge, vCPU for vCPU (so FIFO order among equal credits counts). *)
+(* k paused plans attached to one queue, kept fresh only by the
+   queue's own upkeep, while a random script churns the queue and
+   merges some plans into it.  Every remaining plan must stay equal to
+   a from-scratch rebuild, every merge must equal the reference merge,
+   vCPU for vCPU (so FIFO order among equal credits counts), and the
+   counter must grow by the plans attached at each mutation. *)
 type rq_op = Enqueue of int | Dequeue of int | Pop | Merge of int
 
 let rq_op_gen =
@@ -613,9 +564,9 @@ let rq_op_gen =
         (1, map (fun j -> Merge j) (0 -- 7));
       ])
 
-let prop_many_subscribers =
+let prop_many_attached =
   QCheck2.Test.make
-    ~name:"k subscribed plans stay fresh under queue churn and merges"
+    ~name:"k attached plans stay fresh under queue churn and merges"
     ~count:200
     QCheck2.Gen.(
       triple
@@ -629,66 +580,56 @@ let prop_many_subscribers =
         (fun index credit ->
           ignore (Runqueue.enqueue q (mk_vcpu ~sandbox:100 ~index ~credit ())))
         queue_credits;
+      let events = ref 0 and expected = ref 0 in
       let plans =
         Array.of_list
           (List.mapi
-             (fun j credits ->
-               let source = Al.create (Runqueue.arena q) in
-               List.iteri
-                 (fun index credit ->
-                   ignore
-                     (Al.insert_sorted source
-                        (mk_vcpu ~sandbox:j ~index ~credit ())))
-                 credits;
-               let plan = Psm.Plan.build ~source ~target:queue in
-               let sub =
-                 Runqueue.subscribe q (fun event ~pos ~node ->
-                     match event with
-                     | Runqueue.Inserted ->
-                       Psm.Plan.note_target_insert plan ~pos (Al.value queue node)
-                     | Runqueue.Removed -> Psm.Plan.note_target_remove plan ~pos)
-               in
-               Some (source, plan, sub))
+             (fun sandbox credits ->
+               Some (attach_plan ~sandbox q ~events credits))
              sources)
       in
+      let mutated by = expected := !expected + (by * Runqueue.attached q) in
       let ok = ref true in
       let merge j =
         match plans.(j) with
         | None -> ()
-        | Some (source, plan, sub) ->
+        | Some (source, plan) ->
           plans.(j) <- None;
-          Runqueue.unsubscribe q sub;
-          let expected =
+          let expected_queue =
             Horse_psm.Reference.merge_values ~compare:Vcpu.compare_credit
               (Al.to_list source) (Al.to_list queue)
           in
+          let spliced = Al.length source in
           ok :=
             !ok
             && Psm.Plan.is_consistent plan ~target:queue ~source
             &&
             (ignore (Runqueue.apply_merge q ~plan ~source);
-             List.for_all2 ( == ) expected (Al.to_list queue))
+             List.for_all2 ( == ) expected_queue (Al.to_list queue));
+          mutated spliced
       in
       List.iteri
         (fun step op ->
           match op with
           | Enqueue credit ->
-            ignore (Runqueue.enqueue q (mk_vcpu ~sandbox:200 ~index:step ~credit ()))
+            ignore (Runqueue.enqueue q (mk_vcpu ~sandbox:200 ~index:step ~credit ()));
+            mutated 1
           | Dequeue i when Runqueue.length q > 0 ->
-            ignore (Runqueue.dequeue q (Al.nth queue (i mod Runqueue.length q)))
+            ignore (Runqueue.dequeue q (Al.nth queue (i mod Runqueue.length q)));
+            mutated 1
           | Dequeue _ -> ()
-          | Pop -> ignore (Runqueue.pop_front q)
+          | Pop -> if Runqueue.pop_front q <> None then mutated 1
           | Merge j -> merge (j mod Array.length plans))
         script;
       Array.iteri (fun j _ -> merge j) plans;
-      !ok && Runqueue.subscriber_count q = 0 && Al.is_sorted queue)
+      !ok && Runqueue.attached q = 0 && !events = !expected
+      && Al.is_sorted queue)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_runqueue_always_sorted;
-      prop_merge_positions_track_subscriber;
-      prop_many_subscribers;
+      prop_many_attached;
       prop_pelt_decay_split;
       prop_pelt_decay_matches_affine;
     ]
@@ -716,11 +657,11 @@ let () =
           Alcotest.test_case "merge guards queue identity" `Quick
             test_runqueue_merge_wrong_queue_rejected;
           Alcotest.test_case "deterministic notify, seed 1" `Quick
-            (test_subscriber_determinism 1);
+            (test_attach_determinism 1);
           Alcotest.test_case "deterministic notify, seed 42" `Quick
-            (test_subscriber_determinism 42);
+            (test_attach_determinism 42);
           Alcotest.test_case "deterministic notify, seed 1337" `Quick
-            (test_subscriber_determinism 1337);
+            (test_attach_determinism 1337);
         ] );
       ( "load",
         [
@@ -747,8 +688,8 @@ let () =
           Alcotest.test_case "least-credit priority" `Quick
             test_executor_least_credit_priority;
           Alcotest.test_case "validation" `Quick test_executor_validation;
-          Alcotest.test_case "feeds P2SM subscribers" `Quick
-            test_executor_feeds_psm_subscribers;
+          Alcotest.test_case "feeds attached P2SM plans" `Quick
+            test_executor_feeds_psm_plans;
         ] );
       ( "pelt",
         [

@@ -320,11 +320,62 @@ let test_stop_releases_everything () =
   ignore (Vmm.boot vmm sb);
   ignore (Vmm.pause vmm ~strategy:Sandbox.Horse sb);
   let ull = List.hd (Scheduler.ull_runqueues scheduler) in
-  Alcotest.(check int) "subscribed" 1 (Runqueue.subscriber_count ull);
+  Alcotest.(check int) "attached" 1 (Runqueue.attached ull);
   Vmm.stop vmm sb;
-  Alcotest.(check int) "unsubscribed" 0 (Runqueue.subscriber_count ull);
-  Alcotest.(check int) "detached" 0 (Scheduler.attached_paused scheduler ull);
+  Alcotest.(check int) "detached" 0 (Runqueue.attached ull);
   Alcotest.(check bool) "stopped" true (Sandbox.state sb = Sandbox.Stopped)
+
+(* Three 2-vCPU HORSE pauses on the one ull queue, churn, the three
+   resumes, then a second round ended by a crash and two stops.  Each
+   queue mutation adds the number of plans attached at that moment to
+   [psm.maintenance_events]; the totals below are counted by hand. *)
+let test_maintenance_count () =
+  let vmm, scheduler, metrics = fresh () in
+  let ull = List.hd (Scheduler.ull_runqueues scheduler) in
+  let a = mk_sandbox ~id:1 () and b = mk_sandbox ~id:2 ()
+  and c = mk_sandbox ~id:3 () in
+  List.iter (fun sb -> ignore (Vmm.boot vmm sb)) [ a; b; c ];
+  let step label ~attached ~events =
+    Alcotest.(check int) (label ^ ": attached") attached (Runqueue.attached ull);
+    Alcotest.(check int) (label ^ ": events") events
+      (Metrics.counter metrics "psm.maintenance_events")
+  in
+  let pause sb = ignore (Vmm.pause vmm ~strategy:Sandbox.Horse sb) in
+  let resume sb = ignore (Vmm.resume vmm sb) in
+  (* booted on normal queues: pausing touches no ull-queue plan *)
+  pause a;
+  step "pause a" ~attached:1 ~events:0;
+  pause b;
+  step "pause b" ~attached:2 ~events:0;
+  pause c;
+  step "pause c" ~attached:3 ~events:0;
+  (* churn: every mutation updates all three plans *)
+  let foreign index credit = Vcpu.create ~sandbox:9 ~index ~credit () in
+  let x, _ = Runqueue.enqueue ull (foreign 0 5) in
+  ignore (Runqueue.enqueue ull (foreign 1 9));
+  ignore (Runqueue.dequeue ull x);
+  ignore (Runqueue.pop_front ull);
+  step "churn" ~attached:3 ~events:12;
+  (* a resume detaches its own plan, then tells the others of its two
+     inserts *)
+  resume a;
+  step "resume a" ~attached:2 ~events:16;
+  resume b;
+  step "resume b" ~attached:1 ~events:18;
+  resume c;
+  step "resume c" ~attached:0 ~events:18;
+  (* second round: the three now run on the ull queue *)
+  pause a;
+  step "re-pause a" ~attached:1 ~events:18;
+  pause b;
+  step "re-pause b (two removals seen by a)" ~attached:2 ~events:20;
+  Vmm.crash vmm b;
+  step "crash b" ~attached:1 ~events:20;
+  Vmm.stop vmm c;
+  step "stop running c (two removals seen by a)" ~attached:1 ~events:22;
+  Vmm.stop vmm a;
+  step "stop paused a" ~attached:0 ~events:22;
+  Alcotest.(check int) "queue drained" 0 (Runqueue.length ull)
 
 let test_dispatch_overhead () =
   let vmm, _, _ = fresh () in
@@ -543,6 +594,8 @@ let () =
             test_horse_resume_lands_on_ull_queue;
           Alcotest.test_case "vanilla spreads on normal queues" `Quick
             test_vanilla_resume_spreads_on_normal_queues;
+          Alcotest.test_case "maintenance count over three pauses" `Quick
+            test_maintenance_count;
           Alcotest.test_case "stop releases everything" `Quick
             test_stop_releases_everything;
         ] );
