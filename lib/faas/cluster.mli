@@ -208,7 +208,7 @@ val create_sharded :
     blackout schedule and counts its injections in {!metrics}.
     [ull_count] sets the reserved ull runqueues per server: parked
     HORSE sandboxes spread across them, and because a paused sandbox's
-    P²SM maintenance fires on every mutation of the queue it is
+    P²SM maintenance is counted on every mutation of the queue it is
     attached to, per-trigger maintenance cost scales with
     [parked / ull_count] — raise it for large warm pools.
 

@@ -500,10 +500,11 @@ and launch t ~fn_id ~orig_mode ~mode ~on_complete ~attempt ~triggered_at
   List.iter (fun cpu -> Hashtbl.replace t.occupancy cpu inv) cpus;
   inv.completion <-
     Some (Engine.schedule_at t.engine ~at:inv.finish_at (fun _ -> fire t inv));
-  Log.debug (fun m ->
-      m "trigger %s mode=%s init=%dns exec=%dns" fn.Function_def.name
-        (mode_name mode)
-        (Time.span_to_ns inv_init) (Time.span_to_ns exec));
+  if Horse_sim.Logging.debug_enabled log_src then
+    Log.debug (fun m ->
+        m "trigger %s mode=%s init=%dns exec=%dns" fn.Function_def.name
+          (mode_name mode)
+          (Time.span_to_ns inv_init) (Time.span_to_ns exec));
   (* hoisted per-mode handles: no sprintf, no series-name hashing on
      the per-trigger path.  The init distribution is NOT observed here
      — only [complete] feeds it, so doomed attempts never publish a

@@ -61,6 +61,7 @@ type 'a t = {
   mutable len : int;
   mutable head : int;  (* slot, -1 when empty *)
   mutable tail : int;
+  mutable version : int;  (* structural mutations so far *)
 }
 
 let create_arena ?(capacity = 16) ~compare () =
@@ -82,7 +83,16 @@ let create_arena ?(capacity = 16) ~compare () =
 let create arena =
   let id = arena.next_id in
   arena.next_id <- id + 1;
-  { arena; id; ord = Array.make 8 (-1); start = 4; len = 0; head = -1; tail = -1 }
+  {
+    arena;
+    id;
+    ord = Array.make 8 (-1);
+    start = 4;
+    len = 0;
+    head = -1;
+    tail = -1;
+    version = 0;
+  }
 
 let arena t = t.arena
 
@@ -98,6 +108,8 @@ let same_arena a b = a.arena == b.arena
 let compare_fn t = t.arena.compare
 
 let length t = t.len
+
+let version t = t.version
 
 let is_empty t = t.len = 0
 
@@ -236,14 +248,16 @@ let close_gap t pos =
       t.ord.(i) <- s;
       a.apos.(s) <- i
     done;
-  t.len <- t.len - 1
+  t.len <- t.len - 1;
+  t.version <- t.version + 1
 
-(* First window index whose element exceeds [x] — exactly the count of
-   elements <= x, which is both the stable (FIFO-among-equals)
-   insertion point and the node count the boxed oracle walks. *)
-let upper_bound t x =
+(* First window index at or after [from] whose element exceeds [x].
+   From 0 it is exactly the count of elements <= x, which is both the
+   stable (FIFO-among-equals) insertion point and the node count the
+   boxed oracle walks. *)
+let upper_bound t ~from x =
   let a = t.arena in
-  let lo = ref 0 and hi = ref t.len in
+  let lo = ref from and hi = ref t.len in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     if a.compare a.value.(t.ord.(t.start + mid)) x <= 0 then lo := mid + 1
@@ -264,11 +278,12 @@ let link_at t s pos =
   let hole = open_gap t pos in
   t.ord.(hole) <- s;
   a.apos.(s) <- hole;
-  t.len <- t.len + 1
+  t.len <- t.len + 1;
+  t.version <- t.version + 1
 
 let insert_sorted t x =
   let a = t.arena in
-  let pos = upper_bound t x in
+  let pos = upper_bound t ~from:0 x in
   let s = alloc_slot a in
   a.value.(s) <- x;
   a.owner.(s) <- t.id;
@@ -383,7 +398,11 @@ module Unsafe = struct
     else a.nxt.(anchor_s) <- first_s;
     a.prv.(first_s) <- anchor_s;
     a.nxt.(last_s) <- after;
-    if after >= 0 then a.prv.(after) <- last_s else target.tail <- last_s
+    if after >= 0 then a.prv.(after) <- last_s else target.tail <- last_s;
+    (* the one cell strands with distinct anchors share; a lost
+       increment is harmless, since [merge_commit] bumps it again
+       before anyone compares it *)
+    target.version <- target.version + 1
 
   let merge_commit ~target ~source ~keys ~counts ~nseg =
     if not (same_arena target source) then
@@ -442,5 +461,7 @@ module Unsafe = struct
     source.len <- 0;
     source.head <- -1;
     source.tail <- -1;
-    source.start <- Array.length source.ord / 2
+    source.start <- Array.length source.ord / 2;
+    target.version <- target.version + 1;
+    source.version <- source.version + 1
 end

@@ -27,7 +27,10 @@
     {e re-owns} handles: after {!Unsafe.merge_commit} the source
     list's handles remain valid but now belong to the target list.
     Positions obtained from handles are only meaningful while the
-    owning list is unchanged. *)
+    owning list is unchanged, which {!version} tells: every structural
+    mutation of a list bumps its counter, so a structure derived from
+    a list (a P²SM plan) can record the version it was computed at
+    and recompute only when the list has changed since. *)
 
 type 'a arena
 (** Shared slot storage for lists of ['a] under one ordering. *)
@@ -68,6 +71,12 @@ val compare_fn : 'a t -> 'a -> 'a -> int
 
 val length : 'a t -> int
 
+val version : 'a t -> int
+(** Structural mutations of the list so far: [insert_sorted],
+    [remove_node], a [pop_first] that removes, {!Unsafe.link_after}
+    and {!Unsafe.merge_commit} (on both lists) each add one.  Equal
+    versions mean an unchanged list. *)
+
 val is_empty : 'a t -> bool
 
 val value : 'a t -> handle -> 'a
@@ -105,6 +114,13 @@ val remove_node : 'a t -> handle -> int
 
 val pop_first : 'a t -> 'a option
 (** Remove and return the head element, O(1). *)
+
+val upper_bound : 'a t -> from:int -> 'a -> int
+(** The first 0-based position at or after [from] whose element
+    exceeds [x], or [length t] if none does; a binary search,
+    O(log (length t - from)), allocating nothing.  From 0 this is the
+    number of elements [<= x]; from a position whose predecessors are
+    all [<= x] it is the same number, found faster. *)
 
 val nth : 'a t -> int -> handle
 (** Handle at 0-based position [i], O(1).

@@ -23,31 +23,33 @@
     parallelism argument — and {!Plan.execute_parallel} really runs
     it on OCaml domains.
 
-    The plan supports the incremental maintenance of §4.1.3: while a
-    sandbox stays paused, every insert/remove on the ull_runqueue is
-    reflected with {!Plan.note_target_insert} /
-    {!Plan.note_target_remove} (the run queue calls them on every plan
-    attached to it).  The source needs no upkeep: a paused sandbox's
-    vCPU set is fixed from its pause to its resume.  Nor does
-    [arrayB].  The maintenance path is in-place over flat [int]
-    arrays: it allocates nothing per event, which is what keeps resume
-    storms (thousands of attached paused plans) affordable. *)
+    While a sandbox stays paused its [posA] must follow the
+    ull_runqueue (§4.1.3).  The upkeep is deferred: a plan is a cache
+    of [posA] keyed by the target's {!Arena_list.version}, recomputed
+    in place by the first read after the target changed — in practice
+    once, at the merge.  A plan absorbs hundreds of queue mutations
+    before it merges, against a recomputation that touches
+    [|A| + |B|] elements at most, so keeping every plan fresh on every
+    mutation would be mostly wasted.  The source needs no upkeep: a
+    paused sandbox's vCPU set is fixed from its pause to its resume.
+    Nor does [arrayB]. *)
 
 exception Stale
-(** Raised by merge execution when the precomputed structures do not
-    match the current lists (a missed incremental update — a bug in
-    the caller's bookkeeping). *)
+(** Raised by a plan that was already executed, or whose source
+    changed after {!Plan.build} (a bug in the caller's bookkeeping:
+    a paused sandbox's vCPU set is fixed). *)
 
 module Plan : sig
   type 'a t
   (** The [posA] of the paper, for one (source, target) pair.  Stored
       as flat parallel arrays (key, head handle, tail handle, count
-      per segment), so incremental maintenance is in-place int
-      arithmetic.  The plan also counts the target length its
-      {!note_target_insert}/{!note_target_remove} calls imply, which
-      is how {!execute} detects a target mutation nobody reported.
-      Functions that name the lists raise [Invalid_argument] if they
-      are not the plan's. *)
+      per segment) with the target version they were computed at.
+      Every read ({!key_count}, {!keys}, {!execute},
+      {!execute_parallel}) first recomputes them in place if the
+      target has changed since, so a read always sees the current
+      target; each raises {!Stale} if the plan was executed or its
+      source changed.  Functions that name the lists raise
+      [Invalid_argument] if they are not the plan's. *)
 
   type stats = {
     threads : int;  (** segments spliced = merge threads used *)
@@ -56,33 +58,16 @@ module Plan : sig
   }
 
   val build : source:'a Arena_list.t -> target:'a Arena_list.t -> 'a t
-  (** The precompute phase, by a linear two-pointer scan
-      (O(|A| + |B|)).  Source and target must share an arena. *)
+  (** A plan for merging [source] into [target], which must share an
+      arena.  The precompute phase runs at the first read: each source
+      element's key is found by binary search over the target's order
+      buffer, starting from the previous element's key
+      (O(|A| log |B|)), into the plan's own arrays. *)
 
   val key_count : 'a t -> int
 
-  val total : 'a t -> int
-  (** Elements covered by the plan (must equal [|A|] at merge time). *)
-
   val keys : 'a t -> int list
   (** Sorted splice keys (for inspection and tests). *)
-
-  val keys_counts : 'a t -> int array * int array
-  (** Fresh copies of the (key, element count) pairs, segment order.
-      Taken {e before} {!execute}, they let the run-queue layer tell
-      the other attached plans where each element landed (§4.1.3's
-      continuous updates after a merge) in one pass. *)
-
-  val note_target_insert : 'a t -> pos:int -> 'a -> unit
-  (** The target gained an element with value [v] at 0-based position
-      [pos]: shifts affected keys and splits the straddling segment.
-      Call for every paused plan whenever the ull_runqueue grows.
-      Allocates nothing. *)
-
-  val note_target_remove : 'a t -> pos:int -> unit
-  (** The target lost the element at 0-based position [pos]: shifts
-      keys down and coalesces the two segments that become
-      adjacent.  Allocates nothing. *)
 
   val execute :
     'a t -> target:'a Arena_list.t -> source:'a Arena_list.t -> stats
@@ -90,12 +75,12 @@ module Plan : sig
       anchored at the target node its key names in the target's order
       buffer, then one O(|A| + |B|) order-buffer commit
       ({!Arena_list.Unsafe.merge_commit}) — per merge, not per
-      attached plan.  Consumes the source (left empty; its handles stay
-      valid, re-owned by the target), grows the target and
-      invalidates the plan.
-      @raise Stale if the plan was already executed, or the target
-      length or source length differs from what the plan was told
-      (a missed update). *)
+      attached plan.  First refreshes the plan if its target changed.
+      Consumes the source (left empty; its handles stay valid,
+      re-owned by the target), grows the target and invalidates the
+      plan.
+      @raise Stale if the plan was already executed or its source
+      changed after {!build}. *)
 
   val execute_parallel :
     domains:int ->
@@ -114,8 +99,4 @@ module Plan : sig
       nesting rule).
       @raise Invalid_argument if [domains < 1]. *)
 
-  val is_consistent :
-    'a t -> target:'a Arena_list.t -> source:'a Arena_list.t -> bool
-  (** True iff rebuilding from scratch yields this plan — the
-      incremental-maintenance correctness oracle used by tests. *)
 end

@@ -4,19 +4,21 @@
     step ④ inserts vCPUs into its sorted list, step ⑤ updates its
     lock-protected load.  A run queue can be reserved as an
     [ull_runqueue] (§4.1.3): only uLL sandboxes land there, its
-    timeslice is capped at 1 µs, and it holds the P²SM plans of the
-    paused sandboxes {e attached} to it, keeping them fresh.
+    timeslice is capped at 1 µs, and it counts the paused sandboxes
+    {e attached} to it, whose P²SM plans target it.
 
     The queue is an {!Horse_psm.Arena_list}: removals are O(1), and
     every structural mutation still reports the nodes the boxed
     oracle would have walked (for cost accounting).  Each mutation
-    also updates every attached plan in place, in attach order, with
-    {!Horse_psm.Psm.Plan.note_target_insert} or
-    {!Horse_psm.Psm.Plan.note_target_remove}, and adds the number of
-    plans it updated to the attachers' maintenance counter.  The
-    list's own order buffer is the paper's [arrayB] for every plan at
-    once, so a plan keeps no copy of the queue.  Nothing is allocated
-    per mutation. *)
+    also adds the attached count to the attachers' maintenance
+    counter: the §4.1.3 posA updates the paper's scheme performs, one
+    per attached plan.  The updates themselves are deferred: a plan
+    recomputes its posA when it is read after the list's
+    {!Horse_psm.Arena_list.version} moved, so the queue holds no
+    plans and tells none of them anything.  The list's own order
+    buffer is the paper's [arrayB] for every plan at once, so a plan
+    keeps no copy of the queue.  Nothing is allocated per
+    mutation. *)
 
 type t
 
@@ -66,19 +68,19 @@ val load : t -> Load_tracking.t
 val enqueue : t -> Vcpu.t -> Horse_psm.Arena_list.handle * int
 (** Sorted insert (step ④ for one vCPU).  Returns the handle (the
     caller keeps it to dequeue later) and the nodes walked.  Marks
-    the vCPU [Queued] and updates the attached plans.  Does {e not} touch
-    the load — the resume path chooses vanilla or coalesced load
-    updates separately. *)
+    the vCPU [Queued] and counts one update per attached plan.  Does
+    {e not} touch the load — the resume path chooses vanilla or
+    coalesced load updates separately. *)
 
 val dequeue : t -> Horse_psm.Arena_list.handle -> int
 (** Unlink a previously enqueued node; returns the nodes the oracle
     would have walked (= its position).  Marks the vCPU [Offline] and
-    updates the attached plans.
+    counts one update per attached plan.
     @raise Not_found if the node is not on this queue. *)
 
 val pop_front : t -> Vcpu.t option
 (** Scheduler pick: the least-credit vCPU, removed from the queue
-    (the attached plans note a removal at position 0). *)
+    (counted like {!dequeue}). *)
 
 val apply_merge :
   t ->
@@ -86,23 +88,29 @@ val apply_merge :
   source:Vcpu.t Horse_psm.Arena_list.t ->
   Horse_psm.Psm.Plan.stats * Horse_psm.Arena_list.handle array
 (** The P²SM merge of a resuming sandbox's [merge_vcpus] into this
-    queue.  Detaches [plan] first, then tells every plan still
-    attached of one insert per spliced vCPU.  All spliced vCPUs are
-    marked [Queued].  Also returns the spliced handles (source order)
-    so the resumer can record its placements.
+    queue ({!Horse_psm.Psm.Plan.execute}, which refreshes a plan the
+    queue has outdated).  Then detaches the merging sandbox and counts
+    one insert per spliced vCPU for every plan still attached.  All
+    spliced vCPUs are marked [Queued].  Also returns the spliced
+    handles (source order) so the resumer can record its
+    placements.
     @raise Invalid_argument if [plan] was built over another queue or
     source.
     @raise Horse_psm.Psm.Stale as {!Horse_psm.Psm.Plan.execute}. *)
 
-val attach : t -> events:int ref -> Vcpu.t Horse_psm.Psm.Plan.t -> unit
-(** Keep a paused sandbox's plan (built over this queue) fresh until
-    it is detached: every later mutation updates it, after the plans
-    attached before it, and adds one to [events].
-    @raise Invalid_argument if plans attached with another [events]
-    counter are still attached. *)
+val attach : t -> events:int ref -> unit
+(** A paused sandbox's plan now targets this queue: every later
+    mutation adds one more to [events], until the matching
+    {!detach}.
+    @raise Invalid_argument if sandboxes attached with another
+    [events] counter are still attached. *)
 
-val detach : t -> Vcpu.t Horse_psm.Psm.Plan.t -> unit
-(** Stop updating the plan.  Idempotent. *)
+val detach : t -> unit
+(** The inverse of one {!attach}; {!apply_merge} does it for the
+    merging sandbox.  Each attach is detached exactly once (the VMM's
+    merge and teardown both consume the paused state).
+    @raise Invalid_argument if nothing is attached. *)
 
 val attached : t -> int
-(** Plans attached now: the paused sandboxes assigned to this queue. *)
+(** Sandboxes attached now: the paused sandboxes assigned to this
+    queue. *)

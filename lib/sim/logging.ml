@@ -31,3 +31,8 @@ let src name =
     let s = Logs.Src.create full ~doc:("HORSE " ^ name ^ " subsystem") in
     Hashtbl.add known full s;
     s
+
+let debug_enabled src =
+  match Logs.Src.level src with
+  | Some Logs.Debug -> true
+  | Some (Logs.App | Logs.Error | Logs.Warning | Logs.Info) | None -> false

@@ -12,3 +12,8 @@ val setup : ?level:Logs.level -> unit -> unit
 
 val src : string -> Logs.src
 (** [src name] creates (or reuses) the source [horse.<name>]. *)
+
+val debug_enabled : Logs.src -> bool
+(** True iff [src] reports debug messages now.  Hot paths test it
+    before calling [Log.debug], so the message closure (and what it
+    captures) is allocated only on a run that prints it. *)

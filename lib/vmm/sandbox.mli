@@ -13,8 +13,8 @@
     by one), the §4.2.2 coalesced load-update constants for [Coal],
     the §4.1.3 P²SM state for [Ppsm] (the pre-sorted [merge_vcpus]
     list and the plan against its assigned ull_runqueue, whose own
-    order buffer is the plan's [arrayB] and which keeps the attached
-    plan fresh), and both for [Horse].  That state is
+    order buffer is the plan's [arrayB] and whose mutations the plan
+    catches up with when read), and both for [Horse].  That state is
     created by {!Vmm.pause} and consumed by {!Vmm.resume}; this module
     only stores it. *)
 
@@ -50,8 +50,9 @@ type psm_state = {
       (** assigned at pause time; its order buffer is [arrayB] *)
   plan : Horse_sched.Vcpu.t Horse_psm.Psm.Plan.t;
       (** posA, attached to [ull_queue]: every queue mutation while
-          paused refreshes it and counts in the VMM's
-          [psm.maintenance_events] (§5.2's overhead) *)
+          paused counts one refresh in the VMM's
+          [psm.maintenance_events] (§5.2's overhead); the plan performs
+          it when next read, at the latest at the merge *)
 }
 (** The P²SM half of a HORSE-family pause (§4.1.3). *)
 

@@ -91,8 +91,8 @@ let require_state sandbox expected message =
   if not (List.mem (Sandbox.state sandbox) expected) then
     raise (Invalid_state message)
 
-(* Remove the sandbox's vCPUs from their queues; each dequeue keeps the
-   plans attached to that queue fresh. *)
+(* Remove the sandbox's vCPUs from their queues; each dequeue counts
+   the upkeep of the plans attached to that queue. *)
 let evacuate t sandbox =
   let walked = ref 0 in
   List.iter
@@ -113,7 +113,7 @@ let teardown t sandbox =
   if Sandbox.state sandbox = Sandbox.Running then ignore (evacuate t sandbox);
   (match Sandbox.paused sandbox with
   | Some (Sandbox.Paused_ppsm ps | Sandbox.Paused_horse (ps, _)) ->
-    Runqueue.detach ps.Sandbox.ull_queue ps.Sandbox.plan;
+    Runqueue.detach ps.Sandbox.ull_queue;
     while Al.pop_first ps.Sandbox.merge_vcpus <> None do
       ()
     done
@@ -155,7 +155,8 @@ let boot t sandbox =
   place_on_normal_queues t sandbox;
   Sandbox.set_state sandbox Sandbox.Running;
   Metrics.incr t.metrics "vmm.boots";
-  Log.debug (fun m -> m "boot %a" Sandbox.pp sandbox);
+  if Horse_sim.Logging.debug_enabled log_src then
+    Log.debug (fun m -> m "boot %a" Sandbox.pp sandbox);
   jittered t t.cost.Cost_model.cold_boot_ns
 
 let restore t sandbox =
@@ -179,8 +180,8 @@ let make_precomputed n =
     ~beta:pelt.Coalesce.Affine.beta ~n
 
 (* Pause-side setup of the §4.1.3 structures: merge_vcpus and posA,
-   attached to the queue that keeps posA fresh (arrayB is the queue's
-   own order buffer and needs no upkeep). *)
+   attached to the queue posA targets (arrayB is the queue's own order
+   buffer and needs no upkeep; posA is computed when first read). *)
 let build_psm_state t sandbox =
   let ull_queue = Scheduler.select_ull_for_pause t.scheduler in
   (* merge_vcpus lives in the queue's arena: the eventual splice is
@@ -193,8 +194,7 @@ let build_psm_state t sandbox =
     Psm.Plan.build ~source:merge_vcpus ~target:(Runqueue.queue ull_queue)
   in
   Runqueue.attach ull_queue
-    ~events:(Metrics.counter_ref t.metrics "psm.maintenance_events")
-    plan;
+    ~events:(Metrics.counter_ref t.metrics "psm.maintenance_events");
   { Sandbox.merge_vcpus; ull_queue; plan }
 
 let pause t ~strategy sandbox =
@@ -229,9 +229,10 @@ let pause t ~strategy sandbox =
   Sandbox.set_state sandbox Sandbox.Paused;
   let cnt = t.pauses_c.(Sandbox.strategy_code strategy) in
   cnt := !cnt + 1;
-  Log.debug (fun m ->
-      m "pause %a strategy=%s" Sandbox.pp sandbox
-        (Sandbox.strategy_name strategy));
+  if Horse_sim.Logging.debug_enabled log_src then
+    Log.debug (fun m ->
+        m "pause %a strategy=%s" Sandbox.pp sandbox
+          (Sandbox.strategy_name strategy));
   jittered t (base +. extra)
 
 (* Step ④, vanilla flavour: one sorted insert per vCPU, in vCPU
@@ -373,10 +374,11 @@ let resume t sandbox =
   let code = Sandbox.strategy_code strategy in
   let cnt = t.resumes_c.(code) in
   cnt := !cnt + 1;
-  Log.debug (fun m ->
-      m "resume %a strategy=%s total=%dns threads=%d" Sandbox.pp sandbox
-        (Sandbox.strategy_name strategy)
-        (Time.span_to_ns total) merge_threads);
+  if Horse_sim.Logging.debug_enabled log_src then
+    Log.debug (fun m ->
+        m "resume %a strategy=%s total=%dns threads=%d" Sandbox.pp sandbox
+          (Sandbox.strategy_name strategy)
+          (Time.span_to_ns total) merge_threads);
   {
     total;
     breakdown;

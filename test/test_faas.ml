@@ -210,6 +210,50 @@ let test_warm_sandbox_returns_to_pool () =
   Alcotest.(check int) "five resumes" 5
     (Metrics.counter (Platform.metrics platform) "vmm.resumes.horse")
 
+(* The per-trigger debug lines (the platform's launch, the VMM's boot,
+   pause and resume) are built only when the level asks for them: a
+   debug-level run prints each one, a default-level run none. *)
+let test_debug_lines () =
+  let buf = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer buf in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  Logs.set_reporter (Logs.format_reporter ~app:ppf ~dst:ppf ());
+  let run level =
+    Buffer.clear buf;
+    Logs.set_level level;
+    let engine, platform = fresh () in
+    register_nat platform;
+    ignore (run_one platform engine ~name:"nat" ~mode:Platform.Cold);
+    Platform.provision platform ~name:"nat" ~count:1 ~strategy:Sandbox.Horse;
+    ignore
+      (run_one platform engine ~name:"nat" ~mode:(Platform.Warm Sandbox.Horse));
+    Format.pp_print_flush ppf ();
+    Buffer.contents buf
+  in
+  let debug = run (Some Logs.Debug) in
+  let quiet = run (Some Logs.Warning) in
+  Logs.set_reporter reporter;
+  Logs.set_level level;
+  let has text sub =
+    let n = String.length sub in
+    let rec from i =
+      i + n <= String.length text && (String.sub text i n = sub || from (i + 1))
+    in
+    from 0
+  in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("debug prints " ^ line) true (has debug line))
+    [
+      "trigger nat mode=cold";
+      "trigger nat mode=warm-horse";
+      "boot sandbox<";
+      "pause sandbox<";
+      "strategy=horse";
+      "resume sandbox<";
+    ];
+  Alcotest.(check string) "default level prints nothing" "" quiet
+
 let test_records_accumulate () =
   let engine, platform = fresh () in
   register_nat platform;
@@ -1121,6 +1165,8 @@ let () =
             test_warm_vanilla_vs_horse_init;
           Alcotest.test_case "pool cycling" `Quick
             test_warm_sandbox_returns_to_pool;
+          Alcotest.test_case "debug lines only at debug level" `Quick
+            test_debug_lines;
           Alcotest.test_case "records" `Quick test_records_accumulate;
           Alcotest.test_case "pool exhaustion" `Quick
             test_concurrent_warm_pool_exhaustion;

@@ -1,6 +1,6 @@
 (* Tests for horse_psm: the boxed reference list, the flat arena list
    that replaced it on the hot path, the reference merges and P²SM
-   itself, including the incremental-maintenance oracle and the
+   itself, including the deferred-upkeep checks and the
    arena-vs-reference trace-equality scripts. *)
 
 module Ll = Horse_psm.Linked_list
@@ -294,25 +294,27 @@ let test_plan_parallel_merge () =
     merged;
   Alcotest.(check bool) "drained" true drained
 
-let test_plan_stale_on_unseen_target_change () =
+(* The source is fixed from build to merge (a paused sandbox's vCPU
+   set): a change to it the plan never saw makes it stale. *)
+let test_plan_stale_on_unseen_source_change () =
   let arena = Al.create_arena ~compare:icmp () in
   let a = Al.of_sorted_list arena [ 2 ]
   and b = Al.of_sorted_list arena [ 1; 3 ] in
   let plan = Psm.Plan.build ~source:a ~target:b in
-  ignore (Al.insert_sorted b 5) (* not reported to the plan *);
-  Alcotest.(check bool) "inconsistent" false
-    (Psm.Plan.is_consistent plan ~target:b ~source:a);
+  ignore (Al.insert_sorted a 5);
   Alcotest.check_raises "stale" Psm.Stale (fun () ->
       ignore (Psm.Plan.execute plan ~target:b ~source:a))
 
-let test_plan_stale_on_unseen_target_removal () =
+let test_plan_stale_on_unseen_source_removal () =
   let arena = Al.create_arena ~compare:icmp () in
-  let a = Al.of_sorted_list arena [ 2 ]
+  let a = Al.of_sorted_list arena [ 2; 4 ]
   and b = Al.of_sorted_list arena [ 1; 3; 5 ] in
   let plan = Psm.Plan.build ~source:a ~target:b in
-  (* the tail removal leaves every key in range: only the length
-     count the plan keeps can tell *)
-  ignore (Al.remove_node b (Al.nth b 2)) (* not reported to the plan *);
+  (* read once, so the plan holds computed keys the removal outdates *)
+  Alcotest.(check (list int)) "keys" [ 1; 2 ] (Psm.Plan.keys plan);
+  ignore (Al.remove_node a (Al.nth a 1));
+  Alcotest.check_raises "stale read" Psm.Stale (fun () ->
+      ignore (Psm.Plan.key_count plan));
   Alcotest.check_raises "stale" Psm.Stale (fun () ->
       ignore (Psm.Plan.execute plan ~target:b ~source:a))
 
@@ -326,42 +328,74 @@ let test_plan_stale_on_double_execute () =
       ignore (Psm.Plan.execute plan ~target:b ~source:a))
 
 (* ------------------------------------------------------------------ *)
-(* P²SM: incremental maintenance                                       *)
+(* P²SM: deferred upkeep                                               *)
 (* ------------------------------------------------------------------ *)
 
 let pair_in_arena a_vals b_vals =
   let arena = Al.create_arena ~compare:icmp () in
   (Al.of_sorted_list arena a_vals, Al.of_sorted_list arena b_vals)
 
-let test_plan_target_insert_split () =
+let test_plan_target_insert_refresh () =
   (* source [2;4;6] vs target [5]: segment {2;4} at key 0, {6} at key 1.
-     Inserting 3 into the target must split {2;4}. *)
+     Inserting 3 into the target splits {2;4} at the next read. *)
   let a, b = pair_in_arena [ 2; 4; 6 ] [ 5 ] in
   let plan = Psm.Plan.build ~source:a ~target:b in
   Alcotest.(check (list int)) "keys before" [ 0; 1 ] (Psm.Plan.keys plan);
-  let _, pos = Al.insert_sorted b 3 in
-  Psm.Plan.note_target_insert plan ~pos 3;
+  ignore (Al.insert_sorted b 3);
   Alcotest.(check (list int)) "keys after" [ 0; 1; 2 ] (Psm.Plan.keys plan);
-  Alcotest.(check bool) "consistent" true
-    (Psm.Plan.is_consistent plan ~target:b ~source:a);
   let stats = Psm.Plan.execute plan ~target:b ~source:a in
   check_list "merged" [ 2; 3; 4; 5; 6 ] (Al.to_list b);
   Alcotest.(check int) "three segments" 3 stats.Psm.Plan.threads
 
-let test_plan_target_remove_coalesce () =
-  (* source [2;6] vs target [1;5;9]: keys 1 and 2.  Removing 5 must
-     coalesce both segments onto key 1. *)
+let test_plan_target_remove_refresh () =
+  (* source [2;6] vs target [1;5;9]: keys 1 and 2.  Removing 5 leaves
+     both segments on key 1, which the merge reads without a prior
+     read of the plan. *)
   let a, b = pair_in_arena [ 2; 6 ] [ 1; 5; 9 ] in
   let plan = Psm.Plan.build ~source:a ~target:b in
   Alcotest.(check (list int)) "keys before" [ 1; 2 ] (Psm.Plan.keys plan);
-  let victim = Al.nth b 1 in
-  let pos = Al.remove_node b victim in
-  Psm.Plan.note_target_remove plan ~pos;
-  Alcotest.(check (list int)) "keys after" [ 1 ] (Psm.Plan.keys plan);
-  Alcotest.(check bool) "consistent" true
-    (Psm.Plan.is_consistent plan ~target:b ~source:a);
-  ignore (Psm.Plan.execute plan ~target:b ~source:a);
-  check_list "merged" [ 1; 2; 6; 9 ] (Al.to_list b)
+  ignore (Al.remove_node b (Al.nth b 1));
+  let stats = Psm.Plan.execute plan ~target:b ~source:a in
+  check_list "merged" [ 1; 2; 6; 9 ] (Al.to_list b);
+  Alcotest.(check int) "one segment" 1 stats.Psm.Plan.threads
+
+(* Every structural mutation bumps the list's counter, on exactly the
+   lists it changes; reads leave it alone. *)
+let test_arena_version () =
+  let arena = Al.create_arena ~compare:icmp () in
+  let a = Al.create arena and b = Al.of_sorted_list arena [ 10; 20; 30 ] in
+  let step label list by f =
+    let before = Al.version list in
+    f ();
+    Alcotest.(check int) label (before + by) (Al.version list)
+  in
+  Alcotest.(check int) "fresh list" 0 (Al.version a);
+  Alcotest.(check int) "built from 3 elements" 3 (Al.version b);
+  step "insert_sorted" a 1 (fun () -> ignore (Al.insert_sorted a 25));
+  ignore (Al.insert_sorted a 5);
+  step "remove_node" a 1 (fun () -> ignore (Al.remove_node a (Al.nth a 1)));
+  step "pop_first" a 1 (fun () -> ignore (Al.pop_first a));
+  step "pop_first on empty" a 0 (fun () -> ignore (Al.pop_first a));
+  step "reads" b 0 (fun () ->
+      ignore (Al.nth b 1);
+      ignore (Al.value b (Al.first b));
+      ignore (Al.position b (Al.first b));
+      ignore (Al.upper_bound b ~from:0 15);
+      ignore (Al.to_list b);
+      ignore (Al.is_sorted b));
+  List.iter (fun x -> ignore (Al.insert_sorted a x)) [ 15; 35 ];
+  let first = Al.nth a 0 and last = Al.nth a 1 in
+  step "link_after" b 1 (fun () ->
+      Al.Unsafe.link_after b ~anchor:(Al.nth b 0) ~first ~last:first);
+  step "link_after, source" a 0 (fun () ->
+      Al.Unsafe.link_after b ~anchor:(Al.nth b 2) ~first:last ~last);
+  let va = Al.version a in
+  step "merge_commit, target" b 1 (fun () ->
+      Al.Unsafe.merge_commit ~target:b ~source:a ~keys:[| 1; 3 |]
+        ~counts:[| 1; 1 |] ~nseg:2);
+  Alcotest.(check int) "merge_commit, source" (va + 1) (Al.version a);
+  check_list "spliced" [ 10; 15; 20; 30; 35 ] (Al.to_list b);
+  Alcotest.(check bool) "sorted" true (Al.is_sorted b)
 
 (* ------------------------------------------------------------------ *)
 (* Trace equality: arena list vs the boxed oracle                      *)
@@ -558,46 +592,6 @@ let prop_psm_parallel_equals_sequential =
       let m2, _, _, _ = run_merge ~parallel:4 a_vals b_vals in
       m1 = m2)
 
-(* Arbitrary mutation scripts: the incremental plan must always agree
-   with a from-scratch rebuild, and the final merge must be correct. *)
-type mutation = Target_insert of int | Target_remove of int
-
-let mutation_gen =
-  QCheck2.Gen.(
-    oneof
-      [
-        map (fun v -> Target_insert v) (0 -- 100);
-        map (fun i -> Target_remove i) (0 -- 1000);
-      ])
-
-let apply_mutation b plan = function
-  | Target_insert v ->
-    let _, pos = Al.insert_sorted b v in
-    Psm.Plan.note_target_insert plan ~pos v
-  | Target_remove i when Al.length b > 0 ->
-    let node = Al.nth b (i mod Al.length b) in
-    let pos = Al.remove_node b node in
-    Psm.Plan.note_target_remove plan ~pos
-  | Target_remove _ -> ()
-
-let prop_incremental_maintenance =
-  QCheck2.Test.make
-    ~name:"incremental posA/arrayB == from-scratch after random mutations"
-    ~count:300
-    QCheck2.Gen.(
-      triple sorted_list_gen sorted_list_gen (list_size (0 -- 25) mutation_gen))
-    (fun (a_vals, b_vals, mutations) ->
-      let a, b = pair_in_arena a_vals b_vals in
-      let plan = Psm.Plan.build ~source:a ~target:b in
-      List.iter (apply_mutation b plan) mutations;
-      let expected =
-        Reference.merge_values ~compare:icmp (Al.to_list a) (Al.to_list b)
-      in
-      Psm.Plan.is_consistent plan ~target:b ~source:a
-      &&
-      (ignore (Psm.Plan.execute plan ~target:b ~source:a);
-       Al.to_list b = expected))
-
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -605,7 +599,6 @@ let props =
       prop_arena_insert_sorted_invariant;
       prop_psm_equals_reference;
       prop_psm_parallel_equals_sequential;
-      prop_incremental_maintenance;
     ]
 
 let () =
@@ -642,6 +635,8 @@ let () =
           Alcotest.test_case "growth" `Quick test_arena_growth;
           Alcotest.test_case "handles survive merge" `Quick
             test_arena_handles_survive_merge;
+          Alcotest.test_case "version counts mutations" `Quick
+            test_arena_version;
         ] );
       ( "reference",
         [
@@ -659,9 +654,9 @@ let () =
           Alcotest.test_case "equal values" `Quick test_plan_merge_equal_values;
           Alcotest.test_case "parallel merge" `Quick test_plan_parallel_merge;
           Alcotest.test_case "stale on unseen change" `Quick
-            test_plan_stale_on_unseen_target_change;
+            test_plan_stale_on_unseen_source_change;
           Alcotest.test_case "stale on unseen removal" `Quick
-            test_plan_stale_on_unseen_target_removal;
+            test_plan_stale_on_unseen_source_removal;
           Alcotest.test_case "stale on double execute" `Quick
             test_plan_stale_on_double_execute;
         ] );
@@ -679,12 +674,12 @@ let () =
           Alcotest.test_case "merge script, seed 1337" `Quick
             (test_merge_script_equality 1337);
         ] );
-      ( "incremental",
+      ( "deferred",
         [
-          Alcotest.test_case "target insert splits" `Quick
-            test_plan_target_insert_split;
-          Alcotest.test_case "target remove coalesces" `Quick
-            test_plan_target_remove_coalesce;
+          Alcotest.test_case "target insert refreshes" `Quick
+            test_plan_target_insert_refresh;
+          Alcotest.test_case "target remove refreshes" `Quick
+            test_plan_target_remove_refresh;
         ] );
       ("properties", props);
     ]

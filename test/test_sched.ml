@@ -1,5 +1,5 @@
-(* Tests for horse_sched: vCPUs, run queues (ordering, upkeep of the
-   attached P²SM plans, P²SM merge integration), load tracking,
+(* Tests for horse_sched: vCPUs, run queues (ordering, the attached
+   count and its upkeep counter, P²SM merge integration), load tracking,
    credit2 accounting and the scheduler's placement policies. *)
 
 module Vcpu = Horse_sched.Vcpu
@@ -90,11 +90,36 @@ let attach_plan ?(sandbox = 1) q ~events credits =
       ignore (Al.insert_sorted source (mk_vcpu ~sandbox ~index ~credit ())))
     credits;
   let plan = Psm.Plan.build ~source ~target:(Runqueue.queue q) in
-  Runqueue.attach q ~events plan;
+  Runqueue.attach q ~events;
   (source, plan)
 
-let fresh_plan q (source, plan) =
-  Psm.Plan.is_consistent plan ~target:(Runqueue.queue q) ~source
+(* The splice keys a paused set needs against the queue as it is now,
+   counted from the credits alone: each vCPU's key is the number of
+   queued vCPUs with credit <= its own. *)
+let oracle_keys q source =
+  let queued = List.map Vcpu.credit (Al.to_list (Runqueue.queue q)) in
+  List.sort_uniq Int.compare
+    (List.map
+       (fun v -> List.length (List.filter (fun c -> c <= Vcpu.credit v) queued))
+       (Al.to_list source))
+
+(* A deferred plan reads the queue as it is, however many mutations
+   it missed. *)
+let fresh_plan q (source, plan) = Psm.Plan.keys plan = oracle_keys q source
+
+(* Merge a paused set through the queue: the merged order must equal
+   the reference merge vCPU for vCPU (so FIFO order among equal
+   credits counts), and the merge threads the oracle's key count. *)
+let merge_matches_reference q (source, plan) =
+  let expected =
+    Horse_psm.Reference.merge_values ~compare:Vcpu.compare_credit
+      (Al.to_list source)
+      (Al.to_list (Runqueue.queue q))
+  in
+  let threads = List.length (oracle_keys q source) in
+  let stats, _ = Runqueue.apply_merge q ~plan ~source in
+  stats.Psm.Plan.threads = threads
+  && List.for_all2 ( == ) expected (Al.to_list (Runqueue.queue q))
 
 let test_runqueue_notifications () =
   let q = mk_queue () in
@@ -106,9 +131,9 @@ let test_runqueue_notifications () =
   ignore (Runqueue.enqueue q v2);
   ignore (Runqueue.dequeue q n1);
   Alcotest.(check int) "one update per mutation" 3 !events;
-  Alcotest.(check bool) "plan fresh" true (fresh_plan q paused);
-  Runqueue.detach q (snd paused);
-  Runqueue.detach q (snd paused);
+  Alcotest.(check (list int)) "plan reads the queue" [ 1 ]
+    (Psm.Plan.keys (snd paused));
+  Runqueue.detach q;
   ignore (Runqueue.enqueue q (mk_vcpu ~index:2 ()));
   Alcotest.(check int) "no update after detach" 3 !events;
   Alcotest.(check int) "attached" 0 (Runqueue.attached q)
@@ -122,7 +147,10 @@ let test_runqueue_pop_front_notifies () =
   let v = Option.get (Runqueue.pop_front q) in
   Alcotest.(check int) "least credit popped" 1 (Vcpu.credit v);
   Alcotest.(check int) "two inserts and one pop" 3 !events;
-  Alcotest.(check bool) "plan fresh" true (fresh_plan q paused)
+  Alcotest.(check (list int)) "plan reads the queue" [ 0; 1 ]
+    (Psm.Plan.keys (snd paused));
+  Alcotest.(check bool) "merges as the reference" true
+    (merge_matches_reference q paused)
 
 let test_runqueue_apply_merge () =
   (* a full P²SM round-trip against a queue with a paused bystander *)
@@ -137,20 +165,26 @@ let test_runqueue_apply_merge () =
   let stats, nodes = Runqueue.apply_merge q ~plan ~source in
   Alcotest.(check int) "merging plan detached" 1 (Runqueue.attached q);
   Alcotest.(check int) "4 spliced" 4 stats.Psm.Plan.spliced;
+  Alcotest.(check int) "merge threads: keys 0, 1, 2" 3 stats.Psm.Plan.threads;
   Alcotest.(check int) "4 nodes returned" 4 (Array.length nodes);
   Alcotest.(check (list int)) "final order" [ 5; 7; 10; 20; 30; 40 ]
     (List.map Vcpu.credit (Al.to_list (Runqueue.queue q)));
   Alcotest.(check int) "one update per spliced vCPU" 4 !events;
-  Alcotest.(check bool) "bystander fresh" true (fresh_plan q bystander);
+  Alcotest.(check (list int)) "bystander reads the merged queue" [ 1; 4; 5; 6 ]
+    (Psm.Plan.keys (snd bystander));
   Alcotest.(check bool) "spliced vcpus queued" true
     (Array.for_all
        (fun n -> Vcpu.state (Al.value (Runqueue.queue q) n) = Vcpu.Queued)
-       nodes)
+       nodes);
+  Alcotest.(check bool) "bystander merges as the reference" true
+    (merge_matches_reference q bystander);
+  Alcotest.(check int) "nobody left to update" 4 !events
 
-(* Two plans attached at different times through the same churn: each
-   stays fresh, the counter grows by the plans attached at each
-   mutation, and a rerun of the seed reproduces the plans' keys and
-   the count. *)
+(* Two plans attached at different times through the same churn: the
+   counter grows by the plans attached at each mutation, each plan
+   reads the churned queue and merges as the reference does, and a
+   rerun of the seed reproduces the keys, the count and the merged
+   order. *)
 let churn_with_two_plans seed =
   let st = Random.State.make [| seed |] in
   let q = mk_queue ~kind:Runqueue.Ull () in
@@ -178,13 +212,18 @@ let churn_with_two_plans seed =
         expected := !expected + plans)
   done;
   let b = Option.get !b in
-  ( fresh_plan q a && fresh_plan q b,
+  let fresh = fresh_plan q a && fresh_plan q b in
+  let keys = (Psm.Plan.keys (snd a), Psm.Plan.keys (snd b)) in
+  (* merging [a] counts one update per spliced vCPU for [b] *)
+  expected := !expected + 3;
+  let merged = merge_matches_reference q a && merge_matches_reference q b in
+  ( fresh && merged,
     (!events, !expected),
-    (Psm.Plan.keys (snd a), Psm.Plan.keys (snd b)) )
+    (keys, List.map Vcpu.credit (Al.to_list (Runqueue.queue q))) )
 
 let test_attach_determinism seed () =
-  let fresh, (events, expected), keys = churn_with_two_plans seed in
-  Alcotest.(check bool) "both plans fresh" true fresh;
+  let ok, (events, expected), keys = churn_with_two_plans seed in
+  Alcotest.(check bool) "both plans fresh, both merges right" true ok;
   Alcotest.(check int) "counter = plans attached per mutation" expected events;
   let _, (events', _), keys' = churn_with_two_plans seed in
   Alcotest.(check bool) "identical across reruns" true
@@ -303,20 +342,15 @@ let test_scheduler_select_normal_spreads () =
     (Runqueue.id q1 <> Runqueue.id q2);
   Alcotest.(check bool) "never ull" false (Runqueue.is_ull q2)
 
-let empty_plan q =
-  Psm.Plan.build ~source:(Al.create (Runqueue.arena q))
-    ~target:(Runqueue.queue q)
-
 let test_scheduler_ull_balance () =
   let s = Scheduler.create ~ull_count:2 ~topology:small_topology () in
   let events = ref 0 in
   let q1 = Scheduler.select_ull_for_pause s in
-  let p1 = empty_plan q1 in
-  Runqueue.attach q1 ~events p1;
+  Runqueue.attach q1 ~events;
   let q2 = Scheduler.select_ull_for_pause s in
   Alcotest.(check bool) "balances" true (Runqueue.id q1 <> Runqueue.id q2);
-  Runqueue.attach q2 ~events (empty_plan q2);
-  Runqueue.detach q1 p1;
+  Runqueue.attach q2 ~events;
+  Runqueue.detach q1;
   let q3 = Scheduler.select_ull_for_pause s in
   Alcotest.(check int) "prefers emptier" (Runqueue.id q1) (Runqueue.id q3)
 
@@ -324,17 +358,20 @@ let test_scheduler_detach_guard () =
   let s = Scheduler.create ~topology:small_topology () in
   let q = Scheduler.select_ull_for_pause s in
   let events = ref 0 in
-  let p1 = empty_plan q and p2 = empty_plan q in
-  Runqueue.detach q p1;
-  Alcotest.(check int) "never attached: no-op" 0 (Runqueue.attached q);
-  Runqueue.attach q ~events p1;
-  Runqueue.attach q ~events p2;
-  Runqueue.detach q p1;
-  Runqueue.detach q p1;
-  Alcotest.(check int) "double detach counts once" 1 (Runqueue.attached q);
+  let nothing = Invalid_argument "Runqueue.detach: nothing attached" in
+  Alcotest.check_raises "never attached" nothing (fun () -> Runqueue.detach q);
+  Runqueue.attach q ~events;
+  Runqueue.attach q ~events;
+  Runqueue.detach q;
+  Alcotest.(check int) "one detach, one less" 1 (Runqueue.attached q);
+  Runqueue.detach q;
+  Alcotest.check_raises "detached more often than attached" nothing (fun () ->
+      Runqueue.detach q);
+  Alcotest.(check int) "count stays at 0" 0 (Runqueue.attached q);
+  Runqueue.attach q ~events;
   Alcotest.check_raises "one counter per queue"
     (Invalid_argument "Runqueue.attach: another maintenance counter")
-    (fun () -> Runqueue.attach q ~events:(ref 0) (empty_plan q))
+    (fun () -> Runqueue.attach q ~events:(ref 0))
 
 let test_scheduler_add_ull () =
   let s = Scheduler.create ~topology:small_topology () in
@@ -455,7 +492,8 @@ let test_executor_validation () =
       Executor.submit ex ~queue ~vcpu ~work:(Time.span_us 1.0) ~on_done:ignore)
 
 let test_executor_feeds_psm_plans () =
-  (* work churning an ull queue must keep the paused plans fresh *)
+  (* work churning an ull queue is counted against the paused plan,
+     which reads the queue as the churn left it *)
   let engine, scheduler, ex = executor_fixture () in
   let queue = Scheduler.runqueue scheduler ~cpu:3 in
   let events = ref 0 in
@@ -546,12 +584,12 @@ let prop_runqueue_always_sorted =
         nodes;
       Al.is_sorted (Runqueue.queue q))
 
-(* k paused plans attached to one queue, kept fresh only by the
-   queue's own upkeep, while a random script churns the queue and
-   merges some plans into it.  Every remaining plan must stay equal to
-   a from-scratch rebuild, every merge must equal the reference merge,
-   vCPU for vCPU (so FIFO order among equal credits counts), and the
-   counter must grow by the plans attached at each mutation. *)
+(* k paused plans attached to one queue, none told of any mutation,
+   while a random script churns the queue and merges some plans into
+   it.  Every merge must equal the reference merge, vCPU for vCPU (so
+   FIFO order among equal credits counts), use as many merge threads
+   as a plan built at that moment has keys, and the counter must grow
+   by the plans attached at each mutation. *)
 type rq_op = Enqueue of int | Dequeue of int | Pop | Merge of int
 
 let rq_op_gen =
@@ -566,7 +604,7 @@ let rq_op_gen =
 
 let prop_many_attached =
   QCheck2.Test.make
-    ~name:"k attached plans stay fresh under queue churn and merges"
+    ~name:"k deferred plans merge as Reference.merge_values under queue churn"
     ~count:200
     QCheck2.Gen.(
       triple
@@ -599,13 +637,15 @@ let prop_many_attached =
             Horse_psm.Reference.merge_values ~compare:Vcpu.compare_credit
               (Al.to_list source) (Al.to_list queue)
           in
+          let threads =
+            Psm.Plan.key_count (Psm.Plan.build ~source ~target:queue)
+          in
           let spliced = Al.length source in
+          let stats, _ = Runqueue.apply_merge q ~plan ~source in
           ok :=
             !ok
-            && Psm.Plan.is_consistent plan ~target:queue ~source
-            &&
-            (ignore (Runqueue.apply_merge q ~plan ~source);
-             List.for_all2 ( == ) expected_queue (Al.to_list queue));
+            && stats.Psm.Plan.threads = threads
+            && List.for_all2 ( == ) expected_queue (Al.to_list queue);
           mutated spliced
       in
       List.iteri

@@ -314,6 +314,57 @@ let test_memory_footprint_while_paused () =
   Alcotest.(check int) "released after resume" 0
     (Sandbox.horse_memory_footprint_bytes sb)
 
+(* The §5.2 memory report reads a paused plan's key count: after any
+   churn of the ull queue it must match a plan built over the queue as
+   it is now, which this test counts from the credits alone.  The
+   credits interleave, so the churn moves the key count. *)
+let test_memory_footprint_follows_churn () =
+  let vmm, scheduler, _ = fresh () in
+  let ull = List.hd (Scheduler.ull_runqueues scheduler) in
+  let sb = mk_sandbox ~vcpus:4 () in
+  Array.iteri
+    (fun i v -> Vcpu.set_credit v (100 + (200 * i)))
+    (Sandbox.vcpus sb);
+  ignore (Vmm.boot vmm sb);
+  ignore (Vmm.pause vmm ~strategy:Sandbox.Horse sb);
+  let keys () =
+    let queued = List.map Vcpu.credit (Al.to_list (Runqueue.queue ull)) in
+    List.length
+      (List.sort_uniq Int.compare
+         (Array.to_list
+            (Array.map
+               (fun v ->
+                 List.length
+                   (List.filter (fun c -> c <= Vcpu.credit v) queued))
+               (Sandbox.vcpus sb))))
+  in
+  (* Sandbox.horse_memory_footprint_bytes: 8 per queued vCPU, 48 per
+     plan key, 24 per paused vCPU, 64 fixed *)
+  let check label expected_keys =
+    Alcotest.(check int) (label ^ ": keys") expected_keys (keys ());
+    Alcotest.(check int) label
+      ((8 * Runqueue.length ull) + (48 * expected_keys) + (24 * 4) + 64)
+      (Sandbox.horse_memory_footprint_bytes sb)
+  in
+  check "paused on an empty queue" 1;
+  let others =
+    List.map
+      (fun credit ->
+        fst
+          (Runqueue.enqueue ull (Vcpu.create ~sandbox:9 ~index:credit ~credit ())))
+      [ 200; 400; 600 ]
+  in
+  check "three interleaved vCPUs queued" 4;
+  ignore (Runqueue.dequeue ull (List.nth others 1));
+  check "one dequeued" 3;
+  ignore (Runqueue.pop_front ull);
+  ignore (Runqueue.enqueue ull (Vcpu.create ~sandbox:9 ~index:0 ~credit:50 ()));
+  check "popped and re-filled below" 2;
+  ignore (Vmm.resume vmm sb);
+  Alcotest.(check (list int)) "merged in credit order"
+    [ 50; 100; 300; 500; 600; 700 ]
+    (List.map Vcpu.credit (Al.to_list (Runqueue.queue ull)))
+
 let test_stop_releases_everything () =
   let vmm, scheduler, _ = fresh () in
   let sb = mk_sandbox ~vcpus:2 () in
@@ -624,6 +675,8 @@ let () =
             test_pause_resume_cycles_stay_consistent;
           Alcotest.test_case "memory footprint" `Quick
             test_memory_footprint_while_paused;
+          Alcotest.test_case "memory footprint follows churn" `Quick
+            test_memory_footprint_follows_churn;
         ] );
       ( "boot",
         [
