@@ -1,4 +1,4 @@
-(* Flat slot arena for sorted intrusive doubly-linked lists.
+(* Flat slot arena for sorted lists kept as order buffers.
 
    Same storage recipe as Horse_sim.Event_queue: one growable bank of
    parallel arrays, slots recycled through a free list threaded via
@@ -7,19 +7,19 @@
 
    Per slot (arena-wide):
      value.(s)  payload
-     nxt.(s)    chain successor slot, -1 at a tail; free-list link
-                while the slot is free
-     prv.(s)    chain predecessor slot, -1 at a head
+     nxt.(s)    free-list link while the slot is free
      gen.(s)    generation, bumped on free
      apos.(s)   absolute index into the owning list's [ord] buffer
      owner.(s)  owning list id, -1 while free
 
    Per list: [ord] is a gap buffer of slots in sorted order occupying
-   the window [start, start+len).  It is what replaces the O(n) walk:
-   position lookups are [apos.(s) - start] (O(1)), insertion points
-   come from binary search over the window (reporting the same
-   nodes-walked count the boxed oracle would), head pops just advance
-   [start], and mid-window mutations blit the shorter side.
+   the window [start, start+len), and is the list's only record of
+   its order.  It is what replaces the O(n) walk: position lookups
+   are [apos.(s) - start] (O(1)), insertion points come from binary
+   search over the window (reporting the same nodes-walked count the
+   boxed oracle would), head pops just advance [start], mid-window
+   mutations blit the shorter side, and a P²SM merge is one
+   two-cursor pass over both windows ([Unsafe.merge_commit]).
 
    Hot paths (insert/remove/pop) allocate nothing beyond the result
    the caller sees: plain loops, int arrays, non-escaping refs. *)
@@ -30,12 +30,6 @@ let slot_mask = (1 lsl gen_shift) - 1
 
 type handle = int
 
-let nil = -1
-
-let is_nil h = h < 0
-
-let equal (a : int) (b : int) = a = b
-
 (* A well-typed placeholder for payload cells that hold no live value;
    never read before being overwritten. *)
 let dummy : 'a. unit -> 'a = fun () -> Obj.magic 0
@@ -44,7 +38,6 @@ type 'a arena = {
   compare : 'a -> 'a -> int;
   mutable value : 'a array;
   mutable nxt : int array;
-  mutable prv : int array;
   mutable gen : int array;
   mutable apos : int array;
   mutable owner : int array;
@@ -59,8 +52,6 @@ type 'a t = {
   mutable ord : int array;
   mutable start : int;
   mutable len : int;
-  mutable head : int;  (* slot, -1 when empty *)
-  mutable tail : int;
   mutable version : int;  (* structural mutations so far *)
 }
 
@@ -71,7 +62,6 @@ let create_arena ?(capacity = 16) ~compare () =
     compare;
     value = Array.make cap (dummy ());
     nxt;
-    prv = Array.make cap (-1);
     gen = Array.make cap 0;
     apos = Array.make cap 0;
     owner = Array.make cap (-1);
@@ -89,8 +79,6 @@ let create arena =
     ord = Array.make 8 (-1);
     start = 4;
     len = 0;
-    head = -1;
-    tail = -1;
     version = 0;
   }
 
@@ -123,7 +111,6 @@ let grow_arena a =
   in
   a.value <- grow a.value (dummy ());
   a.nxt <- grow a.nxt (-1);
-  a.prv <- grow a.prv (-1);
   a.gen <- grow a.gen 0;
   a.apos <- grow a.apos 0;
   a.owner <- grow a.owner (-1);
@@ -144,7 +131,6 @@ let release_slot a s =
   a.gen.(s) <- a.gen.(s) + 1;
   a.owner.(s) <- -1;
   a.value.(s) <- dummy ();
-  a.prv.(s) <- -1;
   a.nxt.(s) <- a.free;
   a.free <- s
 
@@ -158,13 +144,6 @@ let slot_of t h =
   then raise Not_found;
   s
 
-(* Like slot_of but only checks liveness, not ownership: splice
-   surgery handles nodes mid-transfer between lists. *)
-let raw_slot a h =
-  let s = h land slot_mask in
-  if h < 0 || s >= a.cap || a.gen.(s) <> h asr gen_shift then raise Not_found;
-  s
-
 let mem t h =
   let a = t.arena in
   let s = h land slot_mask in
@@ -173,18 +152,6 @@ let mem t h =
 let value t h = t.arena.value.(slot_of t h)
 
 let position t h = t.arena.apos.(slot_of t h) - t.start
-
-let first t = if t.len = 0 then nil else handle_of t.arena t.head
-
-let next t h =
-  let s = slot_of t h in
-  let r = t.arena.nxt.(s) in
-  if r < 0 then nil else handle_of t.arena r
-
-let prev t h =
-  let s = slot_of t h in
-  let l = t.arena.prv.(s) in
-  if l < 0 then nil else handle_of t.arena l
 
 (* ---- ord gap buffer ------------------------------------------------ *)
 
@@ -267,14 +234,8 @@ let upper_bound t ~from x =
 
 (* ---- mutations ----------------------------------------------------- *)
 
-let link_at t s pos =
+let place_at t s pos =
   let a = t.arena in
-  let left = if pos > 0 then t.ord.(t.start + pos - 1) else -1 in
-  let right = if pos < t.len then t.ord.(t.start + pos) else -1 in
-  a.nxt.(s) <- right;
-  a.prv.(s) <- left;
-  if left >= 0 then a.nxt.(left) <- s else t.head <- s;
-  if right >= 0 then a.prv.(right) <- s else t.tail <- s;
   let hole = open_gap t pos in
   t.ord.(hole) <- s;
   a.apos.(s) <- hole;
@@ -287,16 +248,13 @@ let insert_sorted t x =
   let s = alloc_slot a in
   a.value.(s) <- x;
   a.owner.(s) <- t.id;
-  link_at t s pos;
+  place_at t s pos;
   (handle_of a s, pos)
 
 let remove_node t h =
   let a = t.arena in
   let s = slot_of t h in
   let pos = a.apos.(s) - t.start in
-  let l = a.prv.(s) and r = a.nxt.(s) in
-  if l >= 0 then a.nxt.(l) <- r else t.head <- r;
-  if r >= 0 then a.prv.(r) <- l else t.tail <- l;
   close_gap t pos;
   release_slot a s;
   pos
@@ -305,11 +263,8 @@ let pop_first t =
   if t.len = 0 then None
   else begin
     let a = t.arena in
-    let s = t.head in
+    let s = t.ord.(t.start) in
     let x = a.value.(s) in
-    let r = a.nxt.(s) in
-    t.head <- r;
-    if r >= 0 then a.prv.(r) <- -1 else t.tail <- -1;
     close_gap t 0;
     release_slot a s;
     Some x
@@ -343,7 +298,7 @@ let append_last t x =
   let s = alloc_slot a in
   a.value.(s) <- x;
   a.owner.(s) <- t.id;
-  link_at t s t.len
+  place_at t s t.len
 
 let of_sorted_list arena xs =
   let rec check = function
@@ -361,17 +316,10 @@ let of_sorted_list arena xs =
 let is_sorted t =
   let a = t.arena in
   let ok = ref true in
-  let expected_head = if t.len = 0 then -1 else t.ord.(t.start) in
-  let expected_tail = if t.len = 0 then -1 else t.ord.(t.start + t.len - 1) in
-  if t.head <> expected_head || t.tail <> expected_tail then ok := false;
   for i = 0 to t.len - 1 do
     let s = t.ord.(t.start + i) in
     if a.owner.(s) <> t.id then ok := false;
     if a.apos.(s) <> t.start + i then ok := false;
-    let en = if i = t.len - 1 then -1 else t.ord.(t.start + i + 1) in
-    if a.nxt.(s) <> en then ok := false;
-    let ep = if i = 0 then -1 else t.ord.(t.start + i - 1) in
-    if a.prv.(s) <> ep then ok := false;
     if i > 0 && a.compare a.value.(t.ord.(t.start + i - 1)) a.value.(s) > 0
     then ok := false
   done;
@@ -385,25 +333,6 @@ let pp pp_elt ppf t =
     (to_list t)
 
 module Unsafe = struct
-  let link_after target ~anchor ~first ~last =
-    let a = target.arena in
-    let first_s = raw_slot a first and last_s = raw_slot a last in
-    let anchor_s = if is_nil anchor then -1 else raw_slot a anchor in
-    (* Same read-then-write discipline as the boxed splice: the only
-       cell read ([anchor]'s successor) is never written by a splice
-       at a different anchor, so strands with distinct anchors are
-       race-free. *)
-    let after = if anchor_s < 0 then target.head else a.nxt.(anchor_s) in
-    if anchor_s < 0 then target.head <- first_s
-    else a.nxt.(anchor_s) <- first_s;
-    a.prv.(first_s) <- anchor_s;
-    a.nxt.(last_s) <- after;
-    if after >= 0 then a.prv.(after) <- last_s else target.tail <- last_s;
-    (* the one cell strands with distinct anchors share; a lost
-       increment is harmless, since [merge_commit] bumps it again
-       before anyone compares it *)
-    target.version <- target.version + 1
-
   let merge_commit ~target ~source ~keys ~counts ~nseg =
     if not (same_arena target source) then
       invalid_arg "Arena_list.Unsafe.merge_commit: lists from different arenas";
@@ -454,13 +383,9 @@ module Unsafe = struct
         done;
       target.ord <- ord;
       target.start <- start;
-      target.len <- new_len;
-      target.head <- ord.(start);
-      target.tail <- ord.(start + new_len - 1)
+      target.len <- new_len
     end;
     source.len <- 0;
-    source.head <- -1;
-    source.tail <- -1;
     source.start <- Array.length source.ord / 2;
     target.version <- target.version + 1;
     source.version <- source.version + 1

@@ -1,17 +1,20 @@
 (** Flat slot-arena sorted lists — the run-queue substrate.
 
     Same recipe {!Horse_sim.Event_queue} proved for the event core,
-    applied to the paper's other hot structure: an intrusive
-    doubly-linked sorted list stored in parallel [int] arrays
-    ([next]/[prev]/position/owner) plus one payload array, addressed
-    by immediate [(generation, slot)] handles.  One {!arena} hosts
-    many lists (every run queue of a scheduler, plus the [merge_vcpus]
-    of paused sandboxes), which is what lets P²SM splice a source list
-    into a target list with plain [int] writes.
+    applied to the paper's other hot structure: a sorted list whose
+    order is one per-list order buffer of slots (a gap buffer, the
+    paper's [arrayB]), over arena-wide parallel [int] arrays
+    (position/owner/generation) plus one payload array, addressed by
+    immediate [(generation, slot)] handles.  The order buffer is the
+    list's only record of its order.  One {!arena} hosts many
+    lists (every run queue of a scheduler, plus the [merge_vcpus] of
+    paused sandboxes), which is what lets P²SM move a source list's
+    slots into a target list without copying them.
 
     Versus {!Linked_list} (kept as the reference oracle):
-    - [remove_node] and [pop_first] are O(1) pointer surgery instead
-      of an O(n) head walk — no boxed cells, no walk;
+    - [remove_node] and [pop_first] find their element in O(1) and
+      close the gap on the shorter side of the buffer (O(1) at either
+      end) instead of an O(n) head walk — no boxed cells, no walk;
     - the {e reported} cost is unchanged: every mutation still returns
       the node count the old list walked (the position of the element,
       found by binary search over the per-list order buffer), because
@@ -41,13 +44,6 @@ type 'a t
 type handle
 (** Immediate [(generation, slot)] reference to one element. *)
 
-val nil : handle
-(** A never-valid handle (array initialiser / "no node"). *)
-
-val is_nil : handle -> bool
-
-val equal : handle -> handle -> bool
-
 val create_arena :
   ?capacity:int -> compare:('a -> 'a -> int) -> unit -> 'a arena
 (** An empty arena; [capacity] (default 16) pre-sizes the slot arrays,
@@ -73,8 +69,8 @@ val length : 'a t -> int
 
 val version : 'a t -> int
 (** Structural mutations of the list so far: [insert_sorted],
-    [remove_node], a [pop_first] that removes, {!Unsafe.link_after}
-    and {!Unsafe.merge_commit} (on both lists) each add one.  Equal
+    [remove_node], a [pop_first] that removes, and
+    {!Unsafe.merge_commit} (on both lists) each add one.  Equal
     versions mean an unchanged list. *)
 
 val is_empty : 'a t -> bool
@@ -90,16 +86,6 @@ val position : 'a t -> handle -> int
 (** Current 0-based sorted position, O(1).
     @raise Not_found as {!value}. *)
 
-val first : 'a t -> handle
-(** Head handle, or {!nil} if empty. *)
-
-val next : 'a t -> handle -> handle
-(** Successor in sorted order, {!nil} at the tail.
-    @raise Not_found as {!value}. *)
-
-val prev : 'a t -> handle -> handle
-(** Predecessor, {!nil} at the head.  @raise Not_found as {!value}. *)
-
 val insert_sorted : 'a t -> 'a -> handle * int
 (** Insert keeping order (stable: after equal elements); returns the
     handle and the number of nodes the oracle list would have walked
@@ -107,9 +93,10 @@ val insert_sorted : 'a t -> 'a -> handle * int
     sorted-merge cost of resume step ④, computed without walking). *)
 
 val remove_node : 'a t -> handle -> int
-(** Unlink, O(1) plus position-buffer upkeep; returns the nodes the
-    oracle would have walked (= the removed element's position).
-    Frees the slot: the handle becomes stale.
+(** Remove, closing the gap on the shorter side of the order buffer
+    (O(min(position, length - position)), O(1) at either end);
+    returns the nodes the oracle would have walked (= the removed
+    element's position).  Frees the slot: the handle becomes stale.
     @raise Not_found if stale or foreign. *)
 
 val pop_first : 'a t -> 'a option
@@ -141,25 +128,15 @@ val iter : ('a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val is_sorted : 'a t -> bool
-(** Full invariant check (order, chain/position agreement, ownership)
+(** Full invariant check (order, position/buffer agreement, ownership)
     used by tests and debug assertions. *)
 
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
 
-(** Raw splice surgery for {!Psm} — Algorithm 1's two-pointer-write
-    merge, phrased as [int]-array stores.  Using these directly can
-    break every invariant; nothing outside P²SM should. *)
+(** Raw merge surgery for {!Psm} — Algorithm 1's merge, phrased as
+    order-buffer stores.  Using it directly can break every invariant;
+    nothing outside P²SM should. *)
 module Unsafe : sig
-  val link_after :
-    'a t -> anchor:handle -> first:handle -> last:handle -> unit
-  (** Link the chain [first..last] (already linked internally, owned
-      by a source list in the same arena) right after [anchor] in the
-      target's chain ([anchor = nil] means at the head).  Touches only
-      chain pointers: ownership, positions and lengths stay stale
-      until {!merge_commit}.  Calls for {e distinct} anchors write
-      disjoint cells, so P²SM may issue them from parallel domains
-      without mutual exclusion. *)
-
   val merge_commit :
     target:'a t ->
     source:'a t ->
@@ -167,10 +144,12 @@ module Unsafe : sig
     counts:int array ->
     nseg:int ->
     unit
-  (** Finish a merge after all {!link_after} calls: rebuild the
-      target's order buffer by a single two-cursor pass over both
-      lists' old orders (segment [i] of [counts.(i)] source elements
-      entering before target position [keys.(i)]), re-own the source
-      slots, fix lengths, and leave [source] empty.  O(|A| + |B|),
-      once per merge — not per attached plan. *)
+  (** Merge [source] into [target]: rebuild the target's order buffer
+      by a single two-cursor pass over both lists' orders (segment [i]
+      of [counts.(i)] source elements entering before target position
+      [keys.(i)], for [i < nseg]), re-own the source slots, fix
+      lengths, and leave [source] empty.  O(|A| + |B|) at most, in
+      place when the target's buffer has room (target elements before
+      the first key are then not touched).  Keys must be strictly
+      ascending and the counts must sum to [length source]. *)
 end

@@ -1,27 +1,30 @@
 (** P²SM — parallel precomputed sorted merge (paper §4.1).
 
     Merges a sorted list [A] (a paused sandbox's [merge_vcpus]) into a
-    sorted list [B] (the [ull_runqueue]) in O(1) pointer writes, using:
+    sorted list [B] (the [ull_runqueue]) without searching [B] at
+    resume time, using:
 
-    - the paper's [arrayB]: position [k] → the handle of [B]'s node at
-      position [k], so splice points are addressable without walking.
-      This is [B]'s own order buffer ({!Arena_list.nth}, O(1)), which
-      the list keeps current on every mutation — one array per queue,
-      shared by every attached plan, not a copy per paused sandbox;
+    - the paper's [arrayB]: position [k] → [B]'s node at position
+      [k], so splice points are addressable without walking.  This is
+      [B]'s own order buffer, which is the list itself
+      ({!Arena_list}) — one array per queue, shared by every attached
+      plan, not a copy per paused sandbox;
     - {!Plan} — the paper's [posA]: a map from splice position in [B]
       to the contiguous sublist of [A] that belongs there.
 
-    Both lists live in one {!Arena_list.arena}, so the splice is plain
-    [int]-array surgery and a handle stays valid across the merge (the
-    slot is re-owned by the target, not copied).
+    Both lists live in one {!Arena_list.arena}, so the merge is one
+    pass of plain [int]-array stores over the two order buffers
+    ({!Arena_list.Unsafe.merge_commit}), and a handle stays valid
+    across it (the slot is re-owned by the target, not copied).
 
     The key of an element [a] of [A] is [#{b ∈ B : b ≤ a}]: the
     number of elements of [B] it must be placed after (equal elements
     of [B] keep priority, matching the stable FIFO order of a run
-    queue).  Sublists with distinct keys touch disjoint chain cells,
-    so the merge needs no mutual exclusion — Algorithm 1's
-    parallelism argument — and {!Plan.execute_parallel} really runs
-    it on OCaml domains.
+    queue).  Sublists with distinct keys land in disjoint parts of
+    the merged order, which is Algorithm 1's argument that its merge
+    threads need no mutual exclusion.  The host runs the merge as one
+    sequential pass; the paper's merge threads are modelled in
+    virtual time, from {!Plan.stats.threads}.
 
     While a sandbox stays paused its [posA] must follow the
     ull_runqueue (§4.1.3).  The upkeep is deferred: a plan is a cache
@@ -42,11 +45,10 @@ exception Stale
 module Plan : sig
   type 'a t
   (** The [posA] of the paper, for one (source, target) pair.  Stored
-      as flat parallel arrays (key, head handle, tail handle, count
-      per segment) with the target version they were computed at.
-      Every read ({!key_count}, {!keys}, {!execute},
-      {!execute_parallel}) first recomputes them in place if the
-      target has changed since, so a read always sees the current
+      as flat parallel arrays (key and count per segment) with the
+      target version they were computed at.  Every read
+      ({!key_count}, {!keys}, {!execute}) first recomputes them in
+      place if the target has changed since, so a read always sees the current
       target; each raises {!Stale} if the plan was executed or its
       source changed.  Functions that name the lists raise
       [Invalid_argument] if they are not the plan's. *)
@@ -71,32 +73,14 @@ module Plan : sig
 
   val execute :
     'a t -> target:'a Arena_list.t -> source:'a Arena_list.t -> stats
-  (** The merge phase (Algorithm 1): two chain writes per key, each
-      anchored at the target node its key names in the target's order
-      buffer, then one O(|A| + |B|) order-buffer commit
-      ({!Arena_list.Unsafe.merge_commit}) — per merge, not per
-      attached plan.  First refreshes the plan if its target changed.
+  (** The merge phase (Algorithm 1): one order-buffer commit
+      ({!Arena_list.Unsafe.merge_commit}), each segment entering
+      before the target position its key names — O(|A| + |B|) at
+      most, per merge, not per attached plan.  First refreshes the
+      plan if its target changed.
       Consumes the source (left empty; its handles stay valid,
       re-owned by the target), grows the target and invalidates the
       plan.
       @raise Stale if the plan was already executed or its source
       changed after {!build}. *)
-
-  val execute_parallel :
-    domains:int ->
-    'a t ->
-    target:'a Arena_list.t ->
-    source:'a Arena_list.t ->
-    stats
-  (** Same, splicing segments from up to [domains] parallel strands:
-      one {!Horse_parallel.Team.run} round on the cached team of width
-      [domains] ({!Horse_parallel.Team.shared}), strand [w] splicing
-      segments [w], [w + domains], … (nothing when [w] is past the
-      last segment) — the no-mutual-exclusion claim,
-      executed for real on OCaml domains, without a spawn/join per
-      merge.  [domains = 1] (or a single segment) splices inline, and
-      so does a call from inside a round of the same team (the team's
-      nesting rule).
-      @raise Invalid_argument if [domains < 1]. *)
-
 end

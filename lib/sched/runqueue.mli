@@ -73,7 +73,7 @@ val enqueue : t -> Vcpu.t -> Horse_psm.Arena_list.handle * int
     coalesced load updates separately. *)
 
 val dequeue : t -> Horse_psm.Arena_list.handle -> int
-(** Unlink a previously enqueued node; returns the nodes the oracle
+(** Remove a previously enqueued node; returns the nodes the oracle
     would have walked (= its position).  Marks the vCPU [Offline] and
     counts one update per attached plan.
     @raise Not_found if the node is not on this queue. *)

@@ -79,12 +79,14 @@ let paused t = t.paused
 let set_paused t p = t.paused <- p
 
 (* Rough per-entry sizes in bytes: an arrayB slot is one handle, a
-   plan segment is four array cells, a merge_vcpus element is its
-   share of the arena's parallel arrays.  The constants predate the
-   arena representation and are kept as-is: the absolute number only
-   feeds the §5.2 memory report, which must stay comparable across
-   revisions — so arrayB is still billed per paused sandbox, one slot
-   per queued vCPU, although the queue's order buffer is shared. *)
+   plan segment is two array cells (key and count), a merge_vcpus
+   element is its share of the arena's parallel arrays.  The constants
+   predate the arena representation and are kept as-is: the absolute
+   number only feeds the §5.2 memory report, which must stay
+   comparable across revisions — so a segment is still billed 48
+   bytes (sized for the small boxed record it once was), and arrayB
+   is still billed per paused sandbox, one slot per queued vCPU,
+   although the queue's order buffer is shared. *)
 let horse_memory_footprint_bytes t =
   match t.paused with
   | None | Some (Paused_vanilla | Paused_coal _) -> 0

@@ -51,6 +51,9 @@ type t = {
      string hashing *)
   pauses_c : int ref array;
   resumes_c : int ref array;
+  (* psm.maintenance_events, handed to each ull queue a P²SM pause
+     attaches to *)
+  maintenance_c : int ref;
 }
 
 let create ?(cost = Cost_model.firecracker) ?(jitter = 0.02) ?(seed = 7)
@@ -72,6 +75,7 @@ let create ?(cost = Cost_model.firecracker) ?(jitter = 0.02) ?(seed = 7)
     faults;
     pauses_c = by_strategy "vmm.pauses.%s" Metrics.counter_ref;
     resumes_c = by_strategy "vmm.resumes.%s" Metrics.counter_ref;
+    maintenance_c = Metrics.counter_ref metrics "psm.maintenance_events";
   }
 
 let cost t = t.cost
@@ -184,8 +188,8 @@ let make_precomputed n =
    buffer and needs no upkeep; posA is computed when first read). *)
 let build_psm_state t sandbox =
   let ull_queue = Scheduler.select_ull_for_pause t.scheduler in
-  (* merge_vcpus lives in the queue's arena: the eventual splice is
-     slot surgery, not a copy. *)
+  (* merge_vcpus lives in the queue's arena: the eventual merge moves
+     its slots into the queue's order buffer, not copies of them. *)
   let merge_vcpus = Al.create (Runqueue.arena ull_queue) in
   Array.iter
     (fun vcpu -> ignore (Al.insert_sorted merge_vcpus vcpu))
@@ -193,8 +197,7 @@ let build_psm_state t sandbox =
   let plan =
     Psm.Plan.build ~source:merge_vcpus ~target:(Runqueue.queue ull_queue)
   in
-  Runqueue.attach ull_queue
-    ~events:(Metrics.counter_ref t.metrics "psm.maintenance_events");
+  Runqueue.attach ull_queue ~events:t.maintenance_c;
   { Sandbox.merge_vcpus; ull_queue; plan }
 
 let pause t ~strategy sandbox =

@@ -330,32 +330,6 @@ let test_team_shared_cached () =
     "distinct widths distinct teams" false
     (Team.shared ~width:2 == a)
 
-let test_psm_merge_on_pool () =
-  (* execute_parallel runs on the shared team for its width *)
-  let module Al = Horse_psm.Arena_list in
-  let module Psm = Horse_psm.Psm in
-  let rng = Rng.create ~seed:99 in
-  let sorted n = List.sort Int.compare (List.init n (fun _ -> Rng.int rng 1000)) in
-  let source_values = sorted 36 and target_values = sorted 256 in
-  let merged strategy =
-    let arena = Al.create_arena ~compare:Int.compare () in
-    let source = Al.of_sorted_list arena source_values in
-    let target = Al.of_sorted_list arena target_values in
-    let plan = Psm.Plan.build ~source ~target in
-    (match strategy with
-    | `Sequential -> ignore (Psm.Plan.execute plan ~target ~source)
-    | `Team n -> ignore (Psm.Plan.execute_parallel ~domains:n plan ~target ~source));
-    Al.to_list target
-  in
-  let reference = merged `Sequential in
-  List.iter
-    (fun n ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "domains:%d == sequential" n)
-        reference
-        (merged (`Team n)))
-    [ 1; 2; 4; 8 ]
-
 let () =
   Alcotest.run "horse_parallel"
     [
@@ -408,6 +382,4 @@ let () =
           Alcotest.test_case "concurrent callers" `Quick
             test_team_concurrent_callers;
         ] );
-      ( "psm",
-        [ Alcotest.test_case "merge on pool" `Quick test_psm_merge_on_pool ] );
     ]

@@ -91,7 +91,9 @@ let test_arena_empty () =
   Alcotest.(check bool) "empty" true (Al.is_empty t);
   check_list "to_list" [] (Al.to_list t);
   Alcotest.(check bool) "sorted" true (Al.is_sorted t);
-  Alcotest.(check bool) "first is nil" true (Al.is_nil (Al.first t))
+  Alcotest.check_raises "no first element"
+    (Invalid_argument "Arena_list.nth: out of range") (fun () ->
+      ignore (Al.nth t 0))
 
 let test_arena_insert_order () =
   let t = Al.create (Al.create_arena ~compare:icmp ()) in
@@ -228,16 +230,12 @@ let test_insert_each () =
 (* P²SM: Plan build + execute                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_merge ?(parallel = 0) a_vals b_vals =
+let run_merge a_vals b_vals =
   let arena = Al.create_arena ~compare:icmp () in
   let a = Al.of_sorted_list arena a_vals
   and b = Al.of_sorted_list arena b_vals in
   let plan = Psm.Plan.build ~source:a ~target:b in
-  let stats =
-    if parallel > 0 then
-      Psm.Plan.execute_parallel ~domains:parallel plan ~target:b ~source:a
-    else Psm.Plan.execute plan ~target:b ~source:a
-  in
+  let stats = Psm.Plan.execute plan ~target:b ~source:a in
   (Al.to_list b, Al.length b, Al.is_empty a, stats)
 
 let test_plan_simple_merge () =
@@ -280,19 +278,6 @@ let test_plan_merge_equal_values () =
   Alcotest.(check (list string))
     "target first among equals" [ "b"; "a1"; "a2" ]
     (List.map snd (Al.to_list b))
-
-let test_plan_parallel_merge () =
-  let merged, _, drained, _ =
-    run_merge ~parallel:4
-      [ 1; 4; 4; 7; 11; 15 ]
-      [ 2; 3; 5; 8; 9; 10; 12 ]
-  in
-  check_list "parallel == expected"
-    (Reference.merge_values ~compare:icmp
-       [ 1; 4; 4; 7; 11; 15 ]
-       [ 2; 3; 5; 8; 9; 10; 12 ])
-    merged;
-  Alcotest.(check bool) "drained" true drained
 
 (* The source is fixed from build to merge (a paused sandbox's vCPU
    set): a change to it the plan never saw makes it stale. *)
@@ -378,17 +363,12 @@ let test_arena_version () =
   step "pop_first on empty" a 0 (fun () -> ignore (Al.pop_first a));
   step "reads" b 0 (fun () ->
       ignore (Al.nth b 1);
-      ignore (Al.value b (Al.first b));
-      ignore (Al.position b (Al.first b));
+      ignore (Al.value b (Al.nth b 0));
+      ignore (Al.position b (Al.nth b 0));
       ignore (Al.upper_bound b ~from:0 15);
       ignore (Al.to_list b);
       ignore (Al.is_sorted b));
   List.iter (fun x -> ignore (Al.insert_sorted a x)) [ 15; 35 ];
-  let first = Al.nth a 0 and last = Al.nth a 1 in
-  step "link_after" b 1 (fun () ->
-      Al.Unsafe.link_after b ~anchor:(Al.nth b 0) ~first ~last:first);
-  step "link_after, source" a 0 (fun () ->
-      Al.Unsafe.link_after b ~anchor:(Al.nth b 2) ~first:last ~last);
   let va = Al.version a in
   step "merge_commit, target" b 1 (fun () ->
       Al.Unsafe.merge_commit ~target:b ~source:a ~keys:[| 1; 3 |]
@@ -584,21 +564,12 @@ let prop_psm_equals_reference =
       let merged, _, drained, _ = run_merge a_vals b_vals in
       drained && merged = Reference.merge_values ~compare:icmp a_vals b_vals)
 
-let prop_psm_parallel_equals_sequential =
-  QCheck2.Test.make ~name:"parallel splice == sequential splice" ~count:60
-    QCheck2.Gen.(pair sorted_list_gen sorted_list_gen)
-    (fun (a_vals, b_vals) ->
-      let m1, _, _, _ = run_merge a_vals b_vals in
-      let m2, _, _, _ = run_merge ~parallel:4 a_vals b_vals in
-      m1 = m2)
-
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_insert_sorted_invariant;
       prop_arena_insert_sorted_invariant;
       prop_psm_equals_reference;
-      prop_psm_parallel_equals_sequential;
     ]
 
 let () =
@@ -652,7 +623,6 @@ let () =
           Alcotest.test_case "all before" `Quick test_plan_merge_all_before;
           Alcotest.test_case "all after" `Quick test_plan_merge_all_after;
           Alcotest.test_case "equal values" `Quick test_plan_merge_equal_values;
-          Alcotest.test_case "parallel merge" `Quick test_plan_parallel_merge;
           Alcotest.test_case "stale on unseen change" `Quick
             test_plan_stale_on_unseen_source_change;
           Alcotest.test_case "stale on unseen removal" `Quick
