@@ -7,6 +7,8 @@ type t = {
   mutable transitions : int;
 }
 
+(* The modelled P-state ladder of the Xeon 8360Y: 800 MHz to the
+   2400 MHz nominal plus a 3500 MHz single-core turbo step. *)
 let ladder_mhz = [| 800; 1000; 1200; 1400; 1600; 1800; 2000; 2200; 2400; 3500 |]
 
 let top_index = Array.length ladder_mhz - 1

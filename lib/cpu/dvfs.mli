@@ -22,10 +22,6 @@ val create : ?governor:governor -> topology:Topology.t -> unit -> t
 
 val governor : t -> governor
 
-val ladder_mhz : int array
-(** The modelled P-state ladder of the Xeon 8360Y: 800 MHz to the
-    2400 MHz nominal plus a 3500 MHz single-core turbo step. *)
-
 val frequency_mhz : t -> cpu:Topology.cpu_id -> int
 (** The current frequency of [cpu]. *)
 

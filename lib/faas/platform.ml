@@ -121,7 +121,6 @@ type invocation = {
   started : Time.t;
   inv_init : Time.span;
   inv_exec : Time.span;
-  cpus : int list;
   on_complete : (int -> unit) option;  (* handed the arena slot *)
   mutable preempt_ns : int;
   mutable finish_at : Time.t;
@@ -323,15 +322,24 @@ let record_of_slot t i =
     completed_at = Trigger_records.completed_at a i;
   }
 
+(* Free the CPUs a live invocation occupies.  It reads the sandbox's
+   placement, so it must run before the sandbox leaves [Running]. *)
+let vacate t inv =
+  let queues = Sandbox.queues inv.sandbox in
+  for i = 0 to Array.length queues - 1 do
+    Hashtbl.remove t.occupancy (Runqueue.cpu queues.(i))
+  done
+
 let complete t inv =
   (* account the execution's energy at each CPU's current frequency *)
-  List.iter
-    (fun cpu ->
-      Horse_cpu.Energy.account t.energy ~cpu
-        ~freq_mhz:(Horse_cpu.Dvfs.frequency_mhz t.dvfs ~cpu)
-        inv.inv_exec)
-    inv.cpus;
-  List.iter (fun cpu -> Hashtbl.remove t.occupancy cpu) inv.cpus;
+  let queues = Sandbox.queues inv.sandbox in
+  for i = 0 to Array.length queues - 1 do
+    let cpu = Runqueue.cpu queues.(i) in
+    Horse_cpu.Energy.account t.energy ~cpu
+      ~freq_mhz:(Horse_cpu.Dvfs.frequency_mhz t.dvfs ~cpu)
+      inv.inv_exec
+  done;
+  vacate t inv;
   Hashtbl.remove t.live inv.id;
   let code = mode_code inv.inv_mode in
   let slot =
@@ -446,11 +454,6 @@ and launch t ~fn_id ~orig_mode ~mode ~on_complete ~attempt ~triggered_at
   apply_preemptions t ~resumed_vcpus:(Sandbox.vcpu_count sandbox)
     preempted_cpus;
   let exec = Function_def.sample_exec fn t.rng in
-  let cpus =
-    List.map
-      (fun { Sandbox.queue; _ } -> Runqueue.cpu queue)
-      (Sandbox.placements sandbox)
-  in
   let id = t.next_invocation_id in
   t.next_invocation_id <- id + 1;
   (* honest latency accounting: init covers everything since the
@@ -481,7 +484,6 @@ and launch t ~fn_id ~orig_mode ~mode ~on_complete ~attempt ~triggered_at
       started = triggered_at;
       inv_init;
       inv_exec = exec;
-      cpus;
       on_complete;
       preempt_ns = 0;
       finish_at = Time.add triggered_at (Time.add_span inv_init runs_for);
@@ -492,12 +494,14 @@ and launch t ~fn_id ~orig_mode ~mode ~on_complete ~attempt ~triggered_at
   (* the step-5 load variable drives frequency scaling: refresh the
      governor of each CPU this invocation occupies from its run
      queue's tracked load *)
-  List.iter
-    (fun { Sandbox.queue; _ } ->
-      Horse_cpu.Dvfs.note_utilisation t.dvfs ~cpu:(Runqueue.cpu queue)
-        (Horse_sched.Load_tracking.utilisation (Runqueue.load queue)))
-    (Sandbox.placements sandbox);
-  List.iter (fun cpu -> Hashtbl.replace t.occupancy cpu inv) cpus;
+  let queues = Sandbox.queues sandbox in
+  for i = 0 to Array.length queues - 1 do
+    let queue = queues.(i) in
+    let cpu = Runqueue.cpu queue in
+    Horse_cpu.Dvfs.note_utilisation t.dvfs ~cpu
+      (Horse_sched.Load_tracking.utilisation (Runqueue.load queue));
+    Hashtbl.replace t.occupancy cpu inv
+  done;
   inv.completion <-
     Some (Engine.schedule_at t.engine ~at:inv.finish_at (fun _ -> fire t inv));
   if Horse_sim.Logging.debug_enabled log_src then
@@ -542,7 +546,7 @@ and apply_preemptions t ~resumed_vcpus cpus =
     cpus
 
 and exec_crash t inv =
-  List.iter (fun cpu -> Hashtbl.remove t.occupancy cpu) inv.cpus;
+  vacate t inv;
   Hashtbl.remove t.live inv.id;
   Vmm.crash t.vmm inv.sandbox;
   Metrics.incr t.metrics "platform.exec_crashes";
@@ -584,7 +588,7 @@ let blackout t =
       (match inv.completion with
       | Some handle -> ignore (Engine.cancel t.engine handle)
       | None -> ());
-      List.iter (fun cpu -> Hashtbl.remove t.occupancy cpu) inv.cpus;
+      vacate t inv;
       Vmm.crash t.vmm inv.sandbox;
       incr lost)
     t.live;

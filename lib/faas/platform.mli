@@ -26,17 +26,13 @@ type start_mode = Cold | Restore | Warm of Horse_vmm.Sandbox.strategy
 
 val mode_name : start_mode -> string
 
-val mode_count : int
-(** Number of dense start-mode codes (= 6: cold, restore, four warm
-    strategies). *)
-
 val mode_code : start_mode -> int
-(** The dense code in [0 .. mode_count - 1] stored in the
-    trigger-record arena's mode column. *)
+(** The dense code in [0 .. 5] (cold, restore, four warm strategies)
+    stored in the trigger-record arena's mode column. *)
 
 val mode_of_code : int -> start_mode
 (** Decode via a preallocated table — allocation-free.
-    @raise Invalid_argument outside [0 .. mode_count - 1]. *)
+    @raise Invalid_argument outside [0 .. 5]. *)
 
 type record = {
   function_name : string;

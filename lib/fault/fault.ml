@@ -11,6 +11,8 @@ type trigger =
   | Server_blackout
   | Vcpu_slowdown
 
+(* Stable kebab-case name, used in metric keys
+   ([fault.injected.<name>]). *)
 let trigger_name = function
   | Pause_crash -> "pause-crash"
   | Resume_crash -> "resume-crash"
@@ -94,6 +96,8 @@ module Plan = struct
       ~root:(Rng.derive t.root ~index:(trigger_count + index))
       ~rates:(Array.copy t.rates) ~slowdown:t.slowdown_factor
 
+  (* Inactive plans never draw from a stream, so they need no
+     metrics. *)
   let is_active t = Array.exists (fun r -> r > 0.0) t.rates
 
   let rate t trigger = t.rates.(index_of trigger)

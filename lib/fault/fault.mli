@@ -33,10 +33,6 @@ type trigger =
   | Server_blackout  (** a whole server drops out, recovering later *)
   | Vcpu_slowdown  (** straggler vCPU: the operation runs slower *)
 
-val trigger_name : trigger -> string
-(** Stable kebab-case name, used in metric keys
-    ([fault.injected.<name>]). *)
-
 val all_triggers : trigger list
 
 exception
@@ -77,10 +73,6 @@ module Plan : sig
       cluster gives each server its own derived plan so per-server
       fault sequences do not depend on routing order.
       @raise Invalid_argument if [index < 0]. *)
-
-  val is_active : t -> bool
-  (** True iff any rate is positive.  Inactive plans never draw from
-      a stream, so they are behaviourally identical to {!none}. *)
 
   val rate : t -> trigger -> float
 

@@ -91,10 +91,6 @@ let live_slots a =
   done;
   !n
 
-let same_arena a b = a.arena == b.arena
-
-let compare_fn t = t.arena.compare
-
 let length t = t.len
 
 let version t = t.version
@@ -325,16 +321,9 @@ let is_sorted t =
   done;
   !ok
 
-let pp pp_elt ppf t =
-  Format.fprintf ppf "[@[%a@]]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       pp_elt)
-    (to_list t)
-
 module Unsafe = struct
   let merge_commit ~target ~source ~keys ~counts ~nseg =
-    if not (same_arena target source) then
+    if target.arena != source.arena then
       invalid_arg "Arena_list.Unsafe.merge_commit: lists from different arenas";
     let a = target.arena in
     let n = target.len and m = source.len in

@@ -60,11 +60,6 @@ val live_slots : 'a arena -> int
     this must read 0 — the leak detector the fault-injection tests
     audit with. *)
 
-val same_arena : 'a t -> 'a t -> bool
-
-val compare_fn : 'a t -> 'a -> 'a -> int
-(** The ordering of the backing arena. *)
-
 val length : 'a t -> int
 
 val version : 'a t -> int
@@ -130,8 +125,6 @@ val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val is_sorted : 'a t -> bool
 (** Full invariant check (order, position/buffer agreement, ownership)
     used by tests and debug assertions. *)
-
-val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
 
 (** Raw merge surgery for {!Psm} — Algorithm 1's merge, phrased as
     order-buffer stores.  Using it directly can break every invariant;

@@ -63,15 +63,18 @@ module Plan = struct
      key is the count of target elements <= it, binary-searched in
      the target's order buffer from the previous key (the source is
      sorted, so every target element before that key is <= it too).
-     O(|A| log |B|), and no allocation once the arrays have grown. *)
+     O(|A| log |B|), and no allocation once the arrays have grown.
+     The source is read in order by [Al.fold], with the plan itself as
+     the accumulator: the previous key is the last one pushed, so
+     [step] closes over nothing and is never allocated. *)
+  let step t x =
+    let from = if t.nseg = 0 then 0 else t.keys.(t.nseg - 1) in
+    push t (Al.upper_bound t.target ~from x);
+    t
+
   let rebuild t =
     t.nseg <- 0;
-    let key = ref 0 in
-    for i = 0 to Al.length t.source - 1 do
-      let x = Al.value t.source (Al.nth t.source i) in
-      key := Al.upper_bound t.target ~from:!key x;
-      push t !key
-    done;
+    ignore (Al.fold step t t.source);
     t.computed <- Al.version t.target
 
   (* The source must be as the plan was built over it — which also

@@ -92,8 +92,8 @@ val apply_merge :
     queue has outdated).  Then detaches the merging sandbox and counts
     one insert per spliced vCPU for every plan still attached.  All
     spliced vCPUs are marked [Queued].  Also returns the spliced
-    handles (source order) so the resumer can record its
-    placements.
+    handles in source order, a fresh array the resumer keeps as the
+    sandbox's placement.
     @raise Invalid_argument if [plan] was built over another queue or
     source.
     @raise Horse_psm.Psm.Stale as {!Horse_psm.Psm.Plan.execute}. *)

@@ -38,9 +38,6 @@ val parse_request : request -> (command, string) result
 (** Pure parsing/validation — the paper's step ① in isolation.  The
     error string names the first problem found. *)
 
-val strategy_of_string : string -> Sandbox.strategy option
-(** ["vanilla"|"ppsm"|"coal"|"horse"]. *)
-
 module Server : sig
   type t
   (** The management plane of one hypervisor: VM registry + dispatch. *)

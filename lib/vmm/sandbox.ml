@@ -1,4 +1,6 @@
 module Vcpu = Horse_sched.Vcpu
+module Runqueue = Horse_sched.Runqueue
+module Al = Horse_psm.Arena_list
 module Psm = Horse_psm.Psm
 
 type state = Created | Booting | Running | Paused | Stopped | Crashed
@@ -15,15 +17,9 @@ let strategy_code = function Vanilla -> 0 | Ppsm -> 1 | Coal -> 2 | Horse -> 3
 
 let strategies = [| Vanilla; Ppsm; Coal; Horse |]
 
-type placement = {
-  vcpu : Vcpu.t;
-  node : Horse_psm.Arena_list.handle;
-  queue : Horse_sched.Runqueue.t;
-}
-
 type psm_state = {
-  merge_vcpus : Vcpu.t Horse_psm.Arena_list.t;
-  ull_queue : Horse_sched.Runqueue.t;
+  merge_vcpus : Vcpu.t Al.t;
+  ull_queue : Runqueue.t;
   plan : Vcpu.t Psm.Plan.t;
 }
 
@@ -39,7 +35,9 @@ type t = {
   memory_mb : int;
   ull : bool;
   mutable state : state;
-  mutable placements : placement list;
+  (* allocated by the first placement, then written in place *)
+  mutable nodes : Al.handle array;
+  mutable queues : Runqueue.t array;
   mutable paused : paused option;
 }
 
@@ -52,7 +50,8 @@ let create ~id ~vcpus ~memory_mb ?(ull = false) () =
     memory_mb;
     ull;
     state = Created;
-    placements = [];
+    nodes = [||];
+    queues = [||];
     paused = None;
   }
 
@@ -70,9 +69,22 @@ let state t = t.state
 
 let set_state t s = t.state <- s
 
-let placements t = t.placements
+let nodes t = t.nodes
 
-let set_placements t p = t.placements <- p
+let queues t = t.queues
+
+let place t i node queue =
+  if Array.length t.nodes = 0 then begin
+    t.nodes <- Array.make (vcpu_count t) node;
+    t.queues <- Array.make (vcpu_count t) queue
+  end;
+  t.nodes.(i) <- node;
+  t.queues.(i) <- queue
+
+let place_all t nodes queue =
+  if Array.length t.queues = 0 then t.queues <- Array.make (vcpu_count t) queue
+  else Array.fill t.queues 0 (vcpu_count t) queue;
+  t.nodes <- nodes
 
 let paused t = t.paused
 
@@ -91,9 +103,9 @@ let horse_memory_footprint_bytes t =
   match t.paused with
   | None | Some (Paused_vanilla | Paused_coal _) -> 0
   | Some (Paused_ppsm h | Paused_horse (h, _)) ->
-    let index_bytes = 8 * Horse_sched.Runqueue.length h.ull_queue in
+    let index_bytes = 8 * Runqueue.length h.ull_queue in
     let plan_bytes = 48 * Psm.Plan.key_count h.plan in
-    let merge_bytes = 24 * Horse_psm.Arena_list.length h.merge_vcpus in
+    let merge_bytes = 24 * Al.length h.merge_vcpus in
     index_bytes + plan_bytes + merge_bytes + 64
 
 let pp ppf t =

@@ -16,7 +16,10 @@
     order buffer is the plan's [arrayB] and whose mutations the plan
     catches up with when read), and both for [Horse].  That state is
     created by {!Vmm.pause} and consumed by {!Vmm.resume}; this module
-    only stores it. *)
+    only stores it.  While [Running] it records where its vCPUs sit,
+    once: two arrays in placement order, {!nodes} (the run-queue
+    handles) and {!queues}, which the VMM writes in place and the
+    platform reads for the CPUs an invocation occupies. *)
 
 type state = Created | Booting | Running | Paused | Stopped | Crashed
 
@@ -34,13 +37,6 @@ val strategy_code : strategy -> int
 
 val strategies : strategy array
 (** All strategies, indexed by {!strategy_code}.  Do not mutate. *)
-
-type placement = {
-  vcpu : Horse_sched.Vcpu.t;
-  node : Horse_psm.Arena_list.handle;
-  queue : Horse_sched.Runqueue.t;
-}
-(** Where one vCPU currently sits (the handle is live on [queue]). *)
 
 type psm_state = {
   merge_vcpus : Horse_sched.Vcpu.t Horse_psm.Arena_list.t;
@@ -88,10 +84,23 @@ val state : t -> state
 
 val set_state : t -> state -> unit
 
-val placements : t -> placement list
-(** Current vCPU placements ([] unless Running). *)
+val nodes : t -> Horse_psm.Arena_list.handle array
+(** The vCPUs' run-queue handles, in placement order: the order the
+    resume put them on their queues, which is the order a pause takes
+    them off.  Valid only while [Running]; do not mutate. *)
 
-val set_placements : t -> placement list -> unit
+val queues : t -> Horse_sched.Runqueue.t array
+(** The run queue each of {!nodes} is live on, index for index.
+    Valid only while [Running]; do not mutate. *)
+
+val place :
+  t -> int -> Horse_psm.Arena_list.handle -> Horse_sched.Runqueue.t -> unit
+(** [place t i node queue] records the [i]-th placed vCPU, in place. *)
+
+val place_all :
+  t -> Horse_psm.Arena_list.handle array -> Horse_sched.Runqueue.t -> unit
+(** Adopt [nodes] (one per vCPU, in placement order) as {!nodes}, all
+    of them on [queue]: the placement of a P²SM splice. *)
 
 val paused : t -> paused option
 (** The state the last pause left for the resume; [Some _] exactly

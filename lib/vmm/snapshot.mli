@@ -25,9 +25,6 @@ module Memory : sig
   type t
   (** Guest memory as an array of 4 KiB pages with dirty tracking. *)
 
-  val page_size_bytes : int
-  (** 4096. *)
-
   val create : size_mb:int -> t
   (** Zeroed memory. @raise Invalid_argument if [size_mb <= 0]. *)
 
@@ -56,11 +53,6 @@ type costs = {
   fault_ns : float;  (** one post-restore page fault (trap + load) *)
 }
 
-val default_costs : costs
-(** NVMe-class storage: 900 µs device state, 1.55 µs/page sequential,
-    4.5 µs per demand fault — chosen so a FaaSnap-style restore with a
-    256-page working set costs ≈1.3 ms (the paper's Table 1 anchor). *)
-
 val capture : Memory.t -> t
 (** Freeze the current memory contents and working set. *)
 
@@ -84,6 +76,10 @@ type report = {
 val restore :
   ?costs:costs -> ?faults:Horse_fault.Fault.Plan.t -> t -> mode:mode -> report
 (** Rebuild a sandbox's memory from the snapshot under [mode].
+    [costs] defaults to NVMe-class storage: 900 µs device state,
+    1.55 µs/page sequential, 4.5 µs per demand fault — chosen so a
+    FaaSnap-style restore with a 256-page working set costs ≈1.3 ms
+    (the paper's Table 1 anchor); {!fault_cost} uses the same default.
     If [faults] (default inert) fires {!Horse_fault.Fault.Restore_corruption},
     raises {!Horse_fault.Fault.Injected} after the full restore
     latency has been burned (corruption is caught by the post-load

@@ -95,17 +95,16 @@ let require_state sandbox expected message =
   if not (List.mem (Sandbox.state sandbox) expected) then
     raise (Invalid_state message)
 
-(* Remove the sandbox's vCPUs from their queues; each dequeue counts
-   the upkeep of the plans attached to that queue. *)
-let evacuate t sandbox =
+(* Remove the sandbox's vCPUs from their queues in placement order;
+   each dequeue counts the upkeep of the plans attached to that
+   queue. *)
+let evacuate sandbox =
+  let nodes = Sandbox.nodes sandbox and queues = Sandbox.queues sandbox in
   let walked = ref 0 in
-  List.iter
-    (fun { Sandbox.node; queue; _ } ->
-      walked := !walked + Runqueue.dequeue queue node;
-      Load_tracking.on_dequeue (Runqueue.load queue))
-    (Sandbox.placements sandbox);
-  Sandbox.set_placements sandbox [];
-  ignore t;
+  for i = 0 to Array.length nodes - 1 do
+    walked := !walked + Runqueue.dequeue queues.(i) nodes.(i);
+    Load_tracking.on_dequeue (Runqueue.load queues.(i))
+  done;
   !walked
 
 (* Release everything a live sandbox holds in the scheduler: queue
@@ -113,8 +112,8 @@ let evacuate t sandbox =
    [merge_vcpus] matters: its nodes live in the shared run-queue
    arena, so dropping the list without popping would leak their slots
    (and leave stale-but-unreclaimed generations behind). *)
-let teardown t sandbox =
-  if Sandbox.state sandbox = Sandbox.Running then ignore (evacuate t sandbox);
+let teardown sandbox =
+  if Sandbox.state sandbox = Sandbox.Running then ignore (evacuate sandbox);
   (match Sandbox.paused sandbox with
   | Some (Sandbox.Paused_ppsm ps | Sandbox.Paused_horse (ps, _)) ->
     Runqueue.detach ps.Sandbox.ull_queue;
@@ -129,7 +128,7 @@ let teardown t sandbox =
    reused, and the caller decides what latency the failed operation
    burned. *)
 let crash t sandbox =
-  teardown t sandbox;
+  teardown sandbox;
   Sandbox.set_state sandbox Sandbox.Crashed;
   Metrics.incr t.metrics "vmm.crashes"
 
@@ -140,17 +139,13 @@ let inject t sandbox ~trigger ~site ~cost_ns =
 (* Place every vCPU on the least-loaded normal queue, as a fresh boot
    or a snapshot restore does. *)
 let place_on_normal_queues t sandbox =
-  let placements =
-    Array.to_list
-      (Array.map
-         (fun vcpu ->
-           let queue = Scheduler.select_normal t.scheduler in
-           let node, _steps = Runqueue.enqueue queue vcpu in
-           Load_tracking.on_enqueue (Runqueue.load queue);
-           { Sandbox.vcpu; node; queue })
-         (Sandbox.vcpus sandbox))
-  in
-  Sandbox.set_placements sandbox placements
+  let vcpus = Sandbox.vcpus sandbox in
+  for i = 0 to Array.length vcpus - 1 do
+    let queue = Scheduler.select_normal t.scheduler in
+    let node, _steps = Runqueue.enqueue queue vcpus.(i) in
+    Load_tracking.on_enqueue (Runqueue.load queue);
+    Sandbox.place sandbox i node queue
+  done
 
 let boot t sandbox =
   require_state sandbox [ Sandbox.Created; Sandbox.Stopped ]
@@ -207,7 +202,7 @@ let pause t ~strategy sandbox =
       ~cost_ns:t.cost.Cost_model.pause_base_ns;
   let c = t.cost in
   let n = Sandbox.vcpu_count sandbox in
-  let walked = evacuate t sandbox in
+  let walked = evacuate sandbox in
   Array.iter (fun v -> Vcpu.set_state v Vcpu.Paused) (Sandbox.vcpus sandbox);
   let base =
     c.Cost_model.pause_base_ns
@@ -239,24 +234,22 @@ let pause t ~strategy sandbox =
   jittered t (base +. extra)
 
 (* Step ④, vanilla flavour: one sorted insert per vCPU, in vCPU
-   order, into the least-loaded normal queue. *)
+   order, into the least-loaded normal queue; returns the merge
+   cost. *)
 let vanilla_merge t sandbox =
   let c = t.cost in
+  let vcpus = Sandbox.vcpus sandbox in
   let merge_ns = ref c.Cost_model.runq_fetch_ns in
-  let placements =
-    Array.to_list
-      (Array.map
-         (fun vcpu ->
-           let queue = Scheduler.select_normal t.scheduler in
-           let node, steps = Runqueue.enqueue queue vcpu in
-           merge_ns :=
-             !merge_ns +. c.Cost_model.runq_select_ns
-             +. (float_of_int (steps + 1) *. c.Cost_model.merge_walk_node_ns)
-             +. c.Cost_model.merge_link_ns;
-           { Sandbox.vcpu; node; queue })
-         (Sandbox.vcpus sandbox))
-  in
-  (placements, !merge_ns)
+  for i = 0 to Array.length vcpus - 1 do
+    let queue = Scheduler.select_normal t.scheduler in
+    let node, steps = Runqueue.enqueue queue vcpus.(i) in
+    merge_ns :=
+      !merge_ns +. c.Cost_model.runq_select_ns
+      +. (float_of_int (steps + 1) *. c.Cost_model.merge_walk_node_ns)
+      +. c.Cost_model.merge_link_ns;
+    Sandbox.place sandbox i node queue
+  done;
+  !merge_ns
 
 (* Step ④, P²SM flavour: one splice of the pre-sorted [merge_vcpus]
    into the assigned ull_runqueue at the maintained posA; returns the
@@ -266,22 +259,20 @@ let psm_merge sandbox ps =
     Runqueue.apply_merge ps.Sandbox.ull_queue ~plan:ps.Sandbox.plan
       ~source:ps.Sandbox.merge_vcpus
   in
-  let queue = Runqueue.queue ps.Sandbox.ull_queue in
-  Sandbox.set_placements sandbox
-    (Array.fold_right
-       (fun node acc ->
-         { Sandbox.vcpu = Al.value queue node; node;
-           queue = ps.Sandbox.ull_queue }
-         :: acc)
-       nodes []);
+  Sandbox.place_all sandbox nodes ps.Sandbox.ull_queue;
   stats.Psm.Plan.threads
 
-let distinct_queues placements =
-  List.fold_left
-    (fun acc { Sandbox.queue; _ } ->
-      if List.exists (fun q -> Runqueue.id q = Runqueue.id queue) acc then acc
-      else queue :: acc)
-    [] placements
+(* The number of [queues.(i)]'s vCPUs from slot [i] on, or 0 when an
+   earlier slot holds the same queue: nonzero exactly once per
+   distinct queue, and then its whole count. *)
+let count_from queues i =
+  let id = Runqueue.id queues.(i) in
+  let seen = ref false and k = ref 0 in
+  for j = 0 to Array.length queues - 1 do
+    if Runqueue.id queues.(j) = id then
+      if j < i then seen := true else incr k
+  done;
+  if !seen then 0 else !k
 
 let sample_cpus t count =
   List.init count (fun _ ->
@@ -318,30 +309,24 @@ let resume t sandbox =
   let strategy, merge_ns, load_ns, merge_threads =
     match paused with
     | Sandbox.Paused_vanilla ->
-      let placements, merge_ns = vanilla_merge t sandbox in
-      Sandbox.set_placements sandbox placements;
-      List.iter
-        (fun { Sandbox.queue; _ } ->
-          Load_tracking.on_enqueue (Runqueue.load queue);
-          Load_tracking.on_enqueue global_load)
-        placements;
+      let merge_ns = vanilla_merge t sandbox in
+      let queues = Sandbox.queues sandbox in
+      for i = 0 to n - 1 do
+        Load_tracking.on_enqueue (Runqueue.load queues.(i));
+        Load_tracking.on_enqueue global_load
+      done;
       (Sandbox.Vanilla, merge_ns, vanilla_load_ns, 0)
     | Sandbox.Paused_coal pre ->
-      let placements, merge_ns = vanilla_merge t sandbox in
-      Sandbox.set_placements sandbox placements;
+      let merge_ns = vanilla_merge t sandbox in
       (* per-queue loads: one coalesced update per distinct target
          queue, covering all of its k insertions at once *)
-      List.iter
-        (fun queue ->
-          let k =
-            List.length
-              (List.filter
-                 (fun { Sandbox.queue = q; _ } -> Runqueue.id q = Runqueue.id queue)
-                 placements)
-          in
-          Load_tracking.on_enqueue_coalesced (Runqueue.load queue)
-            (make_precomputed k))
-        (distinct_queues placements);
+      let queues = Sandbox.queues sandbox in
+      for i = 0 to n - 1 do
+        let k = count_from queues i in
+        if k > 0 then
+          Load_tracking.on_enqueue_coalesced (Runqueue.load queues.(i))
+            (make_precomputed k)
+      done;
       (* the lock-protected global variable: a single coalesced write *)
       Load_tracking.on_enqueue_coalesced global_load pre;
       (Sandbox.Coal, merge_ns, c.Cost_model.coalesce_apply_ns, 0)
@@ -391,7 +376,7 @@ let resume t sandbox =
   }
 
 let stop t sandbox =
-  teardown t sandbox;
+  teardown sandbox;
   Sandbox.set_state sandbox Sandbox.Stopped;
   Metrics.incr t.metrics "vmm.stops"
 

@@ -248,6 +248,38 @@ let test_coalesced_load_equals_vanilla_effect () =
   Alcotest.(check (float 1e-6)) "coal == vanilla" vanil coal;
   Alcotest.(check (float 1e-6)) "horse == vanilla" vanil horse;
   Alcotest.(check (float 1e-6)) "ppsm == vanilla" vanil ppsm;
+  (* so must every normal queue's: Coal applies one coalesced update
+     per distinct queue, covering all of that queue's vCPUs.  12 vCPUs
+     over 7 normal queues put several on one queue. *)
+  let queue_loads strategy =
+    let _, scheduler, sb, _ = roundtrip strategy 12 in
+    let on q =
+      Array.fold_left
+        (fun k q' -> if q' == q then k + 1 else k)
+        0 (Sandbox.queues sb)
+    in
+    Array.map
+      (fun q ->
+        (on q, Horse_sched.Load_tracking.load (Runqueue.load q)))
+      (Scheduler.runqueues scheduler)
+  in
+  let vanil_q = queue_loads Sandbox.Vanilla
+  and coal_q = queue_loads Sandbox.Coal in
+  let occupied =
+    Array.fold_left (fun n (k, _) -> if k > 0 then n + 1 else n) 0 coal_q
+  in
+  Alcotest.(check bool) "vCPUs on >= 2 queues" true (occupied >= 2);
+  Alcotest.(check bool) "some queue holds >= 2" true
+    (Array.exists (fun (k, _) -> k >= 2) coal_q);
+  Array.iteri
+    (fun i (k, load) ->
+      Alcotest.(check int)
+        (Printf.sprintf "queue %d vCPUs" i)
+        (fst vanil_q.(i)) k;
+      Alcotest.(check (float 1e-6))
+        (Printf.sprintf "queue %d coal == vanilla" i)
+        (snd vanil_q.(i)) load)
+    coal_q;
   (* and the lock-write counts differ as §4.2 describes *)
   let writes strategy =
     let _, scheduler, _, _ = roundtrip strategy 12 in
@@ -255,6 +287,71 @@ let test_coalesced_load_equals_vanilla_effect () =
   in
   Alcotest.(check int) "vanilla writes n times" 12 (writes Sandbox.Vanilla);
   Alcotest.(check int) "horse writes once" 1 (writes Sandbox.Horse)
+
+(* A pause removes a sandbox's vCPUs in placement order, and its cost
+   is the sum of each vCPU's queue position at its turn: the pause
+   span pins that order exactly (jitter 0, Vanilla pause: base plus
+   [walked] nodes). *)
+let pause_span_of ~walked =
+  let c = Cost.firecracker in
+  int_of_float
+    (Float.round
+       (c.Cost.pause_base_ns
+       +. (float_of_int walked *. c.Cost.merge_walk_node_ns)))
+
+let with_credits sb credits =
+  Array.iteri (fun i v -> Vcpu.set_credit v credits.(i)) (Sandbox.vcpus sb)
+
+let test_psm_removal_in_placement_order () =
+  let vmm, scheduler, _ = fresh () in
+  let ull = List.hd (Scheduler.ull_runqueues scheduler) in
+  (* B's vCPUs (credits 20, 40, 60) already sit on the ull queue *)
+  let b = mk_sandbox ~id:2 ~vcpus:3 () in
+  with_credits b [| 20; 40; 60 |];
+  ignore (Vmm.boot vmm b);
+  ignore (Vmm.pause vmm ~strategy:Sandbox.Horse b);
+  ignore (Vmm.resume vmm b);
+  (* A's credits by vCPU index are 50, 10, 30: the P²SM source (and
+     placement) order is vCPU 1, 2, 0, interleaved with B's *)
+  let a = mk_sandbox ~id:1 ~vcpus:3 () in
+  with_credits a [| 50; 10; 30 |];
+  ignore (Vmm.boot vmm a);
+  ignore (Vmm.pause vmm ~strategy:Sandbox.Horse a);
+  ignore (Vmm.resume vmm a);
+  Alcotest.(check (list int)) "interleaved on the ull queue"
+    [ 10; 20; 30; 40; 50; 60 ]
+    (List.map Vcpu.credit (Al.to_list (Runqueue.queue ull)));
+  Alcotest.(check (list int)) "placement order" [ 1; 2; 0 ]
+    (Array.to_list
+       (Array.map
+          (fun node -> Vcpu.index (Al.value (Runqueue.queue ull) node))
+          (Sandbox.nodes a)));
+  (* positions 0, then 1, then 2 once the earlier ones left: 3 nodes
+     walked (vCPU-index order would walk 4 + 0 + 1 = 5) *)
+  Alcotest.(check int) "pause span" (pause_span_of ~walked:3)
+    (ns_of (Vmm.pause vmm ~strategy:Sandbox.Vanilla a))
+
+let test_vanilla_removal_in_placement_order () =
+  (* 3 CPUs, one reserved: two normal queues Q0 and Q1 *)
+  let topology = Topology.create ~sockets:1 ~cores_per_socket:3 () in
+  let scheduler = Scheduler.create ~ull_count:1 ~topology () in
+  let vmm =
+    Vmm.create ~jitter:0.0 ~scheduler ~metrics:(Metrics.create ()) ()
+  in
+  let sb = mk_sandbox ~vcpus:4 ~ull:false () in
+  with_credits sb [| 40; 10; 30; 20 |];
+  ignore (Vmm.boot vmm sb);
+  ignore (Vmm.pause vmm ~strategy:Sandbox.Vanilla sb);
+  ignore (Vmm.resume vmm sb);
+  (* the merge alternates the queues (equal loads, shorter first):
+     vCPUs 0 and 2 on Q0, sorted 30 then 40; 1 and 3 on Q1, 10 then
+     20 *)
+  Alcotest.(check (list int)) "queues by vCPU" [ 0; 1; 0; 1 ]
+    (Array.to_list (Array.map Runqueue.id (Sandbox.queues sb)));
+  (* vCPU 0 leaves Q0 from position 1, the rest from the head: 1 node
+     walked (credit order would walk 0) *)
+  Alcotest.(check int) "pause span" (pause_span_of ~walked:1)
+    (ns_of (Vmm.pause vmm ~strategy:Sandbox.Vanilla sb))
 
 (* ------------------------------------------------------------------ *)
 (* HORSE pause state maintenance across sandboxes                      *)
@@ -669,6 +766,10 @@ let () =
         [
           Alcotest.test_case "coalesced load == vanilla load" `Quick
             test_coalesced_load_equals_vanilla_effect;
+          Alcotest.test_case "P²SM pause removes in placement order" `Quick
+            test_psm_removal_in_placement_order;
+          Alcotest.test_case "vanilla pause removes in placement order" `Quick
+            test_vanilla_removal_in_placement_order;
           Alcotest.test_case "two paused sandboxes share queue" `Quick
             test_two_paused_sandboxes_share_queue;
           Alcotest.test_case "pause/resume cycles" `Quick
